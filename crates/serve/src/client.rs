@@ -9,7 +9,7 @@
 
 use crate::error::ServeError;
 use crate::proto::{read_frame, Request, Status, MAX_RESPONSE_PAYLOAD};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::Path;
 
 /// A synchronous protocol client over one connection.
@@ -48,10 +48,16 @@ impl<S: Read + Write> Client<S> {
     /// Sends `req` and returns the `Ok` payload, converting typed
     /// error statuses back into [`ServeError`] values.
     fn call(&mut self, req: Request) -> Result<Vec<u8>, ServeError> {
-        self.stream.write_all(&req.encode())?;
-        self.stream.flush()?;
-        let frame = read_frame(&mut self.stream, MAX_RESPONSE_PAYLOAD)?
-            .ok_or_else(|| ServeError::proto("server closed the connection"))?;
+        let frame = match self.stream.write_all(&req.encode()).and_then(|()| self.stream.flush()) {
+            Ok(()) => read_frame(&mut self.stream, MAX_RESPONSE_PAYLOAD)?
+                .ok_or_else(|| ServeError::proto("server closed the connection"))?,
+            // A daemon at its connection cap sends `Busy` and closes
+            // without reading, so the reply can outlive the pipe.
+            Err(e) if matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset) => {
+                read_frame(&mut self.stream, MAX_RESPONSE_PAYLOAD).ok().flatten().ok_or(e)?
+            }
+            Err(e) => return Err(e.into()),
+        };
         match Status::from_code(frame.opcode) {
             Some(Status::Ok) => Ok(frame.payload),
             Some(status) => {

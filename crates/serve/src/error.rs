@@ -31,7 +31,7 @@ pub enum ServeError {
     NotFound(String),
     /// A request did not complete within the per-request deadline.
     Timeout,
-    /// The server refused work because a bounded queue was full.
+    /// The server refused a connection over its connection cap.
     Busy,
     /// A codec operation failed while decoding a block.
     Codec(CodecError),
@@ -70,7 +70,7 @@ impl fmt::Display for ServeError {
             Self::Proto(detail) => write!(f, "protocol violation: {detail}"),
             Self::NotFound(what) => write!(f, "not found: {what}"),
             Self::Timeout => write!(f, "request timed out"),
-            Self::Busy => write!(f, "server busy: request queue full"),
+            Self::Busy => write!(f, "server busy: connection limit reached"),
             Self::Codec(e) => write!(f, "codec error: {e}"),
         }
     }

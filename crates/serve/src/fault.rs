@@ -163,9 +163,10 @@ pub fn duplex() -> (DuplexStream, DuplexStream) {
 
 impl DuplexStream {
     /// Splits this end into independently owned read and write
-    /// halves (what a server connection handler needs: the reader
-    /// moves to its own thread).  Dropping a half closes only that
-    /// direction.
+    /// halves (what [`Server::handle_connection`] takes).  Dropping a
+    /// half closes only that direction.
+    ///
+    /// [`Server::handle_connection`]: crate::Server::handle_connection
     pub fn split(self) -> (DuplexReader, DuplexWriter) {
         let incoming = self.incoming.clone();
         let outgoing = self.outgoing.clone();

@@ -15,9 +15,10 @@
 //!   containing chunk, so corruption surfaces as a typed error naming
 //!   the chunk, never as garbage handed to a codec.
 //! - [`Server`] / [`Client`] — the daemon and its reference client:
-//!   sharded workers (reusing `cce-codec`'s pool), bounded
-//!   per-connection queues with backpressure, per-request timeouts,
-//!   a decoded-block LRU, and `serve.*` metrics.
+//!   one thread per connection (capped, answering `Busy` beyond the
+//!   cap) that answers decoded-block LRU hits itself and hands misses
+//!   to sharded workers (reusing `cce-codec`'s pool), per-request
+//!   timeouts, and `serve.*` metrics.
 //! - [`fault`] — `FaultReader`/`FaultStream`/`duplex`, the fault
 //!   injection the resilience tests are built on.
 //!

@@ -5,17 +5,16 @@
 //! registry appends these *after* every existing family — the artifact
 //! order is append-only by policy.
 
-use cce_obs::{Counter, Desc, Gauge, Histogram};
+use cce_obs::{Counter, Desc, Histogram};
 
 /// Requests answered by the daemon (ok and error responses alike).
 pub static SERVE_REQUESTS: Counter = Counter::new();
 /// Error responses among the answered requests.
 pub static SERVE_ERRORS: Counter = Counter::new();
-/// Connections accepted by the daemon.
+/// Connections served by the daemon (one refused at the cap counts as
+/// an error response instead).
 pub static SERVE_CONNECTIONS: Counter = Counter::new();
-/// High-water mark of any connection's bounded request queue.
-pub static SERVE_QUEUE_DEPTH: Gauge = Gauge::new();
-/// Per-request latency in microseconds (dequeue to response written).
+/// Per-request latency in microseconds (frame read to response written).
 pub static SERVE_LATENCY_MICROS: Histogram = Histogram::new();
 /// Decoded-block LRU cache hits.
 pub static SERVE_CACHE_HITS: Counter = Counter::new();
@@ -23,20 +22,11 @@ pub static SERVE_CACHE_HITS: Counter = Counter::new();
 pub static SERVE_CACHE_MISSES: Counter = Counter::new();
 
 /// Descriptors for every metric this crate registers.
-pub fn descriptors() -> [Desc; 7] {
+pub fn descriptors() -> [Desc; 6] {
     [
         Desc::counter("serve.requests", "requests answered by the serving daemon", &SERVE_REQUESTS),
         Desc::counter("serve.errors", "typed error responses sent by the daemon", &SERVE_ERRORS),
-        Desc::counter(
-            "serve.connections",
-            "connections accepted by the daemon",
-            &SERVE_CONNECTIONS,
-        ),
-        Desc::gauge(
-            "serve.queue.depth",
-            "peak depth of a connection's bounded request queue",
-            &SERVE_QUEUE_DEPTH,
-        ),
+        Desc::counter("serve.connections", "connections served by the daemon", &SERVE_CONNECTIONS),
         Desc::histogram(
             "serve.latency_micros",
             "per-request latency in microseconds",

@@ -9,11 +9,14 @@
 //!   chunks, bad frames, timeouts, and codec errors never kill the
 //!   daemon or the connection (only an unrecoverable stream desync
 //!   closes the connection);
-//! * each connection has a bounded request queue; a client that
-//!   pipelines faster than the server drains is blocked by
-//!   backpressure, never buffered without bound;
-//! * block work runs on a [`ShardPool`] keyed by block index, so the
-//!   per-shard decoded-block LRU needs no cross-shard coordination;
+//! * one thread per connection reads a request, answers it, then
+//!   reads the next, holding at most [`READ_BUFFER_BYTES`] of unread
+//!   requests: a client that pipelines faster is held back by its own
+//!   transport buffer; beyond [`MAX_CONNECTIONS`] a connection gets
+//!   `Busy`;
+//! * decoded-block LRU hits are answered on that thread; misses and
+//!   raw reads run on a [`ShardPool`] keyed by block index, so the
+//!   per-shard LRU needs no cross-shard coordination;
 //! * every request observes `request_timeout`; a stuck decode answers
 //!   `Timeout` while the daemon lives on.
 
@@ -23,19 +26,29 @@ use crate::obs;
 use crate::proto::{read_frame, write_frame, Request, Status, MAX_REQUEST_PAYLOAD};
 use crate::store::Artifact;
 use cce_codec::{BlockCodec, ShardPool};
-use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{BufReader, Read, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Each connection's read buffer: the most request bytes taken off a
+/// connection ahead of its answers (30 `decode-block` frames).
+pub const READ_BUFFER_BYTES: usize = 512;
+
+/// Bound on each worker shard's queue of block jobs; a connection whose
+/// job finds the queue full waits for room.
+pub const SHARD_QUEUE_CAPACITY: usize = 32;
+
+/// Connections served at once by [`Server::serve_unix`] and
+/// [`Server::serve_tcp`]; each holds one thread.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker shards for block reads and decodes.
     pub workers: usize,
-    /// Per-connection bound on queued (accepted, unanswered) requests.
-    pub queue_capacity: usize,
     /// Decoded-block LRU capacity, in blocks, across all shards.
     pub cache_blocks: usize,
     /// Deadline for a single request's block work.
@@ -48,7 +61,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             workers: cce_codec::worker_count(),
-            queue_capacity: 32,
             cache_blocks: 256,
             request_timeout: Duration::from_secs(5),
             max_request_payload: MAX_REQUEST_PAYLOAD,
@@ -64,7 +76,7 @@ pub struct Stats {
     pub requests: AtomicU64,
     /// Error responses among them.
     pub errors: AtomicU64,
-    /// Connections accepted.
+    /// Connections served.
     pub connections: AtomicU64,
     /// Decoded-block cache hits.
     pub cache_hits: AtomicU64,
@@ -80,6 +92,9 @@ struct Shared {
     caches: Vec<Mutex<LruCache>>,
     stats: Stats,
     shutdown: AtomicBool,
+    /// Connection threads the accept loops have running, each holding
+    /// one [`Slot`].
+    live: AtomicUsize,
 }
 
 /// The daemon: owns the artifact, codec, worker pool, and caches.
@@ -89,18 +104,6 @@ struct Shared {
 #[derive(Clone)]
 pub struct Server {
     shared: Arc<Shared>,
-}
-
-/// What the connection reader hands the processor.
-enum ReaderMsg {
-    /// A well-formed request.
-    Request(Request),
-    /// A malformed frame whose framing stayed in sync (bad opcode or
-    /// payload size): answer `BadRequest` and keep going.
-    Malformed(ServeError),
-    /// The stream desynced (bad magic, oversized length, mid-frame
-    /// EOF, or an I/O error): answer best-effort, then close.
-    Fatal(ServeError),
 }
 
 impl Server {
@@ -113,7 +116,7 @@ impl Server {
                 Mutex::new(LruCache::new(if config.cache_blocks == 0 { 0 } else { per_shard }))
             })
             .collect();
-        let pool = ShardPool::new(shards, config.queue_capacity.max(1));
+        let pool = ShardPool::new(shards, SHARD_QUEUE_CAPACITY);
         Self {
             shared: Arc::new(Shared {
                 artifact,
@@ -123,6 +126,7 @@ impl Server {
                 caches,
                 stats: Stats::default(),
                 shutdown: AtomicBool::new(false),
+                live: AtomicUsize::new(0),
             }),
         }
     }
@@ -135,6 +139,12 @@ impl Server {
     /// Requests shutdown (what the `shutdown` opcode does).
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// Connections the accept loops are serving right now (never more
+    /// than [`MAX_CONNECTIONS`]).
+    pub fn live_connections(&self) -> usize {
+        self.shared.live.load(Ordering::SeqCst)
     }
 
     /// The always-on stats as a JSON object (the `stats` payload).
@@ -153,80 +163,60 @@ impl Server {
         )
     }
 
-    /// Serves one connection: `reader` feeds a bounded queue from its
-    /// own thread, this thread answers in request order on `writer`.
+    /// Serves one connection on the calling thread: reads a request
+    /// through a [`READ_BUFFER_BYTES`] buffer, answers it on `writer`,
+    /// then reads the next, so replies leave in request order.
     ///
     /// Returns when the peer hangs up, the stream desyncs, or a
     /// `shutdown` request is answered.  All failures are contained:
     /// this method never panics and never poisons shared state.
-    pub fn handle_connection<R, W>(&self, reader: R, mut writer: W)
-    where
-        R: Read + Send + 'static,
-        W: Write,
-    {
+    pub fn handle_connection<R: Read, W: Write>(&self, reader: R, mut writer: W) {
         let shared = &self.shared;
         shared.stats.connections.fetch_add(1, Ordering::Relaxed);
         obs::SERVE_CONNECTIONS.incr();
-        let (tx, rx) = sync_channel::<ReaderMsg>(shared.config.queue_capacity.max(1));
-        // Signed because the processor can dequeue (and decrement)
-        // before the reader's increment lands; the observed value is
-        // then a *lower* bound on the true queue size, so its maximum
-        // never overstates the bounded depth.
-        let depth = Arc::new(std::sync::atomic::AtomicI64::new(0));
-        let reader_depth = depth.clone();
-        let max_payload = shared.config.max_request_payload;
-        // The reader thread detaches: it exits on EOF/desync, or when
-        // the processor drops `rx` and the next send fails.
-        std::thread::spawn(move || {
-            let mut reader = reader;
-            loop {
-                let (msg, fatal) = match read_frame(&mut reader, max_payload) {
-                    Ok(None) => break,
-                    Ok(Some(frame)) => match Request::parse(&frame) {
-                        Ok(req) => (ReaderMsg::Request(req), false),
-                        Err(e) => (ReaderMsg::Malformed(e), false),
-                    },
-                    Err(e) => (ReaderMsg::Fatal(e), true),
-                };
-                if tx.send(msg).is_err() {
-                    break; // processor gone
-                }
-                let now = reader_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                obs::SERVE_QUEUE_DEPTH.set_max(now.max(0) as u64);
-                if fatal {
-                    break;
-                }
-            }
-        });
-        while let Ok(msg) = rx.recv() {
-            depth.fetch_sub(1, Ordering::Relaxed);
+        let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
+        loop {
+            let frame = read_frame(&mut reader, shared.config.max_request_payload);
             let start = Instant::now();
-            let (stop, outcome) = match msg {
-                ReaderMsg::Request(req) => {
-                    let result = self.process(req);
-                    (matches!(req, Request::Shutdown) && result.is_ok(), result)
-                }
-                ReaderMsg::Malformed(e) => (false, Err(e)),
-                ReaderMsg::Fatal(e) => (true, Err(e)),
+            let (stop, outcome) = match frame {
+                Ok(None) => break,
+                Ok(Some(frame)) => match Request::parse(&frame) {
+                    Ok(req) => {
+                        let result = self.process(req);
+                        (matches!(req, Request::Shutdown) && result.is_ok(), result)
+                    }
+                    // Bad opcode or payload size: framing stayed in
+                    // sync, so the connection carries on.
+                    Err(e) => (false, Err(e)),
+                },
+                // Bad magic, oversized length, mid-frame EOF, or an
+                // I/O error: answer best-effort, then close.
+                Err(e) => (true, Err(e)),
             };
-            shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-            obs::SERVE_REQUESTS.incr();
-            let write_ok = match outcome {
-                Ok(payload) => write_frame(&mut writer, Status::Ok.code(), &payload).is_ok(),
-                Err(err) => {
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    obs::SERVE_ERRORS.incr();
-                    let status = Status::for_error(&err);
-                    write_frame(&mut writer, status.code(), err.to_string().as_bytes()).is_ok()
-                }
-            };
+            let write_ok = self.respond(&mut writer, outcome);
             let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
             obs::SERVE_LATENCY_MICROS.record(micros);
             if stop || !write_ok {
                 break;
             }
         }
-        // Dropping rx unblocks a reader stuck on a full queue.
+    }
+
+    /// Counts and writes one response; returns whether the write
+    /// succeeded.
+    fn respond(&self, writer: &mut impl Write, outcome: Result<Vec<u8>, ServeError>) -> bool {
+        let stats = &self.shared.stats;
+        stats.requests.fetch_add(1, Ordering::Relaxed);
+        obs::SERVE_REQUESTS.incr();
+        match outcome {
+            Ok(payload) => write_frame(writer, Status::Ok.code(), &payload).is_ok(),
+            Err(err) => {
+                stats.errors.fetch_add(1, Ordering::Relaxed);
+                obs::SERVE_ERRORS.incr();
+                let status = Status::for_error(&err);
+                write_frame(writer, status.code(), err.to_string().as_bytes()).is_ok()
+            }
+        }
     }
 
     /// Answers one request, producing the `Ok` payload.
@@ -250,6 +240,9 @@ impl Server {
             }
             Request::DecodeBlock(n) => {
                 let block = self.block_index(n)?;
+                if let Some(bytes) = cache_hit(&self.shared, block) {
+                    return Ok(bytes);
+                }
                 let shared = self.shared.clone();
                 self.with_deadline(block, move || decode_cached(&shared, block))?
             }
@@ -294,12 +287,27 @@ impl Server {
     }
 }
 
-/// Shard-cached decode: LRU hit or read + decompress + insert.
+impl Shared {
+    /// The decoded-block LRU of `block`'s shard, locked.
+    fn cache(&self, block: usize) -> MutexGuard<'_, LruCache> {
+        self.caches[block % self.caches.len()].lock().expect("cache lock")
+    }
+}
+
+/// The decoded bytes of `block` if its shard's LRU holds them, counted
+/// as one hit.  A miss counts nothing: whoever decodes counts it.
+fn cache_hit(shared: &Shared, block: usize) -> Option<Vec<u8>> {
+    let bytes = shared.cache(block).get(block)?;
+    shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+    obs::SERVE_CACHE_HITS.incr();
+    Some(bytes)
+}
+
+/// Shard-cached decode: LRU hit or read + decompress + insert.  The
+/// cache is checked again here because a decode queued behind this
+/// one's may have inserted the block since the connection looked.
 fn decode_cached(shared: &Shared, block: usize) -> Result<Vec<u8>, ServeError> {
-    let shard = block % shared.caches.len();
-    if let Some(bytes) = shared.caches[shard].lock().expect("cache lock").get(block) {
-        shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        obs::SERVE_CACHE_HITS.incr();
+    if let Some(bytes) = cache_hit(shared, block) {
         return Ok(bytes);
     }
     shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -312,7 +320,7 @@ fn decode_cached(shared: &Shared, block: usize) -> Result<Vec<u8>, ServeError> {
             format!("decoded {} bytes, index says {ulen}", decoded.len()),
         ));
     }
-    shared.caches[shard].lock().expect("cache lock").insert(block, decoded.clone());
+    shared.cache(block).insert(block, decoded.clone());
     Ok(decoded)
 }
 
@@ -329,15 +337,10 @@ impl Server {
     pub fn serve_unix(&self, path: &std::path::Path) -> std::io::Result<()> {
         let listener = std::os::unix::net::UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
-        let result = self.accept_loop(|| match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let reader = stream.try_clone()?;
-                Ok(Some((reader, stream)))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        });
+        let result = self.accept_loop(
+            || listener.accept().map(|(stream, _)| stream),
+            std::os::unix::net::UnixStream::set_nonblocking,
+        );
         let _ = std::fs::remove_file(path);
         result
     }
@@ -357,35 +360,68 @@ impl Server {
         let listener = std::net::TcpListener::bind(addr)?;
         on_bound(listener.local_addr()?);
         listener.set_nonblocking(true)?;
-        self.accept_loop(|| match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let reader = stream.try_clone()?;
-                Ok(Some((reader, stream)))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        })
+        self.accept_loop(
+            || listener.accept().map(|(stream, _)| stream),
+            std::net::TcpStream::set_nonblocking,
+        )
     }
 
-    fn accept_loop<R, W>(
+    /// Accepts from a nonblocking listener until shutdown, giving each
+    /// connection its own thread while fewer than [`MAX_CONNECTIONS`]
+    /// are live.  One over the cap is sent `Busy`, the reply its first
+    /// request reads, and closed on this thread: waiting for that
+    /// request could block on a silent peer, and a flood must not
+    /// cost threads.  Connection threads are not joined, so shutdown
+    /// never waits on an idle client.
+    fn accept_loop<S>(
         &self,
-        mut accept: impl FnMut() -> std::io::Result<Option<(R, W)>>,
+        mut accept: impl FnMut() -> std::io::Result<S>,
+        set_nonblocking: fn(&S, bool) -> std::io::Result<()>,
     ) -> std::io::Result<()>
     where
-        R: Read + Send + 'static,
-        W: Write + Send + 'static,
+        S: Send + 'static,
+        for<'a> &'a S: Read + Write,
     {
         while !self.shutdown_requested() {
-            match accept()? {
-                Some((reader, writer)) => {
-                    let server = self.clone();
-                    std::thread::spawn(move || server.handle_connection(reader, writer));
+            let stream = match accept() {
+                Ok(stream) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(15));
+                    continue;
                 }
-                None => std::thread::sleep(Duration::from_millis(15)),
-            }
+                Err(e) => return Err(e),
+            };
+            set_nonblocking(&stream, false)?;
+            // Claiming the slot is one atomic step, so accept loops on
+            // clones of this server never admit more than the cap.
+            let Some(slot) = Slot::claim(self) else {
+                self.respond(&mut &stream, Err(ServeError::Busy));
+                continue;
+            };
+            std::thread::spawn(move || slot.0.handle_connection(&stream, &stream));
         }
         Ok(())
+    }
+}
+
+/// One of the [`MAX_CONNECTIONS`] connection slots, held by a
+/// connection thread and freed when dropped, however the thread ends.
+struct Slot(Server);
+
+impl Slot {
+    fn claim(server: &Server) -> Option<Self> {
+        let live = &server.shared.live;
+        live.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (n < MAX_CONNECTIONS).then_some(n + 1)
+        })
+        .ok()?;
+        Some(Self(server.clone()))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.shared.live.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -538,6 +574,59 @@ mod tests {
         let misses = server.shared.stats.cache_misses.load(Ordering::Relaxed);
         assert_eq!(misses, 1, "first decode misses");
         assert_eq!(hits, 2, "repeats hit");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Waits until `misses` decodes have started.
+    fn wait_for_misses(server: &Server, misses: u64) {
+        let start = Instant::now();
+        while server.shared.stats.cache_misses.load(Ordering::Relaxed) < misses {
+            assert!(start.elapsed() < Duration::from_secs(10), "decode never started");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn cached_block_answers_while_the_only_shard_is_stuck() {
+        let dir = temp_dir("inline-hit");
+        let blocks = publish_identity(&dir, 3);
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let server = server_for(&dir, Duration::from_millis(400), config);
+        let mut first = connect(&server);
+        assert_eq!(first.decode_block(0).unwrap(), blocks[0]);
+        // Block 1 misses and holds the only shard for 400 ms.
+        let stuck = std::thread::spawn(move || first.decode_block(1).unwrap());
+        wait_for_misses(&server, 2);
+        let mut second = connect(&server);
+        let start = Instant::now();
+        assert_eq!(second.decode_block(0).unwrap(), blocks[0]);
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(100), "cache hit waited {elapsed:?}");
+        assert_eq!(stuck.join().unwrap(), blocks[1]);
+        // Three decode-block requests answered, each counted once.
+        let hits = server.shared.stats.cache_hits.load(Ordering::Relaxed);
+        let misses = server.shared.stats.cache_misses.load(Ordering::Relaxed);
+        assert_eq!((hits, misses), (1, 2));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_miss_queued_behind_the_same_block_decodes_once() {
+        let dir = temp_dir("racing-miss");
+        let blocks = publish_identity(&dir, 2);
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let server = server_for(&dir, Duration::from_millis(200), config);
+        let mut first = connect(&server);
+        let racing = std::thread::spawn(move || first.decode_block(0).unwrap());
+        wait_for_misses(&server, 1);
+        // Block 0 is still decoding, so this request misses on its
+        // connection and queues on the shard behind that decode.
+        let mut second = connect(&server);
+        assert_eq!(second.decode_block(0).unwrap(), blocks[0]);
+        assert_eq!(racing.join().unwrap(), blocks[0]);
+        let hits = server.shared.stats.cache_hits.load(Ordering::Relaxed);
+        let misses = server.shared.stats.cache_misses.load(Ordering::Relaxed);
+        assert_eq!((hits, misses), (1, 1), "one decode, and each request counted once");
         fs::remove_dir_all(&dir).unwrap();
     }
 

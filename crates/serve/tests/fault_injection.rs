@@ -6,15 +6,22 @@
 //! serving fresh connections afterwards.  Scenarios covered: a
 //! corrupted chunk, a truncated chunk file, a truncated manifest, an
 //! oversized request frame, a mid-request client disconnect, an I/O
-//! error mid-stream, and a client limping along on 1-byte reads.
+//! error mid-stream, a client limping along on 1-byte reads, a
+//! truncated response, and a connection flood past the daemon's cap.
 
 use cce_serve::fault::{duplex, DuplexStream, Fault, FaultReader, FaultStream};
-use cce_serve::proto::{read_frame, Request, MAX_RESPONSE_PAYLOAD};
+use cce_serve::proto::{read_frame, Request, Status, MAX_RESPONSE_PAYLOAD};
 use cce_serve::publish::{ArtifactMeta, Publisher};
+use cce_serve::server::MAX_CONNECTIONS;
 use cce_serve::store::Artifact;
 use cce_serve::{verify_dir, Client, ServeConfig, ServeError, Server};
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 struct Identity;
 
@@ -279,4 +286,134 @@ fn client_sees_truncated_response_as_a_typed_error() {
     assert!(matches!(err, ServeError::Proto(_)), "{err}");
     assert!(err.to_string().contains("mid-frame"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// Scenario 9: a connection flood, over a Unix socket and over TCP.
+// Past the cap, connections are answered `Busy` and closed without a
+// thread, the live count never exceeds the cap, an admitted connection
+// keeps answering, and a slot frees once an admitted flooder hangs up.
+#[test]
+fn connection_flood_is_capped_and_admitted_clients_keep_answering() {
+    let dir = temp_dir("flood");
+    let blocks = publish_two_chunks(&dir);
+    let server = server_for(&dir);
+    let socket = std::env::temp_dir().join(format!("cce-serve-flood-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let daemon = {
+        let server = server.clone();
+        let socket = socket.clone();
+        std::thread::spawn(move || server.serve_unix(&socket))
+    };
+    // Every read times out, so a daemon that answers wrongly fails the
+    // test instead of hanging it.
+    flood_past_the_cap(&server, &blocks, || {
+        let stream = UnixStream::connect(&socket)?;
+        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        Ok(stream)
+    });
+    daemon.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn connection_flood_over_tcp_is_capped_the_same_way() {
+    let dir = temp_dir("flood-tcp");
+    let blocks = publish_two_chunks(&dir);
+    let server = server_for(&dir);
+    let (bound_tx, bound_rx) = std::sync::mpsc::channel();
+    let daemon = {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            server.serve_tcp("127.0.0.1:0", |addr| bound_tx.send(addr).unwrap())
+        })
+    };
+    let addr = bound_rx.recv().unwrap();
+    flood_past_the_cap(&server, &blocks, || {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        Ok(stream)
+    });
+    daemon.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Drives scenario 9 against `server`, which is listening behind
+/// `dial`, and shuts it down at the end.
+fn flood_past_the_cap<S: Read + Write>(
+    server: &Server,
+    blocks: &[Vec<u8>],
+    dial: impl Fn() -> std::io::Result<S>,
+) {
+    let start = Instant::now();
+    let mut client = loop {
+        match dial() {
+            Ok(stream) => break Client::new(stream),
+            Err(e) if start.elapsed() > Duration::from_secs(10) => {
+                panic!("daemon never bound: {e}")
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    };
+    assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
+
+    // Sample the live count for the whole flood.
+    let done = Arc::new(AtomicBool::new(false));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let monitor = {
+        let (server, done, peak) = (server.clone(), done.clone(), peak.clone());
+        std::thread::spawn(move || {
+            while !done.load(Ordering::SeqCst) {
+                peak.fetch_max(server.live_connections(), Ordering::SeqCst);
+                std::thread::yield_now();
+            }
+        })
+    };
+    // Fill the remaining slots; each answers, so each is admitted.
+    let mut admitted: Vec<_> = (1..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut flooder = Client::new(dial().unwrap());
+            assert!(flooder.stats().is_ok());
+            flooder
+        })
+        .collect();
+    assert_eq!(server.live_connections(), MAX_CONNECTIONS);
+    // Everything past the cap is answered Busy, then closed.
+    for _ in 0..16 {
+        let mut flooder = dial().unwrap();
+        let frame = read_frame(&mut flooder, MAX_RESPONSE_PAYLOAD).unwrap().expect("a reply");
+        assert_eq!(frame.opcode, Status::Busy.code());
+        assert!(read_frame(&mut flooder, MAX_RESPONSE_PAYLOAD).unwrap().is_none(), "then EOF");
+    }
+    // A client that sends at once usually has its request unread when
+    // the daemon closes (over TCP that close is a reset); it still
+    // reads the Busy reply.
+    for _ in 0..16 {
+        let mut eager = Client::new(dial().unwrap());
+        assert!(matches!(eager.stats(), Err(ServeError::Busy)));
+    }
+    // So does one that sends only after the daemon has closed.  The
+    // pause lets the daemon close first; were it slower, the reply
+    // would be Busy too.
+    let mut late = Client::new(dial().unwrap());
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(matches!(late.stats(), Err(ServeError::Busy)));
+    // The admitted connection is unaffected.
+    let last = blocks.len() as u64 - 1;
+    assert_eq!(client.decode_block(last).unwrap(), blocks[last as usize]);
+
+    // One admitted flooder hangs up: its slot frees for a newcomer.
+    drop(admitted.pop());
+    let start = Instant::now();
+    while server.live_connections() >= MAX_CONNECTIONS {
+        assert!(start.elapsed() < Duration::from_secs(10), "slot never freed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut newcomer = Client::new(dial().unwrap());
+    assert_eq!(newcomer.decode_block(1).unwrap(), blocks[1]);
+
+    done.store(true, Ordering::SeqCst);
+    monitor.join().unwrap();
+    let peak = peak.load(Ordering::SeqCst);
+    assert_eq!(peak, MAX_CONNECTIONS, "live connections exceeded the cap");
+    client.shutdown().unwrap();
 }

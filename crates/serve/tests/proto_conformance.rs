@@ -3,9 +3,9 @@
 //! Pins the exact bytes of every request frame and every response
 //! status (golden vectors — a framing change must show up here as a
 //! deliberate re-record), proves malformed frames are rejected without
-//! killing the daemon, and checks that concurrent pipelined clients
-//! stay inside the bounded queue and receive byte-identical responses
-//! regardless of the worker count.
+//! killing the daemon, and checks that a pipelining client is held to
+//! the connection's read buffer and that concurrent clients receive
+//! byte-identical responses regardless of the worker count.
 
 use cce_serve::fault::{duplex, DuplexStream};
 use cce_serve::proto::{
@@ -13,10 +13,13 @@ use cce_serve::proto::{
     MAX_RESPONSE_PAYLOAD,
 };
 use cce_serve::publish::{ArtifactMeta, Publisher};
+use cce_serve::server::READ_BUFFER_BYTES;
 use cce_serve::store::Artifact;
 use cce_serve::{Client, ServeConfig, Server};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// A codec whose "compression" is identity (the conformance suite
@@ -227,26 +230,97 @@ fn oversized_declared_length_is_refused_before_allocation() {
 }
 
 // ---------------------------------------------------------------------
-// Concurrency: bounded queues, worker-count independence
+// Concurrency: bounded buffering, worker-count independence
 // ---------------------------------------------------------------------
 
+/// A codec whose decodes wait until the test opens its gate.
+struct Gated {
+    gate: Arc<(Mutex<bool>, Condvar)>,
+    entered: Arc<AtomicBool>,
+}
+
+impl cce_codec::BlockCodec for Gated {
+    fn name(&self) -> &'static str {
+        "identity"
+    }
+    fn block_size(&self) -> usize {
+        64
+    }
+    fn model_bytes(&self) -> usize {
+        0
+    }
+    fn to_bytes(&self) -> Vec<u8> {
+        Vec::new()
+    }
+    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, cce_codec::CodecError> {
+        Ok(chunk.to_vec())
+    }
+    fn decompress_block(
+        &self,
+        block: &[u8],
+        _out_len: usize,
+    ) -> Result<Vec<u8>, cce_codec::CodecError> {
+        self.entered.store(true, Ordering::SeqCst);
+        let (open, cv) = &*self.gate;
+        let _open = cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap();
+        Ok(block.to_vec())
+    }
+}
+
+/// Counts the bytes read through it.
+struct Counting<R> {
+    inner: R,
+    read: Arc<AtomicUsize>,
+}
+
+impl<R: Read> Read for Counting<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read.fetch_add(n, Ordering::SeqCst);
+        Ok(n)
+    }
+}
+
 /// A pipelined client that fires every request before reading any
-/// response stays inside the bounded queue (backpressure, not
-/// buffering) and still gets every answer, in order.
+/// response is held back by its transport, never buffered by the
+/// daemon: while the first decode is held, the connection has taken at
+/// most one read buffer plus the frame being answered off the stream.
+/// Every answer still arrives, in order.
 #[test]
 fn pipelined_requests_stay_within_the_queue_bound() {
     let dir = temp_dir("pipeline");
     let blocks = publish_identity(&dir, 6);
-    let capacity = 4;
-    let config = ServeConfig { queue_capacity: capacity, ..ServeConfig::default() };
-    let server = server_for(&dir, config);
-    let mut stream = connect_raw(&server);
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let entered = Arc::new(AtomicBool::new(false));
+    let codec = Gated { gate: gate.clone(), entered: entered.clone() };
+    let config = ServeConfig { request_timeout: Duration::from_secs(30), ..ServeConfig::default() };
+    let server = Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), config);
+    let (mut stream, server_end) = duplex();
+    let (reader, writer) = server_end.split();
+    let consumed = Arc::new(AtomicUsize::new(0));
+    let counting = Counting { inner: reader, read: consumed.clone() };
+    std::thread::spawn(move || server.handle_connection(counting, writer));
+
     let rounds = 8;
+    let frame = Request::DecodeBlock(0).encode().len();
+    let sent = rounds * blocks.len() * frame;
+    let bound = READ_BUFFER_BYTES + frame;
+    assert!(sent > bound, "{sent} pipelined bytes cannot test a {bound}-byte bound");
     for _ in 0..rounds {
         for i in 0..blocks.len() {
             stream.write_all(&Request::DecodeBlock(i as u64).encode()).unwrap();
         }
     }
+    while !entered.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Give an over-eager reader time to show itself.
+    std::thread::sleep(Duration::from_millis(50));
+    let held = consumed.load(Ordering::SeqCst);
+    assert!(held <= bound, "took {held} bytes ahead of its answers (bound {bound})");
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+
     for _ in 0..rounds {
         for expect in &blocks {
             let response = read_response(&mut stream);
@@ -254,17 +328,7 @@ fn pipelined_requests_stay_within_the_queue_bound() {
             assert_eq!(&response.payload, expect, "responses out of order or corrupted");
         }
     }
-    if cce_obs::enabled() {
-        // The reader increments after `send` and the worker decrements
-        // after `recv`, so the high-water snapshot can land during a
-        // hand-off and read one above the channel capacity — but never
-        // more: the bounded channel itself blocks the reader.
-        let peak = cce_serve::obs::SERVE_QUEUE_DEPTH.get();
-        assert!(
-            peak <= capacity as u64 + 1,
-            "peak queue depth {peak} exceeded the configured bound {capacity} (+1 hand-off)"
-        );
-    }
+    assert_eq!(consumed.load(Ordering::SeqCst), sent);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

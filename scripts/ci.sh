@@ -218,6 +218,22 @@ fi
 echo "$verify_out" | grep -q 'chunk 00000000'
 echo "serve smoke: publish/verify/daemon/corruption all behaved"
 
+echo "== serve load smoke (daemon on a Unix socket, pipelined connections) =="
+# The benchmark's serve workloads start the daemon on a real Unix socket
+# and drive it with 4 connections, each keeping 4 decode-block requests
+# in flight; every reply is checked against the program text.  Warm
+# traffic is served from the decoded-block cache, cold traffic misses it.
+for workload in serve-warm serve-cold; do
+    load_out="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 2 --trace 0)"
+    echo "$load_out" | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+assert result["correct"] is True and result["failed"] == 0, result
+print("serve load smoke:", result["attempted"], "requests, all correct")
+' || { echo "serve load smoke: $workload failed" >&2; exit 1; }
+done
+
 echo "== registered metric names documented in DESIGN.md §7 =="
 cargo run --release -q -p cce-core --bin cce -- stats | awk '{print $1}' | while read -r name; do
     grep -qF "\`$name\`" DESIGN.md || {

@@ -3,10 +3,12 @@
 //! [`render_table`] produces exactly the aligned-text layout the figure
 //! binaries have always printed (the parallel-equivalence tests compare
 //! these strings byte for byte); [`render_json`] produces the
-//! machine-readable form using the JSON helpers in `cce_core::report`.
+//! machine-readable form using the JSON helpers in `cce_core::report`
+//! and `cce_core::obs`.
 
 use crate::FigureRow;
-use cce_core::report::{json_number, json_string};
+use cce_core::obs::json_string;
+use cce_core::report::json_number;
 use cce_core::Algorithm;
 use std::fmt::Write as _;
 

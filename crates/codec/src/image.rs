@@ -1,15 +1,5 @@
 //! The generic compressed block image shared by every random-access codec.
 
-use crate::error::CodecError;
-use cce_bitstream::ByteCursor;
-
-/// Magic number opening a serialized [`BlockImage`].
-const MAGIC: &[u8; 4] = b"CIMG";
-/// Serialization format version.
-const VERSION: u16 = 1;
-/// Name used for errors raised by image (de)serialization itself.
-const SELF: &str = "block image";
-
 /// A compressed program divided into independently decompressible blocks.
 ///
 /// Every random-access codec in the workspace (SAMC, SADC, block-Huffman)
@@ -30,13 +20,13 @@ pub struct BlockImage {
 }
 
 impl BlockImage {
-    /// Largest nominal block size any deserializer accepts (1 MiB).
+    /// Largest nominal block size any parser accepts (1 MiB).
     ///
-    /// Cache-block codecs use 16–1024 byte blocks; a deserialized image
+    /// Cache-block codecs use 16–1024 byte blocks; a serialized artifact
     /// claiming more is corrupt, and bounding it caps how much output a
     /// tampered per-block length can demand from a zero-filling decoder.
-    /// Container parsers share this cap so every serialized surface
-    /// enforces the same budget.
+    /// The `.cce` container and the serving tier's manifest share this
+    /// cap so every serialized surface enforces the same budget.
     pub const MAX_BLOCK_SIZE: usize = 1 << 20;
 
     /// Allowance above the nominal block size for a single block's
@@ -143,89 +133,6 @@ impl BlockImage {
     pub fn ratio_with_lat(&self) -> f64 {
         (self.compressed_len() + self.lat_bytes()) as f64 / self.original_len as f64
     }
-
-    /// Serializes the image to a self-describing byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_be_bytes());
-        out.extend_from_slice(&(self.block_size as u32).to_be_bytes());
-        out.extend_from_slice(&(self.original_len as u32).to_be_bytes());
-        out.extend_from_slice(&(self.model_bytes as u32).to_be_bytes());
-        out.extend_from_slice(&(self.blocks.len() as u32).to_be_bytes());
-        for (block, &uncompressed) in self.blocks.iter().zip(&self.block_uncompressed) {
-            out.extend_from_slice(&(uncompressed as u32).to_be_bytes());
-            out.extend_from_slice(&(block.len() as u32).to_be_bytes());
-        }
-        for block in &self.blocks {
-            out.extend_from_slice(block);
-        }
-        out
-    }
-
-    /// Reads an image previously written by [`to_bytes`](Self::to_bytes).
-    ///
-    /// Malformed input — wrong magic, truncation, inconsistent lengths —
-    /// yields [`CodecError::Corrupt`]; this function never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut cursor = ByteCursor::new(bytes);
-        let magic = cursor.read_bytes(4)?;
-        if magic != MAGIC {
-            return Err(CodecError::corrupt(SELF, "bad magic number"));
-        }
-        let version = cursor.read_u16_be()?;
-        if version != VERSION {
-            return Err(CodecError::corrupt(SELF, format!("unsupported version {version}")));
-        }
-        let block_size = cursor.read_u32_be()? as usize;
-        if block_size > Self::MAX_BLOCK_SIZE {
-            return Err(CodecError::corrupt(SELF, "block size exceeds limit"));
-        }
-        let original_len = cursor.read_u32_be()? as usize;
-        let model_bytes = cursor.read_u32_be()? as usize;
-        let block_count = cursor.read_u32_be()? as usize;
-        // Each block costs at least 8 header bytes, so a count larger than
-        // the remaining input is corrupt — reject before allocating.
-        if block_count > cursor.remaining() / 8 {
-            return Err(CodecError::corrupt(SELF, "block count exceeds input size"));
-        }
-        let mut block_uncompressed = Vec::with_capacity(block_count);
-        let mut block_lens = Vec::with_capacity(block_count);
-        let mut uncompressed_total = 0usize;
-        let mut compressed_total = 0usize;
-        for _ in 0..block_count {
-            let uncompressed = cursor.read_u32_be()? as usize;
-            let compressed = cursor.read_u32_be()? as usize;
-            if uncompressed > block_size + Self::BLOCK_SLACK {
-                return Err(CodecError::corrupt(
-                    SELF,
-                    "block uncompressed length exceeds block size",
-                ));
-            }
-            uncompressed_total = uncompressed_total
-                .checked_add(uncompressed)
-                .ok_or_else(|| CodecError::corrupt(SELF, "uncompressed total overflows"))?;
-            compressed_total = compressed_total
-                .checked_add(compressed)
-                .ok_or_else(|| CodecError::corrupt(SELF, "compressed total overflows"))?;
-            block_uncompressed.push(uncompressed);
-            block_lens.push(compressed);
-        }
-        if uncompressed_total != original_len {
-            return Err(CodecError::corrupt(
-                SELF,
-                "block lengths do not sum to the original length",
-            ));
-        }
-        if compressed_total > cursor.remaining() {
-            return Err(CodecError::corrupt(SELF, "input truncated"));
-        }
-        let mut blocks = Vec::with_capacity(block_count);
-        for len in block_lens {
-            blocks.push(cursor.read_bytes(len)?.to_vec());
-        }
-        Ok(Self { blocks, block_uncompressed, block_size, original_len, model_bytes })
-    }
 }
 
 #[cfg(test)]
@@ -249,85 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn serialization_round_trips() {
-        let image = sample();
-        let restored = BlockImage::from_bytes(&image.to_bytes()).expect("round trip");
-        assert_eq!(restored, image);
-    }
-
-    #[test]
     fn empty_image_lat_is_zero() {
         let image = BlockImage::new(Vec::new(), Vec::new(), 32, 0, 0);
         assert_eq!(image.lat_bytes(), 0);
-    }
-
-    #[test]
-    fn corruption_is_detected_not_panicked() {
-        let image = sample();
-        let bytes = image.to_bytes();
-        // Wrong magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(BlockImage::from_bytes(&bad), Err(CodecError::Corrupt { .. })));
-        // Truncation at every prefix must fail cleanly.
-        for len in 0..bytes.len() {
-            assert!(BlockImage::from_bytes(&bytes[..len]).is_err());
-        }
-        // Absurd block count.
-        let mut bad = bytes.clone();
-        bad[18] = 0xFF;
-        bad[19] = 0xFF;
-        assert!(BlockImage::from_bytes(&bad).is_err());
-    }
-
-    #[test]
-    fn zero_length_blocks_round_trip() {
-        // A fully compressible block can shrink to zero compressed bytes,
-        // and a zero-length *uncompressed* block is legal padding.
-        let image = BlockImage::new(vec![vec![], vec![], vec![7]], vec![0, 32, 32], 32, 64, 0);
-        let restored = BlockImage::from_bytes(&image.to_bytes()).unwrap();
-        assert_eq!(restored, image);
-        assert_eq!(restored.block(0), &[] as &[u8]);
-        assert_eq!(restored.block_uncompressed_len(0), 0);
-    }
-
-    #[test]
-    fn single_byte_final_block_round_trips() {
-        let image = BlockImage::new(vec![vec![9, 9], vec![5]], vec![32, 1], 32, 33, 4);
-        let restored = BlockImage::from_bytes(&image.to_bytes()).unwrap();
-        assert_eq!(restored, image);
-        assert_eq!(restored.block_uncompressed_len(1), 1);
-    }
-
-    #[test]
-    fn u32_boundary_fields_are_handled() {
-        // original_len and model_bytes at the u32 ceiling serialize and
-        // fail deserialization *cleanly* when inconsistent: the claimed
-        // original length cannot be covered by capped per-block lengths.
-        let mut bytes = sample().to_bytes();
-        bytes[10..14].copy_from_slice(&u32::MAX.to_be_bytes()); // original_len
-        assert!(matches!(BlockImage::from_bytes(&bytes), Err(CodecError::Corrupt { .. })));
-        // Block count at the u32 ceiling is rejected before allocation.
-        let mut bytes = sample().to_bytes();
-        bytes[18..22].copy_from_slice(&u32::MAX.to_be_bytes()); // block_count
-        assert!(matches!(BlockImage::from_bytes(&bytes), Err(CodecError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn oversized_block_size_is_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[6..10].copy_from_slice(&u32::MAX.to_be_bytes()); // block_size
-        assert!(matches!(BlockImage::from_bytes(&bytes), Err(CodecError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn per_block_length_exceeding_block_size_is_rejected() {
-        // A tampered per-block uncompressed length is the classic decode
-        // amplification vector: the zero-filling SAMC decoder would happily
-        // synthesize gigabytes. The header check stops it.
-        let image = BlockImage::new(vec![vec![1]], vec![32], 32, 32, 0);
-        let mut bytes = image.to_bytes();
-        bytes[22..26].copy_from_slice(&u32::MAX.to_be_bytes()); // block 0 uncompressed
-        assert!(matches!(BlockImage::from_bytes(&bytes), Err(CodecError::Corrupt { .. })));
     }
 }

@@ -273,7 +273,6 @@ mod tests {
         for workers in [1, 2, 8] {
             let parallel = compress_parallel(&codec, &text, workers).unwrap();
             assert_eq!(parallel, serial);
-            assert_eq!(parallel.to_bytes(), serial.to_bytes());
         }
     }
 

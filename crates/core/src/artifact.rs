@@ -171,9 +171,7 @@ pub fn manifest_identity(manifest: &Manifest) -> Result<(Isa, Class, Endianness,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{ContainerIdentity, ContainerWriter};
-    use cce_codec::pipeline::CompressedBlock;
-    use cce_codec::BlockSink;
+    use crate::container::{encode_image, ContainerIdentity};
     use cce_serve::verify_dir;
     use std::fs;
     use std::io::Cursor;
@@ -202,22 +200,7 @@ mod tests {
             endianness: Endianness::Big,
             entry: 0x40_0000,
         };
-        let codec_bytes = codec.to_bytes();
-        let mut bytes = Vec::new();
-        let mut writer =
-            ContainerWriter::new(&mut bytes, identity, 32, codec.model_bytes(), &codec_bytes)
-                .unwrap();
-        for index in 0..image.block_count() {
-            writer
-                .accept(CompressedBlock {
-                    index,
-                    uncompressed_len: image.block_uncompressed_len(index),
-                    data: image.block(index).to_vec(),
-                })
-                .unwrap();
-        }
-        writer.finish().unwrap();
-        bytes
+        encode_image(identity, &codec.to_bytes(), &image).unwrap()
     }
 
     #[test]

@@ -45,8 +45,8 @@
 //! measurement harness uses, so any random-access algorithm the registry
 //! knows is a valid container payload.
 
-use cce_core::codec::{compress_parallel, worker_count, BlockCodec, BlockImage};
-use cce_core::container::{container_version, Container, ContainerV2Reader};
+use cce_core::codec::{compress_parallel, worker_count, BlockCodec};
+use cce_core::container::ContainerV2Reader;
 use cce_core::elf::{ElfImage, ElfStream, Machine};
 use cce_core::fuzz::FuzzConfig;
 use cce_core::isa::Isa;
@@ -1394,7 +1394,7 @@ fn bench_optimizer(flags: &Flags) -> Result<(), Box<dyn Error>> {
     for text in &texts {
         let outcome = trainer.train(text, &samc_config, &config)?;
         cold_sources.push(outcome.source.to_string());
-        cold_images.push(compress_parallel(&outcome.codec, text, workers)?.to_bytes());
+        cold_images.push(compress_parallel(&outcome.codec, text, workers)?);
     }
     let cache_cold_ms = start.elapsed().as_secs_f64() * 1e3;
     let cold_division_hash =
@@ -1405,8 +1405,7 @@ fn bench_optimizer(flags: &Flags) -> Result<(), Box<dyn Error>> {
     for (text, cold_image) in texts.iter().zip(&cold_images) {
         let outcome = trainer.train(text, &samc_config, &config)?;
         warm_hits += usize::from(outcome.source.is_hit());
-        warm_matches_cold &=
-            compress_parallel(&outcome.codec, text, workers)?.to_bytes() == *cold_image;
+        warm_matches_cold &= compress_parallel(&outcome.codec, text, workers)? == *cold_image;
     }
     let cache_warm_ms = start.elapsed().as_secs_f64() * 1e3;
     let warm_speedup = cache_cold_ms / cache_warm_ms.max(1e-9);
@@ -1635,59 +1634,28 @@ fn decompress(args: &[String]) -> Result<(), Box<dyn Error>> {
     };
     let output = output.ok_or("missing -o <out.elf>")?;
 
-    // Both container versions decode: v2 through the indexed streaming
-    // reader, v1 (artifacts from older builds) through the monolithic
-    // block image.  Unknown magic falls to the v1 parser for its typed
-    // "bad magic" diagnostic.
-    let (isa, class, endianness, entry, text) = match sniff_version(path)? {
-        Some(2) => {
-            let file = std::fs::File::open(path)?;
-            let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
-            let identity = reader.identity();
-            let codec_bytes = reader.codec_bytes().to_vec();
-            let handle = identity
-                .algorithm
-                .build(identity.isa, reader.block_size())
-                .codec_from_bytes(&codec_bytes)?;
-            let codec = handle.as_block().expect("container tags are random-access");
-            let text = reader.decode_text(codec)?;
-            (identity.isa, identity.class, identity.endianness, identity.entry, text)
-        }
-        _ => {
-            let bytes = std::fs::read(path)?;
-            let Container { algorithm, isa, class, endianness, entry, codec_bytes, image_bytes } =
-                Container::parse(&bytes)?;
-            let image = BlockImage::from_bytes(image_bytes)?;
-            let handle = algorithm.build(isa, image.block_size()).codec_from_bytes(codec_bytes)?;
-            let codec = handle.as_block().expect("container tags are random-access");
-            (isa, class, endianness, entry, codec.decompress(&image)?)
-        }
-    };
+    let file = std::fs::File::open(path)?;
+    let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
+    let identity = reader.identity();
+    let handle = identity
+        .algorithm
+        .build(identity.isa, reader.block_size())
+        .codec_from_bytes(reader.codec_bytes())?;
+    let codec = handle.as_block().expect("container tags are random-access");
+    let text = reader.decode_text(codec)?;
 
-    let machine = match isa {
+    let machine = match identity.isa {
         Isa::Mips => Machine::Mips,
         Isa::X86 => Machine::I386,
     };
-    let mut elf = ElfImage::new_executable(machine, class, endianness, text);
-    elf.entry = entry;
+    let mut elf = ElfImage::new_executable(machine, identity.class, identity.endianness, text);
+    elf.entry = identity.entry;
     std::fs::write(output, elf.to_bytes())?;
     println!(
         "{path}: decompressed {} bytes of text into {output}",
         elf.text().expect("text").len()
     );
     Ok(())
-}
-
-/// Reads just the 4-byte magic of `path` and maps it through
-/// [`container_version`]; `None` means unknown magic (or a file shorter
-/// than a magic), which callers route to the v1 parser for its error.
-fn sniff_version(path: &str) -> Result<Option<u8>, Box<dyn Error>> {
-    use std::io::Read;
-    let mut magic = [0u8; 4];
-    match std::fs::File::open(path)?.read_exact(&mut magic) {
-        Ok(()) => Ok(container_version(&magic)),
-        Err(_) => Ok(None),
-    }
 }
 
 fn analyze(args: &[String]) -> Result<(), Box<dyn Error>> {
@@ -1752,55 +1720,30 @@ fn info(args: &[String]) -> Result<(), Box<dyn Error>> {
     let [path] = flags.positional.as_slice() else {
         return Err("usage: cce info <in.cce>".into());
     };
-    if sniff_version(path)? == Some(2) {
-        let file = std::fs::File::open(path)?;
-        let reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
-        let identity = reader.identity();
-        let summary = reader.summary();
-        println!("{path}:");
-        println!("  container:  v2 (streamed, indexed)");
-        println!("  codec:      {}", identity.algorithm);
-        println!(
-            "  isa:        {} ({:?}, {:?}, entry {:#x})",
-            identity.isa, identity.class, identity.endianness, identity.entry
-        );
-        println!("  codec size: {} bytes", reader.codec_bytes().len());
-        println!(
-            "  text:       {} bytes in {} blocks of {}",
-            summary.original_len,
-            summary.blocks,
-            reader.block_size()
-        );
-        println!(
-            "  compressed: {} bytes (ratio {:.3}, model {} bytes, LAT {} bytes)",
-            summary.compressed_len(),
-            summary.ratio(),
-            summary.model_bytes,
-            summary.lat_bytes()
-        );
-        return Ok(());
-    }
-    let bytes = std::fs::read(path)?;
-    let Container { algorithm, isa, class, endianness, entry, codec_bytes, image_bytes } =
-        Container::parse(&bytes)?;
-    let image = BlockImage::from_bytes(image_bytes)?;
+    let file = std::fs::File::open(path)?;
+    let reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
+    let identity = reader.identity();
+    let summary = reader.summary();
     println!("{path}:");
-    println!("  container:  v1 (monolithic image)");
-    println!("  codec:      {algorithm}");
-    println!("  isa:        {isa} ({class:?}, {endianness:?}, entry {entry:#x})");
-    println!("  codec size: {} bytes", codec_bytes.len());
+    println!("  container:  v2 (streamed, indexed)");
+    println!("  codec:      {}", identity.algorithm);
+    println!(
+        "  isa:        {} ({:?}, {:?}, entry {:#x})",
+        identity.isa, identity.class, identity.endianness, identity.entry
+    );
+    println!("  codec size: {} bytes", reader.codec_bytes().len());
     println!(
         "  text:       {} bytes in {} blocks of {}",
-        image.original_len(),
-        image.block_count(),
-        image.block_size()
+        summary.original_len,
+        summary.blocks,
+        reader.block_size()
     );
     println!(
         "  compressed: {} bytes (ratio {:.3}, model {} bytes, LAT {} bytes)",
-        image.compressed_len(),
-        image.ratio(),
-        image.model_bytes(),
-        image.lat_bytes()
+        summary.compressed_len(),
+        summary.ratio(),
+        summary.model_bytes,
+        summary.lat_bytes()
     );
     Ok(())
 }
@@ -1927,11 +1870,6 @@ fn publish(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err("usage: cce publish <in.cce> -o <dir> [--chunk-size N]".into());
     };
     let output = flags.output.ok_or("missing -o <dir>")?;
-    if sniff_version(path)? != Some(2) {
-        return Err(
-            format!("{path}: only indexed v2 containers publish (re-run `cce compress`)").into()
-        );
-    }
     let file = std::fs::File::open(path)?;
     let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
     let summary =

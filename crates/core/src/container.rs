@@ -1,25 +1,12 @@
-//! The `.cce` container formats shared by the CLI and the fuzz harness.
+//! The `.cce` container format shared by the CLI and the fuzz harness.
 //!
 //! A `.cce` artifact packages everything the decompressor needs: the
 //! trained codec model, the compressed blocks, and enough ELF identity
 //! (ISA, class, endianness, entry point) to rebuild a loadable
-//! executable around the decompressed text section.  Two versions
-//! coexist (all integers big-endian):
+//! executable around the decompressed text section.
 //!
-//! **v1** — buffer-oriented, produced by the in-memory compress path.
-//! The block payload is a serialized [`BlockImage`], so the whole
-//! artifact must be in memory to parse:
-//!
-//! ```text
-//! offset  size  field
-//!      0     4  magic "CCEF"
-//!      4    12  identity (tag, isa, class, endianness, entry)
-//!     16     4  codec model length N
-//!     20     N  serialized codec model
-//!   20+N     —  serialized BlockImage
-//! ```
-//!
-//! **v2** — stream-oriented, produced by the bounded-memory pipeline.
+//! The layout (magic `CCE2`, all integers big-endian) is the paper's
+//! compressed memory image: the blocks plus a line address table.
 //! Blocks are appended raw as the pipeline drains (the writer is a
 //! [`BlockSink`]), and a per-block offset index lands *after* the data
 //! so the whole artifact is written in one forward pass.  A fixed-size
@@ -41,12 +28,9 @@
 //!               u64 original text length, magic "CIDX"
 //! ```
 //!
-//! The shared 12-byte identity block is encoded and parsed by one pair
-//! of helpers, so the two versions cannot drift.  v2 parsing enforces
-//! the same corruption caps as [`BlockImage::from_bytes`]
-//! ([`BlockImage::MAX_BLOCK_SIZE`], [`BlockImage::BLOCK_SLACK`], dense
-//! canonical offsets) so a tampered index cannot demand unbounded
-//! output or out-of-extent reads.
+//! Parsing enforces corruption caps ([`BlockImage::MAX_BLOCK_SIZE`],
+//! [`BlockImage::BLOCK_SLACK`], dense canonical offsets) so a tampered
+//! index cannot demand unbounded output or out-of-extent reads.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
@@ -55,9 +39,6 @@ use cce_codec::pipeline::{BlockSink, CompressedBlock};
 use cce_codec::{BlockCodec, BlockImage, CodecError};
 use cce_elf::{Class, Endianness};
 use cce_isa::Isa;
-
-/// Magic number opening a v1 `.cce` container.
-pub const CONTAINER_MAGIC: &[u8; 4] = b"CCEF";
 
 /// Magic number opening a v2 (streamed, indexed) `.cce` container.
 pub const CONTAINER_V2_MAGIC: &[u8; 4] = b"CCE2";
@@ -83,8 +64,8 @@ const INDEX_ENTRY_LEN: usize = 16;
 /// + magic.
 const V2_FOOTER_LEN: usize = 8 + 8 + 8 + 4;
 
-/// The executable identity stamped into every container version: which
-/// codec produced the blocks and what ELF shell to rebuild around the
+/// The executable identity stamped into every container: which codec
+/// produced the blocks and what ELF shell to rebuild around the
 /// decompressed text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerIdentity {
@@ -101,7 +82,7 @@ pub struct ContainerIdentity {
 }
 
 impl ContainerIdentity {
-    /// Appends the 12-byte identity encoding shared by both versions.
+    /// Appends the 12-byte identity encoding.
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.algorithm.tag());
         out.push(match self.isa {
@@ -119,12 +100,12 @@ impl ContainerIdentity {
         out.extend_from_slice(&self.entry.to_be_bytes());
     }
 
-    /// Parses the 12-byte identity block shared by both versions.
+    /// Parses the 12-byte identity block.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Corrupt`] on an unknown or file-oriented codec tag
-    /// or an unknown ISA tag.
+    /// [`CodecError::Corrupt`] on an unknown or file-oriented codec tag,
+    /// or an ISA, class or endianness byte outside its encoding.
     fn parse(bytes: &[u8; IDENTITY_LEN]) -> Result<Self, CodecError> {
         let algorithm = Algorithm::from_tag(bytes[0])
             .ok_or_else(|| CodecError::corrupt(SELF, "unknown codec tag"))?;
@@ -136,94 +117,18 @@ impl ContainerIdentity {
             1 => Isa::X86,
             _ => return Err(CodecError::corrupt(SELF, "unknown isa tag")),
         };
-        let class = if bytes[2] == 0 { Class::Elf32 } else { Class::Elf64 };
-        let endianness = if bytes[3] == 0 { Endianness::Little } else { Endianness::Big };
+        let class = match bytes[2] {
+            0 => Class::Elf32,
+            1 => Class::Elf64,
+            _ => return Err(CodecError::corrupt(SELF, "unknown elf class tag")),
+        };
+        let endianness = match bytes[3] {
+            0 => Endianness::Little,
+            1 => Endianness::Big,
+            _ => return Err(CodecError::corrupt(SELF, "unknown endianness tag")),
+        };
         let entry = u64::from_be_bytes(bytes[4..12].try_into().expect("8 bytes"));
         Ok(Self { algorithm, isa, class, endianness, entry })
-    }
-}
-
-/// Which container version a byte prefix announces, if any.
-pub fn container_version(bytes: &[u8]) -> Option<u8> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    match &bytes[0..4] {
-        m if m == CONTAINER_MAGIC => Some(1),
-        m if m == CONTAINER_V2_MAGIC => Some(2),
-        _ => None,
-    }
-}
-
-/// A parsed v1 `.cce` container, borrowing the codec and image payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Container<'a> {
-    /// The codec that produced the image (always random-access).
-    pub algorithm: Algorithm,
-    /// Instruction set of the compressed text.
-    pub isa: Isa,
-    /// ELF class of the original executable.
-    pub class: Class,
-    /// Endianness of the original executable.
-    pub endianness: Endianness,
-    /// ELF entry point of the original executable.
-    pub entry: u64,
-    /// Serialized codec model (feed to `CodecBuilder::codec_from_bytes`).
-    pub codec_bytes: &'a [u8],
-    /// Serialized block image (feed to `BlockImage::from_bytes`).
-    pub image_bytes: &'a [u8],
-}
-
-impl<'a> Container<'a> {
-    /// Parses a v1 `.cce` container.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] on a bad magic number, unknown or
-    /// file-oriented codec tag, unknown ISA tag, or truncation; this
-    /// function never panics on malformed input.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        if bytes.len() < 20 || &bytes[0..4] != CONTAINER_MAGIC {
-            return Err(CodecError::corrupt(SELF, "not a cce container"));
-        }
-        let identity = ContainerIdentity::parse(bytes[4..16].try_into().expect("identity bytes"))?;
-        let codec_len = u32::from_be_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
-        let rest = &bytes[20..];
-        if rest.len() < codec_len {
-            return Err(CodecError::corrupt(SELF, "container truncated"));
-        }
-        let (codec_bytes, image_bytes) = rest.split_at(codec_len);
-        Ok(Self {
-            algorithm: identity.algorithm,
-            isa: identity.isa,
-            class: identity.class,
-            endianness: identity.endianness,
-            entry: identity.entry,
-            codec_bytes,
-            image_bytes,
-        })
-    }
-
-    /// The identity block shared with v2 containers.
-    pub fn identity(&self) -> ContainerIdentity {
-        ContainerIdentity {
-            algorithm: self.algorithm,
-            isa: self.isa,
-            class: self.class,
-            endianness: self.endianness,
-            entry: self.entry,
-        }
-    }
-
-    /// Serializes the container.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + self.codec_bytes.len() + self.image_bytes.len());
-        out.extend_from_slice(CONTAINER_MAGIC);
-        self.identity().encode(&mut out);
-        out.extend_from_slice(&(self.codec_bytes.len() as u32).to_be_bytes());
-        out.extend_from_slice(self.codec_bytes);
-        out.extend_from_slice(self.image_bytes);
-        out
     }
 }
 
@@ -392,6 +297,36 @@ impl<W: Write> BlockSink for ContainerWriter<W> {
     }
 }
 
+/// Encodes an in-memory [`BlockImage`] as a complete v2 container: the
+/// same bytes the streaming pipeline writes for the same blocks.
+///
+/// # Errors
+///
+/// As [`ContainerWriter::new`] and [`BlockSink::accept`].
+pub fn encode_image(
+    identity: ContainerIdentity,
+    codec_bytes: &[u8],
+    image: &BlockImage,
+) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    let mut writer = ContainerWriter::new(
+        &mut out,
+        identity,
+        image.block_size(),
+        image.model_bytes(),
+        codec_bytes,
+    )?;
+    for index in 0..image.block_count() {
+        writer.accept(CompressedBlock {
+            index,
+            uncompressed_len: image.block_uncompressed_len(index),
+            data: image.block(index).to_vec(),
+        })?;
+    }
+    writer.finish()?;
+    Ok(out)
+}
+
 /// Maps an I/O failure on the container stream to the workspace error
 /// type (which deliberately has no I/O variant — see `CodecError` docs).
 fn io_corrupt(e: std::io::Error) -> CodecError {
@@ -421,8 +356,8 @@ pub struct ContainerV2Reader<R: Read + Seek> {
 impl<R: Read + Seek> ContainerV2Reader<R> {
     /// Opens a v2 container, validating the header, footer, and index.
     ///
-    /// Enforces the same corruption caps as [`BlockImage::from_bytes`]:
-    /// block size within [`BlockImage::MAX_BLOCK_SIZE`], per-block
+    /// Enforces the corruption caps: block size within
+    /// [`BlockImage::MAX_BLOCK_SIZE`], per-block
     /// uncompressed lengths within block size +
     /// [`BlockImage::BLOCK_SLACK`], offsets dense and in-bounds, and
     /// per-block lengths summing to the claimed original length.
@@ -532,7 +467,7 @@ impl<R: Read + Seek> ContainerV2Reader<R> {
         })
     }
 
-    /// The identity block shared with v1 containers.
+    /// The executable identity stamped into the header.
     pub fn identity(&self) -> ContainerIdentity {
         self.identity
     }
@@ -634,19 +569,6 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn sample() -> Vec<u8> {
-        Container {
-            algorithm: Algorithm::Samc,
-            isa: Isa::Mips,
-            class: Class::Elf32,
-            endianness: Endianness::Big,
-            entry: 0x40_0000,
-            codec_bytes: &[1, 2, 3],
-            image_bytes: &[4, 5],
-        }
-        .to_bytes()
-    }
-
     fn sample_identity() -> ContainerIdentity {
         ContainerIdentity {
             algorithm: Algorithm::Samc,
@@ -659,63 +581,31 @@ mod tests {
 
     /// Builds a small v2 container with the given blocks.
     fn sample_v2(blocks: &[(&[u8], usize)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut writer =
-            ContainerWriter::new(&mut out, sample_identity(), 32, 7, &[9, 8, 7]).unwrap();
-        for (index, &(data, uncompressed)) in blocks.iter().enumerate() {
-            writer
-                .accept(CompressedBlock {
-                    index,
-                    uncompressed_len: uncompressed,
-                    data: data.to_vec(),
-                })
-                .unwrap();
-        }
-        writer.finish().unwrap();
-        out
-    }
-
-    #[test]
-    fn round_trips() {
-        let bytes = sample();
-        let parsed = Container::parse(&bytes).unwrap();
-        assert_eq!(parsed.algorithm, Algorithm::Samc);
-        assert_eq!(parsed.isa, Isa::Mips);
-        assert_eq!(parsed.entry, 0x40_0000);
-        assert_eq!(parsed.codec_bytes, &[1, 2, 3]);
-        assert_eq!(parsed.image_bytes, &[4, 5]);
-        assert_eq!(parsed.to_bytes(), bytes);
+        let lens: Vec<usize> = blocks.iter().map(|&(_, len)| len).collect();
+        let original_len = lens.iter().sum();
+        let data = blocks.iter().map(|&(data, _)| data.to_vec()).collect();
+        let image = BlockImage::new(data, lens, 32, original_len, 7);
+        encode_image(sample_identity(), &[9, 8, 7], &image).unwrap()
     }
 
     #[test]
     fn malformed_containers_are_typed_errors() {
-        let bytes = sample();
-        // Too short / bad magic.
-        assert!(Container::parse(&[]).is_err());
-        assert!(Container::parse(b"CCEFxxxx").is_err());
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(Container::parse(&bad), Err(CodecError::Corrupt { .. })));
-        // Unknown codec tag.
-        let mut bad = bytes.clone();
-        bad[4] = 0xEE;
-        assert!(Container::parse(&bad).is_err());
+        let bytes = sample_v2(&[(&[10, 11, 12], 32)]);
+        let open = |bad: &[u8]| ContainerV2Reader::open(Cursor::new(bad.to_vec()));
+        // Unknown codec tag, then a file-oriented one.
+        for tag in [0xEE, Algorithm::Gzip.tag()] {
+            let mut bad = bytes.clone();
+            bad[4] = tag;
+            assert!(matches!(open(&bad), Err(CodecError::Corrupt { .. })), "tag {tag}");
+        }
         // Unknown ISA tag.
         let mut bad = bytes.clone();
         bad[5] = 9;
-        assert!(Container::parse(&bad).is_err());
-        // Codec length past EOF.
+        assert!(matches!(open(&bad), Err(CodecError::Corrupt { .. })));
+        // Codec length past the block data.
         let mut bad = bytes.clone();
-        bad[16..20].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(Container::parse(&bad), Err(CodecError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn version_sniffing() {
-        assert_eq!(container_version(&sample()), Some(1));
-        assert_eq!(container_version(&sample_v2(&[])), Some(2));
-        assert_eq!(container_version(b"CIMG"), None);
-        assert_eq!(container_version(b"CC"), None);
+        bad[24..28].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(open(&bad), Err(CodecError::Corrupt { .. })));
     }
 
     #[test]
@@ -744,9 +634,9 @@ mod tests {
     fn v2_accounting_matches_block_image() {
         // The streamed artifact must charge exactly what the buffered
         // image charges, or the two measurement paths drift apart.
-        let blocks = vec![vec![1u8, 2, 3], vec![4], vec![]];
-        let image = BlockImage::new(blocks.clone(), vec![32, 32, 16], 32, 80, 7);
-        let bytes = sample_v2(&[(&blocks[0], 32), (&blocks[1], 32), (&blocks[2], 16)]);
+        let image =
+            BlockImage::new(vec![vec![1, 2, 3], vec![4], vec![]], vec![32, 32, 16], 32, 80, 7);
+        let bytes = encode_image(sample_identity(), &[9, 8, 7], &image).unwrap();
         let reader = ContainerV2Reader::open(Cursor::new(&bytes)).unwrap();
         let summary = reader.summary();
         assert_eq!(summary.compressed_len(), image.compressed_len());
@@ -810,6 +700,15 @@ mod tests {
         let mut bad = bytes.clone();
         bad[16..20].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(ContainerV2Reader::open(Cursor::new(&bad)).is_err());
+        // Identity class and endianness bytes outside their 0/1 encoding.
+        for offset in [6, 7] {
+            let mut bad = bytes.clone();
+            bad[offset] = 2;
+            assert!(matches!(
+                ContainerV2Reader::open(Cursor::new(&bad)),
+                Err(CodecError::Corrupt { .. })
+            ));
+        }
         // The pristine artifact still parses after all that.
         assert!(ContainerV2Reader::open(Cursor::new(&bytes)).is_ok());
     }

@@ -8,13 +8,11 @@
 //! * **codec model bytes** — `CodecBuilder::codec_from_bytes` on mutated
 //!   serialized models, then a decode of the pristine image with whatever
 //!   deserialized (a tampered-codebook probe);
-//! * **block image bytes** — `BlockImage::from_bytes` on mutated images,
-//!   then a full decode cross-checked *differentially* against per-block
-//!   random access;
-//! * **`.cce` container bytes** — [`Container::parse`] plus both payload
-//!   parsers and a decode; the streamed v2 layout gets its own target
-//!   ([`ContainerV2Reader::open`] and a block-by-block decode), putting
-//!   the offset index and footer in the mutation surface;
+//! * **`.cce` container bytes** — [`ContainerV2Reader::open`] on mutated
+//!   containers (header, codec model, blocks, offset index and footer
+//!   all in the mutation surface), then a block-by-block decode
+//!   cross-checked *differentially* against a full decode of the same
+//!   blocks rebuilt as a [`BlockImage`];
 //! * **program text** — the *differential* compress path: serial
 //!   [`BlockCodec::compress`] vs [`compress_parallel`] must agree
 //!   byte-for-byte (or fail identically), and whatever compresses must
@@ -45,9 +43,8 @@
 //! thousand maximal blocks still add up; the budget keeps every fuzz
 //! case O(golden size).
 
-use crate::container::{Container, ContainerIdentity, ContainerV2Reader, ContainerWriter};
+use crate::container::{self, ContainerIdentity, ContainerV2Reader};
 use crate::registry::{Algorithm, CodecBuilder};
-use cce_codec::pipeline::{BlockSink, CompressedBlock};
 use cce_codec::{compress_parallel, BlockCodec, BlockImage, CodecError};
 use cce_fuzz::{fuzz_target, Artifact};
 pub use cce_fuzz::{Failure, FailureKind, FuzzConfig, FuzzReport, FuzzTarget, Outcome};
@@ -86,12 +83,6 @@ fn budget_for(golden_len: usize) -> usize {
 /// case budget (counted as `Rejected`, like any typed refusal).
 fn over_budget() -> CodecError {
     CodecError::corrupt("fuzz harness", "claimed output exceeds case budget")
-}
-
-/// Section boundaries of a serialized [`BlockImage`]: fixed header
-/// fields, the per-block length table, and the block data.
-fn image_boundaries(block_count: usize) -> Vec<usize> {
-    vec![4, 6, 10, 14, 18, 22, 22 + 8 * block_count]
 }
 
 // ---------------------------------------------------------------------
@@ -140,119 +131,11 @@ impl FuzzTarget for CodecBytesTarget {
     }
 }
 
-/// Mutates the serialized block image; a parse that succeeds must decode
-/// consistently under full decode vs per-block random access.
-struct ImageBytesTarget {
-    label: String,
-    codec: Box<dyn BlockCodec>,
-    image_bytes: Vec<u8>,
-    block_count: usize,
-    budget: usize,
-}
-
-impl FuzzTarget for ImageBytesTarget {
-    fn name(&self) -> String {
-        format!("{}/image", self.label)
-    }
-
-    fn artifact(&self) -> Artifact {
-        Artifact::with_boundaries(
-            "block image",
-            self.image_bytes.clone(),
-            image_boundaries(self.block_count),
-        )
-    }
-
-    fn run(&self, bytes: &[u8]) -> Outcome {
-        let image = match BlockImage::from_bytes(bytes) {
-            Ok(image) => image,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        if image.original_len() > self.budget {
-            return Outcome::Rejected(over_budget());
-        }
-        let full = match self.codec.decompress(&image) {
-            Ok(full) => full,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        // Differential: random access must reconstruct exactly what the
-        // full decode produced, block for block.
-        let mut assembled = Vec::with_capacity(full.len());
-        for index in 0..image.block_count() {
-            let out_len = image.block_uncompressed_len(index);
-            match self.codec.decompress_block(image.block(index), out_len) {
-                Ok(block) => assembled.extend_from_slice(&block),
-                Err(e) => {
-                    return Outcome::Violation(format!(
-                        "full decode succeeded but block {index} failed: {e}"
-                    ))
-                }
-            }
-        }
-        if assembled != full {
-            return Outcome::Violation("random access and full decode disagree".into());
-        }
-        Outcome::Decoded
-    }
-}
-
-/// Mutates a whole `.cce` container: parse, both payload parsers, decode.
-struct ContainerTarget {
-    label: String,
-    builder: CodecBuilder,
-    container_bytes: Vec<u8>,
-    codec_len: usize,
-    budget: usize,
-}
-
-impl FuzzTarget for ContainerTarget {
-    fn name(&self) -> String {
-        format!("{}/container", self.label)
-    }
-
-    fn artifact(&self) -> Artifact {
-        Artifact::with_boundaries(
-            "container",
-            self.container_bytes.clone(),
-            vec![4, 5, 6, 7, 8, 16, 20, 20 + self.codec_len],
-        )
-    }
-
-    fn run(&self, bytes: &[u8]) -> Outcome {
-        let container = match Container::parse(bytes) {
-            Ok(container) => container,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        let image = match BlockImage::from_bytes(container.image_bytes) {
-            Ok(image) => image,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        if image.original_len() > self.budget {
-            return Outcome::Rejected(over_budget());
-        }
-        // The mutated tag byte may redirect to another algorithm; parse
-        // the codec with the *container's* claimed algorithm, like the
-        // CLI does.
-        let builder = container.algorithm.build(container.isa, self.builder.block_size());
-        let handle = match builder.codec_from_bytes(container.codec_bytes) {
-            Ok(handle) => handle,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        let codec = match handle.as_block() {
-            Some(codec) => codec,
-            None => return Outcome::Violation("container accepted a non-block codec".into()),
-        };
-        match codec.decompress(&image) {
-            Ok(_) => Outcome::Decoded,
-            Err(e) => Outcome::Rejected(e),
-        }
-    }
-}
-
 /// Mutates a whole v2 (streamed, indexed) `.cce` container: header,
 /// codec model, index trailer, and footer all sit in the mutation
-/// surface, and whatever [`ContainerV2Reader::open`] accepts must decode
-/// block by block without panic or blowup.
+/// surface.  Whatever [`ContainerV2Reader::open`] accepts must decode
+/// block by block without panic or blowup, and agree with a full decode
+/// of the same blocks rebuilt as a [`BlockImage`].
 struct ContainerV2Target {
     label: String,
     container_bytes: Vec<u8>,
@@ -266,12 +149,13 @@ impl FuzzTarget for ContainerV2Target {
     }
 
     fn artifact(&self) -> Artifact {
-        // Header fields, codec model, block data, index trailer, footer.
+        // Header fields (each identity byte on its own), codec model,
+        // block data, index trailer, footer.
         let len = self.container_bytes.len();
         Artifact::with_boundaries(
             "container v2",
             self.container_bytes.clone(),
-            vec![4, 16, 20, 24, 28, 28 + self.codec_len, len - 28, len - 4],
+            vec![4, 5, 6, 7, 8, 16, 20, 24, 28, 28 + self.codec_len, len - 28, len - 4],
         )
     }
 
@@ -296,9 +180,31 @@ impl FuzzTarget for ContainerV2Target {
             Some(codec) => codec,
             None => return Outcome::Violation("container accepted a non-block codec".into()),
         };
-        match reader.decode_text(codec) {
-            Ok(_) => Outcome::Decoded,
-            Err(e) => Outcome::Rejected(e),
+        let mut blocks = Vec::with_capacity(reader.block_count());
+        let mut lens = Vec::with_capacity(reader.block_count());
+        for index in 0..reader.block_count() {
+            match reader.read_block(index) {
+                Ok((data, len)) => {
+                    blocks.push(data);
+                    lens.push(len);
+                }
+                Err(e) => return Outcome::Rejected(e),
+            }
+        }
+        let original_len = reader.original_len() as usize;
+        let image = BlockImage::new(blocks, lens, reader.block_size(), original_len, 0);
+        // Differential: the indexed block-by-block decode and the full
+        // image decode must agree, in success and in content.
+        match (reader.decode_text(codec), codec.decompress(&image)) {
+            (Ok(text), Ok(full)) if text == full => Outcome::Decoded,
+            (Ok(_), Ok(_)) => Outcome::Violation("indexed and full decode disagree".into()),
+            (Err(e), Err(_)) => Outcome::Rejected(e),
+            (Ok(_), Err(e)) => {
+                Outcome::Violation(format!("indexed decode succeeded but full decode failed: {e}"))
+            }
+            (Err(e), Ok(_)) => {
+                Outcome::Violation(format!("full decode succeeded but indexed decode failed: {e}"))
+            }
         }
     }
 }
@@ -694,33 +600,15 @@ fn block_targets_for(
     text: Vec<u8>,
 ) -> Vec<Box<dyn FuzzTarget>> {
     let builder = algorithm.build(isa, 32);
-    let train = |purpose: &str| {
-        let handle = builder
-            .train(&text)
-            .unwrap_or_else(|e| panic!("{label}: golden training failed ({purpose}): {e}"));
-        match handle {
-            crate::registry::CodecHandle::Block(codec) => codec,
-            crate::registry::CodecHandle::File(_) => {
-                panic!("{label}: expected a block codec")
-            }
-        }
+    let handle =
+        builder.train(&text).unwrap_or_else(|e| panic!("{label}: golden training failed: {e}"));
+    let crate::registry::CodecHandle::Block(codec) = handle else {
+        panic!("{label}: expected a block codec")
     };
-    let codec = train("targets");
     let golden_image = codec.compress(&text).expect("golden compression succeeds");
     let codec_bytes = codec.to_bytes();
-    let image_bytes = golden_image.to_bytes();
+    let codec_len = codec_bytes.len();
     let budget = budget_for(text.len());
-    let container_bytes = Container {
-        algorithm,
-        isa,
-        class: cce_elf::Class::Elf32,
-        endianness: cce_elf::Endianness::Big,
-        entry: 0x40_0000,
-        codec_bytes: &codec_bytes,
-        image_bytes: &image_bytes,
-    }
-    .to_bytes();
-    // The same golden payload repackaged as a streamed v2 container.
     let identity = ContainerIdentity {
         algorithm,
         isa,
@@ -728,51 +616,15 @@ fn block_targets_for(
         endianness: cce_elf::Endianness::Big,
         entry: 0x40_0000,
     };
-    let mut v2_bytes = Vec::new();
-    let mut writer = ContainerWriter::new(
-        &mut v2_bytes,
-        identity,
-        codec.block_size(),
-        codec.model_bytes(),
-        &codec_bytes,
-    )
-    .expect("golden v2 header");
-    for index in 0..golden_image.block_count() {
-        writer
-            .accept(CompressedBlock {
-                index,
-                uncompressed_len: golden_image.block_uncompressed_len(index),
-                data: golden_image.block(index).to_vec(),
-            })
-            .expect("golden v2 block");
-    }
-    writer.finish().expect("golden v2 trailer");
+    let container_bytes =
+        container::encode_image(identity, &codec_bytes, &golden_image).expect("golden container");
 
     vec![
-        Box::new(CodecBytesTarget {
-            label: label.to_string(),
-            builder,
-            codec_bytes: codec_bytes.clone(),
-            golden_image: golden_image.clone(),
-        }),
-        Box::new(ImageBytesTarget {
-            label: label.to_string(),
-            codec: train("image target"),
-            image_bytes,
-            block_count: golden_image.block_count(),
-            budget,
-        }),
-        Box::new(ContainerTarget {
-            label: label.to_string(),
-            builder,
-            container_bytes,
-            codec_len: codec_bytes.len(),
-            budget,
-        }),
+        Box::new(CodecBytesTarget { label: label.to_string(), builder, codec_bytes, golden_image }),
         Box::new(ContainerV2Target {
             label: label.to_string(),
-            container_bytes: v2_bytes,
-            codec_len: codec_bytes.len(),
+            container_bytes,
+            codec_len,
             budget,
         }),
         Box::new(TextDifferentialTarget { label: label.to_string(), codec, text }),
@@ -781,11 +633,10 @@ fn block_targets_for(
 
 /// All fuzz targets for `algorithm`.
 ///
-/// Block algorithms get five targets (codec model, block image, v1
-/// container, v2 streamed container, differential text); SAMC
-/// additionally gets the model-store
-/// record target, SADC the x86 codec and image targets since its two
-/// ISA variants are distinct decoders, and samc-rans a raw-stream target
+/// Block algorithms get three targets (codec model, `.cce` container,
+/// differential text); SAMC additionally gets the model-store record
+/// target, SADC the x86 variants of all three since its two ISA
+/// variants are distinct decoders, and samc-rans a raw-stream target
 /// putting the rANS header, lane states, and renorm words in the
 /// mutation surface.  File algorithms get a mutated-stream target and a
 /// round-trip text target.
@@ -883,10 +734,10 @@ mod tests {
     fn every_algorithm_has_targets() {
         assert_eq!(targets(Algorithm::UnixCompress).len(), 2);
         assert_eq!(targets(Algorithm::Gzip).len(), 2);
-        assert_eq!(targets(Algorithm::ByteHuffman).len(), 5);
-        assert_eq!(targets(Algorithm::Samc).len(), 6);
-        assert_eq!(targets(Algorithm::Sadc).len(), 10);
-        assert_eq!(targets(Algorithm::SamcRans).len(), 6);
+        assert_eq!(targets(Algorithm::ByteHuffman).len(), 3);
+        assert_eq!(targets(Algorithm::Samc).len(), 4);
+        assert_eq!(targets(Algorithm::Sadc).len(), 6);
+        assert_eq!(targets(Algorithm::SamcRans).len(), 4);
         assert_eq!(serve_targets().len(), 2);
     }
 

@@ -11,7 +11,8 @@
 //! returned by [`descriptors`] is documented there.
 
 pub use cce_obs::{
-    Desc, HitMiss, JsonSink, Kind, MetricsSink, Sample, SampleValue, Snapshot, TableSink,
+    json_string, Desc, HitMiss, JsonSink, Kind, MetricsSink, Sample, SampleValue, Snapshot,
+    TableSink,
 };
 
 /// Version stamp of the `--metrics` artifact schema.
@@ -73,7 +74,7 @@ pub fn metrics_json(command: &str) -> String {
     // JsonSink renders `{"metrics":[...]}`; splice our header into it.
     format!(
         "{{\"version\":{METRICS_FORMAT_VERSION},\"command\":{},\"obs_enabled\":{},{}",
-        crate::report::json_string(command),
+        json_string(command),
         enabled(),
         &body[1..],
     )

@@ -3,29 +3,12 @@
 //! reporter.
 //!
 //! The workspace builds without external dependencies, so this module
-//! provides just enough JSON — escaped strings, finite-checked numbers,
-//! and a [`Measurement`] renderer — rather than pulling in a serializer.
+//! provides just enough JSON — finite-checked numbers and a
+//! [`Measurement`] renderer, with strings escaped by [`json_string`] —
+//! rather than pulling in a serializer.
 
+use crate::obs::json_string;
 use crate::Measurement;
-
-/// Escapes and quotes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Renders `value` as a JSON number (`null` when not finite).
 pub fn json_number(value: f64) -> String {
@@ -71,13 +54,6 @@ mod tests {
     use super::*;
     use crate::{measure, Algorithm};
     use cce_isa::Isa;
-
-    #[test]
-    fn strings_escape_cleanly() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn numbers_handle_non_finite() {

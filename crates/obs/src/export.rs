@@ -18,7 +18,7 @@ impl JsonSink {
     /// Renders one sample as a JSON object (no trailing separator).
     fn sample_json(sample: &Sample, out: &mut String) {
         out.push_str("{\"name\":");
-        push_json_string(sample.name, out);
+        out.push_str(&json_string(sample.name));
         out.push_str(",\"kind\":\"");
         out.push_str(match sample.value {
             SampleValue::Counter(_) => "counter",
@@ -27,7 +27,7 @@ impl JsonSink {
             SampleValue::Span { .. } => "span",
         });
         out.push_str("\",\"help\":");
-        push_json_string(sample.help, out);
+        out.push_str(&json_string(sample.help));
         match sample.value {
             SampleValue::Counter(v) | SampleValue::Gauge(v) => {
                 out.push_str(",\"value\":");
@@ -119,11 +119,11 @@ impl MetricsSink for TableSink {
     }
 }
 
-/// Appends `s` as a JSON string literal (with escaping) to `out`.
-///
-/// Private copy of the escaper in `cce-core::report` — this crate sits
-/// below `cce-core` in the dependency graph and must stay leaf-level.
-fn push_json_string(s: &str, out: &mut String) {
+/// Escapes and quotes `s` as a JSON string literal: the one string
+/// escaper behind every JSON document the workspace writes (`--metrics`
+/// artifacts, reports, serving-tier manifests).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
@@ -132,13 +132,12 @@ fn push_json_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
     out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -185,9 +184,18 @@ mod tests {
 
     #[test]
     fn json_escapes_strings() {
-        let mut out = String::new();
-        push_json_string("a\"b\\c\nd\u{1}", &mut out);
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        for (raw, escaped) in [
+            ("plain", r#""plain""#),
+            ("a\"b", r#""a\"b""#),
+            ("a\\b", r#""a\\b""#),
+            ("a\nb", r#""a\nb""#),
+            ("a\rb", r#""a\rb""#),
+            ("a\tb", r#""a\tb""#),
+            ("a\u{1}b", r#""a\u0001b""#),
+            ("caf\u{e9} \u{1f600}", "\"caf\u{e9} \u{1f600}\""),
+        ] {
+            assert_eq!(json_string(raw), escaped, "{raw:?}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod metric;
 mod registry;
 mod span;
 
-pub use export::{JsonSink, MetricsSink, TableSink};
+pub use export::{json_string, JsonSink, MetricsSink, TableSink};
 pub use hitmiss::HitMiss;
 pub use metric::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{Desc, Kind, Sample, SampleValue, Snapshot};

@@ -3,13 +3,13 @@
 //! The decompressor-side artifact stores the dictionary *build rules*
 //! (templates are reconstructed by replaying them over the base
 //! alphabet), the Huffman code-length tables (canonical codes need
-//! nothing else), and the configuration.  Compressed images use the
-//! workspace-wide [`cce_codec::BlockImage`] format.
+//! nothing else), and the configuration.  Compressed blocks go to disk
+//! in the `.cce` container (`cce_core::container`), next to these model
+//! bytes.
 //!
 //! # Examples
 //!
 //! ```
-//! use cce_codec::BlockImage;
 //! use cce_isa::mips::{encode_text, Instruction, Reg};
 //! use cce_sadc::{MipsSadc, MipsSadcConfig};
 //!
@@ -20,9 +20,9 @@
 //! let codec = MipsSadc::train(&text, MipsSadcConfig::default())?;
 //! let image = codec.compress(&text);
 //!
+//! // The decompressor side holds only the serialized model.
 //! let codec2 = MipsSadc::from_bytes(&codec.to_bytes())?;
-//! let image2 = BlockImage::from_bytes(&image.to_bytes())?;
-//! assert_eq!(codec2.decompress(&image2)?, text);
+//! assert_eq!(codec2.decompress(&image)?, text);
 //! # Ok(())
 //! # }
 //! ```
@@ -297,7 +297,6 @@ impl X86Sadc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cce_codec::BlockImage;
     use cce_isa::mips::{encode_text, Instruction, Reg};
     use cce_isa::x86::asm::{self, reg, Alu};
 
@@ -349,15 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn image_round_trips() {
-        let text = mips_text();
-        let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
-        let restored = BlockImage::from_bytes(&image.to_bytes()).unwrap();
-        assert_eq!(restored, image);
-    }
-
-    #[test]
     fn serialized_dict_cost_is_at_most_the_accounting() {
         // The rule-based encoding must not exceed what dict_bytes()
         // charges (rules are more compact than flattened templates).
@@ -380,10 +370,6 @@ mod tests {
         assert!(matches!(
             X86Sadc::from_bytes(&mips.to_bytes()),
             Err(CodecError::Corrupt { codec: "SADC", .. })
-        ));
-        assert!(matches!(
-            BlockImage::from_bytes(&mips.to_bytes()),
-            Err(CodecError::Corrupt { .. })
         ));
     }
 

@@ -5,13 +5,13 @@
 //! the *image* written to main memory (compressed blocks + LAT).  This
 //! module serializes the model, packing probabilities at exactly the bit
 //! widths [`MarkovModel::model_bytes`] charges for (12-bit exact, 4-bit
-//! power-of-two), so the reported ratios correspond to real bytes; the
-//! image uses the workspace-generic [`cce_codec::BlockImage`] format.
+//! power-of-two), so the reported ratios correspond to real bytes.  The
+//! image's blocks go to disk in the `.cce` container (`cce_core::container`),
+//! next to these model bytes.
 //!
 //! # Examples
 //!
 //! ```
-//! use cce_codec::BlockImage;
 //! use cce_samc::{SamcCodec, SamcConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,12 +19,9 @@
 //! let codec = SamcCodec::train(&text, SamcConfig::mips())?;
 //! let image = codec.compress(&text);
 //!
-//! let codec_bytes = codec.to_bytes();
-//! let image_bytes = image.to_bytes();
-//!
-//! let codec2 = SamcCodec::from_bytes(&codec_bytes)?;
-//! let image2 = BlockImage::from_bytes(&image_bytes)?;
-//! assert_eq!(codec2.decompress(&image2)?, text);
+//! // The decompressor side holds only the serialized model.
+//! let codec2 = SamcCodec::from_bytes(&codec.to_bytes())?;
+//! assert_eq!(codec2.decompress(&image)?, text);
 //! # Ok(())
 //! # }
 //! ```
@@ -187,7 +184,6 @@ fn nibble_pow2(nibble: u8) -> Prob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cce_codec::BlockImage;
 
     fn training_text() -> Vec<u8> {
         (0..2048u32).flat_map(|i| ((i % 11) << 2 | 0x8000_0000).to_be_bytes()).collect()
@@ -252,15 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn image_round_trips_through_generic_format() {
-        let text = training_text();
-        let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
-        let restored = BlockImage::from_bytes(&image.to_bytes()).unwrap();
-        assert_eq!(restored, image);
-    }
-
-    #[test]
     fn wrong_magic_is_rejected() {
         assert!(matches!(
             SamcCodec::from_bytes(b"NOPE1234"),
@@ -268,10 +255,10 @@ mod tests {
         ));
         let text = training_text();
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        // An image is not a codec.
-        let image_bytes = codec.compress(&text).to_bytes();
+        // A compressed block is not a codec.
+        let image = codec.compress(&text);
         assert!(matches!(
-            SamcCodec::from_bytes(&image_bytes),
+            SamcCodec::from_bytes(image.block(0)),
             Err(CodecError::Corrupt { codec: "SAMC", .. })
         ));
     }

@@ -342,25 +342,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes `s` for embedding in a JSON document (adds the quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,7 +407,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let original = "quote\" slash\\ newline\n tab\t control\u{1} unicode\u{1f600}";
-        let escaped = escape(original);
+        let escaped = cce_obs::json_string(original);
         assert_eq!(parse(escaped.as_bytes()).unwrap().as_str(), Some(original));
     }
 }

@@ -14,6 +14,7 @@ use crate::error::ServeError;
 use crate::json::{self, Json};
 use crate::sha256;
 use cce_codec::BlockImage;
+use cce_obs::json_string;
 
 /// Manifest schema identifier; bump on any incompatible change.
 pub const SCHEMA: &str = "cce-artifact/1";
@@ -211,9 +212,9 @@ impl Manifest {
             "{{\"schema\":{},\"algorithm\":{},\"isa\":{},\"class\":{},\"endianness\":{},\
              \"entry\":{},\"block_size\":{},\"blocks\":{},\"original_len\":{},\"data_len\":{},\
              \"model_bytes\":{},\"chunk_payload\":{},",
-            json::escape(SCHEMA),
-            json::escape(&self.algorithm),
-            json::escape(&self.isa),
+            json_string(SCHEMA),
+            json_string(&self.algorithm),
+            json_string(&self.isa),
             self.class,
             self.endianness,
             self.entry,

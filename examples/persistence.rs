@@ -1,18 +1,21 @@
-//! Build-system workflow: train once at link time, ship the artifacts,
-//! decompress blocks at "runtime" from the deserialized state.
+//! Build-system workflow: train once at link time, ship one `.cce`
+//! container, decompress blocks at "runtime" from what it holds.
 //!
 //! A real compressed-code build splits into two halves: the *toolchain*
 //! side trains a codec and produces the ROM image, and the *device* side
 //! (the decompression hardware / boot firmware) holds only the serialized
-//! model and the compressed blocks.  This example round-trips both halves
-//! through files.
+//! model and the compressed blocks, found through the block index (the
+//! paper's line address table).  This example round-trips both halves
+//! through one container file.
 //!
 //! Run with: `cargo run --example persistence`
 
-use cce_core::codec::BlockImage;
+use cce_core::container::{self, ContainerIdentity, ContainerV2Reader};
+use cce_core::elf::{Class, Endianness};
 use cce_core::isa::Isa;
 use cce_core::samc::{SamcCodec, SamcConfig};
 use cce_core::workload::spec95_suite;
+use cce_core::Algorithm;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -25,34 +28,38 @@ fn main() -> Result<(), Box<dyn Error>> {
     let codec = SamcCodec::train(&program.text, SamcConfig::mips())?;
     let image = codec.compress(&program.text);
 
-    let codec_path = dir.join("wave5.samc");
-    let image_path = dir.join("wave5.simg");
-    std::fs::write(&codec_path, codec.to_bytes())?;
-    std::fs::write(&image_path, image.to_bytes())?;
+    let identity = ContainerIdentity {
+        algorithm: Algorithm::Samc,
+        isa: Isa::Mips,
+        class: Class::Elf32,
+        endianness: Endianness::Big,
+        entry: 0x40_0000,
+    };
+    let path = dir.join("wave5.cce");
+    std::fs::write(&path, container::encode_image(identity, &codec.to_bytes(), &image)?)?;
     println!(
-        "toolchain: trained on {} bytes, wrote {} (model) + {} (image) bytes",
+        "toolchain: trained on {} bytes, wrote a {}-byte container",
         program.text.len(),
-        std::fs::metadata(&codec_path)?.len(),
-        std::fs::metadata(&image_path)?.len(),
+        std::fs::metadata(&path)?.len(),
     );
     println!("           text ratio {:.3} (model tables included)", image.ratio());
 
     // ---- device side ----------------------------------------------------
-    // Nothing from the toolchain's memory survives: reload from disk.
-    let device_codec = SamcCodec::from_bytes(&std::fs::read(&codec_path)?)?;
-    let device_image = BlockImage::from_bytes(&std::fs::read(&image_path)?)?;
+    // Nothing from the toolchain's memory survives: reopen from disk.
+    let mut reader = ContainerV2Reader::open(std::io::BufReader::new(std::fs::File::open(&path)?))?;
+    let device_codec = SamcCodec::from_bytes(reader.codec_bytes())?;
 
-    // Serve a few "cache misses".
-    for block in [0usize, 17, device_image.block_count() - 1] {
-        let start = block * device_image.block_size();
-        let len = (program.text.len() - start).min(device_image.block_size());
-        let bytes = device_codec.decompress_block(device_image.block(block), len)?;
+    // Serve a few "cache misses": each reads one block through the index.
+    for block in [0usize, 17, reader.block_count() - 1] {
+        let start = block * reader.block_size();
+        let (data, len) = reader.read_block(block)?;
+        let bytes = device_codec.decompress_block(&data, len)?;
         assert_eq!(&bytes[..], &program.text[start..start + len]);
         println!("device:    refilled block {block} ({len} bytes) ok");
     }
 
     // And the whole program decompresses identically.
-    assert_eq!(device_codec.decompress(&device_image)?, program.text);
+    assert_eq!(reader.decode_text(&device_codec)?, program.text);
     println!("device:    full image verified against the original text");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -20,15 +20,18 @@ echo "== fuzz smoke (fixed seed) =="
 cargo run --release -q -p cce-core --bin cce -- fuzz --algo all --cases 512 --seed 7
 
 echo "== bench smoke + metrics artifact (fixed seed) =="
-metrics_file="target/ci-metrics.json"
-cargo run --release -q -p cce-core --bin cce -- bench --scale 0.05 --metrics "$metrics_file"
+# `cce bench` writes BENCH_pipeline.json into its working directory, so
+# it runs from a scratch directory rather than over the committed file.
+metrics_file="$PWD/target/ci-metrics.json"
+mkdir -p target/ci-bench
+(cd target/ci-bench && cargo run --release -q -p cce-core --bin cce -- bench --scale 0.05 --metrics "$metrics_file")
 python3 -m json.tool "$metrics_file" > /dev/null   # artifact must be valid JSON
 grep -q '"obs_enabled":true' "$metrics_file"       # default build records metrics
 # The bench pipeline leg writes its own artifact; it must be valid JSON
 # whose peak queue depth respects the pipeline's bounded-memory contract.
 python3 - <<'EOF'
 import json
-with open("BENCH_pipeline.json") as f:
+with open("target/ci-bench/BENCH_pipeline.json") as f:
     bench = json.load(f)
 assert bench["benchmark"] == "pipeline", bench
 assert bench["blocks"] > 0 and bench["bytes_in"] >= 4 * 1024 * 1024, bench

@@ -2,8 +2,8 @@
 //!
 //! Every algorithm × ISA pair compresses a fixed, deterministic workload
 //! and the resulting artifact bytes are checked in under `tests/golden/`
-//! as hex.  The on-disk formats — codec model serialization, block-image
-//! layout, `.cce` container framing, gzip/LZW streams — are contracts: a
+//! as hex.  The on-disk formats — codec model serialization, `.cce`
+//! container framing and block index, gzip/LZW streams — are contracts: a
 //! single changed byte fails this suite, so no format drift lands
 //! silently.
 //!
@@ -13,8 +13,8 @@
 //!    `tests/golden/VERSION` is rewritten for you), then
 //! 2. run `scripts/regen_golden.sh` to rewrite the fixtures.
 
-use cce_core::codec::{compress_parallel, BlockImage};
-use cce_core::container::Container;
+use cce_core::codec::compress_parallel;
+use cce_core::container::{self, ContainerIdentity, ContainerV2Reader};
 use cce_core::elf::{Class, Endianness};
 use cce_core::isa::mips::encode_text;
 use cce_core::isa::Isa;
@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 /// Version of the golden corpus.  Bump on *intentional* format changes,
 /// together with regenerating the fixtures.
-const GOLDEN_FORMAT_VERSION: u32 = 1;
+const GOLDEN_FORMAT_VERSION: u32 = 2;
 
 /// Workload profile and scale every vector compresses.
 const PROFILE: &str = "compress";
@@ -62,25 +62,21 @@ fn vector_name(algorithm: Algorithm, isa: Isa) -> String {
 }
 
 /// Builds the golden artifact: a full `.cce` container for random-access
-/// algorithms (codec model + block image + framing), the raw compressed
-/// stream for the file-oriented baselines.
+/// algorithms (codec model + blocks + index + framing), the raw
+/// compressed stream for the file-oriented baselines.
 fn artifact(algorithm: Algorithm, isa: Isa, text: &[u8]) -> Vec<u8> {
     match algorithm.build(isa, 32).train(text).expect("golden workload trains") {
         CodecHandle::File(codec) => codec.compress(text),
         CodecHandle::Block(codec) => {
             let image = compress_parallel(codec.as_ref(), text, 1).expect("compresses");
-            let codec_bytes = codec.to_bytes();
-            let image_bytes = image.to_bytes();
-            Container {
+            let identity = ContainerIdentity {
                 algorithm,
                 isa,
                 class: Class::Elf32,
                 endianness: Endianness::Big,
                 entry: ENTRY,
-                codec_bytes: &codec_bytes,
-                image_bytes: &image_bytes,
-            }
-            .to_bytes()
+            };
+            container::encode_image(identity, &codec.to_bytes(), &image).expect("encodes")
         }
     }
 }
@@ -168,17 +164,18 @@ fn golden_containers_decode_back_to_the_input() {
             let recorded = std::fs::read_to_string(golden_dir().join(&name))
                 .unwrap_or_else(|e| panic!("missing golden vector {name}: {e}"));
             let bytes = hex_decode(&recorded);
-            let container = Container::parse(&bytes).expect("golden container parses");
-            assert_eq!(container.algorithm, algorithm);
-            assert_eq!(container.isa, isa);
-            assert_eq!(container.entry, ENTRY);
-            let image = BlockImage::from_bytes(container.image_bytes).expect("image parses");
+            let mut reader = ContainerV2Reader::open(std::io::Cursor::new(&bytes))
+                .expect("golden container parses");
+            let identity = reader.identity();
+            assert_eq!(identity.algorithm, algorithm);
+            assert_eq!(identity.isa, isa);
+            assert_eq!(identity.entry, ENTRY);
             let handle = algorithm
-                .build(isa, image.block_size())
-                .codec_from_bytes(container.codec_bytes)
+                .build(isa, reader.block_size())
+                .codec_from_bytes(reader.codec_bytes())
                 .expect("codec model parses");
             let codec = handle.as_block().expect("random-access");
-            let decoded = codec.decompress(&image).expect("golden image decodes");
+            let decoded = reader.decode_text(codec).expect("golden container decodes");
             assert_eq!(decoded, text, "{name} decodes to different text than its input");
         }
     }

@@ -91,7 +91,7 @@ fn store_round_trip_preserves_division_and_output() {
 
     let direct = compress_parallel(&outcome.codec, &text, 2).expect("compresses");
     let restored = compress_parallel(record.codec(), &text, 2).expect("compresses");
-    assert_eq!(direct.to_bytes(), restored.to_bytes());
+    assert_eq!(direct, restored);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -114,7 +114,7 @@ fn trainer_reuses_and_warm_starts() {
     assert_eq!(hit.codec.to_bytes(), cold.codec.to_bytes());
     let cold_image = compress_parallel(&cold.codec, &first, 2).expect("compresses");
     let hit_image = compress_parallel(&hit.codec, &first, 2).expect("compresses");
-    assert_eq!(cold_image.to_bytes(), hit_image.to_bytes());
+    assert_eq!(cold_image, hit_image);
 
     // A fresh trainer over the same directory models a process restart.
     let mut restarted = CachedTrainer::new(ModelStore::open(&dir).unwrap(), 4);

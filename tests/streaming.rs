@@ -1,5 +1,5 @@
-//! Streaming-path integration tests: the bounded pipeline, the v2
-//! container, and v1 backward compatibility.
+//! Streaming-path integration tests: the bounded pipeline and the v2
+//! container.
 //!
 //! Three properties are locked here:
 //!
@@ -7,8 +7,8 @@
 //!    path produces exactly the payload the in-memory path produces —
 //!    byte-identical per-block container data for the random-access
 //!    codecs, identical measurements for the file baselines.
-//! 2. **Compatibility**: v1 containers written by older builds still
-//!    decode through the CLI.
+//! 2. **One format**: the CLI refuses anything that is not a v2
+//!    container (such as the retired v1 layout) with a typed error.
 //! 3. **Random access**: the v2 index lets a reader decode an arbitrary
 //!    single block while reading only that block's bytes — no prior
 //!    blocks, which is the property the paper's LAT hardware depends on.
@@ -25,7 +25,7 @@ use std::process::Command;
 use std::rc::Rc;
 
 use cce_core::codec::{compress_parallel, BlockCodec};
-use cce_core::container::{container_version, Container, ContainerV2Reader};
+use cce_core::container::ContainerV2Reader;
 use cce_core::elf::{Class, ElfImage, ElfStream, Endianness, Machine};
 use cce_core::isa::Isa;
 use cce_core::streaming;
@@ -89,7 +89,6 @@ fn streamed_payload_matches_in_memory_for_every_algorithm_on_both_isas() {
             let codec = trained_block_codec(algorithm, isa, &text);
             let image = compress_parallel(codec.as_ref(), &text, WORKERS).expect("compresses");
             let container = stream_container(&elf_bytes, algorithm, codec.as_ref());
-            assert_eq!(container_version(&container), Some(2), "{algorithm} on {isa}");
             let mut reader = ContainerV2Reader::open(Cursor::new(&container)).expect("parses back");
             assert_eq!(reader.block_count(), image.block_count(), "{algorithm} on {isa}");
             for i in 0..image.block_count() {
@@ -116,40 +115,33 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn v1_containers_still_decode_through_the_cli() {
-    let text = sample_text(Isa::Mips);
-    let codec = trained_block_codec(Algorithm::ByteHuffman, Isa::Mips, &text);
-    let image = compress_parallel(codec.as_ref(), &text, WORKERS).expect("compresses");
-    let codec_bytes = codec.to_bytes();
-    let image_bytes = image.to_bytes();
-    let v1 = Container {
-        algorithm: Algorithm::ByteHuffman,
-        isa: Isa::Mips,
-        class: Class::Elf32,
-        endianness: Endianness::Big,
-        entry: 0x0040_0000,
-        codec_bytes: &codec_bytes,
-        image_bytes: &image_bytes,
-    }
-    .to_bytes();
-    assert_eq!(container_version(&v1), Some(1));
-
+fn retired_v1_containers_are_refused_through_the_cli() {
+    // A v2 container relabelled with the retired v1 magic: everything
+    // after the magic is well formed, so only the format check refuses it.
+    let mut v1 = stream_container(
+        &sample_elf_bytes(Isa::Mips),
+        Algorithm::ByteHuffman,
+        trained_block_codec(Algorithm::ByteHuffman, Isa::Mips, &sample_text(Isa::Mips)).as_ref(),
+    );
+    v1[..4].copy_from_slice(b"CCEF");
     let artifact = temp_path("v1.cce");
     let rebuilt = temp_path("v1.elf");
     std::fs::write(&artifact, &v1).expect("writes artifact");
 
     let info = cce(&["info", artifact.to_str().unwrap()]);
-    assert!(info.status.success(), "info failed: {}", String::from_utf8_lossy(&info.stderr));
-    let stdout = String::from_utf8_lossy(&info.stdout);
-    assert!(stdout.contains("v1"), "info should identify the container version:\n{stdout}");
-
     let out = cce(&["decompress", artifact.to_str().unwrap(), "-o", rebuilt.to_str().unwrap()]);
-    assert!(out.status.success(), "decompress failed: {}", String::from_utf8_lossy(&out.stderr));
-    let elf = ElfImage::parse(&std::fs::read(&rebuilt).expect("reads elf")).expect("parses elf");
-    assert_eq!(elf.text().expect("text"), &text[..], "v1 round trip changed the text");
+    for (command, output) in [("info", info), ("decompress", out)] {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{command} accepted a v1 container");
+        assert!(
+            stderr.contains("container: corrupt data: not a cce v2 container"),
+            "{command} should name the typed container error:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command} panicked:\n{stderr}");
+    }
+    assert!(!rebuilt.exists(), "decompress left an output file behind");
 
     std::fs::remove_file(&artifact).ok();
-    std::fs::remove_file(&rebuilt).ok();
 }
 
 /// A `Read + Seek` wrapper that counts bytes handed out, so a test can

@@ -9,11 +9,9 @@
 //! workload; the figures are produced at 1.0.  Set `CCE_WORKERS` to pin
 //! the worker-pool size — results are byte-identical for any value.
 
+pub mod optimizer;
 pub mod reporter;
 pub mod suite;
-
-#[cfg(feature = "timing")]
-pub mod timing;
 
 pub use reporter::{means, print_figure, render_json, render_table};
 pub use suite::{figure_rows, figure_rows_with_workers, FigureRow};

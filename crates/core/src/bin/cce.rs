@@ -1,29 +1,19 @@
 //! `cce` — command-line front end for the code-compression toolkit.
 //!
-//! ```text
-//! cce ratio [-b BLOCK] [--json] [--metrics M.json] <input.elf>
-//! cce ratio --elf <input.elf> [...]          # streaming path + section stats
-//! cce compress [-a ALGO] [-b BLOCK] [--model-cache DIR] <input.elf> -o <out.cce>
-//! cce compress --elf <input.elf> [...] -o <out.cce>  # verbose streaming form
-//! cce decompress <in.cce> -o <out.elf>       # rebuild a minimal ELF
-//! cce info <in.cce>                          # inspect a compressed artifact
-//! cce bench [--scale F] [--seed S] [--metrics M.json]  # fixed-seed suite run
-//! cce gen <profile> [--scale F] [--seed S] [--multi-section] -o <out.elf>
-//! cce stats [input.elf]                      # metric registry / live counters
-//! cce fuzz --algo <name|all|serve> --cases N --seed S  # adversarial decode fuzzing
-//! cce publish <in.cce> -o <dir> [--chunk-size N]  # container -> artifact directory
-//! cce verify <dir>                           # re-hash a published artifact
-//! cce serve <dir> --socket P | --tcp ADDR    # long-lived block-serving daemon
-//! cce fetch --socket P | --tcp ADDR -o <out.elf>  # rebuild an ELF over the wire
-//! ```
+//! Every subcommand, its synopsis and its flags live in one table,
+//! [`COMMANDS`]; `cce help` and every usage error are rendered from it,
+//! and the one parser ([`Args::parse`]) rejects any flag the command's
+//! entry does not list.  Every command also takes `--metrics FILE`, which
+//! writes the observability artifact after the command succeeds.  Run
+//! `cce help` for the full synopsis.
 //!
 //! `compress` always streams: the text section flows from the ELF
 //! through the bounded block pipeline ([`cce_core::streaming`]) into an
 //! incrementally written, indexed **v2** container, so peak memory is
 //! the pipeline's reorder window — not the text size.  `decompress` and
-//! `info` accept both container versions (v1 artifacts from older
-//! builds keep decoding).  The `--elf` spelling of `compress`/`ratio`
-//! additionally prints per-section statistics of the input.
+//! `info` read v2 containers only.  The `--elf` spelling of
+//! `compress`/`ratio` additionally prints per-section statistics of the
+//! input.
 //!
 //! `--model-cache DIR` points SAMC at a persistent model store
 //! ([`cce_core::samc::store`]): repeat requests reuse the trained model
@@ -45,383 +35,413 @@
 //! measurement harness uses, so any random-access algorithm the registry
 //! knows is a valid container payload.
 
-use cce_core::codec::{compress_parallel, worker_count, BlockCodec};
+use cce_core::codec::{worker_count, BlockCodec};
 use cce_core::container::ContainerV2Reader;
 use cce_core::elf::{ElfImage, ElfStream, Machine};
 use cce_core::fuzz::FuzzConfig;
 use cce_core::isa::Isa;
-use cce_core::{measure, report, streaming, Algorithm};
+use cce_core::{measure, report, streaming, Algorithm, CodecHandle};
+use std::collections::BTreeMap;
 use std::error::Error;
+use std::fmt;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("cce: {e}");
+            match e.downcast_ref::<UsageError>() {
+                Some(usage) => eprintln!("cce {usage}"),
+                None => eprintln!("cce: {e}"),
+            }
             ExitCode::FAILURE
         }
     }
 }
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
-    match args.first().map(String::as_str) {
-        // `measure` is an alias kept for symmetry with the library API.
-        Some("ratio" | "measure") => ratio(&args[1..]),
-        Some("bench") => bench(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("compress") => compress(&args[1..]),
-        Some("decompress") => decompress(&args[1..]),
-        Some("info") => info(&args[1..]),
-        Some("analyze") => analyze(&args[1..]),
-        Some("disasm") => disasm(&args[1..]),
-        Some("fuzz") => fuzz(&args[1..]),
-        Some("gen") => gen(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("publish") => publish(&args[1..]),
-        Some("verify") => verify(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("fetch") => fetch(&args[1..]),
+    let name = match args.first().map(String::as_str) {
         Some("--help" | "-h" | "help") | None => {
-            print_usage();
-            Ok(())
+            print!("{}", help());
+            return Ok(());
         }
-        Some(other) => Err(format!("unknown command `{other}` (try `cce help`)").into()),
+        Some(name) => name,
+    };
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}` (try `cce help`)"))?;
+    let args = Args::parse(command, &args[1..])?;
+    (command.run)(&args)?;
+    if let Some(path) = args.value("--metrics") {
+        write_metrics(path, command.name)?;
+    }
+    Ok(())
+}
+
+/// One flag a subcommand accepts.
+#[derive(Debug)]
+struct Flag {
+    /// Long spelling, `--name`; the key [`Args`] stores values under.
+    long: &'static str,
+    /// Optional one-letter alias, `-x`.
+    short: Option<&'static str>,
+    /// Value placeholder; `None` for a switch.
+    value: Option<&'static str>,
+    /// One-line help, naming the default.
+    help: &'static str,
+}
+
+impl Flag {
+    const fn value(long: &'static str, value: &'static str, help: &'static str) -> Flag {
+        Flag { long, short: None, value: Some(value), help }
+    }
+
+    const fn switch(long: &'static str, help: &'static str) -> Flag {
+        Flag { long, short: None, value: None, help }
+    }
+
+    /// This flag with the one-letter alias `short`.
+    const fn short(self, short: &'static str) -> Flag {
+        Flag { short: Some(short), ..self }
+    }
+
+    /// The flag's help line: `-b, --block-size N   block size ...`.
+    fn help_line(&self) -> String {
+        let short = self.short.map_or_else(|| "    ".to_owned(), |s| format!("{s}, "));
+        let spelling = format!("{short}{} {}", self.long, self.value.unwrap_or(""));
+        format!("      {spelling:<26} {}\n", self.help)
     }
 }
 
-fn print_usage() {
-    println!("cce — code compression for embedded systems (SAMC/SADC, DAC 1998)");
-    println!();
-    println!("USAGE:");
-    println!("  cce ratio [-b N] [--json] [--metrics M.json] [--model-cache DIR] <input.elf>");
-    println!("                                                compare all algorithms");
-    println!("  cce ratio --elf <input.elf> [...]             same, streaming + section stats");
-    println!(
-        "  cce compress [-a samc|sadc|huffman] [-b N] [--model-cache DIR] <in.elf> -o <out.cce>"
-    );
-    println!("  cce compress --elf <in.elf> [...] -o <out.cce>");
-    println!("                                                streaming form w/ section stats");
-    println!("  cce decompress <in.cce> -o <out.elf>");
-    println!("  cce info <in.cce>");
-    println!(
-        "  cce bench [--scale F] [--seed S] [-b N] [--json] [--metrics M.json] [--model-cache DIR]"
-    );
-    println!("                                                fixed-seed suite benchmark");
-    println!("  cce bench --optimizer [--seed S] [-o OUT.json] [--json]");
-    println!(
-        "                                                SAMC optimizer + model-cache micro-bench"
-    );
-    println!("  cce bench --decode [--scale F] [--seed S] [-o OUT.json] [--json]");
-    println!(
-        "                                                entropy-backend decode throughput bench"
-    );
-    println!("  cce bench --memsim [...]                      alias for `cce sweep --bench`");
-    println!("  cce sweep [--algos A,B] [--blocks N,..] [--caches N,..] [--assoc N,..]");
-    println!("            [--clb N,..] [--decoders nibble,ransN] [--fetches N] [--scale F]");
-    println!("            [--seed S] [--workers N] [--bench] [-o OUT.json] [--json]");
-    println!("                                                memory-system design-space sweep");
-    println!(
-        "  cce gen <profile> [--scale F] [--seed S] [--isa mips|x86] [--multi-section] -o <out.elf>"
-    );
-    println!("                                                synthesize a SPEC95-like workload");
-    println!("  cce stats                                     list registered metrics");
-    println!("  cce stats [--metrics M.json] <input.elf>      measure and dump counters");
-    println!("  cce analyze <input.elf>                       entropy diagnostics");
-    println!("  cce disasm <input.elf> [-n COUNT]             disassemble (MIPS only)");
-    println!("  cce fuzz --algo <name|all|serve> --cases N --seed S");
-    println!("                                                adversarial decode fuzzing");
-    println!("  cce publish <in.cce> -o <dir> [--chunk-size N]");
-    println!("                                                explode a container into a");
-    println!("                                                content-addressed artifact dir");
-    println!("  cce verify <dir>                              re-hash a published artifact");
-    println!("  cce serve <dir> --socket PATH|--tcp ADDR [--timeout-ms N] [--cache N]");
-    println!("                                                block-serving daemon");
-    println!("  cce fetch --socket PATH|--tcp ADDR -o <out.elf>");
-    println!("                                                rebuild an ELF over the wire");
+/// One subcommand: the [`COMMANDS`] entry that drives its parsing, its
+/// `cce help` section and its usage errors.
+#[derive(Debug)]
+struct Command {
+    name: &'static str,
+    /// Positional synopsis (required flags included).
+    synopsis: &'static str,
+    /// One-line description.
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), Box<dyn Error>>,
 }
 
-/// Parsed command-line flags.
-struct Flags<'a> {
+/// Accepted by every command: written once, after the command succeeds.
+const METRICS: Flag =
+    Flag::value("--metrics", "FILE", "write the observability metrics artifact to FILE");
+const BLOCK_SIZE: Flag =
+    Flag::value("--block-size", "N", "block size in bytes (default 32)").short("-b");
+const JSON: Flag = Flag::switch("--json", "print JSON instead of a table");
+const MODEL_CACHE: Flag =
+    Flag::value("--model-cache", "DIR", "reuse and persist trained SAMC models in DIR");
+const ELF: Flag =
+    Flag::value("--elf", "PATH", "read the input from PATH and print its section stats");
+const SEED: Flag = Flag::value("--seed", "S", "workload seed (default 229382552)");
+const SOCKET: Flag = Flag::value("--socket", "PATH", "Unix socket");
+const TCP: Flag = Flag::value("--tcp", "ADDR", "TCP address, e.g. 127.0.0.1:7070");
+const fn output(help: &'static str) -> Flag {
+    Flag::value("--output", "PATH", help).short("-o")
+}
+
+/// Every subcommand, in `cce help` order.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "ratio",
+        synopsis: "<input.elf>",
+        about: "compare every algorithm's compression ratio",
+        flags: &[BLOCK_SIZE, JSON, MODEL_CACHE, ELF],
+        run: ratio,
+    },
+    Command {
+        name: "compress",
+        synopsis: "<in.elf> -o <out.cce>",
+        about: "stream an ELF's text into a v2 container",
+        flags: &[
+            Flag::value("--algo", "ALGO", "samc|sadc|huffman|samc-rans (default samc)").short("-a"),
+            BLOCK_SIZE,
+            MODEL_CACHE,
+            ELF,
+            output("container to write"),
+        ],
+        run: compress,
+    },
+    Command {
+        name: "decompress",
+        synopsis: "<in.cce> -o <out.elf>",
+        about: "rebuild a minimal ELF from a container",
+        flags: &[output("ELF to write")],
+        run: decompress,
+    },
+    Command {
+        name: "info",
+        synopsis: "<in.cce>",
+        about: "inspect a container",
+        flags: &[],
+        run: info,
+    },
+    Command {
+        name: "gen",
+        synopsis: "<profile> -o <out.elf>",
+        about: "synthesize a SPEC95-like workload ELF",
+        flags: &[
+            output("ELF to write"),
+            Flag::value("--scale", "F", "workload scale (default 0.1)"),
+            SEED,
+            Flag::value("--isa", "ISA", "mips|x86 (default mips)"),
+            Flag::switch("--multi-section", "surround the text with .rodata and .bss"),
+        ],
+        run: gen,
+    },
+    Command {
+        name: "stats",
+        synopsis: "[input.elf]",
+        about: "list registered metrics, or measure an ELF and print its counters",
+        flags: &[BLOCK_SIZE],
+        run: stats,
+    },
+    Command {
+        name: "analyze",
+        synopsis: "<input.elf>",
+        about: "entropy diagnostics",
+        flags: &[],
+        run: analyze,
+    },
+    Command {
+        name: "disasm",
+        synopsis: "<input.elf>",
+        about: "disassemble MIPS text",
+        flags: &[Flag::value("--count", "N", "instructions to print (default 32)").short("-n")],
+        run: disasm,
+    },
+    Command {
+        name: "fuzz",
+        synopsis: "",
+        about: "adversarial decode fuzzing",
+        flags: &[
+            Flag::value("--algo", "NAME", "an algorithm, all or serve (default all)").short("-a"),
+            Flag::value("--cases", "N", "cases per target (default 256)"),
+            Flag::value("--seed", "S", "fuzz seed (default 229382552)"),
+        ],
+        run: fuzz,
+    },
+    Command {
+        name: "sweep",
+        synopsis: "",
+        about: "memory-system design-space sweep; writes BENCH_memsim.json",
+        flags: &[
+            Flag::value("--algos", "A,B", "random-access codecs (default samc,huffman)"),
+            Flag::value("--blocks", "N,..", "block sizes (default 16,32,64)"),
+            Flag::value("--caches", "N,..", "I-cache bytes (default 1024,2048,4096)"),
+            Flag::value("--assoc", "N,..", "associativities (default 1,2,4)"),
+            Flag::value("--clb", "N,..", "CLB entries (default 8,32)"),
+            Flag::value("--decoders", "D,..", "nibble or ransN (default nibble,rans4)"),
+            Flag::value("--fetches", "N", "trace length (default 100000)"),
+            Flag::value("--scale", "F", "workload scale (default 2.0)"),
+            SEED,
+            Flag::value("--workers", "N", "threads, 1..=1024 (default CCE_WORKERS or CPUs)"),
+            output("artifact to write (default BENCH_memsim.json)"),
+            JSON,
+        ],
+        run: sweep,
+    },
+    Command {
+        name: "publish",
+        synopsis: "<in.cce> -o <dir>",
+        about: "explode a container into a content-addressed artifact directory",
+        flags: &[
+            output("artifact directory to create"),
+            Flag::value("--chunk-size", "N", "chunk payload bytes (default 65536)"),
+        ],
+        run: publish,
+    },
+    Command {
+        name: "verify",
+        synopsis: "<dir>",
+        about: "re-hash a published artifact",
+        flags: &[],
+        run: verify,
+    },
+    Command {
+        name: "serve",
+        synopsis: "<dir> --socket PATH | --tcp ADDR",
+        about: "block-serving daemon; runs until a client sends shutdown",
+        flags: &[
+            SOCKET,
+            TCP,
+            Flag::value("--timeout-ms", "N", "per-request deadline, > 0 (default 5000)"),
+            Flag::value("--cache", "N", "decoded blocks to cache (default 256)"),
+        ],
+        run: serve,
+    },
+    Command {
+        name: "fetch",
+        synopsis: "--socket PATH | --tcp ADDR -o <out.elf>",
+        about: "rebuild an ELF over the wire",
+        flags: &[SOCKET, TCP, output("ELF to write")],
+        run: fetch,
+    },
+];
+
+impl Command {
+    /// The command's flags, `--metrics` included.
+    fn all_flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().chain(std::iter::once(&METRICS))
+    }
+
+    /// `cce <name> <synopsis> [flags]`, the about line and one line per
+    /// flag of the command's own ([`METRICS`] is listed once, apart).
+    fn usage(&self) -> String {
+        let mut out = format!("cce {}", self.name);
+        for part in [self.synopsis, "[flags]"] {
+            if !part.is_empty() {
+                out.push(' ');
+                out.push_str(part);
+            }
+        }
+        out.push_str(&format!("\n      {}\n", self.about));
+        for flag in self.flags {
+            out.push_str(&flag.help_line());
+        }
+        out
+    }
+}
+
+/// `cce help`: every command's usage, from [`COMMANDS`].
+fn help() -> String {
+    let mut out = String::from(
+        "cce — code compression for embedded systems (SAMC/SADC, DAC 1998)\n\nUSAGE:\n",
+    );
+    for command in COMMANDS {
+        out.push_str("  ");
+        out.push_str(&command.usage());
+    }
+    out.push_str("\nEVERY COMMAND:\n");
+    out.push_str(&METRICS.help_line());
+    out
+}
+
+/// A command-line mistake: printed as `cce <command>: <message>`
+/// followed by that command's usage.
+#[derive(Debug)]
+struct UsageError {
+    command: &'static Command,
+    message: String,
+}
+
+impl fmt::Display for UsageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let command = self.command;
+        let usage = command.usage() + &METRICS.help_line();
+        write!(f, "{}: {}\nusage: {}", command.name, self.message, usage.trim_end())
+    }
+}
+
+impl Error for UsageError {}
+
+/// One command's arguments: positionals plus flag values by long name.
+struct Args<'a> {
+    command: &'static Command,
     positional: Vec<&'a str>,
-    output: Option<&'a str>,
-    algorithm: Option<&'a str>,
-    block_size: usize,
-    json: bool,
-    cases: usize,
-    seed: u64,
-    metrics: Option<&'a str>,
-    scale: f64,
-    optimizer: bool,
-    decode: bool,
-    model_cache: Option<&'a str>,
-    isa: Option<&'a str>,
-    elf: Option<&'a str>,
-    multi_section: bool,
-    chunk_size: u64,
-    socket: Option<&'a str>,
-    tcp: Option<&'a str>,
-    timeout_ms: u64,
-    cache: usize,
-    algos: Option<&'a str>,
-    blocks: Option<&'a str>,
-    caches: Option<&'a str>,
-    assoc: Option<&'a str>,
-    clb: Option<&'a str>,
-    decoders: Option<&'a str>,
-    fetches: usize,
-    workers: Option<usize>,
-    bench: bool,
-    memsim: bool,
+    /// Values by long flag name; a switch maps to `""`.
+    values: BTreeMap<&'static str, &'a str>,
 }
 
-/// Parses `-o out` plus positional arguments.
-fn split_flags(args: &[String]) -> Result<Flags<'_>, String> {
-    let mut positional = Vec::new();
-    let mut output = None;
-    let mut algorithm = None;
-    let mut block_size = 32usize;
-    let mut json = false;
-    let defaults = FuzzConfig::default();
-    let mut cases = defaults.cases;
-    let mut seed = defaults.seed;
-    let mut metrics = None;
-    let mut scale = 0.1f64;
-    let mut optimizer = false;
-    let mut decode = false;
-    let mut model_cache = None;
-    let mut isa = None;
-    let mut elf = None;
-    let mut multi_section = false;
-    let mut chunk_size = cce_core::serve::DEFAULT_CHUNK_PAYLOAD;
-    let mut socket = None;
-    let mut tcp = None;
-    let mut timeout_ms = 5000u64;
-    let mut cache = 256usize;
-    let mut algos = None;
-    let mut blocks = None;
-    let mut caches = None;
-    let mut assoc = None;
-    let mut clb = None;
-    let mut decoders = None;
-    let mut fetches = 100_000usize;
-    let mut workers = None;
-    let mut bench_flag = false;
-    let mut memsim = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" | "--output" => {
-                output = Some(args.get(i + 1).ok_or("missing value after -o")?.as_str());
-                i += 2;
+impl<'a> Args<'a> {
+    /// Splits `args` against `command`'s flags.  Any `-`-prefixed token
+    /// the command does not list is a usage error, as is a bad value for
+    /// a range-checked flag (see [`check_value`]).
+    fn parse(command: &'static Command, args: &'a [String]) -> Result<Args<'a>, UsageError> {
+        let usage = |message: String| UsageError { command, message };
+        let mut parsed = Args { command, positional: Vec::new(), values: BTreeMap::new() };
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            if !token.starts_with('-') {
+                parsed.positional.push(token);
+                continue;
             }
-            "-a" | "--algo" | "--algorithm" => {
-                algorithm = Some(args.get(i + 1).ok_or("missing value after -a")?.as_str());
-                i += 2;
-            }
-            "--cases" => {
-                cases = args
-                    .get(i + 1)
-                    .ok_or("missing value after --cases")?
-                    .parse()
-                    .map_err(|_| "cases must be an integer")?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .ok_or("missing value after --seed")?
-                    .parse()
-                    .map_err(|_| "seed must be an integer")?;
-                i += 2;
-            }
-            "-n" | "--count" => {
-                block_size = args
-                    .get(i + 1)
-                    .ok_or("missing value after -n")?
-                    .parse()
-                    .map_err(|_| "count must be an integer")?;
-                i += 2;
-            }
-            "-b" | "--block-size" => {
-                block_size = args
-                    .get(i + 1)
-                    .ok_or("missing value after -b")?
-                    .parse()
-                    .map_err(|_| "block size must be an integer")?;
-                i += 2;
-            }
-            "--metrics" => {
-                metrics = Some(args.get(i + 1).ok_or("missing value after --metrics")?.as_str());
-                i += 2;
-            }
-            "--scale" => {
-                scale = args
-                    .get(i + 1)
-                    .ok_or("missing value after --scale")?
-                    .parse()
-                    .map_err(|_| "scale must be a number")?;
-                if !(scale > 0.0 && scale.is_finite()) {
-                    return Err("scale must be positive".into());
+            let flag = command
+                .all_flags()
+                .find(|f| f.long == token || f.short == Some(token))
+                .ok_or_else(|| usage(format!("unknown flag `{token}`")))?;
+            let value = match flag.value {
+                Some(placeholder) => {
+                    let value = tokens
+                        .next()
+                        .ok_or_else(|| usage(format!("missing {placeholder} after `{token}`")))?;
+                    check_value(flag.long, value).map_err(usage)?;
+                    value
                 }
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--optimizer" => {
-                optimizer = true;
-                i += 1;
-            }
-            "--decode" => {
-                decode = true;
-                i += 1;
-            }
-            "--model-cache" => {
-                model_cache =
-                    Some(args.get(i + 1).ok_or("missing value after --model-cache")?.as_str());
-                i += 2;
-            }
-            "--isa" => {
-                isa = Some(args.get(i + 1).ok_or("missing value after --isa")?.as_str());
-                i += 2;
-            }
-            "--elf" => {
-                elf = Some(args.get(i + 1).ok_or("missing value after --elf")?.as_str());
-                i += 2;
-            }
-            "--multi-section" => {
-                multi_section = true;
-                i += 1;
-            }
-            "--chunk-size" => {
-                chunk_size = args
-                    .get(i + 1)
-                    .ok_or("missing value after --chunk-size")?
-                    .parse()
-                    .map_err(|_| "chunk size must be an integer")?;
-                i += 2;
-            }
-            "--socket" => {
-                socket = Some(args.get(i + 1).ok_or("missing value after --socket")?.as_str());
-                i += 2;
-            }
-            "--tcp" => {
-                tcp = Some(args.get(i + 1).ok_or("missing value after --tcp")?.as_str());
-                i += 2;
-            }
-            "--timeout-ms" => {
-                timeout_ms = args
-                    .get(i + 1)
-                    .ok_or("missing value after --timeout-ms")?
-                    .parse()
-                    .map_err(|_| "timeout must be an integer (milliseconds)")?;
-                i += 2;
-            }
-            "--cache" => {
-                cache = args
-                    .get(i + 1)
-                    .ok_or("missing value after --cache")?
-                    .parse()
-                    .map_err(|_| "cache must be an integer (blocks)")?;
-                i += 2;
-            }
-            "--algos" => {
-                algos = Some(args.get(i + 1).ok_or("missing value after --algos")?.as_str());
-                i += 2;
-            }
-            "--blocks" => {
-                blocks = Some(args.get(i + 1).ok_or("missing value after --blocks")?.as_str());
-                i += 2;
-            }
-            "--caches" => {
-                caches = Some(args.get(i + 1).ok_or("missing value after --caches")?.as_str());
-                i += 2;
-            }
-            "--assoc" => {
-                assoc = Some(args.get(i + 1).ok_or("missing value after --assoc")?.as_str());
-                i += 2;
-            }
-            "--clb" => {
-                clb = Some(args.get(i + 1).ok_or("missing value after --clb")?.as_str());
-                i += 2;
-            }
-            "--decoders" => {
-                decoders = Some(args.get(i + 1).ok_or("missing value after --decoders")?.as_str());
-                i += 2;
-            }
-            "--fetches" => {
-                fetches = args
-                    .get(i + 1)
-                    .ok_or("missing value after --fetches")?
-                    .parse()
-                    .map_err(|_| "fetches must be an integer")?;
-                if fetches == 0 {
-                    return Err("fetches must be positive".into());
-                }
-                i += 2;
-            }
-            "--workers" => {
-                let n: usize = args
-                    .get(i + 1)
-                    .ok_or("missing value after --workers")?
-                    .parse()
-                    .map_err(|_| "workers must be an integer")?;
-                if !(1..=1024).contains(&n) {
-                    return Err("workers must be in 1..=1024".into());
-                }
-                workers = Some(n);
-                i += 2;
-            }
-            "--bench" => {
-                bench_flag = true;
-                i += 1;
-            }
-            "--memsim" => {
-                memsim = true;
-                i += 1;
-            }
-            other => {
-                positional.push(other);
-                i += 1;
+                None => "",
+            };
+            parsed.values.insert(flag.long, value);
+        }
+        Ok(parsed)
+    }
+
+    /// A usage error for this command.
+    fn usage(&self, message: impl Into<String>) -> Box<dyn Error> {
+        Box::new(UsageError { command: self.command, message: message.into() })
+    }
+
+    /// The value given for `long`, if any.
+    fn value(&self, long: &str) -> Option<&'a str> {
+        self.values.get(long).copied()
+    }
+
+    /// The value given for `long`, or a usage error naming the flag.
+    fn required(&self, long: &str) -> Result<&'a str, Box<dyn Error>> {
+        self.value(long).ok_or_else(|| self.usage(format!("missing {long}")))
+    }
+
+    /// Whether the switch `long` was given.
+    fn switch(&self, long: &str) -> bool {
+        self.values.contains_key(long)
+    }
+
+    /// The value given for `long` parsed as a number, or `default`.
+    fn number<T: FromStr>(&self, long: &str, default: T) -> Result<T, Box<dyn Error>> {
+        match self.value(long) {
+            None => Ok(default),
+            Some(raw) => {
+                raw.parse().map_err(|_| self.usage(format!("{long}: `{raw}` is not a number")))
             }
         }
     }
-    Ok(Flags {
-        positional,
-        output,
-        algorithm,
-        block_size,
-        json,
-        cases,
-        seed,
-        metrics,
-        scale,
-        optimizer,
-        decode,
-        model_cache,
-        isa,
-        elf,
-        multi_section,
-        chunk_size,
-        socket,
-        tcp,
-        timeout_ms,
-        cache,
-        algos,
-        blocks,
-        caches,
-        assoc,
-        clb,
-        decoders,
-        fetches,
-        workers,
-        bench: bench_flag,
-        memsim,
-    })
+
+    /// The positionals, which must number exactly `N`.
+    fn positionals<const N: usize>(&self) -> Result<[&'a str; N], Box<dyn Error>> {
+        <[&str; N]>::try_from(self.positional.as_slice()).map_err(|_| {
+            self.usage(format!(
+                "expected {N} positional argument(s), got {}",
+                self.positional.len()
+            ))
+        })
+    }
+}
+
+/// Range checks applied while parsing, before any command runs.
+fn check_value(long: &str, raw: &str) -> Result<(), String> {
+    let integer = |what: &str| raw.parse::<u64>().map_err(|_| format!("{what} must be an integer"));
+    let (ok, rule) = match long {
+        "--scale" => {
+            let scale: f64 = raw.parse().map_err(|_| "scale must be a number")?;
+            (scale > 0.0 && scale.is_finite(), "scale must be positive")
+        }
+        "--fetches" => (integer("fetches")? > 0, "fetches must be positive"),
+        "--workers" => ((1..=1024).contains(&integer("workers")?), "workers must be in 1..=1024"),
+        // A zero deadline would answer every cache miss `Timeout`.
+        "--timeout-ms" => (integer("timeout")? > 0, "timeout must be positive"),
+        _ => (true, ""),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(rule.into())
+    }
 }
 
 /// Opens a [`CachedTrainer`] over `dir` for SAMC requests at
@@ -503,88 +523,63 @@ fn measure_cached(
     }
 }
 
-fn ratio(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = split_flags(args)?;
-    if let Some(path) = flags.elf {
-        if !flags.positional.is_empty() {
-            return Err("pass the input either positionally or via --elf, not both".into());
+fn ratio(args: &Args) -> Result<(), Box<dyn Error>> {
+    let block_size = args.number("--block-size", 32)?;
+    let json = args.switch("--json");
+    if let Some(path) = args.value("--elf") {
+        if !args.positional.is_empty() {
+            return Err(args.usage("pass the input either positionally or via --elf, not both"));
         }
-        return ratio_elf(path, &flags);
+        // The streaming measurement path: section stats come from the
+        // walker's header pass; each block algorithm is then measured by
+        // streaming the text through the pipeline (training still buffers
+        // the section once — see [`streaming::measure_elf`]).
+        let file = std::fs::File::open(path)?;
+        let mut elf =
+            ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
+        if !json {
+            print_section_stats(path, &streaming::section_stats(&elf));
+        }
+        print_measurements(json, |algorithm| {
+            Ok(streaming::measure_elf(&mut elf, algorithm, block_size, worker_count())?)
+        });
+        return Ok(());
     }
-    let [path] = flags.positional.as_slice() else {
-        return Err(
-            "usage: cce ratio [-b N] [--json] [--metrics M.json] [--model-cache DIR] <input.elf>"
-                .into(),
-        );
-    };
+    let [path] = args.positionals()?;
     let (elf, isa) = load_elf(path)?;
     let text = elf.text().ok_or("no .text section")?;
-    let mut trainer = flags.model_cache.map(open_model_cache).transpose()?;
-
-    if flags.json {
-        let mut measurements = Vec::new();
-        for algorithm in Algorithm::ALL {
-            match measure_cached(algorithm, isa, text, flags.block_size, &mut trainer) {
-                Ok(m) => measurements.push(m),
-                Err(e) => eprintln!("cce: {algorithm} failed: {e}"),
-            }
-        }
-        println!("{}", report::measurements_json(&measurements));
-        return write_metrics(flags.metrics, "ratio");
+    let mut trainer = args.value("--model-cache").map(open_model_cache).transpose()?;
+    if !json {
+        println!("{path}: {} bytes of {isa} text", text.len());
     }
-
-    println!("{path}: {} bytes of {isa} text", text.len());
-    println!("{:<10} {:>12} {:>8}", "algorithm", "compressed", "ratio");
-    for algorithm in Algorithm::ALL {
-        match measure_cached(algorithm, isa, text, flags.block_size, &mut trainer) {
-            Ok(m) => println!(
-                "{:<10} {:>12} {:>8.3}",
-                algorithm.to_string(),
-                m.compressed_len(),
-                m.ratio()
-            ),
-            Err(e) => println!("{:<10} failed: {e}", algorithm.to_string()),
-        }
-    }
-    write_metrics(flags.metrics, "ratio")
+    print_measurements(json, |algorithm| {
+        measure_cached(algorithm, isa, text, block_size, &mut trainer)
+    });
+    Ok(())
 }
 
-/// `cce ratio --elf`: the streaming measurement path.  Section stats
-/// come from the walker's header pass; each block algorithm is then
-/// measured by streaming the text through the pipeline (training still
-/// buffers the section once — see [`streaming::measure_elf`]).
-fn ratio_elf(path: &str, flags: &Flags) -> Result<(), Box<dyn Error>> {
-    let file = std::fs::File::open(path)?;
-    let mut elf =
-        ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
-    let workers = worker_count();
-
-    if flags.json {
-        let mut measurements = Vec::new();
-        for algorithm in Algorithm::ALL {
-            match streaming::measure_elf(&mut elf, algorithm, flags.block_size, workers) {
-                Ok(m) => measurements.push(m),
-                Err(e) => eprintln!("cce: {algorithm} failed: {e}"),
-            }
-        }
-        println!("{}", report::measurements_json(&measurements));
-        return write_metrics(flags.metrics, "ratio");
+/// Prints every algorithm's measurement as a table, or as one JSON
+/// array with `json`; an algorithm that fails is reported and skipped.
+fn print_measurements(
+    json: bool,
+    mut measure_one: impl FnMut(Algorithm) -> Result<cce_core::Measurement, Box<dyn Error>>,
+) {
+    if !json {
+        println!("{:<10} {:>12} {:>8}", "algorithm", "compressed", "ratio");
     }
-
-    print_section_stats(path, &streaming::section_stats(&elf));
-    println!("{:<10} {:>12} {:>8}", "algorithm", "compressed", "ratio");
+    let mut measurements = Vec::new();
     for algorithm in Algorithm::ALL {
-        match streaming::measure_elf(&mut elf, algorithm, flags.block_size, workers) {
-            Ok(m) => println!(
-                "{:<10} {:>12} {:>8.3}",
-                algorithm.to_string(),
-                m.compressed_len(),
-                m.ratio()
-            ),
-            Err(e) => println!("{:<10} failed: {e}", algorithm.to_string()),
+        let name = algorithm.to_string();
+        match measure_one(algorithm) {
+            Ok(m) if json => measurements.push(m),
+            Ok(m) => println!("{name:<10} {:>12} {:>8.3}", m.compressed_len(), m.ratio()),
+            Err(e) if json => eprintln!("cce: {algorithm} failed: {e}"),
+            Err(e) => println!("{name:<10} failed: {e}"),
         }
     }
-    write_metrics(flags.metrics, "ratio")
+    if json {
+        println!("{}", report::measurements_json(&measurements));
+    }
 }
 
 /// Renders the per-section table the `--elf` forms print.
@@ -603,9 +598,8 @@ fn print_section_stats(path: &str, stats: &[streaming::SectionStat]) {
     }
 }
 
-/// Writes the metrics artifact for `command` if `--metrics` was given.
-fn write_metrics(path: Option<&str>, command: &str) -> Result<(), Box<dyn Error>> {
-    let Some(path) = path else { return Ok(()) };
+/// Writes the `--metrics` artifact for `command` to `path`.
+fn write_metrics(path: &str, command: &str) -> Result<(), Box<dyn Error>> {
     if !cce_core::obs::enabled() {
         eprintln!("cce: warning: built without the `obs` feature; all metrics are zero");
     }
@@ -623,266 +617,42 @@ fn terminated(mut json: String) -> String {
     json
 }
 
-/// Benchmarks measured by `cce bench`: a small representative slice of
-/// the suite so the smoke run stays fast at the default `--scale`.
-const BENCH_PROGRAMS: [&str; 3] = ["compress", "go", "ijpeg"];
-
-fn bench(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use cce_core::memsim::{CacheConfig, CostModel, LineAddressTable, MemorySystem};
-    use cce_core::workload::trace::{instruction_trace, TraceConfig};
-
-    let flags = split_flags(args)?;
-    if !flags.positional.is_empty() {
-        return Err(
-            "usage: cce bench [--optimizer] [--scale F] [--seed S] [-b N] [--json] [--metrics M.json] [--model-cache DIR]"
-                .into(),
-        );
-    }
-    if flags.optimizer {
-        return bench_optimizer(&flags);
-    }
-    if flags.decode {
-        return bench_decode(&flags);
-    }
-    if flags.memsim {
-        // `cce bench --memsim` ≡ `cce sweep --bench`: the design-space
-        // sweep with the kernel-speedup leg in the artifact.
-        return run_sweep_command(&flags, true);
-    }
-    cce_core::obs::reset();
-    let isa = Isa::Mips;
-    let mut trainer = flags.model_cache.map(open_model_cache).transpose()?;
-    let programs = cce_core::workload::spec95_suite_seeded(isa, flags.scale, flags.seed);
-    let programs: Vec<_> =
-        programs.into_iter().filter(|p| BENCH_PROGRAMS.contains(&p.name)).collect();
-
-    let mut measurements = Vec::new();
-    if !flags.json {
-        println!(
-            "bench: {} MIPS benchmarks at scale {} (seed {})",
-            programs.len(),
-            flags.scale,
-            flags.seed
-        );
-        println!(
-            "{:<10} {:<10} {:>10} {:>12} {:>8}",
-            "benchmark", "algorithm", "text", "compressed", "ratio"
-        );
-    }
-    for program in &programs {
-        for algorithm in Algorithm::ALL {
-            let m = measure_cached(algorithm, isa, &program.text, flags.block_size, &mut trainer)
-                .map_err(|e| format!("{}/{algorithm}: {e}", program.name))?;
-            if !flags.json {
-                println!(
-                    "{:<10} {:<10} {:>10} {:>12} {:>8.3}",
-                    program.name,
-                    algorithm.to_string(),
-                    m.original_len(),
-                    m.compressed_len(),
-                    m.ratio()
-                );
-            }
-            measurements.push(m);
-        }
-    }
-
-    // Memory-system leg: run the first benchmark's SAMC image through the
-    // simulator so the artifact carries cache/CLB hit-miss counters too.
-    let program = programs.first().ok_or("bench suite selection is empty")?;
-    let samc = measurements
-        .iter()
-        .find(|m| m.algorithm() == Algorithm::Samc && m.original_len() == program.text.len())
-        .ok_or("no SAMC measurement for the memsim leg")?;
-    let sizes = samc.block_sizes().ok_or("SAMC is random-access")?;
-    let lat = LineAddressTable::from_block_sizes(sizes.iter().copied());
-    let config = CacheConfig { size_bytes: 4096, block_size: flags.block_size, associativity: 2 };
-    let trace = instruction_trace(
-        program.text.len(),
-        &TraceConfig { fetches: 20_000, seed: flags.seed, ..TraceConfig::default() },
-    );
-    let mut base = MemorySystem::uncompressed(config, CostModel::default());
-    let base_report = base.run(&trace);
-    let mut comp = MemorySystem::compressed(config, CostModel::default(), lat, 32);
-    let comp_report = comp.run(&trace);
-    if flags.json {
-        println!("{}", report::measurements_json(&measurements));
-    } else {
-        println!(
-            "memsim ({}): hit ratio {:.3}, CLB {}/{} hit/miss, CPF {:.3} vs {:.3} uncompressed (slowdown {:.3})",
-            program.name,
-            comp_report.cache.hit_ratio(),
-            comp_report.clb_hits,
-            comp_report.clb_misses,
-            comp_report.cpf(),
-            base_report.cpf(),
-            comp_report.slowdown_vs(&base_report)
-        );
-    }
-    bench_pipeline(flags.seed, flags.json)?;
-    write_metrics(flags.metrics, "bench")
-}
-
-/// Times full-image decodes of `image` through `codec` and returns the
-/// throughput in MB/s of uncompressed output.  The first decode is
-/// checked against `text` so the loop never times a broken decoder.
-fn time_decode(
-    codec: &dyn cce_core::codec::BlockCodec,
-    image: &cce_core::codec::BlockImage,
-    text: &[u8],
-    iterations: usize,
-) -> Result<f64, Box<dyn Error>> {
-    use std::time::Instant;
-    if codec.decompress(image)? != text {
-        return Err(format!("{}: decode differs from the corpus", codec.name()).into());
-    }
-    let start = Instant::now();
-    for _ in 0..iterations {
-        std::hint::black_box(codec.decompress(image)?);
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    Ok((iterations * text.len()) as f64 / (1024.0 * 1024.0) / secs)
-}
-
-/// `cce bench --decode`: decode-throughput micro-benchmark of the two
-/// entropy backends sharing SAMC's Markov models — the serial arithmetic
-/// coder vs the interleaved rANS coder at every lane width — on both
-/// ISAs, writing the `BENCH_decode.json` artifact (see README).
-///
-/// The corpus is the fixed-seed "go" workload; the iteration count is
-/// derived deterministically from the corpus size so artifacts from
-/// different scales time comparable total work.  Blocks are 4 KiB: large
-/// enough to amortize the rANS stream header (1 + 4·lanes bytes/block)
-/// below the ±2 % arith-ratio band the artifact asserts.
-fn bench_decode(flags: &Flags) -> Result<(), Box<dyn Error>> {
-    use cce_core::isa::mips::encode_text;
-    use cce_core::rans::{Lanes, SamcRansCodec};
-    use cce_core::samc::{SamcCodec, SamcConfig};
-    use cce_core::workload::{generate_mips_seeded, generate_x86_seeded, Spec95};
-
-    const PROFILE: &str = "go";
-    const DECODE_BLOCK: usize = 4096;
-    /// Uncompressed bytes each timing loop targets; fixes the iteration
-    /// count from the corpus size alone.
-    const TARGET_BYTES: usize = 32 * 1024 * 1024;
-
-    let profile = Spec95::by_name(PROFILE).expect("profile is in the suite");
-    let mut isa_reports = Vec::new();
-    let mut band_ok = true;
-    let mut speedup_4way = f64::INFINITY;
-    for isa in [Isa::Mips, Isa::X86] {
-        let text = match isa {
-            Isa::Mips => encode_text(&generate_mips_seeded(profile, flags.scale, flags.seed)),
-            Isa::X86 => generate_x86_seeded(profile, flags.scale, flags.seed),
-        };
-        let iterations = (TARGET_BYTES / text.len().max(1)).clamp(4, 512);
-        let config = match isa {
-            Isa::Mips => SamcConfig::mips(),
-            Isa::X86 => SamcConfig::x86(),
-        }
-        .with_block_size(DECODE_BLOCK);
-        let arith = SamcCodec::train(&text, config)?;
-        let arith_image = cce_core::codec::BlockCodec::compress(&arith, &text)?;
-        let arith_ratio = arith_image.compressed_len() as f64 / text.len() as f64;
-        let arith_mb = time_decode(&arith, &arith_image, &text, iterations)?;
-        if !flags.json {
-            println!(
-                "decode ({PROFILE}/{isa}, {} bytes, {iterations} iterations, {DECODE_BLOCK}-byte blocks):",
-                text.len()
-            );
-            println!("  {:<14} {:>10}  {:>8}  {:>9}", "backend", "MB/s", "ratio", "speedup");
-            println!("  {:<14} {arith_mb:>10.1}  {arith_ratio:>8.4}  {:>9.2}", "arith", 1.0);
-        }
-        let mut lane_reports = Vec::new();
-        for lanes in Lanes::ALL {
-            let rans = SamcRansCodec::from_samc(arith.clone(), lanes);
-            let image = rans.compress(&text)?;
-            let ratio = image.compressed_len() as f64 / text.len() as f64;
-            let mb = time_decode(&rans, &image, &text, iterations)?;
-            let speedup = mb / arith_mb;
-            band_ok &= (image.compressed_len() as f64 - arith_image.compressed_len() as f64).abs()
-                <= 0.02 * arith_image.compressed_len() as f64;
-            if lanes == Lanes::FOUR {
-                speedup_4way = speedup_4way.min(speedup);
-            }
-            if !flags.json {
-                println!(
-                    "  {:<14} {mb:>10.1}  {ratio:>8.4}  {speedup:>9.2}",
-                    format!("rans/{lanes}-way")
-                );
-            }
-            lane_reports.push(format!(
-                concat!(
-                    "{{\"lanes\":{lanes},\"mb_per_s\":{mb:.2},\"ratio\":{ratio:.6},",
-                    "\"ratio_delta\":{delta:.6},\"speedup\":{speedup:.3}}}"
-                ),
-                lanes = lanes.get(),
-                mb = mb,
-                ratio = ratio,
-                delta = ratio - arith_ratio,
-                speedup = speedup,
-            ));
-        }
-        isa_reports.push(format!(
-            concat!(
-                "{{\"isa\":\"{isa}\",\"corpus_bytes\":{corpus},\"iterations\":{iterations},",
-                "\"arith\":{{\"mb_per_s\":{arith_mb:.2},\"ratio\":{arith_ratio:.6}}},",
-                "\"rans\":[{lanes}]}}"
-            ),
-            isa = match isa {
-                Isa::Mips => "mips",
-                Isa::X86 => "x86",
-            },
-            corpus = text.len(),
-            iterations = iterations,
-            arith_mb = arith_mb,
-            arith_ratio = arith_ratio,
-            lanes = lane_reports.join(","),
-        ));
-    }
-    let artifact = format!(
-        concat!(
-            "{{\"version\":1,\"benchmark\":\"decode\",\"profile\":\"{profile}\",",
-            "\"scale\":{scale},\"seed\":{seed},\"block_size\":{block},",
-            "\"isas\":[{isas}],",
-            "\"matches_arith_ratio_band\":{band},\"speedup_4way\":{speedup:.3}}}"
-        ),
-        profile = PROFILE,
-        scale = flags.scale,
-        seed = flags.seed,
-        block = DECODE_BLOCK,
-        isas = isa_reports.join(","),
-        band = band_ok,
-        speedup = speedup_4way,
-    );
-    let path = flags.output.unwrap_or("BENCH_decode.json");
-    std::fs::write(path, terminated(artifact.clone()))?;
-    if flags.json {
-        println!("{artifact}");
-    } else {
-        println!(
-            "decode bench: 4-way rANS speedup {speedup_4way:.2}x, arith ratio band {}",
-            if band_ok { "held (±2%)" } else { "VIOLATED" }
-        );
-        println!("  wrote {path}");
-    }
-    write_metrics(flags.metrics, "bench-decode")
-}
-
-/// Parses a comma-separated list of integers for a sweep grid axis.
-fn parse_csv_usize(flag: &str, raw: &str) -> Result<Vec<usize>, String> {
-    let mut out = Vec::new();
-    for part in raw.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        out.push(part.parse().map_err(|_| format!("{flag}: `{part}` is not an integer"))?);
-    }
-    if out.is_empty() {
+/// One comma-separated sweep grid axis: `flag`'s values, each parsed by
+/// `parse`, or `default` when the flag is absent.
+fn axis<T>(
+    args: &Args,
+    flag: &str,
+    default: Vec<T>,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let Some(raw) = args.value(flag) else { return Ok(default) };
+    let values: Vec<T> = raw
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(parse)
+        .collect::<Result<_, _>>()?;
+    if values.is_empty() {
         return Err(format!("{flag}: no values"));
     }
-    Ok(out)
+    Ok(values)
+}
+
+/// An [`axis`] of integers.
+fn integer_axis(args: &Args, flag: &str, default: Vec<usize>) -> Result<Vec<usize>, String> {
+    axis(args, flag, default, |part| {
+        part.parse().map_err(|_| format!("{flag}: `{part}` is not an integer"))
+    })
+}
+
+/// Parses one `--algos` axis value: a random-access algorithm.
+fn parse_sweep_algorithm(name: &str) -> Result<Algorithm, String> {
+    let algorithm =
+        Algorithm::by_name(name).ok_or_else(|| format!("unknown algorithm `{name}`"))?;
+    if !algorithm.random_access() {
+        return Err(format!("{algorithm} is file-oriented; a memory system needs random access"));
+    }
+    Ok(algorithm)
 }
 
 /// Parses one `--decoders` axis value: `nibble` or `ransN` (N lanes).
@@ -903,107 +673,50 @@ fn parse_decoder(name: &str) -> Result<cce_core::memsim::sweep::SweepDecoder, St
 
 /// `cce sweep`: expand and simulate the memory-system design-space grid,
 /// writing the versioned `BENCH_memsim.json` artifact (see README).
-fn sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = split_flags(args)?;
-    if !flags.positional.is_empty() {
-        return Err(concat!(
-            "usage: cce sweep [--algos A,B] [--blocks N,..] [--caches N,..] [--assoc N,..] ",
-            "[--clb N,..] [--decoders nibble,ransN] [--fetches N] [--scale F] [--seed S] ",
-            "[--workers N] [--bench] [-o OUT.json] [--json] [--metrics M.json]"
-        )
-        .into());
-    }
-    run_sweep_command(&flags, flags.bench)
-}
-
-/// The sweep driver behind `cce sweep` and `cce bench --memsim`.
 ///
 /// Workload and trace are fixed-seed and generated once; each (codec,
 /// block size) image is trained and compressed exactly once and shared
 /// across its cells via `Arc`; cells fan out over the deterministic
-/// `parallel_map` pool.  The artifact contains no wall-clock numbers
-/// unless `with_kernel_leg` is set, so a plain `cce sweep` writes a
-/// byte-identical `BENCH_memsim.json` for any `--workers` value — the
-/// property CI pins.  With the kernel leg, the same fixed-seed trace is
-/// timed through the fast and the retained reference kernels and the two
-/// reports are required to be identical (`matches_reference`).
-fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn Error>> {
+/// `parallel_map` pool.  The artifact contains no wall-clock numbers,
+/// so it is byte-identical for any `--workers` value — the property CI
+/// pins.
+fn sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::codec::compress_parallel;
     use cce_core::isa::mips::encode_text;
     use cce_core::memsim::sweep::{run_sweep, SweepConfig, SweepImage};
-    use cce_core::memsim::{CacheConfig, CostModel, LineAddressTable, MemorySystem};
+    use cce_core::memsim::LineAddressTable;
     use cce_core::workload::trace::{instruction_trace, TraceConfig};
     use cce_core::workload::{generate_mips_seeded, Spec95};
     use std::sync::Arc;
-    use std::time::Instant;
 
     const PROFILE: &str = "go";
+    args.positionals::<0>()?;
+    let scale = args.number("--scale", 2.0)?;
+    let seed = args.number("--seed", FuzzConfig::default().seed)?;
+    let fetches = args.number("--fetches", 100_000)?;
     cce_core::obs::reset();
 
-    // Grid axes (defaults give 144 cells; CI widens --assoc to pass 200).
+    // Grid axes: the defaults give 216 cells (2 codecs x 3 block sizes
+    // x 3 caches x 3 associativities x 2 CLB sizes x 2 decoders).
+    let algorithms = vec![Algorithm::Samc, Algorithm::ByteHuffman];
+    let algorithms = axis(args, "--algos", algorithms, parse_sweep_algorithm)?;
+    let blocks = integer_axis(args, "--blocks", vec![16, 32, 64])?;
     let defaults = SweepConfig::default();
-    let algo_names = flags.algos.unwrap_or("samc,huffman");
-    let mut algorithms = Vec::new();
-    for name in algo_names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let algorithm =
-            Algorithm::by_name(name).ok_or_else(|| format!("unknown algorithm `{name}`"))?;
-        if !algorithm.random_access() {
-            return Err(format!(
-                "{algorithm} is file-oriented; a memory system needs random access"
-            )
-            .into());
-        }
-        algorithms.push(algorithm);
-    }
-    if algorithms.is_empty() {
-        return Err("--algos: no values".into());
-    }
-    let blocks = match flags.blocks {
-        Some(raw) => parse_csv_usize("--blocks", raw)?,
-        None => vec![16, 32, 64],
-    };
-    let cache_sizes = match flags.caches {
-        Some(raw) => parse_csv_usize("--caches", raw)?,
-        None => defaults.cache_sizes.clone(),
-    };
-    let associativities = match flags.assoc {
-        Some(raw) => parse_csv_usize("--assoc", raw)?,
-        None => defaults.associativities.clone(),
-    };
-    let clb_entries = match flags.clb {
-        Some(raw) => parse_csv_usize("--clb", raw)?,
-        None => defaults.clb_entries.clone(),
-    };
-    let decoders = match flags.decoders {
-        Some(raw) => raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(parse_decoder)
-            .collect::<Result<Vec<_>, _>>()?,
-        None => defaults.decoders.clone(),
-    };
-    if decoders.is_empty() {
-        return Err("--decoders: no values".into());
-    }
     let config = SweepConfig {
-        cache_sizes,
-        associativities,
-        clb_entries,
-        decoders,
-        memory_latency: defaults.memory_latency,
-        bus_bytes_per_cycle: defaults.bus_bytes_per_cycle,
+        cache_sizes: integer_axis(args, "--caches", defaults.cache_sizes.clone())?,
+        associativities: integer_axis(args, "--assoc", defaults.associativities.clone())?,
+        clb_entries: integer_axis(args, "--clb", defaults.clb_entries.clone())?,
+        decoders: axis(args, "--decoders", defaults.decoders.clone(), parse_decoder)?,
+        ..defaults
     };
-    let workers = flags.workers.unwrap_or_else(cce_core::codec::worker_count);
+    let workers = args.number("--workers", worker_count())?;
 
     // Workload text and fetch trace: generated once, shared by every
     // image and cell.
     let profile = Spec95::by_name(PROFILE).expect("profile is in the suite");
-    let text = encode_text(&generate_mips_seeded(profile, flags.scale, flags.seed));
-    let trace = instruction_trace(
-        text.len(),
-        &TraceConfig { fetches: flags.fetches, seed: flags.seed, ..TraceConfig::default() },
-    );
+    let text = encode_text(&generate_mips_seeded(profile, scale, seed));
+    let trace =
+        instruction_trace(text.len(), &TraceConfig { fetches, seed, ..TraceConfig::default() });
 
     // Each (codec, block size) grid point is trained and compressed
     // exactly once; cells only ever see the Arc-shared LAT.
@@ -1100,90 +813,6 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         _ => "null".into(),
     };
 
-    // Kernel leg (timing — only with --bench, so the plain artifact stays
-    // byte-identical across worker counts): the fixed-seed trace through
-    // the fast kernel vs the retained reference walk on one cell.
-    let kernel = if with_kernel_leg {
-        // Time the geometry with the widest sets and the smallest cache —
-        // the most conflict pressure, where the set walk the flat kernel
-        // replaces is at its largest.
-        let cell = results
-            .iter()
-            .map(|r| r.cell)
-            .max_by_key(|c| (c.associativity, std::cmp::Reverse(c.cache_size)))
-            .expect("results checked non-empty above");
-        let image = &images[cell.image];
-        let cache = CacheConfig {
-            size_bytes: cell.cache_size,
-            block_size: image.block_size,
-            associativity: cell.associativity,
-        };
-        let costs = CostModel {
-            memory_latency: config.memory_latency,
-            bus_bytes_per_cycle: config.bus_bytes_per_cycle,
-            decoder: config.decoders[cell.decoder].latency,
-        };
-        let fresh =
-            || MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);
-        // Correctness gate before any timing.
-        let fast_report = fresh().run(&trace);
-        let reference_report = fresh().run_reference(&trace);
-        let matches_reference = fast_report == reference_report;
-
-        let reps = (4_000_000 / flags.fetches.max(1)).clamp(2, 64);
-        // Interleave the two legs rep for rep so clock-frequency drift
-        // lands on both sides of the ratio equally.
-        let mut fast_s = 0f64;
-        let mut reference_s = 0f64;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let mut system = fresh();
-            std::hint::black_box(system.run(&trace));
-            fast_s += start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            let mut system = fresh();
-            std::hint::black_box(system.run_reference(&trace));
-            reference_s += start.elapsed().as_secs_f64();
-        }
-        let fast_ms = fast_s.max(1e-9) * 1e3;
-        let reference_ms = reference_s.max(1e-9) * 1e3;
-        let fetches_per_s = |ms: f64| (reps as u64 * trace.len() as u64) as f64 / (ms / 1e3);
-        let speedup = reference_ms / fast_ms;
-        if !flags.json {
-            println!(
-                "kernel: fast {:.1} vs reference {:.1} Mfetch/s ({speedup:.2}x), matches_reference {matches_reference}",
-                fetches_per_s(fast_ms) / 1e6,
-                fetches_per_s(reference_ms) / 1e6,
-            );
-        }
-        format!(
-            concat!(
-                "{{\"cell\":{{\"codec\":\"{codec}\",\"block_size\":{block},\"cache\":{cache},",
-                "\"assoc\":{assoc},\"clb\":{clb},\"decoder\":\"{decoder}\"}},",
-                "\"fetches\":{fetches},\"reps\":{reps},",
-                "\"reference_ms\":{reference_ms:.3},\"fast_ms\":{fast_ms:.3},",
-                "\"reference_fetches_per_s\":{ref_fps:.0},\"fast_fetches_per_s\":{fast_fps:.0},",
-                "\"speedup\":{speedup:.3},\"matches_reference\":{matches_reference}}}"
-            ),
-            codec = image.codec,
-            block = image.block_size,
-            cache = cell.cache_size,
-            assoc = cell.associativity,
-            clb = cell.clb_entries,
-            decoder = config.decoders[cell.decoder].name,
-            fetches = trace.len(),
-            reps = reps,
-            reference_ms = reference_ms,
-            fast_ms = fast_ms,
-            ref_fps = fetches_per_s(reference_ms),
-            fast_fps = fetches_per_s(fast_ms),
-            speedup = speedup,
-            matches_reference = matches_reference,
-        )
-    } else {
-        "null".into()
-    };
-
     let artifact = format!(
         concat!(
             "{{\"version\":1,\"benchmark\":\"memsim-sweep\",\"profile\":\"{profile}\",",
@@ -1193,12 +822,11 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
             "\"memory_latency\":{latency},\"bus_bytes_per_cycle\":{bus}}},",
             "\"images\":[{images}],\"cells\":[{cells}],",
             "\"summary\":{{\"cells\":{cell_count},\"images\":{image_count},",
-            "\"decoder_mean_cpf\":[{decoder_means}],\"arith_rans_delta\":{delta}}},",
-            "\"kernel\":{kernel}}}"
+            "\"decoder_mean_cpf\":[{decoder_means}],\"arith_rans_delta\":{delta}}}}}"
         ),
         profile = PROFILE,
-        scale = flags.scale,
-        seed = flags.seed,
+        scale = scale,
+        seed = seed,
         fetches = trace.len(),
         algos = algorithms.iter().map(|a| format!("\"{a}\"")).collect::<Vec<_>>().join(","),
         blocks = blocks,
@@ -1215,11 +843,10 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         image_count = images.len(),
         decoder_means = decoder_json.join(","),
         delta = arith_rans_delta,
-        kernel = kernel,
     );
-    let path = flags.output.unwrap_or("BENCH_memsim.json");
+    let path = args.value("--output").unwrap_or("BENCH_memsim.json");
     std::fs::write(path, terminated(artifact.clone()))?;
-    if flags.json {
+    if args.switch("--json") {
         println!("{artifact}");
     } else {
         println!(
@@ -1231,275 +858,14 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         );
         println!("  wrote {path}");
     }
-    write_metrics(flags.metrics, "sweep")
-}
-
-/// `cce bench` pipeline leg: streams a fixed multi-megabyte synthetic
-/// ELF through the bounded block pipeline into a discarded sink and
-/// writes `BENCH_pipeline.json`.  The workload is independent of
-/// `--scale` so artifacts are comparable across runs, and the codec is
-/// ByteHuffman — training is a byte histogram, so the leg times the
-/// pipeline itself rather than model search.
-fn bench_pipeline(seed: u64, json: bool) -> Result<(), Box<dyn Error>> {
-    use cce_core::elf::{Class, Endianness};
-    use cce_core::isa::mips::encode_text;
-    use cce_core::workload::{generate_mips_seeded, Spec95};
-    use std::io::Cursor;
-    use std::time::Instant;
-
-    // ~4.3 MB of MIPS text: big enough that bounded memory matters,
-    // small enough that the smoke run stays interactive.
-    const PROFILE: &str = "go";
-    const WORKLOAD_SCALE: f64 = 64.0;
-    const BLOCK_SIZE: usize = 32;
-    let profile = Spec95::by_name(PROFILE).expect("profile is in the suite");
-    let text = encode_text(&generate_mips_seeded(profile, WORKLOAD_SCALE, seed));
-    let elf_bytes =
-        ElfImage::new_executable(Machine::Mips, Class::Elf32, Endianness::Big, text).to_bytes();
-    let mut elf = ElfStream::open(Cursor::new(&elf_bytes)).map_err(streaming::stream_error)?;
-
-    let algorithm = Algorithm::ByteHuffman;
-    let training = streaming::buffered_text(&mut elf)?;
-    let handle = algorithm.build(Isa::Mips, BLOCK_SIZE).train(&training)?;
-    drop(training);
-    let codec = handle.as_block().expect("huffman is random-access");
-    let workers = worker_count();
-
-    let start = Instant::now();
-    let report = streaming::compress_elf(&mut elf, algorithm, codec, std::io::sink(), workers)?;
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    let stats = report.stats;
-    let mb_per_s = (stats.bytes_in as f64 / (1024.0 * 1024.0)) / (ms / 1e3).max(1e-9);
-    let queue_limit = 2 * workers;
-
-    let artifact = format!(
-        concat!(
-            "{{\"version\":1,\"benchmark\":\"pipeline\",",
-            "\"workload\":{{\"profile\":\"{profile}\",\"scale\":{scale},\"seed\":{seed},\"text_bytes\":{text_bytes}}},",
-            "\"algorithm\":\"{algorithm}\",\"block_size\":{block_size},\"workers\":{workers},",
-            "\"blocks\":{blocks},\"bytes_in\":{bytes_in},\"bytes_out\":{bytes_out},",
-            "\"peak_queue\":{peak_queue},\"queue_limit\":{queue_limit},\"stalls\":{stalls},",
-            "\"ms\":{ms:.3},\"mb_per_s\":{mb_per_s:.2},\"ratio\":{ratio:.6}}}"
-        ),
-        profile = PROFILE,
-        scale = WORKLOAD_SCALE,
-        seed = seed,
-        text_bytes = stats.bytes_in,
-        algorithm = algorithm,
-        block_size = BLOCK_SIZE,
-        workers = workers,
-        blocks = stats.blocks,
-        bytes_in = stats.bytes_in,
-        bytes_out = stats.bytes_out,
-        peak_queue = stats.peak_queue,
-        queue_limit = queue_limit,
-        stalls = stats.stalls,
-        ms = ms,
-        mb_per_s = mb_per_s,
-        ratio = report.summary.ratio(),
-    );
-    std::fs::write("BENCH_pipeline.json", terminated(artifact))?;
-    if !json {
-        println!(
-            "pipeline ({PROFILE} at scale {WORKLOAD_SCALE}): {} bytes in {} blocks, \
-             {mb_per_s:.1} MB/s over {workers} workers (peak queue {}/{queue_limit}, {} stalls)",
-            stats.bytes_in, stats.blocks, stats.peak_queue, stats.stalls
-        );
-        println!("  wrote BENCH_pipeline.json");
-    }
     Ok(())
 }
 
-/// `cce bench --optimizer`: times the pre-kernel reference search against
-/// the incremental one on a fixed workload, runs a multi-program
-/// cold-vs-warm model-cache batch, and writes the `BENCH_optimizer.json`
-/// artifact (see README).  Division hashes come from
-/// [`StreamDivision::division_hash`][h], the same FNV-1a the model store
-/// keys on, so CI can pin the optimizer's output against one recorded
-/// value.
-///
-/// [h]: cce_core::samc::StreamDivision::division_hash
-fn bench_optimizer(flags: &Flags) -> Result<(), Box<dyn Error>> {
-    use cce_core::isa::mips::encode_text;
-    use cce_core::samc::{
-        optimize_division_reference, optimize_division_with_workers, OptimizeConfig,
-    };
-    use cce_core::workload::{generate_mips_seeded, Spec95};
-    use std::time::Instant;
-
-    cce_core::obs::reset();
-    // Fixed workload, independent of --scale: the "go" profile at scale
-    // 0.5 is ~8.5k instruction words, comfortably above the default
-    // 4096-unit evaluation sample.
-    const PROFILE: &str = "go";
-    const WORKLOAD_SCALE: f64 = 0.5;
-    let profile = Spec95::by_name(PROFILE).expect("profile is in the suite");
-    let text = encode_text(&generate_mips_seeded(profile, WORKLOAD_SCALE, flags.seed));
-    let units: Vec<u32> = text
-        .chunks_exact(4)
-        .map(|c| u32::from_be_bytes(c.try_into().expect("4-byte chunk")))
-        .collect();
-    let config = OptimizeConfig::default();
-
-    let start = Instant::now();
-    let (reference_division, reference_cost) = optimize_division_reference(&units, 32, &config);
-    let reference_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Best of a few runs for the fast path: it is short enough that a
-    // single sample would be noise-dominated.
-    const FAST_RUNS: usize = 5;
-    let mut fast_ms = f64::INFINITY;
-    let mut fast = None;
-    for _ in 0..FAST_RUNS {
-        let start = Instant::now();
-        let result = optimize_division_with_workers(&units, 32, &config, 1);
-        fast_ms = fast_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        fast = Some(result);
-    }
-    let (division, cost) = fast.expect("at least one run");
-    let matches_reference = division == reference_division;
-    let speedup = reference_ms / fast_ms.max(1e-9);
-
-    let workers = worker_count();
-    let multi = OptimizeConfig { restarts: 8, ..config.clone() };
-    let start = Instant::now();
-    let (_, multi_cost) = optimize_division_with_workers(&units, 32, &multi, workers);
-    let multi_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Model-cache leg: train a small program batch twice through a fresh
-    // store.  The first pass trains (cold, then warm-started from the
-    // first program's cached division); the second pass must be all
-    // exact-key hits, so its time is the amortized per-request cost.
-    // "go" leads so its cold division hash matches the pinned top-level
-    // one (same workload, same default search).
-    const CACHE_PROGRAMS: [&str; 3] = ["go", "compress", "ijpeg"];
-    let cache_dir =
-        std::env::temp_dir().join(format!("cce-bench-model-cache-{}", std::process::id()));
-    std::fs::remove_dir_all(&cache_dir).ok();
-    let texts: Vec<Vec<u8>> = CACHE_PROGRAMS
-        .iter()
-        .map(|name| {
-            let profile = Spec95::by_name(name).expect("profile is in the suite");
-            encode_text(&generate_mips_seeded(profile, WORKLOAD_SCALE, flags.seed))
-        })
-        .collect();
-    let mut trainer = cce_core::samc::store::CachedTrainer::new(
-        cce_core::samc::store::ModelStore::open(&cache_dir)?,
-        CACHE_PROGRAMS.len().max(1),
-    );
-    let samc_config = cce_core::samc::SamcConfig::mips();
-    let mut cold_sources = Vec::new();
-    let mut cold_images = Vec::new();
-    let start = Instant::now();
-    for text in &texts {
-        let outcome = trainer.train(text, &samc_config, &config)?;
-        cold_sources.push(outcome.source.to_string());
-        cold_images.push(compress_parallel(&outcome.codec, text, workers)?);
-    }
-    let cache_cold_ms = start.elapsed().as_secs_f64() * 1e3;
-    let cold_division_hash =
-        trainer.train(&texts[0], &samc_config, &config)?.codec.config().division.division_hash();
-    let mut warm_hits = 0usize;
-    let mut warm_matches_cold = true;
-    let start = Instant::now();
-    for (text, cold_image) in texts.iter().zip(&cold_images) {
-        let outcome = trainer.train(text, &samc_config, &config)?;
-        warm_hits += usize::from(outcome.source.is_hit());
-        warm_matches_cold &= compress_parallel(&outcome.codec, text, workers)? == *cold_image;
-    }
-    let cache_warm_ms = start.elapsed().as_secs_f64() * 1e3;
-    let warm_speedup = cache_cold_ms / cache_warm_ms.max(1e-9);
-    std::fs::remove_dir_all(&cache_dir).ok();
-
-    let json = format!(
-        concat!(
-            "{{\"version\":1,\"benchmark\":\"optimizer\",",
-            "\"workload\":{{\"profile\":\"{profile}\",\"scale\":{scale},\"seed\":{seed},\"units\":{units}}},",
-            "\"config\":{{\"streams\":{streams},\"iterations\":{iterations},\"sample_units\":{sample},\"seed\":{opt_seed}}},",
-            "\"reference_ms\":{reference_ms:.3},\"fast_ms\":{fast_ms:.3},\"speedup\":{speedup:.2},",
-            "\"matches_reference\":{matches},",
-            "\"cost_bits\":{cost:.3},\"reference_cost_bits\":{reference_cost:.3},",
-            "\"division_hash\":\"{hash:016x}\",",
-            "\"multi_restart\":{{\"restarts\":{restarts},\"workers\":{workers},\"ms\":{multi_ms:.3},\"cost_bits\":{multi_cost:.3}}},",
-            "\"model_cache\":{{\"programs\":[{cache_programs}],\"cold_ms\":{cache_cold_ms:.3},",
-            "\"warm_ms\":{cache_warm_ms:.3},\"warm_speedup\":{warm_speedup:.2},",
-            "\"cold_sources\":[{cold_sources}],\"warm_hits\":{warm_hits},",
-            "\"warm_matches_cold\":{warm_matches_cold},",
-            "\"cold_division_hash\":\"{cold_division_hash:016x}\"}}}}"
-        ),
-        profile = PROFILE,
-        scale = WORKLOAD_SCALE,
-        seed = flags.seed,
-        units = units.len(),
-        streams = config.streams,
-        iterations = config.iterations,
-        sample = config.sample_units,
-        opt_seed = config.seed,
-        reference_ms = reference_ms,
-        fast_ms = fast_ms,
-        speedup = speedup,
-        matches = matches_reference,
-        cost = cost,
-        reference_cost = reference_cost,
-        hash = division.division_hash(),
-        restarts = multi.restarts,
-        workers = workers,
-        multi_ms = multi_ms,
-        multi_cost = multi_cost,
-        cache_programs = CACHE_PROGRAMS
-            .iter()
-            .map(|p| format!("\"{p}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-        cache_cold_ms = cache_cold_ms,
-        cache_warm_ms = cache_warm_ms,
-        warm_speedup = warm_speedup,
-        cold_sources = cold_sources
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-        warm_hits = warm_hits,
-        warm_matches_cold = warm_matches_cold,
-        cold_division_hash = cold_division_hash,
-    );
-    let path = flags.output.unwrap_or("BENCH_optimizer.json");
-    std::fs::write(path, terminated(json.clone()))?;
-
-    if flags.json {
-        println!("{json}");
-    } else {
-        println!(
-            "optimizer bench: {PROFILE} at scale {WORKLOAD_SCALE} (seed {}), {} units",
-            flags.seed,
-            units.len()
-        );
-        println!("  reference search: {reference_ms:>9.2} ms  (cost {reference_cost:.0} bits)");
-        println!(
-            "  incremental:      {fast_ms:>9.2} ms  (cost {cost:.0} bits, {speedup:.1}x, \
-             division {}, hash {:016x})",
-            if matches_reference { "matches" } else { "DIVERGED" },
-            division.division_hash(),
-        );
-        println!(
-            "  8 restarts:       {multi_ms:>9.2} ms  (cost {multi_cost:.0} bits, {workers} workers)"
-        );
-        println!(
-            "  model cache:      {cache_cold_ms:>9.2} ms cold vs {cache_warm_ms:.2} ms warm \
-             over {} programs ({warm_speedup:.1}x, {warm_hits} hits, images {})",
-            CACHE_PROGRAMS.len(),
-            if warm_matches_cold { "match" } else { "DIVERGED" },
-        );
-        println!("  wrote {path}");
-    }
-    write_metrics(flags.metrics, "bench-optimizer")
-}
-
-fn stats(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::obs::{MetricsSink, TableSink};
 
-    let flags = split_flags(args)?;
-    match flags.positional.as_slice() {
+    let block_size = args.number("--block-size", 32)?;
+    match args.positional.as_slice() {
         // Without an input, list the registry: every metric the workspace
         // can record, whether or not anything has run.
         [] => {
@@ -1513,7 +879,7 @@ fn stats(args: &[String]) -> Result<(), Box<dyn Error>> {
             let text = elf.text().ok_or("no .text section")?;
             cce_core::obs::reset();
             for algorithm in Algorithm::ALL {
-                if let Err(e) = measure(algorithm, isa, text, flags.block_size) {
+                if let Err(e) = measure(algorithm, isa, text, block_size) {
                     eprintln!("cce: {algorithm} failed: {e}");
                 }
             }
@@ -1521,30 +887,26 @@ fn stats(args: &[String]) -> Result<(), Box<dyn Error>> {
                 eprintln!("cce: built without the `obs` feature; all metrics read zero");
             }
             print!("{}", TableSink { skip_zero: true }.render(&cce_core::obs::snapshot()));
-            write_metrics(flags.metrics, "stats")
+            Ok(())
         }
-        _ => Err("usage: cce stats [--metrics M.json] [input.elf]".into()),
+        _ => Err(args.usage("expected at most one input")),
     }
 }
 
-fn compress(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = split_flags(args)?;
-    let path = match (flags.positional.as_slice(), flags.elf) {
+fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
+    let path = match (args.positional.as_slice(), args.value("--elf")) {
         ([path], None) => *path,
         ([], Some(path)) => path,
-        _ => {
-            return Err("usage: cce compress [-a samc|sadc|huffman] [-b N] [--model-cache DIR] \
-                 [--metrics M.json] <in.elf> -o <out.cce>"
-                .into())
-        }
+        _ => return Err(args.usage("pass one input, positionally or via --elf")),
     };
-    let output = flags.output.ok_or("missing -o <out.cce>")?;
+    let output = args.required("--output")?;
+    let block_size = args.number("--block-size", 32)?;
     let file = std::fs::File::open(path)?;
     let mut elf =
         ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
     let isa = streaming::isa_of(&elf)?;
 
-    let name = flags.algorithm.unwrap_or("samc");
+    let name = args.value("--algo").unwrap_or("samc");
     let algorithm = Algorithm::by_name(name)
         .ok_or_else(|| format!("unknown algorithm `{name}` (samc|sadc|huffman)"))?;
     if !algorithm.random_access() {
@@ -1558,13 +920,13 @@ fn compress(args: &[String]) -> Result<(), Box<dyn Error>> {
     // section is buffered exactly once and dropped before the streaming
     // compression pass re-reads it block by block.
     let text = streaming::buffered_text(&mut elf)?;
-    let codec: Box<dyn BlockCodec> = match flags.model_cache {
+    let codec: Box<dyn BlockCodec> = match args.value("--model-cache") {
         Some(dir) => {
             if algorithm != Algorithm::Samc {
                 return Err(format!("--model-cache caches SAMC models, not `{algorithm}`").into());
             }
             let mut trainer = open_model_cache(dir)?;
-            let (config, optimize) = cache_request(isa, flags.block_size);
+            let (config, optimize) = cache_request(isa, block_size);
             let outcome = trainer.train(&text, &config, &optimize)?;
             println!(
                 "model cache: {} (key {}, division {:016x})",
@@ -1574,20 +936,15 @@ fn compress(args: &[String]) -> Result<(), Box<dyn Error>> {
             );
             Box::new(outcome.codec)
         }
-        None => {
-            let handle = algorithm.build(isa, flags.block_size).train(&text)?;
-            match handle {
-                cce_core::CodecHandle::Block(codec) => codec,
-                cce_core::CodecHandle::File(_) => {
-                    unreachable!("random-access algorithms build block codecs")
-                }
-            }
-        }
+        None => match algorithm.build(isa, block_size).train(&text)? {
+            CodecHandle::Block(codec) => codec,
+            CodecHandle::File(_) => unreachable!("random-access algorithms build block codecs"),
+        },
     };
     drop(text);
     let codec = codec.as_ref();
 
-    if flags.elf.is_some() {
+    if args.value("--elf").is_some() {
         print_section_stats(path, &streaming::section_stats(&elf));
     }
 
@@ -1624,15 +981,12 @@ fn compress(args: &[String]) -> Result<(), Box<dyn Error>> {
         report.stats.stalls,
         workers
     );
-    write_metrics(flags.metrics, "compress")
+    Ok(())
 }
 
-fn decompress(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let Flags { positional, output, .. } = split_flags(args)?;
-    let [path] = positional.as_slice() else {
-        return Err("usage: cce decompress <in.cce> -o <out.elf>".into());
-    };
-    let output = output.ok_or("missing -o <out.elf>")?;
+fn decompress(args: &Args) -> Result<(), Box<dyn Error>> {
+    let [path] = args.positionals()?;
+    let output = args.required("--output")?;
 
     let file = std::fs::File::open(path)?;
     let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
@@ -1643,27 +997,34 @@ fn decompress(args: &[String]) -> Result<(), Box<dyn Error>> {
         .codec_from_bytes(reader.codec_bytes())?;
     let codec = handle.as_block().expect("container tags are random-access");
     let text = reader.decode_text(codec)?;
-
-    let machine = match identity.isa {
-        Isa::Mips => Machine::Mips,
-        Isa::X86 => Machine::I386,
-    };
-    let mut elf = ElfImage::new_executable(machine, identity.class, identity.endianness, text);
-    elf.entry = identity.entry;
-    std::fs::write(output, elf.to_bytes())?;
-    println!(
-        "{path}: decompressed {} bytes of text into {output}",
-        elf.text().expect("text").len()
-    );
+    let len = text.len();
+    write_elf(output, identity.isa, identity.class, identity.endianness, identity.entry, text)?;
+    println!("{path}: decompressed {len} bytes of text into {output}");
     Ok(())
 }
 
-fn analyze(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use cce_core::stats;
-    let flags = split_flags(args)?;
-    let [path] = flags.positional.as_slice() else {
-        return Err("usage: cce analyze <input.elf>".into());
+/// Writes the minimal executable ELF `decompress` and `fetch` rebuild
+/// around a decoded text section.
+fn write_elf(
+    output: &str,
+    isa: Isa,
+    class: cce_core::elf::Class,
+    endianness: cce_core::elf::Endianness,
+    entry: u64,
+    text: Vec<u8>,
+) -> Result<(), Box<dyn Error>> {
+    let machine = match isa {
+        Isa::Mips => Machine::Mips,
+        Isa::X86 => Machine::I386,
     };
+    let mut elf = ElfImage::new_executable(machine, class, endianness, text);
+    elf.entry = entry;
+    Ok(std::fs::write(output, elf.to_bytes())?)
+}
+
+fn analyze(args: &Args) -> Result<(), Box<dyn Error>> {
+    use cce_core::stats;
+    let [path] = args.positionals()?;
     let (elf, isa) = load_elf(path)?;
     let text = elf.text().ok_or("no .text section")?;
     println!("{path}: {} bytes of {isa} text", text.len());
@@ -1693,12 +1054,10 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn disasm(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn disasm(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::isa::mips::decode_text;
-    let Flags { positional, block_size: count, .. } = split_flags(args)?;
-    let [path] = positional.as_slice() else {
-        return Err("usage: cce disasm <input.elf> [-n COUNT]".into());
-    };
+    let [path] = args.positionals()?;
+    let count = args.number("--count", 32)?;
     let (elf, isa) = load_elf(path)?;
     if isa != Isa::Mips {
         return Err("disassembly is only supported for MIPS executables".into());
@@ -1715,11 +1074,8 @@ fn disasm(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn info(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = split_flags(args)?;
-    let [path] = flags.positional.as_slice() else {
-        return Err("usage: cce info <in.cce>".into());
-    };
+fn info(args: &Args) -> Result<(), Box<dyn Error>> {
+    let [path] = args.positionals()?;
     let file = std::fs::File::open(path)?;
     let reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
     let identity = reader.identity();
@@ -1751,23 +1107,19 @@ fn info(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// `cce gen`: synthesizes one SPEC95-like workload as a minimal ELF, so
 /// shell pipelines (and the CI cache smoke) can feed `cce compress` the
 /// exact same deterministic program the benchmarks measure.
-fn gen(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn gen(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::elf::{Class, Endianness};
     use cce_core::isa::mips::encode_text;
     use cce_core::workload::{generate_mips_seeded, generate_x86_seeded, Spec95};
 
-    let Flags { positional, output, scale, seed, isa, multi_section, .. } = split_flags(args)?;
-    let [name] = positional.as_slice() else {
-        return Err(
-            "usage: cce gen <profile> [--scale F] [--seed S] [--isa mips|x86] [--multi-section] \
-             -o <out.elf>"
-                .into(),
-        );
-    };
-    let output = output.ok_or("missing -o <out.elf>")?;
+    let [name] = args.positionals()?;
+    let output = args.required("--output")?;
+    let scale = args.number("--scale", 0.1)?;
+    let seed = args.number("--seed", FuzzConfig::default().seed)?;
+    let multi_section = args.switch("--multi-section");
     let profile =
         Spec95::by_name(name).ok_or_else(|| format!("unknown benchmark profile `{name}`"))?;
-    let isa = match isa.unwrap_or("mips") {
+    let isa = match args.value("--isa").unwrap_or("mips") {
         "mips" => Isa::Mips,
         "x86" => Isa::X86,
         other => return Err(format!("unknown ISA `{other}` (mips|x86)").into()),
@@ -1832,13 +1184,13 @@ fn push_workload_sections(elf: &mut ElfImage, seed: u64) {
     });
 }
 
-fn fuzz(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let Flags { positional, algorithm, cases, seed, .. } = split_flags(args)?;
-    if !positional.is_empty() {
-        return Err("usage: cce fuzz --algo <name|all> --cases N --seed S".into());
-    }
+fn fuzz(args: &Args) -> Result<(), Box<dyn Error>> {
+    args.positionals::<0>()?;
+    let defaults = FuzzConfig::default();
+    let cases = args.number("--cases", defaults.cases)?;
+    let seed = args.number("--seed", defaults.seed)?;
     let config = FuzzConfig { cases, seed };
-    let reports = match algorithm.unwrap_or("all") {
+    let reports = match args.value("--algo").unwrap_or("all") {
         "all" => cce_core::fuzz::run_all(&config),
         "serve" => cce_core::fuzz::run_serve(&config),
         name => {
@@ -1864,51 +1216,44 @@ fn fuzz(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn publish(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = split_flags(args)?;
-    let [path] = flags.positional.as_slice() else {
-        return Err("usage: cce publish <in.cce> -o <dir> [--chunk-size N]".into());
-    };
-    let output = flags.output.ok_or("missing -o <dir>")?;
+fn publish(args: &Args) -> Result<(), Box<dyn Error>> {
+    let [path] = args.positionals()?;
+    let output = args.required("--output")?;
+    let chunk_size = args.number("--chunk-size", cce_core::serve::DEFAULT_CHUNK_PAYLOAD)?;
     let file = std::fs::File::open(path)?;
     let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
     let summary =
-        cce_core::artifact::publish_container(&mut reader, Path::new(output), flags.chunk_size)?;
+        cce_core::artifact::publish_container(&mut reader, Path::new(output), chunk_size)?;
     println!(
         "{path}: published {} blocks ({} bytes) into {} chunk files under {output}",
         summary.manifest.blocks, summary.manifest.data_len, summary.chunk_files,
     );
-    write_metrics(flags.metrics, "publish")
+    Ok(())
 }
 
-fn verify(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = split_flags(args)?;
-    let [dir] = flags.positional.as_slice() else {
-        return Err("usage: cce verify <dir>".into());
-    };
+fn verify(args: &Args) -> Result<(), Box<dyn Error>> {
+    let [dir] = args.positionals()?;
     let summary = cce_core::serve::verify_dir(Path::new(dir))?;
     println!(
         "{dir}: OK — {} blocks in {} chunks, {} compressed bytes ({} original)",
         summary.blocks, summary.chunks, summary.data_len, summary.original_len,
     );
-    write_metrics(flags.metrics, "verify")
+    Ok(())
 }
 
-fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::serve::{ServeConfig, Server};
-    let flags = split_flags(args)?;
-    let [dir] = flags.positional.as_slice() else {
-        return Err("usage: cce serve <dir> --socket PATH | --tcp ADDR".into());
+    let [dir] = args.positionals()?;
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        request_timeout: std::time::Duration::from_millis(args.number("--timeout-ms", 5000)?),
+        cache_blocks: args.number("--cache", defaults.cache_blocks)?,
+        ..defaults
     };
     let (artifact, codec) = cce_core::artifact::open_with_codec(Path::new(dir))?;
     let blocks = artifact.block_count();
-    let config = ServeConfig {
-        request_timeout: std::time::Duration::from_millis(flags.timeout_ms),
-        cache_blocks: flags.cache,
-        ..ServeConfig::default()
-    };
     let server = Server::new(artifact, codec, config);
-    match (flags.socket, flags.tcp) {
+    match (args.value("--socket"), args.value("--tcp")) {
         (Some(path), None) => {
             println!("serving {blocks} blocks from {dir} on unix socket {path}");
             server.serve_unix(Path::new(path))?;
@@ -1918,23 +1263,20 @@ fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
                 println!("serving {blocks} blocks from {dir} on tcp {local}");
             })?;
         }
-        _ => return Err("pass exactly one of --socket PATH or --tcp ADDR".into()),
+        _ => return Err(args.usage("pass exactly one of --socket PATH or --tcp ADDR")),
     }
     println!("shutdown: {}", server.stats_json());
-    write_metrics(flags.metrics, "serve")
+    Ok(())
 }
 
-fn fetch(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn fetch(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::serve::Client;
-    let flags = split_flags(args)?;
-    if !flags.positional.is_empty() {
-        return Err("usage: cce fetch --socket PATH | --tcp ADDR -o <out.elf>".into());
-    }
-    let output = flags.output.ok_or("missing -o <out.elf>")?;
-    match (flags.socket, flags.tcp) {
+    args.positionals::<0>()?;
+    let output = args.required("--output")?;
+    match (args.value("--socket"), args.value("--tcp")) {
         (Some(path), None) => fetch_with(Client::connect_unix(Path::new(path))?, output),
         (None, Some(addr)) => fetch_with(Client::connect_tcp(addr)?, output),
-        _ => Err("pass exactly one of --socket PATH or --tcp ADDR".into()),
+        _ => Err(args.usage("pass exactly one of --socket PATH or --tcp ADDR")),
     }
 }
 
@@ -1960,17 +1302,8 @@ fn fetch_with<S: std::io::Read + std::io::Write>(
         .into());
     }
     client.shutdown()?;
-    let machine = match isa {
-        Isa::Mips => Machine::Mips,
-        Isa::X86 => Machine::I386,
-    };
-    let mut elf = ElfImage::new_executable(machine, class, endianness, text);
-    elf.entry = entry;
-    std::fs::write(output, elf.to_bytes())?;
-    println!(
-        "fetched {} blocks ({} bytes of text) into {output}",
-        manifest.blocks,
-        elf.text().expect("text").len()
-    );
+    let len = text.len();
+    write_elf(output, isa, class, endianness, entry, text)?;
+    println!("fetched {} blocks ({len} bytes of text) into {output}", manifest.blocks);
     Ok(())
 }

@@ -64,7 +64,7 @@ pub fn reset() {
 /// Renders the `--metrics` artifact for a CLI `command`:
 ///
 /// ```json
-/// {"version":1,"command":"bench","obs_enabled":true,"metrics":[...]}
+/// {"version":1,"command":"compress","obs_enabled":true,"metrics":[...]}
 /// ```
 ///
 /// The `metrics` array is [`JsonSink`] output — one object per

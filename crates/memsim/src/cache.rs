@@ -10,9 +10,8 @@
 //!   runs.
 //! * [`Cache::access_reference`] — the retained pre-flattening walk:
 //!   per-set `Vec<Option<(tag, last_use)>>` storage addressed with `/`
-//!   and `%`, kept verbatim so the differential tests (and the
-//!   `BENCH_memsim.json` kernel leg) can prove the fast kernel
-//!   access-for-access identical and honestly measure the speedup.
+//!   and `%`, kept verbatim so the differential tests can prove the fast
+//!   kernel access-for-access identical.
 //!
 //! A single `Cache` instance must be driven through exactly one of the
 //! two kernels: each maintains its own storage (the reference's nested

@@ -14,8 +14,8 @@
 //! and every cell simulates a fresh [`MemorySystem`] from a shared
 //! immutable image, so a sweep's output is deterministic and
 //! worker-count invariant by construction.  `scripts/ci.sh` pins this:
-//! the `BENCH_memsim.json` artifact must be byte-identical across
-//! `--workers 1/2/8`.
+//! the `cce sweep` artifact carries no timing and must be byte-identical
+//! across `--workers 1/2/8`.
 
 use crate::cache::CacheConfig;
 use crate::lat::LineAddressTable;

@@ -19,26 +19,6 @@ cargo test -q --workspace
 echo "== fuzz smoke (fixed seed) =="
 cargo run --release -q -p cce-core --bin cce -- fuzz --algo all --cases 512 --seed 7
 
-echo "== bench smoke + metrics artifact (fixed seed) =="
-# `cce bench` writes BENCH_pipeline.json into its working directory, so
-# it runs from a scratch directory rather than over the committed file.
-metrics_file="$PWD/target/ci-metrics.json"
-mkdir -p target/ci-bench
-(cd target/ci-bench && cargo run --release -q -p cce-core --bin cce -- bench --scale 0.05 --metrics "$metrics_file")
-python3 -m json.tool "$metrics_file" > /dev/null   # artifact must be valid JSON
-grep -q '"obs_enabled":true' "$metrics_file"       # default build records metrics
-# The bench pipeline leg writes its own artifact; it must be valid JSON
-# whose peak queue depth respects the pipeline's bounded-memory contract.
-python3 - <<'EOF'
-import json
-with open("target/ci-bench/BENCH_pipeline.json") as f:
-    bench = json.load(f)
-assert bench["benchmark"] == "pipeline", bench
-assert bench["blocks"] > 0 and bench["bytes_in"] >= 4 * 1024 * 1024, bench
-assert bench["mb_per_s"] > 0, bench
-assert bench["peak_queue"] <= bench["queue_limit"] == 2 * bench["workers"], bench
-EOF
-
 echo "== pipeline smoke (stream-compress a multi-MB ELF, decode to equality) =="
 # A ~4.2 MB generated workload goes through `compress --elf` (streaming,
 # bounded queue) and back through `decompress`; the rebuilt ELF's .text
@@ -95,10 +75,11 @@ echo "== optimizer perf smoke (fixed seed, pinned division) =="
 # reference implementation and to its recorded output.  The hash pins the
 # division returned at the default seeds; if the search is deliberately
 # changed (new kernels, different RNG draws), re-record it by running
-# `cce bench --optimizer`, reading division_hash from BENCH_optimizer.json,
-# and updating the constant below in the same commit.
+# `cargo run --release -p cce-bench --bin bench_optimizer`, reading
+# division_hash from BENCH_optimizer.json, and updating the constant below
+# in the same commit.
 optimizer_file="target/ci-optimizer.json"
-cargo run --release -q -p cce-core --bin cce -- bench --optimizer -o "$optimizer_file"
+cargo run --release -q -p cce-bench --bin bench_optimizer -- -o "$optimizer_file"
 python3 -m json.tool "$optimizer_file" > /dev/null  # artifact must be valid JSON
 grep -q '"matches_reference":true' "$optimizer_file"
 grep -q '"division_hash":"49bc0a2a57dccd29"' "$optimizer_file"
@@ -112,29 +93,13 @@ grep -q '"cold_division_hash":"49bc0a2a57dccd29"' "$optimizer_file"
 # JSON artifacts terminate with a newline (regression: tail -c1 was '}').
 test "$(tail -c1 "$optimizer_file")" = ""
 
-echo "== decode smoke (rANS vs arith throughput, ratio band) =="
-# The interleaved-rANS decode bench on the same fixed-seed suite: the
-# artifact must be valid JSON, every rANS lane width must land within
-# ±2% of the arithmetic coder's compressed size on both ISAs, and the
-# report must carry the 4-way speedup the acceptance gate tracks.  The
-# byte-exactness of the streams themselves is pinned offline by the
-# golden-vector and differential tests that already ran under
-# `cargo test` above.
-decode_file="target/ci-decode.json"
-cargo run --release -q -p cce-core --bin cce -- bench --decode --scale 0.5 -o "$decode_file"
-python3 -m json.tool "$decode_file" > /dev/null    # artifact must be valid JSON
-grep -q '"matches_arith_ratio_band":true' "$decode_file"
-grep -q '"speedup_4way":' "$decode_file"
-test "$(tail -c1 "$decode_file")" = ""
-
-echo "== sweep smoke (fixed-seed grid, worker invariance, kernel leg) =="
+echo "== sweep smoke (fixed-seed grid, worker invariance) =="
 # The memory-system design-space sweep: the default fixed-seed grid must
 # expand to >= 200 cells, the artifact must be valid JSON with every
 # required per-cell field, and — because each cell is a pure function of
-# the shared compressed images and the one decoded trace — the plain
-# artifact must be byte-identical for any worker count.  The --bench
-# kernel leg must prove the fast kernel report-identical to the retained
-# reference walk before it times anything.
+# the shared compressed images and the one decoded trace, and the
+# artifact carries no timing — it must be byte-identical for any worker
+# count.
 sweep_file="target/ci-sweep.json"
 cargo run --release -q -p cce-core --bin cce -- sweep --scale 0.05 --fetches 60000 --workers 1 -o "$sweep_file"
 python3 - "$sweep_file" <<'EOF'
@@ -153,7 +118,6 @@ for cell in sweep["cells"]:
         assert field in cell, f"cell missing {field}: {cell}"
     assert cell["cpf"] >= 1.0 and cell["slowdown"] >= 1.0, cell
 assert isinstance(summary["arith_rans_delta"], float), summary
-assert sweep["kernel"] is None, "plain sweep must not carry timing data"
 print(f"sweep smoke: {summary['cells']} cells over {summary['images']} images")
 EOF
 test "$(tail -c1 "$sweep_file")" = ""
@@ -162,18 +126,13 @@ for w in 2 8; do
     cargo run --release -q -p cce-core --bin cce -- sweep --scale 0.05 --fetches 60000 --workers "$w" -o "$sweep_file.w$w"
     cmp "$sweep_file" "$sweep_file.w$w"
 done
-# Kernel leg: fast kernel must land on the reference walk's exact report.
-cargo run --release -q -p cce-core --bin cce -- sweep --bench --scale 0.05 --fetches 60000 -o "$sweep_file.bench"
-grep -q '"matches_reference":true' "$sweep_file.bench"
-grep -q '"speedup":' "$sweep_file.bench"
-test "$(tail -c1 "$sweep_file.bench")" = ""
 
 echo "== model-cache smoke (cold miss, then disk hit, pinned division) =="
 cache_dir="target/ci-model-cache"
 cache_elf="target/ci-cache-go.elf"
 rm -rf "$cache_dir"
-# The exact `bench --optimizer` workload: "go" at scale 0.5, default
-# seed (0xDAC1998 = 229382552).
+# The exact `bench_optimizer` workload: "go" at scale 0.5, seed
+# 0xDAC1998 = 229382552.
 cargo run --release -q -p cce-core --bin cce -- gen go --scale 0.5 --seed 229382552 -o "$cache_elf"
 cold_out="$(cargo run --release -q -p cce-core --bin cce -- compress "$cache_elf" --model-cache "$cache_dir" -o target/ci-cache-cold.cce)"
 echo "$cold_out" | grep -q 'model cache: cold miss'
@@ -250,7 +209,6 @@ cargo fmt --all --check
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy -p cce-bench --all-targets --features timing -- -D warnings
 
 echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -202,39 +202,6 @@ fn bad_inputs_fail_cleanly() {
 }
 
 #[test]
-fn bench_optimizer_writes_pinned_artifact() {
-    let dir = temp_dir("bench-opt");
-    let artifact = dir.join("BENCH_optimizer.json");
-    let output = cce(&["bench", "--optimizer", "-o", artifact.to_str().expect("utf8")]);
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
-    let json = std::fs::read_to_string(&artifact).expect("artifact written");
-    // The incremental search must reproduce the reference implementation;
-    // the division hash is the same one scripts/ci.sh pins (float results
-    // are identical across debug/release, so the pin holds here too).
-    for needle in [
-        "\"benchmark\":\"optimizer\"",
-        "\"matches_reference\":true",
-        "\"division_hash\":\"49bc0a2a57dccd29\"",
-        "\"multi_restart\":",
-        // Model-cache leg: the warm pass must be all exact-key hits that
-        // reproduce the cold images, and the cold "go" search lands on
-        // the same pinned division as the top-level search.
-        "\"model_cache\":",
-        "\"cold_sources\":[\"cold miss\",\"warm miss\",\"warm miss\"]",
-        "\"warm_hits\":3",
-        "\"warm_matches_cold\":true",
-        "\"cold_division_hash\":\"49bc0a2a57dccd29\"",
-        "\"warm_speedup\":",
-    ] {
-        assert!(json.contains(needle), "missing {needle} in:\n{json}");
-    }
-    // JSON artifacts are text files; POSIX tooling expects the final
-    // newline the reporter once dropped.
-    assert!(json.ends_with('\n'), "artifact must end with a newline");
-    assert!(!json[..json.len() - 1].contains('\n'), "artifact is a single JSON line");
-}
-
-#[test]
 fn gen_writes_deterministic_workload_elf() {
     let dir = temp_dir("gen");
     let first = dir.join("a.elf");
@@ -351,5 +318,82 @@ fn analyze_prints_entropy_diagnostics() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     for needle in ["byte entropy", "opcode entropy", "field-coder bound"] {
         assert!(stdout.contains(needle), "missing {needle}:\n{stdout}");
+    }
+}
+
+#[test]
+fn flags_from_other_commands_are_usage_errors() {
+    let dir = temp_dir("foreign-flags");
+    let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
+    let elf = elf_path.to_str().expect("utf8");
+    let out = dir.join("out.cce");
+    let out = out.to_str().expect("utf8");
+    // Each command with a flag only some other command accepts: the
+    // parser must refuse it rather than act on it or read it as a path.
+    let cases: &[(&[&str], &str)] = &[
+        (&["ratio", "-n", "64", elf], "-n"),
+        (&["compress", elf, "--cases", "3", "--fetches", "9", "-o", out], "--cases"),
+        (&["decompress", out, "--json", "-o", out], "--json"),
+        (&["info", out, "--chunk-size", "9"], "--chunk-size"),
+        (&["gen", "go", "--model-cache", "x", "-o", out], "--model-cache"),
+        (&["stats", "--bogus"], "--bogus"),
+        (&["analyze", elf, "--scale", "2"], "--scale"),
+        (&["disasm", elf, "-b", "3"], "-b"),
+        (&["fuzz", "--socket", "x"], "--socket"),
+        (&["sweep", "--elf", elf], "--elf"),
+        (&["publish", out, "--timeout-ms", "9", "-o", out], "--timeout-ms"),
+        (&["verify", out, "--cache", "3"], "--cache"),
+        (&["serve", out, "--algos", "samc", "--socket", out], "--algos"),
+        (&["fetch", "--workers", "2", "--socket", out, "-o", out], "--workers"),
+    ];
+    for (args, flag) in cases {
+        let output = cce(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(&format!("usage: cce {} ", args[0])), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+    assert!(!std::path::Path::new(out).exists(), "a refused command wrote its output");
+}
+
+#[test]
+fn serve_rejects_a_zero_timeout() {
+    // A zero deadline would answer every cache miss `Timeout`; the parser
+    // refuses it before the artifact is even opened.
+    let output = cce(&["serve", "no-such-dir", "--socket", "no.sock", "--timeout-ms", "0"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("timeout must be positive"), "{stderr}");
+    assert!(stderr.contains("usage: cce serve "), "{stderr}");
+}
+
+#[test]
+fn metrics_artifacts_are_written_for_compress_and_info() {
+    use cce_core::serve::json::{parse, Json};
+    let dir = temp_dir("metrics");
+    let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
+    let [elf, cce_path, metrics] =
+        [elf_path, dir.join("out.cce"), dir.join("metrics.json")].map(|p| p.display().to_string());
+    for args in [vec!["compress", &elf, "-o", &cce_path], vec!["info", &cce_path]] {
+        let output = cce(&[&args[..], &["--metrics", &metrics]].concat());
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+
+        let text = std::fs::read_to_string(&metrics).expect("metrics written");
+        assert!(text.ends_with('\n'), "{}: artifact must end with a newline", args[0]);
+        assert!(text.contains("\"obs_enabled\":true"), "{text}");
+        let json = parse(text.as_bytes()).expect("metrics artifact is valid JSON");
+        let root = json.as_obj().expect("artifact is an object");
+        assert_eq!(root["command"].as_str(), Some(args[0]), "{text}");
+        if args[0] == "compress" {
+            let blocks = root["metrics"]
+                .as_arr()
+                .expect("metrics array")
+                .iter()
+                .filter_map(Json::as_obj)
+                .find(|m| m["name"].as_str() == Some("pipeline.blocks"))
+                .and_then(|m| m["value"].as_u64());
+            assert!(blocks > Some(0), "{text}");
+        }
     }
 }

@@ -96,9 +96,19 @@ fn fast_kernel_matches_reference_on_a_real_image_under_both_decoders() {
         program.text.len(),
         &TraceConfig { fetches: 40_000, ..TraceConfig::default() },
     );
+    let lat = || LineAddressTable::from_block_sizes(sizes.iter().copied());
+    // The widest sets in the smallest cache of the sweep grid (1 KiB,
+    // 4-way) carry the most conflict pressure, where the set walk the
+    // flat kernel replaces is at its largest.
+    let conflict = CacheConfig { size_bytes: 1024, block_size: 32, associativity: 4 };
     for decoder in [DecoderLatency::nibble(), DecoderLatency::rans(4)] {
         let costs = CostModel { decoder, ..CostModel::default() };
-        let lat = || LineAddressTable::from_block_sizes(sizes.iter().copied());
+        let mut fast = MemorySystem::compressed(conflict, costs, lat(), 8);
+        let mut reference = MemorySystem::compressed(conflict, costs, lat(), 8);
+        let report = fast.run(&trace);
+        assert_eq!(report, reference.run_reference(&trace), "1 KiB 4-way, decoder {decoder:?}");
+        assert!(report.cache.misses > 0, "trace must exercise refills");
+
         let mut fast = MemorySystem::compressed(cache_config(2048), costs, lat(), 32);
         let mut reference = MemorySystem::compressed(cache_config(2048), costs, lat(), 32);
         let report = fast.run(&trace);

@@ -162,8 +162,10 @@ pub type ShardJob = Box<dyn FnOnce() + Send + 'static>;
 /// blocks when that queue is full, which is the backpressure story
 /// for the serving tier.
 ///
-/// Dropping the pool closes the queues and joins every worker, so
-/// in-flight jobs finish before the owner's state is torn down.
+/// A job that panics is caught on its worker, so one bad job never
+/// takes its shard down.  Dropping the pool closes the queues and joins
+/// every worker, so in-flight jobs finish before the owner's state is
+/// torn down.
 pub struct ShardPool {
     senders: Vec<std::sync::mpsc::SyncSender<ShardJob>>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -185,7 +187,11 @@ impl ShardPool {
                     .name(format!("cce-shard-{shard}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
-                            job();
+                            // A panicking job loses only its own work
+                            // (whatever it owned, e.g. its reply
+                            // channel, is dropped); the shard keeps
+                            // receiving.
+                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                         }
                     })
                     .expect("spawn shard worker"),
@@ -305,5 +311,15 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         pool.submit(usize::MAX, Box::new(move || tx.send(42u8).unwrap()));
         assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 42);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_shard_serving() {
+        let pool = ShardPool::new(1, 1);
+        let (tx, rx) = std::sync::mpsc::channel::<u8>();
+        let doomed = tx.clone();
+        pool.submit(0, Box::new(move || panic!("job failed while holding {doomed:?}")));
+        pool.submit(0, Box::new(move || tx.send(7).unwrap()));
+        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 7);
     }
 }

@@ -7,8 +7,9 @@
 //! artifact are deterministic and diff cleanly.
 //!
 //! The naming scheme, the overhead policy, and the full list of
-//! registered names live in DESIGN.md §7 — CI checks that every name
-//! returned by [`descriptors`] is documented there.
+//! registered names live in DESIGN.md §7 — a test checks that every name
+//! returned by [`descriptors`] is documented there, and that every name
+//! documented there is registered.
 
 pub use cce_obs::{
     json_string, Desc, HitMiss, JsonSink, Kind, MetricsSink, Sample, SampleValue, Snapshot,
@@ -20,8 +21,9 @@ pub const METRICS_FORMAT_VERSION: u32 = 1;
 
 /// Every metric descriptor registered across the workspace, in a stable
 /// order: arith, samc, sadc, huffman, lz, codec, memsim, the streaming
-/// pipeline, the serving tier, the rANS backend, then the memsim sweep
-/// driver (each new family is appended last so
+/// pipeline, the serving tier, the rANS backend, the memsim sweep
+/// driver, then the serving tier's verified-chunk cache (each new
+/// family is appended last so
 /// the artifact order of every earlier metric is unchanged — the
 /// registry is append-only).
 pub fn descriptors() -> Vec<Desc> {
@@ -37,6 +39,7 @@ pub fn descriptors() -> Vec<Desc> {
     all.extend(cce_serve::obs::descriptors());
     all.extend(cce_rans::obs::descriptors());
     all.extend(cce_memsim::obs::sweep_descriptors());
+    all.extend(cce_serve::obs::chunk_descriptors());
     all
 }
 
@@ -100,6 +103,24 @@ mod tests {
             );
             assert!(!d.help.is_empty(), "{} has no help text", d.name);
         }
+    }
+
+    #[test]
+    fn design_section_7_documents_exactly_the_registered_metrics() {
+        use std::collections::BTreeSet;
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("\n## 7. ").expect("DESIGN.md has a section 7");
+        let section = &design[start..];
+        let section = &section[..section.find("\n## 8. ").expect("section 8 follows")];
+        let documented: BTreeSet<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split_once("` |").map(|(name, _)| name))
+            .collect();
+        let registered: BTreeSet<&str> = descriptors().iter().map(|d| d.name).collect();
+        let undocumented: Vec<_> = registered.difference(&documented).collect();
+        let unregistered: Vec<_> = documented.difference(&registered).collect();
+        assert!(undocumented.is_empty(), "registered but not in DESIGN.md §7: {undocumented:?}");
+        assert!(unregistered.is_empty(), "in DESIGN.md §7 but not registered: {unregistered:?}");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   directory: fixed-width chunk files named by index, a versioned
 //!   JSON [`Manifest`] with per-chunk SHA-256 digests (in-tree
 //!   [`sha256`]), and defensive caps on every length a peer declares.
-//! - [`Artifact`] — the read side; every block fetch re-hashes its
-//!   containing chunk, so corruption surfaces as a typed error naming
-//!   the chunk, never as garbage handed to a codec.
+//! - [`Artifact`] — the read side; the first fetch from a chunk reads
+//!   it and checks its SHA-256, and only verified chunks are cached
+//!   (byte-bounded) for later fetches, so corruption surfaces as a
+//!   typed error naming the chunk, never as garbage handed to a codec.
 //! - [`Server`] / [`Client`] — the daemon and its reference client:
 //!   one thread per connection (capped, answering `Busy` beyond the
 //!   cap) that answers decoded-block LRU hits itself and hands misses

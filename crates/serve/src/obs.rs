@@ -1,9 +1,10 @@
 //! Preregistered metric handles for the serving tier.
 //!
 //! Names follow the workspace `crate.component.event` scheme and are
-//! documented in DESIGN.md §7 (CI checks the table).  The aggregated
-//! registry appends these *after* every existing family — the artifact
-//! order is append-only by policy.
+//! documented in DESIGN.md §7 (a `cce-core` test checks the table).
+//! The aggregated registry appends these *after* every existing family,
+//! and [`chunk_descriptors`] after every later one — the artifact order
+//! is append-only by policy.
 
 use cce_obs::{Counter, Desc, Histogram};
 
@@ -21,7 +22,12 @@ pub static SERVE_CACHE_HITS: Counter = Counter::new();
 /// Decoded-block LRU cache misses.
 pub static SERVE_CACHE_MISSES: Counter = Counter::new();
 
-/// Descriptors for every metric this crate registers.
+/// Chunks read from disk and verified by an artifact.
+pub static SERVE_CHUNK_LOADS: Counter = Counter::new();
+/// Block reads served from an artifact's verified-chunk cache.
+pub static SERVE_CHUNK_HITS: Counter = Counter::new();
+
+/// Descriptors for the daemon's request and decoded-block metrics.
 pub fn descriptors() -> [Desc; 6] {
     [
         Desc::counter("serve.requests", "requests answered by the serving daemon", &SERVE_REQUESTS),
@@ -37,13 +43,30 @@ pub fn descriptors() -> [Desc; 6] {
     ]
 }
 
+/// Descriptors for the verified-chunk cache, a family registered after
+/// the sweep metrics.
+pub fn chunk_descriptors() -> [Desc; 2] {
+    [
+        Desc::counter(
+            "serve.chunk.loads",
+            "chunks read from disk and verified",
+            &SERVE_CHUNK_LOADS,
+        ),
+        Desc::counter(
+            "serve.chunk.hits",
+            "block reads served from a verified-chunk cache",
+            &SERVE_CHUNK_HITS,
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn descriptor_names_follow_the_scheme() {
-        for d in descriptors() {
+        for d in descriptors().into_iter().chain(chunk_descriptors()) {
             assert!(d.name.starts_with("serve."), "{}", d.name);
             assert!(
                 d.name.chars().all(|c| c.is_ascii_lowercase() || c == '.' || c == '_'),

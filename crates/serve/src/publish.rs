@@ -231,17 +231,62 @@ impl Publisher {
 }
 
 /// Reads a file that the manifest claims is `expect_len` bytes,
-/// refusing anything larger (no unbounded reads from disk).
+/// refusing anything larger (no unbounded reads from disk).  The length
+/// is checked again after the read, so a file that changes in between
+/// is refused too.
 fn read_exact_len(path: &Path, what: &str, expect_len: u64) -> Result<Vec<u8>, ServeError> {
+    let check = |len: u64| {
+        if len == expect_len {
+            Ok(())
+        } else {
+            Err(ServeError::corrupt(
+                what,
+                format!("stored length {len} != manifest length {expect_len}"),
+            ))
+        }
+    };
     let meta = fs::metadata(path)
         .map_err(|e| ServeError::corrupt(what, format!("cannot stat {}: {e}", path.display())))?;
-    if meta.len() != expect_len {
-        return Err(ServeError::corrupt(
-            what,
-            format!("stored length {} != manifest length {expect_len}", meta.len()),
-        ));
+    check(meta.len())?;
+    let bytes = fs::read(path)?;
+    check(bytes.len() as u64)?;
+    Ok(bytes)
+}
+
+/// Reads `<dir>/<file>` and checks it against its manifest `section`:
+/// its length, then its SHA-256.
+pub(crate) fn read_section(
+    dir: &Path,
+    file: &str,
+    section: &SectionDigest,
+) -> Result<Vec<u8>, ServeError> {
+    let bytes = read_exact_len(&dir.join(file), file, section.len)?;
+    if sha256::digest(&bytes) != section.sha256 {
+        return Err(ServeError::corrupt(file, "sha-256 mismatch"));
     }
-    Ok(fs::read(path)?)
+    Ok(bytes)
+}
+
+/// Reads chunk file `index` of `manifest` and checks its length and
+/// SHA-256, so its bytes are exactly the ones published.
+///
+/// # Errors
+///
+/// [`ServeError::Corrupt`] naming the chunk on a length or digest
+/// mismatch, or when the file is missing.
+pub(crate) fn read_chunk(
+    dir: &Path,
+    manifest: &Manifest,
+    index: usize,
+) -> Result<Vec<u8>, ServeError> {
+    let chunk = &manifest.chunks[index];
+    let name = chunk_file_name(index);
+    let what = format!("chunk {name}");
+    let bytes = read_exact_len(&dir.join("chunks").join(&name), &what, chunk.compressed_len)?;
+    if sha256::digest(&bytes) != chunk.sha256 {
+        return Err(ServeError::corrupt(what, "sha-256 mismatch"));
+    }
+    Ok(bytes)
 }
 
 /// Reads and parses `<dir>/manifest.json` with the size cap applied.
@@ -286,49 +331,12 @@ pub struct VerifySummary {
 /// when a file cannot be read at all.
 pub fn verify_dir(dir: &Path) -> Result<VerifySummary, ServeError> {
     let (manifest, _) = read_manifest(dir)?;
-    let model = read_exact_len(&dir.join("model.bin"), "model.bin", manifest.model.len)?;
-    if sha256::digest(&model) != manifest.model.sha256 {
-        return Err(ServeError::corrupt("model.bin", "sha-256 mismatch"));
-    }
-    let index = read_exact_len(&dir.join("index.bin"), "index.bin", manifest.index.len)?;
-    if sha256::digest(&index) != manifest.index.sha256 {
-        return Err(ServeError::corrupt("index.bin", "sha-256 mismatch"));
-    }
-    // Cross-check the per-block index against the chunk table.
-    let entries = parse_index(&index, &manifest)?;
-    let mut block = 0usize;
-    let mut chunk_start = 0u64;
-    for (ci, chunk) in manifest.chunks.iter().enumerate() {
-        let mut clen = 0u64;
-        let mut ulen = 0u64;
-        for _ in 0..chunk.blocks {
-            let e = &entries[block];
-            if e.offset != chunk_start + clen {
-                return Err(ServeError::corrupt(
-                    "index.bin",
-                    format!("block {block} offset {} breaks dense layout", e.offset),
-                ));
-            }
-            clen += e.compressed_len as u64;
-            ulen += e.uncompressed_len as u64;
-            block += 1;
-        }
-        if clen != chunk.compressed_len || ulen != chunk.uncompressed_len {
-            return Err(ServeError::corrupt(
-                format!("chunk {}", chunk_file_name(ci)),
-                format!("index sums ({clen}, {ulen}) disagree with the manifest"),
-            ));
-        }
-        chunk_start += chunk.compressed_len;
-    }
-    // Re-hash every chunk file.
-    for (ci, chunk) in manifest.chunks.iter().enumerate() {
-        let name = chunk_file_name(ci);
-        let path = dir.join("chunks").join(&name);
-        let bytes = read_exact_len(&path, &format!("chunk {name}"), chunk.compressed_len)?;
-        if sha256::digest(&bytes) != chunk.sha256 {
-            return Err(ServeError::corrupt(format!("chunk {name}"), "sha-256 mismatch"));
-        }
+    read_section(dir, "model.bin", &manifest.model)?;
+    let index = read_section(dir, "index.bin", &manifest.index)?;
+    // Cross-checks the per-block index against the chunk table.
+    parse_index(&index, &manifest)?;
+    for ci in 0..manifest.chunks.len() {
+        read_chunk(dir, &manifest, ci)?;
     }
     Ok(VerifySummary {
         blocks: manifest.blocks,
@@ -349,14 +357,21 @@ pub struct IndexEntry {
     pub uncompressed_len: u32,
 }
 
-/// Decodes `index.bin` and validates each entry against the manifest
-/// geometry (dense offsets are checked by the caller per chunk).
+/// Decodes `index.bin` and validates each entry against the
+/// (validated) manifest's geometry: every block fits the block caps,
+/// and each chunk's blocks tile its byte range densely, in order, so a
+/// block sliced out of its chunk at `offset - chunk start` never leaves
+/// the chunk.
 ///
 /// # Errors
 ///
-/// [`ServeError::Corrupt`] on a length mismatch or an entry that
-/// exceeds the block caps.
-pub fn parse_index(index: &[u8], manifest: &Manifest) -> Result<Vec<IndexEntry>, ServeError> {
+/// [`ServeError::Corrupt`] naming `index.bin` on a length mismatch, an
+/// entry that exceeds the block caps, or an entry outside the dense
+/// layout of its chunk.
+pub(crate) fn parse_index(
+    index: &[u8],
+    manifest: &Manifest,
+) -> Result<Vec<IndexEntry>, ServeError> {
     if index.len() as u64 != manifest.blocks * 16 {
         return Err(ServeError::corrupt(
             "index.bin",
@@ -375,13 +390,33 @@ pub fn parse_index(index: &[u8], manifest: &Manifest) -> Result<Vec<IndexEntry>,
                 format!("block {i} uncompressed length {uncompressed_len} exceeds the cap"),
             ));
         }
-        if offset.saturating_add(compressed_len as u64) > manifest.data_len {
+        entries.push(IndexEntry { offset, compressed_len, uncompressed_len });
+    }
+    // The validated manifest's chunks cover `[0, blocks)` in order.
+    let mut chunk_start = 0u64;
+    for (ci, chunk) in manifest.chunks.iter().enumerate() {
+        let (mut clen, mut ulen) = (0u64, 0u64);
+        let first = chunk.first_block as usize;
+        for (block, e) in entries[first..first + chunk.blocks as usize].iter().enumerate() {
+            if e.offset != chunk_start + clen {
+                return Err(ServeError::corrupt(
+                    "index.bin",
+                    format!("block {} offset {} breaks dense layout", first + block, e.offset),
+                ));
+            }
+            clen += e.compressed_len as u64;
+            ulen += e.uncompressed_len as u64;
+        }
+        if clen != chunk.compressed_len || ulen != chunk.uncompressed_len {
             return Err(ServeError::corrupt(
                 "index.bin",
-                format!("block {i} extends past the payload ({offset}+{compressed_len})"),
+                format!(
+                    "block sums ({clen}, {ulen}) disagree with chunk {} in the manifest",
+                    chunk_file_name(ci)
+                ),
             ));
         }
-        entries.push(IndexEntry { offset, compressed_len, uncompressed_len });
+        chunk_start += chunk.compressed_len;
     }
     Ok(entries)
 }

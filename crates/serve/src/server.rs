@@ -17,6 +17,11 @@
 //! * decoded-block LRU hits are answered on that thread; misses and
 //!   raw reads run on a [`ShardPool`] keyed by block index, so the
 //!   per-shard LRU needs no cross-shard coordination;
+//! * a miss reads its chunk through the artifact's verified-chunk
+//!   cache, so each chunk is read and SHA-256-checked once per daemon
+//!   (see [`store`](crate::store) for the integrity contract);
+//! * a job that panics answers its request with a typed error and
+//!   leaves its shard serving;
 //! * every request observes `request_timeout`; a stuck decode answers
 //!   `Timeout` while the daemon lives on.
 
@@ -69,7 +74,9 @@ impl Default for ServeConfig {
 }
 
 /// Always-on request accounting (the `stats` response), independent of
-/// the compile-time `obs` feature.
+/// the compile-time `obs` feature.  The verified-chunk counters in that
+/// response come from the [`Artifact`], which counts every chunk read,
+/// `get-block` and `decode-block` alike.
 #[derive(Debug, Default)]
 pub struct Stats {
     /// Requests answered (including error responses).
@@ -89,7 +96,7 @@ struct Shared {
     codec: Box<dyn BlockCodec>,
     config: ServeConfig,
     pool: ShardPool,
-    caches: Vec<Mutex<LruCache>>,
+    caches: Vec<Mutex<LruCache<Vec<u8>>>>,
     stats: Stats,
     shutdown: AtomicBool,
     /// Connection threads the accept loops have running, each holding
@@ -150,14 +157,19 @@ impl Server {
     /// The always-on stats as a JSON object (the `stats` payload).
     pub fn stats_json(&self) -> String {
         let s = &self.shared.stats;
+        let chunks = self.shared.artifact.chunk_stats();
         format!(
             "{{\"requests\":{},\"errors\":{},\"connections\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"blocks\":{},\"workers\":{}}}\n",
+             \"cache_misses\":{},\"chunk_loads\":{},\"chunk_hits\":{},\"chunk_bytes\":{},\
+             \"blocks\":{},\"workers\":{}}}\n",
             s.requests.load(Ordering::Relaxed),
             s.errors.load(Ordering::Relaxed),
             s.connections.load(Ordering::Relaxed),
             s.cache_hits.load(Ordering::Relaxed),
             s.cache_misses.load(Ordering::Relaxed),
+            chunks.loads,
+            chunks.hits,
+            chunks.resident_bytes,
             self.shared.artifact.block_count(),
             self.shared.pool.shards(),
         )
@@ -279,8 +291,9 @@ impl Server {
             Err(RecvTimeoutError::Timeout) => Err(ServeError::Timeout),
             Err(RecvTimeoutError::Disconnected) => {
                 // The worker dropped the sender without answering —
-                // only possible if the job panicked; surface it as a
-                // typed error, never as a dead daemon.
+                // only possible if the job panicked; the pool caught
+                // the panic and the shard serves on, so surface it as
+                // a typed error, never as a dead daemon.
                 Err(ServeError::corrupt(format!("block {block}"), "worker failed"))
             }
         }
@@ -289,7 +302,7 @@ impl Server {
 
 impl Shared {
     /// The decoded-block LRU of `block`'s shard, locked.
-    fn cache(&self, block: usize) -> MutexGuard<'_, LruCache> {
+    fn cache(&self, block: usize) -> MutexGuard<'_, LruCache<Vec<u8>>> {
         self.caches[block % self.caches.len()].lock().expect("cache lock")
     }
 }
@@ -320,7 +333,7 @@ fn decode_cached(shared: &Shared, block: usize) -> Result<Vec<u8>, ServeError> {
             format!("decoded {} bytes, index says {ulen}", decoded.len()),
         ));
     }
-    shared.cache(block).insert(block, decoded.clone());
+    shared.cache(block).insert(block, decoded.clone(), 1);
     Ok(decoded)
 }
 
@@ -574,6 +587,23 @@ mod tests {
         let misses = server.shared.stats.cache_misses.load(Ordering::Relaxed);
         assert_eq!(misses, 1, "first decode misses");
         assert_eq!(hits, 2, "repeats hit");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn two_decodes_in_one_chunk_load_it_once() {
+        let dir = temp_dir("chunk-once");
+        let blocks = publish_identity(&dir, 4);
+        let server = server_for(&dir, Duration::ZERO, ServeConfig::default());
+        let manifest = server.shared.artifact.manifest();
+        assert_eq!(manifest.chunk_for_block(0), manifest.chunk_for_block(1));
+        let mut client = connect(&server);
+        assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
+        assert_eq!(client.decode_block(1).unwrap(), blocks[1]);
+        let stats = client.stats().unwrap();
+        assert!(stats.contains("\"chunk_loads\":1,\"chunk_hits\":1,"), "{stats}");
+        let resident = manifest.chunks[0].compressed_len;
+        assert!(stats.contains(&format!("\"chunk_bytes\":{resident},")), "{stats}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,7 +7,9 @@
 //! corrupted chunk, a truncated chunk file, a truncated manifest, an
 //! oversized request frame, a mid-request client disconnect, an I/O
 //! error mid-stream, a client limping along on 1-byte reads, a
-//! truncated response, and a connection flood past the daemon's cap.
+//! truncated response, a connection flood past the daemon's cap, a
+//! chunk corrupted after the daemon verified and cached it, and a
+//! decode job that panics.
 
 use cce_serve::fault::{duplex, DuplexStream, Fault, FaultReader, FaultStream};
 use cce_serve::proto::{read_frame, Request, Status, MAX_RESPONSE_PAYLOAD};
@@ -98,6 +100,38 @@ fn corrupt_chunk(dir: &Path, index: usize) {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&path, bytes).unwrap();
+}
+
+/// Decodes like [`Identity`] but panics on blocks whose bytes start
+/// with `poison`.
+struct PanicsOn {
+    poison: u8,
+}
+
+impl cce_codec::BlockCodec for PanicsOn {
+    fn name(&self) -> &'static str {
+        "panics-on"
+    }
+    fn block_size(&self) -> usize {
+        64
+    }
+    fn model_bytes(&self) -> usize {
+        0
+    }
+    fn to_bytes(&self) -> Vec<u8> {
+        Vec::new()
+    }
+    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, cce_codec::CodecError> {
+        Ok(chunk.to_vec())
+    }
+    fn decompress_block(
+        &self,
+        block: &[u8],
+        _out_len: usize,
+    ) -> Result<Vec<u8>, cce_codec::CodecError> {
+        assert_ne!(block.first(), Some(&self.poison), "injected codec panic");
+        Ok(block.to_vec())
+    }
 }
 
 // Scenario 1: a flipped byte in a chunk file.
@@ -416,4 +450,53 @@ fn flood_past_the_cap<S: Read + Write>(
     let peak = peak.load(Ordering::SeqCst);
     assert_eq!(peak, MAX_CONNECTIONS, "live connections exceeded the cap");
     client.shutdown().unwrap();
+}
+
+// Scenario 10: a chunk corrupted on disk *after* the daemon verified
+// and cached it.  The daemon keeps serving the bytes that matched the
+// manifest when it loaded them, and `verify` reports the file on disk.
+#[test]
+fn chunk_corrupted_after_caching_keeps_serving_the_verified_bytes() {
+    let dir = temp_dir("corrupt-after-cache");
+    let blocks = publish_two_chunks(&dir);
+    let server = server_for(&dir);
+    let mut client = connect(&server);
+    // Warm chunk 0 (blocks 0 and 1) through block 0.
+    assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
+    corrupt_chunk(&dir, 0);
+    // Block 1 was never decoded, so both answers slice the verified
+    // copy of chunk 0, on this connection and on a fresh one.
+    assert_eq!(client.decode_block(1).unwrap(), blocks[1]);
+    assert_eq!(client.get_block(1).unwrap(), (blocks[1].clone(), blocks[1].len()));
+    let mut fresh = connect(&server);
+    assert_eq!(fresh.get_block(0).unwrap(), (blocks[0].clone(), blocks[0].len()));
+    let stats = fresh.stats().unwrap();
+    assert!(stats.contains("\"chunk_loads\":1,"), "{stats}");
+    let err = verify_dir(&dir).unwrap_err();
+    assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("chunk 00000000"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// Scenario 11: a decode job that panics.  Its request answers a typed
+// error, and the shard it ran on keeps decoding other blocks, for the
+// same connection and for a fresh one.
+#[test]
+fn a_panicking_decode_answers_a_typed_error_and_the_shard_serves_on() {
+    let dir = temp_dir("panicking-job");
+    let blocks = publish_two_chunks(&dir);
+    // One shard, so every block shares the shard the panic ran on.
+    let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let codec = Box::new(PanicsOn { poison: blocks[2][0] });
+    let server = Server::new(Artifact::open(&dir).unwrap(), codec, config);
+    let mut client = connect(&server);
+    let err = client.decode_block(2).unwrap_err();
+    assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("worker failed"), "{err}");
+    assert_eq!(client.decode_block(3).unwrap(), blocks[3]);
+    let mut fresh = connect(&server);
+    assert_eq!(fresh.decode_block(0).unwrap(), blocks[0]);
+    // The panicking block still answers an error, not a dead daemon.
+    assert!(matches!(fresh.decode_block(2), Err(ServeError::Corrupt { .. })));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

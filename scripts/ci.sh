@@ -146,26 +146,38 @@ echo "== serve smoke (publish, verify, daemon fetch, corruption) =="
 # A published artifact must verify clean, a daemon on a Unix socket must
 # serve a fetch whose rebuilt ELF is byte-identical to `decompress`, and
 # a single flipped chunk byte must fail `verify` with a non-zero exit
-# that names the chunk.
+# that names the chunk.  `fetch` decodes every block once, in order, so
+# a daemon that verifies each chunk once reports one chunk load per
+# chunk file in its `shutdown:` stats line.
 serve_elf="target/ci-serve.elf"
 serve_cce="target/ci-serve.cce"
 serve_dir="target/ci-serve-artifact"
 serve_sock="target/ci-serve.sock"
 serve_direct="target/ci-serve-direct.elf"
 serve_fetched="target/ci-serve-fetched.elf"
+serve_log="target/ci-serve.log"
 rm -rf "$serve_dir" "$serve_sock"
 cargo run --release -q -p cce-core --bin cce -- gen ijpeg --scale 0.5 --seed 7 -o "$serve_elf"
 cargo run --release -q -p cce-core --bin cce -- compress "$serve_elf" -a huffman -o "$serve_cce"
 cargo run --release -q -p cce-core --bin cce -- publish "$serve_cce" -o "$serve_dir" --chunk-size 4096
 cargo run --release -q -p cce-core --bin cce -- verify "$serve_dir"
 cargo run --release -q -p cce-core --bin cce -- decompress "$serve_cce" -o "$serve_direct"
-cargo run --release -q -p cce-core --bin cce -- serve "$serve_dir" --socket "$serve_sock" &
+cargo run --release -q -p cce-core --bin cce -- serve "$serve_dir" --socket "$serve_sock" >"$serve_log" &
 serve_pid=$!
 for _ in $(seq 1 100); do [ -S "$serve_sock" ] && break; sleep 0.1; done
 test -S "$serve_sock"
 cargo run --release -q -p cce-core --bin cce -- fetch --socket "$serve_sock" -o "$serve_fetched"
 wait "$serve_pid"   # fetch sends shutdown; the daemon must exit 0
 cmp "$serve_direct" "$serve_fetched"
+chunk_files="$(find "$serve_dir/chunks" -name '*.chunk' | wc -l)"
+python3 - "$serve_log" "$chunk_files" <<'EOF'
+import json, sys
+log, chunk_files = open(sys.argv[1]).read(), int(sys.argv[2])
+line = next(l for l in log.splitlines() if l.startswith("shutdown: "))
+stats = json.loads(line[len("shutdown: "):])
+assert stats["chunk_loads"] == chunk_files, (stats, chunk_files)
+print("serve smoke:", chunk_files, "chunk files, each loaded and verified once")
+EOF
 python3 - "$serve_dir/chunks/00000000.chunk" <<'EOF'
 import sys
 path = sys.argv[1]

@@ -11,9 +11,12 @@
 //! - [`FileCodec`] — the non-random-access baselines (`compress`, gzip).
 //! - [`CodecError`] — the single error type all of them surface, with
 //!   `Train`/`Corrupt`/`Unsupported`/`RoundTrip` classes.
-//! - [`parallel_map`] / [`compress_parallel`] — a deterministic scoped
-//!   worker pool (no external dependencies) whose merged output is
-//!   byte-identical to the serial path at any worker count.
+//! - [`parallel_map`] / [`compress_parallel`] / [`compress_verified`] —
+//!   a deterministic scoped worker pool (no external dependencies) and
+//!   the one whole-program compression path built on it: an ordered map
+//!   over the codec's block ranges, byte-identical to the serial path at
+//!   any worker count, optionally round-tripping every block in its
+//!   worker.
 //!
 //! # Examples
 //!
@@ -56,14 +59,11 @@ mod error;
 mod image;
 pub mod obs;
 mod par;
-pub mod pipeline;
 mod traits;
 
 pub use error::CodecError;
 pub use image::BlockImage;
-pub use par::{compress_parallel, parallel_map, worker_count, ShardJob, ShardPool};
-pub use pipeline::{
-    run_pipeline, BlockSink, BlockSource, Chunker, CompressedBlock, FixedChunker, PipelineConfig,
-    PipelineStats, ReadSource, SliceSource,
+pub use par::{
+    compress_parallel, compress_verified, parallel_map, worker_count, ShardJob, ShardPool,
 };
 pub use traits::{BlockCodec, FileCodec};

@@ -13,13 +13,9 @@ pub static PAR_STAGE_MICROS: Histogram = Histogram::new();
 /// Wall-clock time of whole `parallel_map` stages (claim to join).
 pub static PAR_STAGE_SPAN: SpanStat = SpanStat::new();
 
-/// High-water mark of the streaming pipeline's bounded input queue.
-pub static PIPELINE_QUEUE_DEPTH: Gauge = Gauge::new();
-/// Times the pipeline producer blocked on a full queue (backpressure).
-pub static PIPELINE_STALL: Counter = Counter::new();
-/// Blocks pushed through the streaming pipeline.
+/// Blocks compressed by whole-program compression.
 pub static PIPELINE_BLOCKS: Counter = Counter::new();
-/// Uncompressed bytes consumed by the streaming pipeline.
+/// Uncompressed bytes consumed by whole-program compression.
 pub static PIPELINE_BYTES: Counter = Counter::new();
 
 /// Descriptors for every metric this crate registers.
@@ -41,32 +37,24 @@ pub fn descriptors() -> [Desc; 5] {
     ]
 }
 
-/// Descriptors for the streaming-pipeline metrics.
+/// Descriptors for the whole-program compression metrics
+/// ([`compress_parallel`](crate::compress_parallel) and
+/// [`compress_verified`](crate::compress_verified)).
 ///
 /// Kept separate from [`descriptors`] so the aggregated artifact can
 /// append them at the end of the registry without reordering the
 /// metrics existing dashboards already index (the artifact order is
 /// append-only by policy).
-pub fn pipeline_descriptors() -> [Desc; 4] {
+pub fn pipeline_descriptors() -> [Desc; 2] {
     [
-        Desc::gauge(
-            "pipeline.queue.depth",
-            "peak depth of the streaming pipeline's bounded input queue",
-            &PIPELINE_QUEUE_DEPTH,
-        ),
-        Desc::counter(
-            "pipeline.stall",
-            "producer blocks on a full pipeline queue (backpressure events)",
-            &PIPELINE_STALL,
-        ),
         Desc::counter(
             "pipeline.blocks",
-            "blocks pushed through the streaming pipeline",
+            "blocks compressed by whole-program compression",
             &PIPELINE_BLOCKS,
         ),
         Desc::counter(
             "pipeline.bytes",
-            "uncompressed bytes consumed by the streaming pipeline",
+            "uncompressed bytes consumed by whole-program compression",
             &PIPELINE_BYTES,
         ),
     ]

@@ -1,4 +1,5 @@
-//! Deterministic scoped worker pool for the measurement pipeline.
+//! Deterministic scoped worker pool, the whole-program compression path
+//! built on it, and the long-lived [`ShardPool`] for daemons.
 //!
 //! Built on `std::thread::scope` only — no external dependencies, per the
 //! workspace's hermetic-build policy. Work items are claimed from a shared
@@ -6,6 +7,13 @@
 //! scattered back into position after the join, so the output order (and
 //! therefore every figure built from it) is byte-identical regardless of
 //! worker count or scheduling.
+//!
+//! Every block of a program is compressed on its own (that is what lets
+//! the refill engine decode any block through the LAT), so whole-program
+//! compression is one ordered [`parallel_map`] over
+//! [`block_ranges`](BlockCodec::block_ranges): [`compress_parallel`] and
+//! [`compress_verified`] differ only in whether each worker also
+//! round-trips its block.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -97,30 +105,13 @@ where
     }
 }
 
-/// A [`BlockSink`](crate::pipeline::BlockSink) accumulating an in-memory
-/// [`BlockImage`] — the landing pad for the buffer-oriented adapter.
-struct ImageSink {
-    blocks: Vec<Vec<u8>>,
-    block_uncompressed: Vec<usize>,
-}
-
-impl crate::pipeline::BlockSink for ImageSink {
-    fn accept(&mut self, block: crate::pipeline::CompressedBlock) -> Result<(), CodecError> {
-        debug_assert_eq!(block.index, self.blocks.len(), "pipeline emits in order");
-        self.block_uncompressed.push(block.uncompressed_len);
-        self.blocks.push(block.data);
-        Ok(())
-    }
-}
-
 /// Compresses `text` with `codec`, fanning blocks across `workers`
 /// threads.
 ///
-/// A thin adapter over [`run_pipeline`](crate::pipeline::run_pipeline):
-/// the block division comes from the same
+/// The block division comes from the same
 /// [`block_ranges`](BlockCodec::block_ranges) call as the serial path
-/// and the ordered sink collects results in index order, so the
-/// [`BlockImage`] is byte-identical to [`BlockCodec::compress`].
+/// and results are kept in block order, so the [`BlockImage`] is
+/// byte-identical to [`BlockCodec::compress`] at any worker count.
 ///
 /// # Errors
 ///
@@ -131,18 +122,54 @@ pub fn compress_parallel(
     text: &[u8],
     workers: usize,
 ) -> Result<BlockImage, CodecError> {
+    compress_blocks(codec, text, workers, false)
+}
+
+/// [`compress_parallel`] that also round-trips every block in its
+/// worker: each compressed block must decompress to exactly its chunk.
+///
+/// The blocks are contiguous and cover `text`, so this proves the same
+/// thing as decompressing the whole image and comparing it with `text`,
+/// without a second serial pass.
+///
+/// # Errors
+///
+/// As [`compress_parallel`], plus the lowest-indexed block's
+/// decompression failure or [`CodecError::RoundTrip`] when a block does
+/// not reproduce its chunk.
+pub fn compress_verified(
+    codec: &dyn BlockCodec,
+    text: &[u8],
+    workers: usize,
+) -> Result<BlockImage, CodecError> {
+    compress_blocks(codec, text, workers, true)
+}
+
+/// The one whole-program compression path: an ordered
+/// [`parallel_map`] over the codec's block ranges.
+fn compress_blocks(
+    codec: &dyn BlockCodec,
+    text: &[u8],
+    workers: usize,
+    verify: bool,
+) -> Result<BlockImage, CodecError> {
     let ranges = codec.block_ranges(text)?;
-    let block_count = ranges.len();
-    let mut source = crate::pipeline::SliceSource::new(text, ranges);
-    let mut sink = ImageSink {
-        blocks: Vec::with_capacity(block_count),
-        block_uncompressed: Vec::with_capacity(block_count),
-    };
-    let config = crate::pipeline::PipelineConfig::with_workers(workers.min(block_count.max(1)));
-    crate::pipeline::run_pipeline(codec, &mut source, &mut sink, &config)?;
+    crate::obs::PIPELINE_BLOCKS.add(ranges.len() as u64);
+    crate::obs::PIPELINE_BYTES.add(text.len() as u64);
+    let results = parallel_map(workers, &ranges, |_, range| {
+        let chunk = &text[range.clone()];
+        let block = codec.compress_chunk(chunk)?;
+        if verify && codec.decompress_block(&block, chunk.len())? != chunk {
+            return Err(CodecError::round_trip(codec.name()));
+        }
+        Ok(block)
+    });
+    // Collecting stops at the first `Err` in block order: the error the
+    // serial path reports, whatever order the workers finished in.
+    let blocks = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(BlockImage::new(
-        sink.blocks,
-        sink.block_uncompressed,
+        blocks,
+        ranges.iter().map(|range| range.len()).collect(),
         codec.block_size(),
         text.len(),
         codec.model_bytes(),
@@ -276,9 +303,77 @@ mod tests {
         let codec = Verbatim;
         let text: Vec<u8> = (0..=255).cycle().take(1000).collect();
         let serial = BlockCodec::compress(&codec, &text).unwrap();
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(compress_parallel(&codec, &text, workers).unwrap(), serial);
+            assert_eq!(compress_verified(&codec, &text, workers).unwrap(), serial);
+        }
+    }
+
+    /// A verbatim codec with 4-byte blocks that refuses any chunk holding
+    /// the byte `0xEE` and, when `lie` is set, decodes every block with
+    /// its first byte flipped.
+    struct Picky {
+        lie: bool,
+    }
+
+    impl BlockCodec for Picky {
+        fn name(&self) -> &'static str {
+            "picky"
+        }
+        fn block_size(&self) -> usize {
+            4
+        }
+        fn model_bytes(&self) -> usize {
+            0
+        }
+        fn to_bytes(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
+            match chunk.iter().position(|&b| b == 0xEE) {
+                Some(at) => Err(CodecError::train("picky", format!("poison byte at {at}"))),
+                None => Ok(chunk.to_vec()),
+            }
+        }
+        fn decompress_block(&self, block: &[u8], _out_len: usize) -> Result<Vec<u8>, CodecError> {
+            let mut out = block.to_vec();
+            if let (true, Some(b)) = (self.lie, out.first_mut()) {
+                *b ^= 1;
+            }
+            Ok(out)
+        }
+    }
+
+    #[test]
+    fn the_lowest_index_error_matches_serial_at_any_worker_count() {
+        let codec = Picky { lie: false };
+        // Poison two blocks (at different offsets within them, so their
+        // errors differ); the lower-indexed one must win at any worker
+        // count, matching what serial compression reports.
+        let mut text = vec![1u8; 400];
+        text[101] = 0xEE; // block 25
+        text[42] = 0xEE; // block 10
+        let serial_err = BlockCodec::compress(&codec, &text).unwrap_err();
+        assert_eq!(serial_err.to_string(), "picky: cannot train: poison byte at 2");
         for workers in [1, 2, 8] {
-            let parallel = compress_parallel(&codec, &text, workers).unwrap();
-            assert_eq!(parallel, serial);
+            for result in [
+                compress_parallel(&codec, &text, workers),
+                compress_verified(&codec, &text, workers),
+            ] {
+                assert_eq!(result.unwrap_err().to_string(), serial_err.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn compress_verified_catches_a_lying_codec() {
+        let codec = Picky { lie: true };
+        let text = vec![7u8; 64];
+        for workers in [1, 2] {
+            let err = compress_verified(&codec, &text, workers).unwrap_err();
+            assert!(matches!(err, CodecError::RoundTrip { .. }), "{err}");
+            // The unverified entry point takes the codec at its word.
+            assert!(compress_parallel(&codec, &text, workers).is_ok());
         }
     }
 

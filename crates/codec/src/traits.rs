@@ -56,19 +56,6 @@ pub trait BlockCodec: Send + Sync {
         Ok(ranges)
     }
 
-    /// An incremental chunker producing the same block boundaries as
-    /// [`block_ranges`](Self::block_ranges), for sources that never hold
-    /// the whole text.
-    ///
-    /// The default cuts fixed [`block_size`](Self::block_size) chunks
-    /// with a partial tail, mirroring the default `block_ranges`.
-    /// Codecs that override `block_ranges` (instruction-aligned x86
-    /// SADC) must override this too, or streaming and in-memory paths
-    /// would divide the text differently.
-    fn chunker(&self) -> Box<dyn crate::pipeline::Chunker + '_> {
-        Box::new(crate::pipeline::FixedChunker::new(self.block_size()))
-    }
-
     /// Compresses one uncompressed chunk into one compressed block.
     ///
     /// # Errors
@@ -89,8 +76,8 @@ pub trait BlockCodec: Send + Sync {
     ///
     /// Provided: divides `text` via [`block_ranges`](Self::block_ranges)
     /// and compresses each chunk independently, which is also what makes
-    /// the parallel pipeline's per-block fan-out trivially equivalent to
-    /// this serial path.
+    /// [`compress_parallel`](crate::compress_parallel)'s per-block
+    /// fan-out trivially equivalent to this serial path.
     ///
     /// # Errors
     ///

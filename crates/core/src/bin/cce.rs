@@ -7,11 +7,11 @@
 //! writes the observability artifact after the command succeeds.  Run
 //! `cce help` for the full synopsis.
 //!
-//! `compress` always streams: the text section flows from the ELF
-//! through the bounded block pipeline ([`cce_core::streaming`]) into an
-//! incrementally written, indexed **v2** container, so peak memory is
-//! the pipeline's reorder window — not the text size.  `decompress` and
-//! `info` read v2 containers only.  The `--elf` spelling of
+//! `compress` reads only the ELF's headers and text section
+//! ([`cce_core::streaming`]), compresses the text block by block across
+//! the worker pool, verifying every block in its worker, and writes an
+//! indexed **v2** container.  `decompress` and `info` read v2 containers
+//! only.  The `--elf` spelling of
 //! `compress`/`ratio` additionally prints per-section statistics of the
 //! input.
 //!
@@ -159,7 +159,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "compress",
         synopsis: "<in.elf> -o <out.cce>",
-        about: "stream an ELF's text into a v2 container",
+        about: "compress an ELF's text into a v2 container",
         flags: &[
             Flag::value("--algo", "ALGO", "samc|sadc|huffman|samc-rans (default samc)").short("-a"),
             BLOCK_SIZE,
@@ -477,8 +477,8 @@ fn cache_request(
 /// Buffered ELF load for the measurement-only commands (`ratio` in its
 /// positional form, `stats`, `analyze`, `disasm`): diagnostics want the
 /// whole text resident anyway, so the whole-file read is the honest
-/// cost.  Compression never comes through here — it streams section
-/// bytes through [`streaming::compress_elf`] instead.
+/// cost.  Compression never comes through here — it reads only the
+/// `.text` section through [`streaming::compress_elf`] instead.
 fn load_elf(path: &str) -> Result<(ElfImage, Isa), Box<dyn Error>> {
     let bytes = std::fs::read(path)?;
     let image = ElfImage::parse(&bytes)?;
@@ -530,10 +530,9 @@ fn ratio(args: &Args) -> Result<(), Box<dyn Error>> {
         if !args.positional.is_empty() {
             return Err(args.usage("pass the input either positionally or via --elf, not both"));
         }
-        // The streaming measurement path: section stats come from the
-        // walker's header pass; each block algorithm is then measured by
-        // streaming the text through the pipeline (training still buffers
-        // the section once — see [`streaming::measure_elf`]).
+        // Section stats come from the walker's header pass; each
+        // algorithm is then measured on the `.text` bytes alone (see
+        // [`streaming::measure_elf`]).
         let file = std::fs::File::open(path)?;
         let mut elf =
             ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
@@ -916,9 +915,9 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
         .into());
     }
 
-    // Training pass: model builders need full-text statistics, so the
-    // section is buffered exactly once and dropped before the streaming
-    // compression pass re-reads it block by block.
+    // Training pass: model builders need full-text statistics.  The
+    // buffer is dropped before `compress_elf` reads the section again,
+    // so the text is resident once at a time.
     let text = streaming::buffered_text(&mut elf)?;
     let codec: Box<dyn BlockCodec> = match args.value("--model-cache") {
         Some(dir) => {
@@ -948,7 +947,7 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
         print_section_stats(path, &streaming::section_stats(&elf));
     }
 
-    // Stream into a sibling temp file and rename on success, so a failed
+    // Write into a sibling temp file and rename on success, so a failed
     // run never leaves a truncated artifact at the destination.
     let tmp = format!("{output}.tmp");
     let workers = worker_count();
@@ -973,14 +972,7 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
         summary.ratio(),
         summary.total_len
     );
-    println!(
-        "  pipeline: {} blocks, peak queue {} (limit {}), {} stalls, {} workers",
-        report.stats.blocks,
-        report.stats.peak_queue,
-        2 * workers,
-        report.stats.stalls,
-        workers
-    );
+    println!("  pipeline: {} blocks, {} workers", report.stats.blocks, workers);
     Ok(())
 }
 

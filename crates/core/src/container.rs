@@ -7,9 +7,9 @@
 //!
 //! The layout (magic `CCE2`, all integers big-endian) is the paper's
 //! compressed memory image: the blocks plus a line address table.
-//! Blocks are appended raw as the pipeline drains (the writer is a
-//! [`BlockSink`]), and a per-block offset index lands *after* the data
-//! so the whole artifact is written in one forward pass.  A fixed-size
+//! Blocks are written raw in index order ([`write_image`]), and a
+//! per-block offset index lands *after* the data so the whole artifact
+//! is written in one forward pass.  A fixed-size
 //! footer points back at the index, so a reader seeks to any single
 //! block without touching the ones before it:
 //!
@@ -35,12 +35,11 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 
 use crate::registry::Algorithm;
-use cce_codec::pipeline::{BlockSink, CompressedBlock};
 use cce_codec::{BlockCodec, BlockImage, CodecError};
 use cce_elf::{Class, Endianness};
 use cce_isa::Isa;
 
-/// Magic number opening a v2 (streamed, indexed) `.cce` container.
+/// Magic number opening a v2 (indexed) `.cce` container.
 pub const CONTAINER_V2_MAGIC: &[u8; 4] = b"CCE2";
 
 /// Magic number closing the v2 footer.
@@ -132,21 +131,9 @@ impl ContainerIdentity {
     }
 }
 
-/// Bytes required by a line address table indexing `block_count` blocks
-/// of `data_len` total compressed bytes — the same sizing rule as
-/// [`BlockImage::lat_bytes`], shared so streamed and buffered artifacts
-/// report identical overheads.
-pub(crate) fn lat_bytes_for(block_count: usize, data_len: usize) -> usize {
-    if block_count == 0 {
-        return 0;
-    }
-    let entry_bits = usize::BITS - data_len.next_power_of_two().leading_zeros();
-    (block_count * entry_bits as usize).div_ceil(8)
-}
-
 /// Size accounting for a finished v2 container, mirroring
-/// [`BlockImage`]'s reporting so streamed and buffered measurements are
-/// directly comparable.
+/// [`BlockImage`]'s reporting so container and in-memory measurements
+/// are directly comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerSummary {
     /// Number of blocks written.
@@ -167,9 +154,14 @@ impl ContainerSummary {
         self.data_len as usize + self.model_bytes
     }
 
-    /// Bytes required by a line address table indexing every block.
+    /// Bytes required by a line address table indexing every block —
+    /// the same sizing rule as [`BlockImage::lat_bytes`].
     pub fn lat_bytes(&self) -> usize {
-        lat_bytes_for(self.blocks, self.data_len as usize)
+        if self.blocks == 0 {
+            return 0;
+        }
+        let entry_bits = usize::BITS - (self.data_len as usize).next_power_of_two().leading_zeros();
+        (self.blocks * entry_bits as usize).div_ceil(8)
     }
 
     /// Compression ratio (compressed including model / original).
@@ -183,147 +175,89 @@ impl ContainerSummary {
     }
 }
 
-/// Incremental v2 container writer: a [`BlockSink`] that appends each
-/// compressed block to the output as the pipeline drains, then seals the
-/// artifact with the offset index and footer on [`finish`].
+/// Writes `image` as a complete v2 container on `out` in one forward
+/// pass — header, codec model, blocks in index order, offset index,
+/// footer — and returns the size accounting.
 ///
-/// The writer only ever moves forward — it works on any [`Write`], a
-/// growing file or an in-memory counter alike — so peak memory is the
-/// index (16 bytes per block), not the artifact.
-///
-/// [`finish`]: ContainerWriter::finish
-#[derive(Debug)]
-pub struct ContainerWriter<W: Write> {
-    out: W,
-    index: Vec<(u64, u32, u32)>,
-    data_len: u64,
-    original_len: u64,
-    header_len: u64,
-    model_bytes: usize,
-}
-
-impl<W: Write> ContainerWriter<W> {
-    /// Writes the v2 header (identity, block size, model accounting,
-    /// codec model) and returns a sink ready to accept blocks.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Unsupported`] for a file-oriented algorithm (those
-    /// have no block stream to index) and [`CodecError::Corrupt`] when a
-    /// field exceeds its wire width or the underlying writer fails.
-    pub fn new(
-        mut out: W,
-        identity: ContainerIdentity,
-        block_size: usize,
-        model_bytes: usize,
-        codec_bytes: &[u8],
-    ) -> Result<Self, CodecError> {
-        if !identity.algorithm.random_access() {
-            return Err(CodecError::unsupported(
-                SELF,
-                "v2 containers hold random-access codecs only",
-            ));
-        }
-        let block_size = u32::try_from(block_size)
-            .ok()
-            .filter(|&b| b > 0 && b as usize <= BlockImage::MAX_BLOCK_SIZE)
-            .ok_or_else(|| CodecError::corrupt(SELF, "block size exceeds limit"))?;
-        let model = u32::try_from(model_bytes)
-            .map_err(|_| CodecError::corrupt(SELF, "model accounting exceeds u32"))?;
-        let codec_len = u32::try_from(codec_bytes.len())
-            .map_err(|_| CodecError::corrupt(SELF, "codec model exceeds u32"))?;
-        let mut header = Vec::with_capacity(V2_HEADER_LEN + codec_bytes.len());
-        header.extend_from_slice(CONTAINER_V2_MAGIC);
-        identity.encode(&mut header);
-        header.extend_from_slice(&block_size.to_be_bytes());
-        header.extend_from_slice(&model.to_be_bytes());
-        header.extend_from_slice(&codec_len.to_be_bytes());
-        header.extend_from_slice(codec_bytes);
-        out.write_all(&header).map_err(io_corrupt)?;
-        Ok(Self {
-            out,
-            index: Vec::new(),
-            data_len: 0,
-            original_len: 0,
-            header_len: header.len() as u64,
-            model_bytes,
-        })
-    }
-
-    /// Writes the offset index and footer, flushes, and returns the
-    /// size accounting.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Corrupt`] when the underlying writer fails.
-    pub fn finish(mut self) -> Result<ContainerSummary, CodecError> {
-        let index_offset = self.header_len + self.data_len;
-        let mut tail = Vec::with_capacity(self.index.len() * INDEX_ENTRY_LEN + V2_FOOTER_LEN);
-        for &(offset, compressed, uncompressed) in &self.index {
-            tail.extend_from_slice(&offset.to_be_bytes());
-            tail.extend_from_slice(&compressed.to_be_bytes());
-            tail.extend_from_slice(&uncompressed.to_be_bytes());
-        }
-        tail.extend_from_slice(&index_offset.to_be_bytes());
-        tail.extend_from_slice(&(self.index.len() as u64).to_be_bytes());
-        tail.extend_from_slice(&self.original_len.to_be_bytes());
-        tail.extend_from_slice(INDEX_MAGIC);
-        self.out.write_all(&tail).map_err(io_corrupt)?;
-        self.out.flush().map_err(io_corrupt)?;
-        Ok(ContainerSummary {
-            blocks: self.index.len(),
-            data_len: self.data_len,
-            original_len: self.original_len,
-            model_bytes: self.model_bytes,
-            total_len: index_offset + tail.len() as u64,
-        })
-    }
-}
-
-impl<W: Write> BlockSink for ContainerWriter<W> {
-    fn accept(&mut self, block: CompressedBlock) -> Result<(), CodecError> {
-        if block.index != self.index.len() {
-            return Err(CodecError::corrupt(SELF, "blocks arrived out of order"));
-        }
-        let compressed = u32::try_from(block.data.len())
-            .map_err(|_| CodecError::corrupt(SELF, "compressed block exceeds u32"))?;
-        let uncompressed = u32::try_from(block.uncompressed_len)
-            .map_err(|_| CodecError::corrupt(SELF, "uncompressed block exceeds u32"))?;
-        self.out.write_all(&block.data).map_err(io_corrupt)?;
-        self.index.push((self.data_len, compressed, uncompressed));
-        self.data_len += u64::from(compressed);
-        self.original_len += u64::from(uncompressed);
-        Ok(())
-    }
-}
-
-/// Encodes an in-memory [`BlockImage`] as a complete v2 container: the
-/// same bytes the streaming pipeline writes for the same blocks.
+/// `out` only ever moves forward, so it may be a growing file or an
+/// in-memory buffer alike.
 ///
 /// # Errors
 ///
-/// As [`ContainerWriter::new`] and [`BlockSink::accept`].
+/// [`CodecError::Unsupported`] for a file-oriented algorithm (those have
+/// no block stream to index) and [`CodecError::Corrupt`] when a field
+/// exceeds its wire width or the underlying writer fails.
+pub fn write_image<W: Write>(
+    mut out: W,
+    identity: ContainerIdentity,
+    codec_bytes: &[u8],
+    image: &BlockImage,
+) -> Result<ContainerSummary, CodecError> {
+    if !identity.algorithm.random_access() {
+        return Err(CodecError::unsupported(SELF, "v2 containers hold random-access codecs only"));
+    }
+    let block_size = u32::try_from(image.block_size())
+        .ok()
+        .filter(|&b| b > 0 && b as usize <= BlockImage::MAX_BLOCK_SIZE)
+        .ok_or_else(|| CodecError::corrupt(SELF, "block size exceeds limit"))?;
+    let model = u32::try_from(image.model_bytes())
+        .map_err(|_| CodecError::corrupt(SELF, "model accounting exceeds u32"))?;
+    let codec_len = u32::try_from(codec_bytes.len())
+        .map_err(|_| CodecError::corrupt(SELF, "codec model exceeds u32"))?;
+    let mut header = Vec::with_capacity(V2_HEADER_LEN + codec_bytes.len());
+    header.extend_from_slice(CONTAINER_V2_MAGIC);
+    identity.encode(&mut header);
+    header.extend_from_slice(&block_size.to_be_bytes());
+    header.extend_from_slice(&model.to_be_bytes());
+    header.extend_from_slice(&codec_len.to_be_bytes());
+    header.extend_from_slice(codec_bytes);
+    out.write_all(&header).map_err(io_corrupt)?;
+
+    let blocks = image.block_count();
+    let mut tail = Vec::with_capacity(blocks * INDEX_ENTRY_LEN + V2_FOOTER_LEN);
+    let mut data_len = 0u64;
+    for index in 0..blocks {
+        let block = image.block(index);
+        let compressed = u32::try_from(block.len())
+            .map_err(|_| CodecError::corrupt(SELF, "compressed block exceeds u32"))?;
+        let uncompressed = u32::try_from(image.block_uncompressed_len(index))
+            .map_err(|_| CodecError::corrupt(SELF, "uncompressed block exceeds u32"))?;
+        out.write_all(block).map_err(io_corrupt)?;
+        tail.extend_from_slice(&data_len.to_be_bytes());
+        tail.extend_from_slice(&compressed.to_be_bytes());
+        tail.extend_from_slice(&uncompressed.to_be_bytes());
+        data_len += u64::from(compressed);
+    }
+    let index_offset = header.len() as u64 + data_len;
+    let original_len = image.original_len() as u64;
+    tail.extend_from_slice(&index_offset.to_be_bytes());
+    tail.extend_from_slice(&(blocks as u64).to_be_bytes());
+    tail.extend_from_slice(&original_len.to_be_bytes());
+    tail.extend_from_slice(INDEX_MAGIC);
+    out.write_all(&tail).map_err(io_corrupt)?;
+    out.flush().map_err(io_corrupt)?;
+    Ok(ContainerSummary {
+        blocks,
+        data_len,
+        original_len,
+        model_bytes: image.model_bytes(),
+        total_len: index_offset + tail.len() as u64,
+    })
+}
+
+/// Encodes an in-memory [`BlockImage`] as a complete v2 container
+/// ([`write_image`] into a fresh buffer).
+///
+/// # Errors
+///
+/// As [`write_image`].
 pub fn encode_image(
     identity: ContainerIdentity,
     codec_bytes: &[u8],
     image: &BlockImage,
 ) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
-    let mut writer = ContainerWriter::new(
-        &mut out,
-        identity,
-        image.block_size(),
-        image.model_bytes(),
-        codec_bytes,
-    )?;
-    for index in 0..image.block_count() {
-        writer.accept(CompressedBlock {
-            index,
-            uncompressed_len: image.block_uncompressed_len(index),
-            data: image.block(index).to_vec(),
-        })?;
-    }
-    writer.finish()?;
+    write_image(&mut out, identity, codec_bytes, image)?;
     Ok(out)
 }
 
@@ -632,13 +566,15 @@ mod tests {
 
     #[test]
     fn v2_accounting_matches_block_image() {
-        // The streamed artifact must charge exactly what the buffered
-        // image charges, or the two measurement paths drift apart.
+        // The container must charge exactly what the in-memory image
+        // charges, or the two measurement paths drift apart.
         let image =
             BlockImage::new(vec![vec![1, 2, 3], vec![4], vec![]], vec![32, 32, 16], 32, 80, 7);
-        let bytes = encode_image(sample_identity(), &[9, 8, 7], &image).unwrap();
+        let mut bytes = Vec::new();
+        let written = write_image(&mut bytes, sample_identity(), &[9, 8, 7], &image).unwrap();
         let reader = ContainerV2Reader::open(Cursor::new(&bytes)).unwrap();
         let summary = reader.summary();
+        assert_eq!(written, summary);
         assert_eq!(summary.compressed_len(), image.compressed_len());
         assert_eq!(summary.lat_bytes(), image.lat_bytes());
         assert_eq!(summary.ratio(), image.ratio());
@@ -646,17 +582,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_writer_rejects_out_of_order_and_file_codecs() {
-        let mut out = Vec::new();
-        let mut writer = ContainerWriter::new(&mut out, sample_identity(), 32, 0, &[]).unwrap();
-        let err = writer
-            .accept(CompressedBlock { index: 5, uncompressed_len: 32, data: vec![1] })
-            .unwrap_err();
-        assert!(matches!(err, CodecError::Corrupt { .. }));
-
+    fn v2_writer_rejects_file_codecs() {
+        let image = BlockImage::new(vec![vec![1]], vec![32], 32, 32, 0);
         let mut identity = sample_identity();
         identity.algorithm = Algorithm::Gzip;
-        let err = ContainerWriter::new(Vec::new(), identity, 32, 0, &[]).unwrap_err();
+        let err = write_image(Vec::new(), identity, &[], &image).unwrap_err();
         assert!(matches!(err, CodecError::Unsupported { .. }));
     }
 

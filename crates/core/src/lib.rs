@@ -163,37 +163,31 @@ pub fn measure_with_workers(
     block_size: usize,
     workers: usize,
 ) -> Result<Measurement, CodecError> {
-    let (compressed_len, block_sizes, lat_bytes) =
-        match algorithm.build(isa, block_size).train(text)? {
-            CodecHandle::File(codec) => {
-                let compressed = codec.compress(text);
-                if codec.decompress(&compressed)? != text {
-                    return Err(CodecError::round_trip(codec.name()));
-                }
-                (compressed.len(), None, None)
+    match algorithm.build(isa, block_size).train(text)? {
+        CodecHandle::File(codec) => {
+            let compressed = codec.compress(text);
+            if codec.decompress(&compressed)? != text {
+                return Err(CodecError::round_trip(codec.name()));
             }
-            CodecHandle::Block(codec) => {
-                let image = cce_codec::compress_parallel(codec.as_ref(), text, workers)?;
-                if codec.decompress(&image)? != text {
-                    return Err(CodecError::round_trip(codec.name()));
-                }
-                let sizes: Vec<usize> = image.block_sizes().collect();
-                (image.compressed_len(), Some(sizes), Some(image.lat_bytes()))
-            }
-        };
-    Ok(Measurement {
-        algorithm,
-        isa,
-        original_len: text.len(),
-        compressed_len,
-        block_sizes,
-        lat_bytes,
-    })
+            Ok(Measurement {
+                algorithm,
+                isa,
+                original_len: text.len(),
+                compressed_len: compressed.len(),
+                block_sizes: None,
+                lat_bytes: None,
+            })
+        }
+        CodecHandle::Block(codec) => {
+            measure_trained_block_codec(algorithm, isa, text, codec.as_ref(), workers)
+        }
+    }
 }
 
 /// Measures an already-trained block codec over `text` — the model-cache
 /// path, where training (or a cache hit) happened elsewhere and only
-/// compression plus round-trip verification remain.
+/// compression plus round-trip verification remain.  Every block is
+/// verified in its worker ([`cce_codec::compress_verified`]).
 ///
 /// `algorithm`/`isa` label the measurement; the caller is responsible
 /// for the codec actually implementing that algorithm.
@@ -208,10 +202,7 @@ pub fn measure_trained_block_codec(
     codec: &dyn cce_codec::BlockCodec,
     workers: usize,
 ) -> Result<Measurement, CodecError> {
-    let image = cce_codec::compress_parallel(codec, text, workers)?;
-    if codec.decompress(&image)? != text {
-        return Err(CodecError::round_trip(codec.name()));
-    }
+    let image = cce_codec::compress_verified(codec, text, workers)?;
     let sizes: Vec<usize> = image.block_sizes().collect();
     Ok(Measurement {
         algorithm,

@@ -1,29 +1,24 @@
-//! Bounded-memory ELF → `.cce` compression: the bridge between the
-//! streaming ELF walker ([`cce_elf::ElfStream`]), the ordered block
-//! pipeline ([`cce_codec::run_pipeline`]), and the incremental v2
-//! container writer ([`ContainerWriter`]).
+//! ELF → `.cce` compression: the bridge between the streaming ELF walker
+//! ([`cce_elf::ElfStream`]), whole-program block compression
+//! ([`cce_codec::compress_verified`]), and the v2 container writer
+//! ([`write_image`]).
 //!
-//! The compression pass never holds the text section in memory: blocks
-//! flow from the section extent through a reusable read buffer
-//! ([`cce_codec::ReadSource`]), fan out across the worker pool (each
-//! worker round-trip-verifies its own block), and land in the container
-//! in index order as the pipeline drains.  Peak memory is the pipeline's
-//! bounded reorder window plus 16 index bytes per block.
-//!
-//! The one deliberate concession is **training**: every model builder in
-//! the workspace (SAMC arithmetic models, SADC dictionaries, Huffman
-//! code books) derives statistics from the whole text, so
-//! [`buffered_text`] reads the section once into memory for the training
-//! pass.  The buffer is dropped before compression begins; the
-//! compression pass re-reads the section from the stream.
+//! The walker reads only the headers and the `.text` section, never the
+//! rest of the file.  The text itself is held in memory: every model
+//! builder in the workspace (SAMC arithmetic models, SADC dictionaries,
+//! Huffman code books) derives statistics from the whole text, so
+//! [`buffered_text`] reads the section once for training, and
+//! [`compress_elf`] reads it once more and compresses it as one ordered
+//! parallel map over the codec's block ranges, each worker
+//! round-trip-verifying its own block.  Peak memory is the text plus its
+//! compressed image.
 
 use std::io::{Read, Seek, Write};
 
-use crate::container::{lat_bytes_for, ContainerIdentity, ContainerSummary, ContainerWriter};
+use crate::container::{write_image, ContainerIdentity, ContainerSummary};
 use crate::registry::Algorithm;
 use crate::Measurement;
-use cce_codec::pipeline::{BlockSink, CompressedBlock};
-use cce_codec::{run_pipeline, BlockCodec, CodecError, PipelineConfig, PipelineStats, ReadSource};
+use cce_codec::{compress_verified, BlockCodec, CodecError};
 use cce_elf::{ElfStream, Machine, SectionKind, StreamElfError};
 use cce_isa::Isa;
 
@@ -77,23 +72,16 @@ pub fn text_index<R: Read + Seek>(elf: &ElfStream<R>) -> Result<usize, CodecErro
     elf.text_index().ok_or_else(|| CodecError::corrupt(SELF, "elf has no .text section"))
 }
 
-/// Reads the whole `.text` section into memory — the **training pass**.
-///
-/// Model builders need full-text statistics, so this is the one place
-/// the streaming path buffers the section; drop the returned buffer
-/// before streaming the compression pass.
+/// Reads the whole `.text` section into memory.
 ///
 /// # Errors
 ///
-/// [`CodecError::Corrupt`] on a missing `.text` section or read failure.
+/// [`CodecError::Corrupt`] on a missing `.text` section, an extent past
+/// the end of the stream, a source that ends before the section does,
+/// or a read failure.
 pub fn buffered_text<R: Read + Seek>(elf: &mut ElfStream<R>) -> Result<Vec<u8>, CodecError> {
     let index = text_index(elf)?;
-    let mut reader = elf.section_reader(index).map_err(stream_error)?;
-    let mut text = Vec::new();
-    reader
-        .read_to_end(&mut text)
-        .map_err(|e| CodecError::corrupt(SELF, format!("reading .text: {e}")))?;
-    Ok(text)
+    elf.read_section(index).map_err(stream_error)
 }
 
 /// One section's identity and size, for the per-section reports the
@@ -128,23 +116,33 @@ pub fn section_stats<R: Read + Seek>(elf: &ElfStream<R>) -> Vec<SectionStat> {
         .collect()
 }
 
-/// What one streaming compression produced.
+/// Block counts of one [`compress_elf`] run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamStats {
+    /// Blocks compressed (and round-trip-verified).
+    pub blocks: u64,
+    /// Always 0: compression is one parallel map over text already in
+    /// memory, with no bounded queue for a producer to stall on.  Kept
+    /// so reports that sum it stay well-formed.
+    pub stalls: u64,
+}
+
+/// What one ELF compression produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamReport {
-    /// Pipeline throughput counters (blocks, bytes, peak queue depth).
-    pub stats: PipelineStats,
+    /// Block counts.
+    pub stats: StreamStats,
     /// Finished-container size accounting.
     pub summary: ContainerSummary,
 }
 
-/// Streams `elf`'s `.text` section through the block pipeline into a v2
-/// container on `out` — the **compression pass**.
+/// Compresses `elf`'s `.text` section with `codec` into a v2 container
+/// on `out`.
 ///
 /// `codec` must already be trained (see [`buffered_text`]; the CLI may
 /// instead hit its model cache).  Every worker round-trip-verifies the
-/// block it compressed, replacing the whole-image verify of the buffered
-/// path, so a lying codec fails here rather than producing a bad
-/// artifact.
+/// block it compressed, so a lying codec fails here rather than
+/// producing a bad artifact.
 ///
 /// # Errors
 ///
@@ -159,47 +157,16 @@ pub fn compress_elf<R: Read + Seek, W: Write>(
     workers: usize,
 ) -> Result<StreamReport, CodecError> {
     let identity = identity_of(elf, algorithm)?;
-    let index = text_index(elf)?;
-    let mut writer = ContainerWriter::new(
-        out,
-        identity,
-        codec.block_size(),
-        codec.model_bytes(),
-        &codec.to_bytes(),
-    )?;
-    let reader = elf.section_reader(index).map_err(stream_error)?;
-    let mut source = ReadSource::new(reader, codec.chunker());
-    let config = PipelineConfig::with_workers(workers).verified();
-    let stats = run_pipeline(codec, &mut source, &mut writer, &config)?;
-    let summary = writer.finish()?;
+    let text = buffered_text(elf)?;
+    let image = compress_verified(codec, &text, workers)?;
+    let summary = write_image(out, identity, &codec.to_bytes(), &image)?;
+    let stats = StreamStats { blocks: image.block_count() as u64, stalls: 0 };
     Ok(StreamReport { stats, summary })
 }
 
-/// A [`BlockSink`] that keeps only per-block sizes — the landing pad for
-/// ratio measurement, where no artifact is wanted.
-struct MeasureSink {
-    sizes: Vec<usize>,
-}
-
-impl BlockSink for MeasureSink {
-    fn accept(&mut self, block: CompressedBlock) -> Result<(), CodecError> {
-        self.sizes.push(block.data.len());
-        Ok(())
-    }
-}
-
-/// Measures one algorithm over `elf`'s `.text` section.
-///
-/// Block algorithms stream the compression pass (training buffers the
-/// text once, as everywhere); the compressed bytes are counted, not
-/// kept, and every block is round-trip-verified in its worker.  File
-/// baselines have no streaming decoder, so they are measured on the
-/// buffered text — a measurement-only concession.
-///
-/// The result uses the same accounting as the buffered
-/// [`measure`](crate::measure) path, so streamed and in-memory ratios
-/// are directly comparable (pinned against each other in
-/// `tests/streaming.rs`).
+/// Measures one algorithm over `elf`'s `.text` section: the
+/// [`measure_with_workers`](crate::measure_with_workers) accounting on
+/// the section's bytes.
 ///
 /// # Errors
 ///
@@ -212,34 +179,7 @@ pub fn measure_elf<R: Read + Seek>(
 ) -> Result<Measurement, CodecError> {
     let isa = isa_of(elf)?;
     let text = buffered_text(elf)?;
-    if !algorithm.random_access() {
-        // File codecs decode front to back only; buffered measurement is
-        // the honest description of how they would run.
-        return crate::measure_with_workers(algorithm, isa, &text, block_size, workers);
-    }
-    let handle = algorithm.build(isa, block_size).train(&text)?;
-    let codec = handle.as_block().ok_or_else(|| {
-        CodecError::corrupt(SELF, "registry built a non-block codec for a random-access tag")
-    })?;
-    let original_len = text.len();
-    drop(text);
-
-    let index = text_index(elf)?;
-    let reader = elf.section_reader(index).map_err(stream_error)?;
-    let mut source = ReadSource::new(reader, codec.chunker());
-    let mut sink = MeasureSink { sizes: Vec::new() };
-    let config = PipelineConfig::with_workers(workers).verified();
-    run_pipeline(codec, &mut source, &mut sink, &config)?;
-
-    let data_len: usize = sink.sizes.iter().sum();
-    Ok(Measurement {
-        algorithm,
-        isa,
-        original_len,
-        compressed_len: data_len + codec.model_bytes(),
-        lat_bytes: Some(lat_bytes_for(sink.sizes.len(), data_len)),
-        block_sizes: Some(sink.sizes),
-    })
+    crate::measure_with_workers(algorithm, isa, &text, block_size, workers)
 }
 
 #[cfg(test)]
@@ -289,6 +229,51 @@ mod tests {
             let buffered = crate::measure_with_workers(algorithm, Isa::Mips, &text, 32, 2).unwrap();
             assert_eq!(streamed, buffered, "{algorithm}");
         }
+    }
+
+    /// A reader that stops producing bytes inside `hole` — a file whose
+    /// `.text` tail vanished after `open` validated the extents.
+    struct HoleReader {
+        inner: Cursor<Vec<u8>>,
+        hole: std::ops::Range<u64>,
+    }
+
+    impl Read for HoleReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let pos = self.inner.position();
+            if self.hole.contains(&pos) {
+                return Ok(0);
+            }
+            let cap = match self.hole.start.checked_sub(pos) {
+                Some(left) => buf.len().min(usize::try_from(left).unwrap_or(usize::MAX)),
+                None => buf.len(),
+            };
+            self.inner.read(&mut buf[..cap])
+        }
+    }
+
+    impl Seek for HoleReader {
+        fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_text_section_that_ends_early_is_a_typed_error() {
+        let bytes = sample_elf();
+        let mut elf = ElfStream::open(Cursor::new(&bytes)).unwrap();
+        let text = buffered_text(&mut elf).unwrap();
+        let handle = Algorithm::ByteHuffman.build(Isa::Mips, 32).train(&text).unwrap();
+        let codec = handle.as_block().unwrap();
+        let section = &elf.sections()[text_index(&elf).unwrap()];
+        let hole = section.offset + 10..section.offset + section.size;
+        let mut lying =
+            ElfStream::open(HoleReader { inner: Cursor::new(bytes.clone()), hole }).unwrap();
+        let mut out = Vec::new();
+        let err = compress_elf(&mut lying, Algorithm::ByteHuffman, codec, &mut out, 2).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("section .text truncated"), "{err}");
+        assert!(out.is_empty(), "nothing is written for a truncated section");
     }
 
     #[test]

@@ -38,4 +38,4 @@ mod write;
 
 pub use image::{Class, ElfImage, Endianness, Machine, Section, SectionKind};
 pub use read::ParseElfError;
-pub use stream::{ElfStream, SectionBlocks, SectionInfo, SectionReader, StreamElfError};
+pub use stream::{ElfStream, SectionInfo, StreamElfError};

@@ -1,19 +1,18 @@
 //! Streaming ELF walker: section extents without materializing the file.
 //!
 //! [`ElfImage::parse`](crate::ElfImage::parse) needs the whole file in
-//! memory; for multi-megabyte real binaries the compression pipeline
-//! only ever needs one block at a time. [`ElfStream`] reads just the
-//! headers (ELF header, section-header table, section-name string
-//! table) from any `Read + Seek` source and records each section's file
-//! extent, so callers can then walk a section's bytes through a
-//! reusable block-sized buffer ([`SectionBlocks`]) or a bounded
-//! [`Read`] adapter ([`SectionReader`]) without ever holding the file.
+//! memory; compression only ever needs the one section it compresses.
+//! [`ElfStream`] reads just the headers (ELF header, section-header
+//! table, section-name string table) from any `Read + Seek` source and
+//! records each section's file extent, so callers can then read exactly
+//! one section's bytes ([`ElfStream::read_section`]) without ever
+//! holding the rest of the file.
 //!
 //! Extents are validated against the stream length up front, and a
-//! source that ends early mid-block (a file truncated behind our back,
-//! or a lying reader) surfaces as a typed
-//! [`StreamElfError::TruncatedBlock`] — never a panic or a silent short
-//! block.
+//! source that ends before a section's extent does (a file truncated
+//! behind our back, or a lying reader) surfaces as a typed
+//! [`StreamElfError::TruncatedBlock`] — never a panic or a silently
+//! short section.
 
 use crate::image::{Class, Endianness, Machine, SectionKind};
 use crate::read::{read_name, FieldReader, ParseElfError};
@@ -40,7 +39,8 @@ pub enum StreamElfError {
         /// Actual stream length.
         stream_len: u64,
     },
-    /// The stream ended mid-block even though the extent was in bounds.
+    /// The stream ended inside a section even though its extent was in
+    /// bounds.
     TruncatedBlock {
         /// Name of the section being walked.
         section: String,
@@ -294,116 +294,31 @@ impl<R: Read + Seek> ElfStream<R> {
         Ok(size)
     }
 
-    /// Walks section `index` as fixed-size blocks through a reusable
-    /// `block_size` buffer (the final block may be shorter).
+    /// Reads all of section `index` (empty for a `NOBITS` section).
     ///
     /// # Errors
     ///
     /// [`StreamElfError::ExtentOutOfBounds`] when the section's extent
-    /// reaches past the stream; I/O failures from positioning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or `block_size` is zero.
-    pub fn section_blocks(
-        &mut self,
-        index: usize,
-        block_size: usize,
-    ) -> Result<SectionBlocks<'_, R>, StreamElfError> {
-        assert!(block_size > 0, "block size must be positive");
-        let size = self.seek_section(index)?;
-        let name = self.sections[index].name.clone();
-        Ok(SectionBlocks {
-            reader: &mut self.reader,
-            section: name,
-            remaining: size,
-            next_offset: self.sections[index].offset,
-            buf: vec![0; block_size],
-        })
-    }
-
-    /// A [`Read`] adapter over section `index`'s extent, for callers
-    /// that cut their own block boundaries (instruction-aligned codecs).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::section_blocks`].
+    /// reaches past the stream; [`StreamElfError::TruncatedBlock`] when
+    /// the source ends before the extent does; [`StreamElfError::Io`] on
+    /// reader failures.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn section_reader(&mut self, index: usize) -> Result<SectionReader<'_, R>, StreamElfError> {
+    pub fn read_section(&mut self, index: usize) -> Result<Vec<u8>, StreamElfError> {
         let size = self.seek_section(index)?;
-        Ok(SectionReader { reader: &mut self.reader, remaining: size })
-    }
-}
-
-/// Fixed-size block walker over one section extent.
-///
-/// Each call to [`next_block`](Self::next_block) refills the same
-/// internal buffer — O(`block_size`) memory no matter how large the
-/// section is.
-#[derive(Debug)]
-pub struct SectionBlocks<'a, R> {
-    reader: &'a mut R,
-    section: String,
-    remaining: u64,
-    /// Absolute file offset of the next unread byte (for errors).
-    next_offset: u64,
-    buf: Vec<u8>,
-}
-
-impl<R: Read> SectionBlocks<'_, R> {
-    /// Reads the next block into the reusable buffer, returning `None`
-    /// once the extent is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamElfError::TruncatedBlock`] when the stream ends before
-    /// the extent does; [`StreamElfError::Io`] on reader failures.
-    pub fn next_block(&mut self) -> Result<Option<&[u8]>, StreamElfError> {
-        if self.remaining == 0 {
-            return Ok(None);
+        // `seek_section` bounded `size` by the stream length.
+        let mut bytes = Vec::with_capacity(usize::try_from(size).unwrap_or(0));
+        (&mut self.reader).take(size).read_to_end(&mut bytes).map_err(StreamElfError::Io)?;
+        if (bytes.len() as u64) < size {
+            let section = &self.sections[index];
+            return Err(StreamElfError::TruncatedBlock {
+                section: section.name.clone(),
+                offset: section.offset + bytes.len() as u64,
+            });
         }
-        let want = usize::try_from(self.remaining.min(self.buf.len() as u64))
-            .expect("want fits: bounded by buf.len()");
-        let mut got = 0;
-        while got < want {
-            match self.reader.read(&mut self.buf[got..want]) {
-                Ok(0) => {
-                    return Err(StreamElfError::TruncatedBlock {
-                        section: self.section.clone(),
-                        offset: self.next_offset + got as u64,
-                    })
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(StreamElfError::Io(e)),
-            }
-        }
-        self.remaining -= want as u64;
-        self.next_offset += want as u64;
-        Ok(Some(&self.buf[..want]))
-    }
-}
-
-/// A [`Read`] bounded to one section extent.
-#[derive(Debug)]
-pub struct SectionReader<'a, R> {
-    reader: &'a mut R,
-    remaining: u64,
-}
-
-impl<R: Read> Read for SectionReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let cap = usize::try_from(self.remaining.min(buf.len() as u64))
-            .expect("cap fits: bounded by buf.len()");
-        if cap == 0 {
-            return Ok(0);
-        }
-        let n = self.reader.read(&mut buf[..cap])?;
-        self.remaining -= n as u64;
-        Ok(n)
+        Ok(bytes)
     }
 }
 
@@ -469,35 +384,25 @@ mod tests {
     }
 
     #[test]
-    fn section_blocks_walk_the_exact_bytes() {
+    fn read_section_returns_the_exact_bytes() {
         let image = sample_image();
         let bytes = image.to_bytes();
         let mut stream = ElfStream::open(Cursor::new(&bytes)).unwrap();
         let text_index = stream.text_index().unwrap();
-        for block_size in [1, 7, 32, 200, 1000] {
-            let mut walker = stream.section_blocks(text_index, block_size).unwrap();
-            let mut collected = Vec::new();
-            let mut blocks = 0usize;
-            while let Some(block) = walker.next_block().unwrap() {
-                assert!(block.len() <= block_size);
-                collected.extend_from_slice(block);
-                blocks += 1;
-            }
-            assert_eq!(collected, (0..200u8).collect::<Vec<_>>(), "block_size {block_size}");
-            assert_eq!(blocks, 200usize.div_ceil(block_size));
-        }
+        assert_eq!(stream.read_section(text_index).unwrap(), (0..200u8).collect::<Vec<_>>());
+        // Reading again re-seeks: the same bytes come back.
+        assert_eq!(stream.read_section(text_index).unwrap().len(), 200);
     }
 
     #[test]
-    fn section_reader_is_bounded_to_the_extent() {
+    fn read_section_is_bounded_to_the_extent() {
         let image = sample_image();
         let bytes = image.to_bytes();
         let mut stream = ElfStream::open(Cursor::new(&bytes)).unwrap();
         let rodata = stream.sections().iter().position(|s| s.name == ".rodata").unwrap();
-        let mut reader = stream.section_reader(rodata).unwrap();
-        let mut out = Vec::new();
-        reader.read_to_end(&mut out).unwrap();
-        assert_eq!(out, vec![9; 33]);
+        assert_eq!(stream.read_section(rodata).unwrap(), vec![9; 33]);
+        let bss = stream.sections().iter().position(|s| s.name == ".bss").unwrap();
+        assert!(stream.read_section(bss).unwrap().is_empty());
     }
 
     #[test]
@@ -507,8 +412,7 @@ mod tests {
         let mut stream = ElfStream::open(Cursor::new(&bytes)).unwrap();
         let text_index = stream.text_index().unwrap();
         assert_eq!(stream.sections()[text_index].size, 0);
-        let mut walker = stream.section_blocks(text_index, 32).unwrap();
-        assert!(walker.next_block().unwrap().is_none());
+        assert!(stream.read_section(text_index).unwrap().is_empty());
     }
 
     #[test]
@@ -524,7 +428,7 @@ mod tests {
         bytes[field..field + 8].copy_from_slice(&huge.to_le_bytes());
         let mut stream = ElfStream::open(Cursor::new(&bytes)).unwrap();
         let text_index = stream.text_index().unwrap();
-        let err = stream.section_blocks(text_index, 32).unwrap_err();
+        let err = stream.read_section(text_index).unwrap_err();
         assert!(
             matches!(err, StreamElfError::ExtentOutOfBounds { ref section, .. } if section == ".text"),
             "{err}"
@@ -577,14 +481,7 @@ mod tests {
             hole_end: text_offset + 100,
         };
         let mut stream = ElfStream::open(lying).unwrap();
-        let mut walker = stream.section_blocks(text_index, 32).unwrap();
-        let err = loop {
-            match walker.next_block() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("walker ignored the truncation"),
-                Err(e) => break e,
-            }
-        };
+        let err = stream.read_section(text_index).unwrap_err();
         assert!(
             matches!(err, StreamElfError::TruncatedBlock { ref section, offset }
                 if section == ".text" && offset == text_offset + 10),

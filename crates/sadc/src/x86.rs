@@ -15,9 +15,7 @@ use crate::tokens::{replace_in_blocks, TokenStats};
 use cce_bitstream::{BitReader, BitWriter};
 use cce_codec::{BlockCodec, BlockImage, CodecError};
 use cce_huffman::CodeBook;
-use cce_isa::x86::{
-    decode_layout, progressive_layout, split_streams, DecodeLayoutError, LayoutProgress,
-};
+use cce_isa::x86::{progressive_layout, split_streams, LayoutProgress};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -427,13 +425,6 @@ impl BlockCodec for X86Sadc {
             .collect())
     }
 
-    /// Streaming boundary finder matching [`Self::block_ranges`]: greedy
-    /// instruction accumulation closing a block at `block_size`, so the
-    /// streaming pipeline cuts the exact blocks the buffered path does.
-    fn chunker(&self) -> Box<dyn cce_codec::Chunker + '_> {
-        Box::new(X86Chunker { block_size: self.config.block_size, consumed: 0 })
-    }
-
     fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
         // Chunks from `block_ranges` are instruction-aligned, so each one
         // re-parses standalone to exactly its instructions' stream parts.
@@ -467,55 +458,6 @@ fn parse_instructions(text: &[u8]) -> Result<Vec<InsnParts>, CodecError> {
         d += dl;
     }
     Ok(parts)
-}
-
-/// Incremental block-boundary finder for the streaming pipeline.
-///
-/// Replays the same greedy rule as [`group_blocks`]: accumulate whole
-/// instructions until the block reaches `block_size`. Because each
-/// instruction's length depends only on its own bytes and the grouping
-/// is prefix-stable, boundaries found over a growing window equal the
-/// ones [`X86Sadc::block_ranges`] computes over the full text.
-struct X86Chunker {
-    block_size: usize,
-    /// Bytes already released as blocks — makes error offsets absolute,
-    /// matching the buffered [`parse_instructions`] path.
-    consumed: usize,
-}
-
-impl cce_codec::Chunker for X86Chunker {
-    fn next_boundary(&mut self, buf: &[u8], eof: bool) -> Result<Option<usize>, CodecError> {
-        let mut end = 0usize;
-        while end < buf.len() {
-            match decode_layout(&buf[end..]) {
-                Ok(layout) => {
-                    end += layout.total_len();
-                    if end >= self.block_size {
-                        self.consumed += end;
-                        return Ok(Some(end));
-                    }
-                }
-                // Mid-stream truncation just means the window is short;
-                // at end of input it is a real decode failure.
-                Err(DecodeLayoutError::Truncated) if !eof => return Ok(None),
-                Err(cause) => {
-                    return Err(CodecError::train(
-                        NAME,
-                        format!(
-                            "undecodable instruction at offset {}: {cause}",
-                            self.consumed + end
-                        ),
-                    ))
-                }
-            }
-        }
-        if eof && end > 0 {
-            // Trailing partial block, mirroring `group_blocks`.
-            self.consumed += end;
-            return Ok(Some(end));
-        }
-        Ok(None)
-    }
 }
 
 /// Groups instructions into blocks of roughly `block_size` uncompressed
@@ -610,50 +552,17 @@ mod tests {
     }
 
     #[test]
-    fn chunker_matches_block_ranges_at_any_window_growth() {
-        use cce_codec::Chunker as _;
-        let text = idiomatic_program(60);
-        let codec = X86Sadc::train(&text, X86SadcConfig::default()).unwrap();
-        let expected = BlockCodec::block_ranges(&codec, &text).unwrap();
-        // Feed the chunker byte by byte — the worst-case window growth —
-        // and require the exact boundaries of the buffered path.
-        let mut chunker = BlockCodec::chunker(&codec);
-        let mut boundaries = Vec::new();
-        let mut start = 0usize;
-        let mut window_end = 0usize;
-        while start < text.len() {
-            let eof = window_end == text.len();
-            match chunker.next_boundary(&text[start..window_end], eof).unwrap() {
-                Some(len) => {
-                    boundaries.push(start..start + len);
-                    start += len;
-                }
-                None => {
-                    assert!(!eof, "chunker stalled at end of input");
-                    window_end += 1;
-                }
-            }
-        }
-        assert_eq!(boundaries, expected);
-    }
-
-    #[test]
-    fn chunker_rejects_trailing_garbage_only_at_eof() {
-        use cce_codec::Chunker as _;
+    fn block_ranges_reject_trailing_garbage_naming_its_offset() {
         let mut text = idiomatic_program(2);
+        let offset = text.len();
         text.push(0x67); // address-size prefix: rejected by the decoder
         let codec = X86Sadc::train(&idiomatic_program(60), X86SadcConfig::default()).unwrap();
-        let serial_err = BlockCodec::block_ranges(&codec, &text).unwrap_err();
-        let mut chunker = BlockCodec::chunker(&codec);
-        let mut start = 0usize;
-        let err = loop {
-            match chunker.next_boundary(&text[start..], true) {
-                Ok(Some(len)) => start += len,
-                Ok(None) => panic!("expected a decode error"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.to_string(), serial_err.to_string());
+        let err = BlockCodec::block_ranges(&codec, &text).unwrap_err();
+        assert!(matches!(err, CodecError::Train { codec: "SADC", .. }), "{err}");
+        assert!(
+            err.to_string().contains(&format!("undecodable instruction at offset {offset}:")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -58,8 +58,6 @@ pub struct ServeConfig {
     pub cache_blocks: usize,
     /// Deadline for a single request's block work.
     pub request_timeout: Duration,
-    /// Cap on request frame payloads.
-    pub max_request_payload: usize,
 }
 
 impl Default for ServeConfig {
@@ -68,7 +66,6 @@ impl Default for ServeConfig {
             workers: cce_codec::worker_count(),
             cache_blocks: 256,
             request_timeout: Duration::from_secs(5),
-            max_request_payload: MAX_REQUEST_PAYLOAD,
         }
     }
 }
@@ -188,7 +185,7 @@ impl Server {
         obs::SERVE_CONNECTIONS.incr();
         let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
         loop {
-            let frame = read_frame(&mut reader, shared.config.max_request_payload);
+            let frame = read_frame(&mut reader, MAX_REQUEST_PAYLOAD);
             let start = Instant::now();
             let (stop, outcome) = match frame {
                 Ok(None) => break,

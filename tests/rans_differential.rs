@@ -8,7 +8,7 @@
 //! * **round-trip** — `decode(encode(x)) == x` for every lane width, on
 //!   workload corpora and adversarial random bytes alike;
 //! * **determinism** — compression is byte-identical across worker
-//!   counts (the streaming pipeline must not observe the lane states);
+//!   counts (parallel block compression must not observe the lane states);
 //! * **ratio band** — per-ISA compressed sizes stay within ±2 % of the
 //!   arithmetic coder's at the 4 KiB decode-bench block size, pinning
 //!   the claim that switching entropy backends costs no real ratio.

@@ -1,10 +1,11 @@
-//! Streaming-path integration tests: the bounded pipeline and the v2
-//! container.
+//! ELF-path integration tests: `streaming::compress_elf` /
+//! `streaming::measure_elf` (the `.text` section read through the ELF
+//! walker) and the v2 container.
 //!
 //! Three properties are locked here:
 //!
-//! 1. **Differential**: for every algorithm on both ISAs, the streamed
-//!    path produces exactly the payload the in-memory path produces —
+//! 1. **Differential**: for every algorithm on both ISAs, the ELF path
+//!    produces exactly the payload the in-memory path produces —
 //!    byte-identical per-block container data for the random-access
 //!    codecs, identical measurements for the file baselines.
 //! 2. **One format**: the CLI refuses anything that is not a v2
@@ -15,7 +16,7 @@
 //!
 //! The committed multi-section fixture (`tests/fixtures/`, produced by
 //! `cce gen go --scale 0.2 --seed 789996 --multi-section`) additionally
-//! pins the streaming-path ratios within ±1%; re-record with
+//! pins the ELF-path ratios within ±1%; re-record with
 //! `CCE_RECORD_RATIOS=1` after an intentional codec change.
 
 use std::cell::Cell;
@@ -59,7 +60,7 @@ fn trained_block_codec(algorithm: Algorithm, isa: Isa, text: &[u8]) -> Box<dyn B
     }
 }
 
-/// Streams `elf_bytes` through the pipeline into an in-memory v2
+/// Compresses `elf_bytes`' text through `compress_elf` into an in-memory v2
 /// container and returns the container bytes.
 fn stream_container(elf_bytes: &[u8], algorithm: Algorithm, codec: &dyn BlockCodec) -> Vec<u8> {
     let mut elf = ElfStream::open(Cursor::new(elf_bytes)).expect("well-formed elf");

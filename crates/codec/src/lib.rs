@@ -63,7 +63,5 @@ mod traits;
 
 pub use error::CodecError;
 pub use image::BlockImage;
-pub use par::{
-    compress_parallel, compress_verified, parallel_map, worker_count, ShardJob, ShardPool,
-};
+pub use par::{compress_parallel, compress_verified, parallel_map, worker_count};
 pub use traits::{BlockCodec, FileCodec};

@@ -1,5 +1,5 @@
-//! Deterministic scoped worker pool, the whole-program compression path
-//! built on it, and the long-lived [`ShardPool`] for daemons.
+//! Deterministic scoped worker pool and the whole-program compression
+//! path built on it.
 //!
 //! Built on `std::thread::scope` only — no external dependencies, per the
 //! workspace's hermetic-build policy. Work items are claimed from a shared
@@ -176,81 +176,6 @@ fn compress_blocks(
     ))
 }
 
-/// A boxed unit of work for a [`ShardPool`] worker.
-pub type ShardJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// A long-lived sharded worker pool for daemons.
-///
-/// Unlike [`parallel_map`] — scoped, per-call, work-stealing — this
-/// pool lives as long as the owner and routes each job to a *specific*
-/// shard, so state keyed by the shard index (per-shard caches) needs
-/// no cross-thread coordination: all work for one key runs on one
-/// thread.  Every shard has its own bounded queue; [`Self::submit`]
-/// blocks when that queue is full, which is the backpressure story
-/// for the serving tier.
-///
-/// A job that panics is caught on its worker, so one bad job never
-/// takes its shard down.  Dropping the pool closes the queues and joins
-/// every worker, so in-flight jobs finish before the owner's state is
-/// torn down.
-pub struct ShardPool {
-    senders: Vec<std::sync::mpsc::SyncSender<ShardJob>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ShardPool {
-    /// Spawns `shards` workers (clamped to 1..=1024), each with a
-    /// bounded queue of `queue_depth` jobs (clamped to ≥ 1).
-    pub fn new(shards: usize, queue_depth: usize) -> Self {
-        let shards = shards.clamp(1, 1024);
-        let queue_depth = queue_depth.max(1);
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<ShardJob>(queue_depth);
-            senders.push(tx);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("cce-shard-{shard}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            // A panicking job loses only its own work
-                            // (whatever it owned, e.g. its reply
-                            // channel, is dropped); the shard keeps
-                            // receiving.
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        }
-                    })
-                    .expect("spawn shard worker"),
-            );
-        }
-        Self { senders, handles }
-    }
-
-    /// Number of worker shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Queues `job` on shard `shard % shards()`, blocking while that
-    /// shard's queue is full (backpressure, never loss).
-    pub fn submit(&self, shard: usize, job: ShardJob) {
-        let target = shard % self.senders.len();
-        // Send only fails when the worker is gone, which only happens
-        // after Drop has started — no submits can race that.
-        self.senders[target].send(job).expect("shard worker alive");
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        self.senders.clear(); // close every queue → workers drain and exit
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,46 +300,5 @@ mod tests {
             // The unverified entry point takes the codec at its word.
             assert!(compress_parallel(&codec, &text, workers).is_ok());
         }
-    }
-
-    #[test]
-    fn shard_pool_runs_every_job_and_keys_by_shard() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-        let pool = ShardPool::new(4, 8);
-        assert_eq!(pool.shards(), 4);
-        let per_shard: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
-        for i in 0..100usize {
-            let counts = per_shard.clone();
-            pool.submit(
-                i,
-                Box::new(move || {
-                    counts[i % 4].fetch_add(1, Ordering::Relaxed);
-                }),
-            );
-        }
-        drop(pool); // joins workers, so every job has run
-        let total: u64 = per_shard.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        assert_eq!(total, 100);
-        assert_eq!(per_shard[0].load(Ordering::Relaxed), 25);
-    }
-
-    #[test]
-    fn shard_pool_clamps_degenerate_configs() {
-        let pool = ShardPool::new(0, 0);
-        assert_eq!(pool.shards(), 1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit(usize::MAX, Box::new(move || tx.send(42u8).unwrap()));
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 42);
-    }
-
-    #[test]
-    fn a_panicking_job_leaves_its_shard_serving() {
-        let pool = ShardPool::new(1, 1);
-        let (tx, rx) = std::sync::mpsc::channel::<u8>();
-        let doomed = tx.clone();
-        pool.submit(0, Box::new(move || panic!("job failed while holding {doomed:?}")));
-        pool.submit(0, Box::new(move || tx.send(7).unwrap()));
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 7);
     }
 }

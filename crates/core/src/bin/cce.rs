@@ -269,12 +269,7 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         synopsis: "<dir> --socket PATH | --tcp ADDR",
         about: "block-serving daemon; runs until a client sends shutdown",
-        flags: &[
-            SOCKET,
-            TCP,
-            Flag::value("--timeout-ms", "N", "per-request deadline, > 0 (default 5000)"),
-            Flag::value("--cache", "N", "decoded blocks to cache (default 256)"),
-        ],
+        flags: &[SOCKET, TCP, Flag::value("--cache", "N", "decoded blocks to cache (default 256)")],
         run: serve,
     },
     Command {
@@ -433,8 +428,6 @@ fn check_value(long: &str, raw: &str) -> Result<(), String> {
         }
         "--fetches" => (integer("fetches")? > 0, "fetches must be positive"),
         "--workers" => ((1..=1024).contains(&integer("workers")?), "workers must be in 1..=1024"),
-        // A zero deadline would answer every cache miss `Timeout`.
-        "--timeout-ms" => (integer("timeout")? > 0, "timeout must be positive"),
         _ => (true, ""),
     };
     if ok {
@@ -1073,7 +1066,7 @@ fn info(args: &Args) -> Result<(), Box<dyn Error>> {
     let identity = reader.identity();
     let summary = reader.summary();
     println!("{path}:");
-    println!("  container:  v2 (streamed, indexed)");
+    println!("  container:  v2 (indexed)");
     println!("  codec:      {}", identity.algorithm);
     println!(
         "  isa:        {} ({:?}, {:?}, entry {:#x})",
@@ -1237,11 +1230,8 @@ fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::serve::{ServeConfig, Server};
     let [dir] = args.positionals()?;
     let defaults = ServeConfig::default();
-    let config = ServeConfig {
-        request_timeout: std::time::Duration::from_millis(args.number("--timeout-ms", 5000)?),
-        cache_blocks: args.number("--cache", defaults.cache_blocks)?,
-        ..defaults
-    };
+    let config =
+        ServeConfig { cache_blocks: args.number("--cache", defaults.cache_blocks)?, ..defaults };
     let (artifact, codec) = cce_core::artifact::open_with_codec(Path::new(dir))?;
     let blocks = artifact.block_count();
     let server = Server::new(artifact, codec, config);

@@ -1,13 +1,13 @@
 //! The daemon's one LRU type, used with two cost models.
 //!
-//! - **Decoded blocks**, one cache per worker shard: every entry costs
-//!   1, so capacity is a block count and worst-case memory is
-//!   `capacity × (block_size + slack)` bytes per shard.  Hot blocks are
-//!   decoded once and served from memory (the Ozturk access-pattern
-//!   observation: a small working set absorbs most fetches).  Sharding
-//!   by `block % shards` gives cache affinity — a block's entry always
-//!   lives in exactly one shard, so there are no duplicate entries and
-//!   no cross-shard invalidation.
+//! - **Decoded blocks**, one cache per lock stripe of the daemon's
+//!   LRU: every entry costs 1, so capacity is a block count and
+//!   worst-case memory is `capacity × (block_size + slack)` bytes per
+//!   stripe.  Hot blocks are decoded once and served from memory (the
+//!   Ozturk access-pattern observation: a small working set absorbs
+//!   most fetches).  Striping by `block % stripes` means a block's entry
+//!   always lives in exactly one stripe, so there are no duplicate
+//!   entries and no cross-stripe invalidation.
 //! - **Verified chunks**, one cache per [`Artifact`](crate::Artifact):
 //!   every entry costs its length, so capacity is a byte budget
 //!   ([`VERIFIED_CHUNK_BYTES`](crate::store::VERIFIED_CHUNK_BYTES)).

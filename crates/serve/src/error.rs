@@ -29,7 +29,9 @@ pub enum ServeError {
     Proto(String),
     /// The requested entity does not exist (block index out of range).
     NotFound(String),
-    /// A request did not complete within the per-request deadline.
+    /// A request did not complete within a deadline.  Kept so the
+    /// wire status stays decodable; this crate's daemon has no
+    /// per-request deadline and never sends it.
     Timeout,
     /// The server refused a connection over its connection cap.
     Busy,

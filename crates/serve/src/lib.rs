@@ -17,9 +17,9 @@
 //!   typed error naming the chunk, never as garbage handed to a codec.
 //! - [`Server`] / [`Client`] — the daemon and its reference client:
 //!   one thread per connection (capped, answering `Busy` beyond the
-//!   cap) that answers decoded-block LRU hits itself and hands misses
-//!   to sharded workers (reusing `cce-codec`'s pool), per-request
-//!   timeouts, and `serve.*` metrics.
+//!   cap) that answers every request itself, hits and misses alike,
+//!   from a lock-striped decoded-block LRU whose concurrent misses on
+//!   one block decode it once, and `serve.*` metrics.
 //! - [`fault`] — `FaultReader`/`FaultStream`/`duplex`, the fault
 //!   injection the resilience tests are built on.
 //!

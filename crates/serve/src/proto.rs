@@ -111,7 +111,8 @@ pub enum Status {
     NotFound,
     /// Stored data failed an integrity check.
     Corrupt,
-    /// The request missed its deadline.
+    /// The request missed its deadline (decodable; this crate's daemon
+    /// never sends it).
     Timeout,
     /// A bounded queue was full.
     Busy,

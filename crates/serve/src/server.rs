@@ -6,67 +6,67 @@
 //! drive.  The resilience contract:
 //!
 //! * every failure is a *per-request* typed error response — corrupt
-//!   chunks, bad frames, timeouts, and codec errors never kill the
-//!   daemon or the connection (only an unrecoverable stream desync
-//!   closes the connection);
+//!   chunks, bad frames, and codec errors never kill the daemon or the
+//!   connection (only an unrecoverable stream desync closes the
+//!   connection);
 //! * one thread per connection reads a request, answers it, then
 //!   reads the next, holding at most [`READ_BUFFER_BYTES`] of unread
 //!   requests: a client that pipelines faster is held back by its own
 //!   transport buffer; beyond [`MAX_CONNECTIONS`] a connection gets
 //!   `Busy`;
-//! * decoded-block LRU hits are answered on that thread; misses and
-//!   raw reads run on a [`ShardPool`] keyed by block index, so the
-//!   per-shard LRU needs no cross-shard coordination;
+//! * every request is answered on its connection's thread, hit or
+//!   miss, so at most [`MAX_CONNECTIONS`] decodes run at once and a
+//!   slow decode delays only the connection that asked for it;
+//! * the decoded-block LRU is lock-striped by block index, and each
+//!   stripe marks the blocks being decoded, so concurrent misses on one
+//!   block decode it once (single flight);
 //! * a miss reads its chunk through the artifact's verified-chunk
 //!   cache, so each chunk is read and SHA-256-checked once per daemon
 //!   (see [`store`](crate::store) for the integrity contract);
-//! * a job that panics answers its request with a typed error and
-//!   leaves its shard serving;
-//! * every request observes `request_timeout`; a stuck decode answers
-//!   `Timeout` while the daemon lives on.
+//! * a decode or read that panics is caught on the connection thread
+//!   and answers its request with a typed error.
+//!
+//! There is no per-request deadline: a thread cannot be pre-empted, and
+//! every shipped codec's block decode is bounded.  The daemon never
+//! sends [`ServeError::Timeout`].
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::obs;
 use crate::proto::{read_frame, write_frame, Request, Status, MAX_REQUEST_PAYLOAD};
 use crate::store::Artifact;
-use cce_codec::{BlockCodec, ShardPool};
+use cce_codec::BlockCodec;
+use std::collections::HashSet;
 use std::io::{BufReader, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Each connection's read buffer: the most request bytes taken off a
 /// connection ahead of its answers (30 `decode-block` frames).
 pub const READ_BUFFER_BYTES: usize = 512;
 
-/// Bound on each worker shard's queue of block jobs; a connection whose
-/// job finds the queue full waits for room.
-pub const SHARD_QUEUE_CAPACITY: usize = 32;
-
 /// Connections served at once by [`Server::serve_unix`] and
-/// [`Server::serve_tcp`]; each holds one thread.
+/// [`Server::serve_tcp`]; each holds one thread, which is also the
+/// bound on decodes running at once.
 pub const MAX_CONNECTIONS: usize = 64;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shards for block reads and decodes.
+    /// Lock stripes of the decoded-block LRU: `min(workers,
+    /// cache_blocks)`, at least 1 and at most 1024; block `b` lives in
+    /// stripe `b % stripes`.  The name is kept for existing callers.
     pub workers: usize,
-    /// Decoded-block LRU capacity, in blocks, across all shards.
+    /// Decoded-block LRU capacity, in blocks, summed over all stripes
+    /// (0 disables caching).
     pub cache_blocks: usize,
-    /// Deadline for a single request's block work.
-    pub request_timeout: Duration,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            workers: cce_codec::worker_count(),
-            cache_blocks: 256,
-            request_timeout: Duration::from_secs(5),
-        }
+        Self { workers: cce_codec::worker_count(), cache_blocks: 256 }
     }
 }
 
@@ -88,12 +88,50 @@ pub struct Stats {
     pub cache_misses: AtomicU64,
 }
 
+/// One lock stripe of the decoded-block LRU.
+struct Stripe {
+    state: Mutex<StripeState>,
+    /// Signalled whenever a block leaves `in_flight`.
+    settled: Condvar,
+}
+
+struct StripeState {
+    lru: LruCache<Vec<u8>>,
+    /// Blocks a connection thread is decoding right now.
+    in_flight: HashSet<usize>,
+}
+
+impl Stripe {
+    fn new(capacity: usize) -> Self {
+        Self {
+            state: Mutex::new(StripeState {
+                lru: LruCache::new(capacity),
+                in_flight: HashSet::new(),
+            }),
+            settled: Condvar::new(),
+        }
+    }
+
+    /// The stripe's state, locked.  No code runs under this lock that
+    /// can panic, so a poisoned lock still holds consistent state.
+    fn lock(&self) -> MutexGuard<'_, StripeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The per-stripe capacities of a `cache_blocks` LRU over `workers`
+/// stripes: `min(workers, cache_blocks)` stripes (at least 1, at most
+/// 1024), the first `cache_blocks % stripes` holding one extra block,
+/// so they sum to exactly `cache_blocks`.
+fn stripe_capacities(cache_blocks: usize, workers: usize) -> Vec<usize> {
+    let stripes = workers.min(cache_blocks).clamp(1, 1024);
+    (0..stripes).map(|i| cache_blocks / stripes + usize::from(i < cache_blocks % stripes)).collect()
+}
+
 struct Shared {
     artifact: Artifact,
     codec: Box<dyn BlockCodec>,
-    config: ServeConfig,
-    pool: ShardPool,
-    caches: Vec<Mutex<LruCache<Vec<u8>>>>,
+    stripes: Vec<Stripe>,
     stats: Stats,
     shutdown: AtomicBool,
     /// Connection threads the accept loops have running, each holding
@@ -101,7 +139,7 @@ struct Shared {
     live: AtomicUsize,
 }
 
-/// The daemon: owns the artifact, codec, worker pool, and caches.
+/// The daemon: owns the artifact, codec, and caches.
 ///
 /// Cloning is cheap (an [`Arc`] bump); clones share all state, so a
 /// listener thread and a control thread can both hold the server.
@@ -113,21 +151,15 @@ pub struct Server {
 impl Server {
     /// Builds a server over `artifact` with its trained `codec`.
     pub fn new(artifact: Artifact, codec: Box<dyn BlockCodec>, config: ServeConfig) -> Self {
-        let shards = config.workers.clamp(1, 1024);
-        let per_shard = (config.cache_blocks / shards).max(1);
-        let caches = (0..shards)
-            .map(|_| {
-                Mutex::new(LruCache::new(if config.cache_blocks == 0 { 0 } else { per_shard }))
-            })
+        let stripes = stripe_capacities(config.cache_blocks, config.workers)
+            .into_iter()
+            .map(Stripe::new)
             .collect();
-        let pool = ShardPool::new(shards, SHARD_QUEUE_CAPACITY);
         Self {
             shared: Arc::new(Shared {
                 artifact,
                 codec,
-                config,
-                pool,
-                caches,
+                stripes,
                 stats: Stats::default(),
                 shutdown: AtomicBool::new(false),
                 live: AtomicUsize::new(0),
@@ -152,6 +184,7 @@ impl Server {
     }
 
     /// The always-on stats as a JSON object (the `stats` payload).
+    /// `"workers"` is the decoded-block LRU's stripe count.
     pub fn stats_json(&self) -> String {
         let s = &self.shared.stats;
         let chunks = self.shared.artifact.chunk_stats();
@@ -168,7 +201,7 @@ impl Server {
             chunks.hits,
             chunks.resident_bytes,
             self.shared.artifact.block_count(),
-            self.shared.pool.shards(),
+            self.shared.stripes.len(),
         )
     }
 
@@ -239,9 +272,7 @@ impl Server {
             }
             Request::GetBlock(n) => {
                 let block = self.block_index(n)?;
-                let shared = self.shared.clone();
-                let (data, ulen) =
-                    self.with_deadline(block, move || shared.artifact.read_block(block))??;
+                let (data, ulen) = contain_panic(block, || self.shared.artifact.read_block(block))?;
                 let mut payload = Vec::with_capacity(4 + data.len());
                 payload.extend_from_slice(&(ulen as u32).to_be_bytes());
                 payload.extend_from_slice(&data);
@@ -249,11 +280,7 @@ impl Server {
             }
             Request::DecodeBlock(n) => {
                 let block = self.block_index(n)?;
-                if let Some(bytes) = cache_hit(&self.shared, block) {
-                    return Ok(bytes);
-                }
-                let shared = self.shared.clone();
-                self.with_deadline(block, move || decode_cached(&shared, block))?
+                contain_panic(block, || decode_cached(&self.shared, block))
             }
         }
     }
@@ -266,60 +293,42 @@ impl Server {
             Err(ServeError::NotFound(format!("block {n} (artifact has {count})")))
         }
     }
-
-    /// Runs `job` on the block's shard, waiting at most the request
-    /// timeout for its answer.  A late answer is dropped on the floor
-    /// (the rendezvous channel is gone), not delivered to a later
-    /// request.
-    fn with_deadline<T: Send + 'static>(
-        &self,
-        block: usize,
-        job: impl FnOnce() -> T + Send + 'static,
-    ) -> Result<T, ServeError> {
-        let (tx, rx) = sync_channel::<T>(1);
-        self.shared.pool.submit(
-            block,
-            Box::new(move || {
-                let _ = tx.send(job());
-            }),
-        );
-        match rx.recv_timeout(self.shared.config.request_timeout) {
-            Ok(result) => Ok(result),
-            Err(RecvTimeoutError::Timeout) => Err(ServeError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                // The worker dropped the sender without answering —
-                // only possible if the job panicked; the pool caught
-                // the panic and the shard serves on, so surface it as
-                // a typed error, never as a dead daemon.
-                Err(ServeError::corrupt(format!("block {block}"), "worker failed"))
-            }
-        }
-    }
 }
 
-impl Shared {
-    /// The decoded-block LRU of `block`'s shard, locked.
-    fn cache(&self, block: usize) -> MutexGuard<'_, LruCache<Vec<u8>>> {
-        self.caches[block % self.caches.len()].lock().expect("cache lock")
-    }
+/// Runs `block`'s read or decode, turning a panic into a typed error
+/// for its request: the connection and the daemon serve on.  Nothing
+/// the work leaves behind is inconsistent: stripe locks are not held
+/// across it, and the in-flight marker is cleared by a drop guard.
+fn contain_panic<T>(
+    block: usize,
+    work: impl FnOnce() -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    catch_unwind(AssertUnwindSafe(work))
+        .unwrap_or_else(|_| Err(ServeError::corrupt(format!("block {block}"), "worker failed")))
 }
 
-/// The decoded bytes of `block` if its shard's LRU holds them, counted
-/// as one hit.  A miss counts nothing: whoever decodes counts it.
-fn cache_hit(shared: &Shared, block: usize) -> Option<Vec<u8>> {
-    let bytes = shared.cache(block).get(block)?;
-    shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-    obs::SERVE_CACHE_HITS.incr();
-    Some(bytes)
-}
-
-/// Shard-cached decode: LRU hit or read + decompress + insert.  The
-/// cache is checked again here because a decode queued behind this
-/// one's may have inserted the block since the connection looked.
+/// Single-flight cached decode.  A resident block is one hit.  A block
+/// another request is decoding makes this one wait and look again, so
+/// it usually finds the block resident.  Otherwise this request marks
+/// the block in flight, counts one miss, and reads and decodes it
+/// outside the stripe lock.  Every `decode-block` counts once.
 fn decode_cached(shared: &Shared, block: usize) -> Result<Vec<u8>, ServeError> {
-    if let Some(bytes) = cache_hit(shared, block) {
-        return Ok(bytes);
+    let stripe = &shared.stripes[block % shared.stripes.len()];
+    let mut state = stripe.lock();
+    loop {
+        if let Some(bytes) = state.lru.get(block) {
+            drop(state);
+            shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            obs::SERVE_CACHE_HITS.incr();
+            return Ok(bytes);
+        }
+        if state.in_flight.insert(block) {
+            break;
+        }
+        state = stripe.settled.wait(state).unwrap_or_else(PoisonError::into_inner);
     }
+    drop(state);
+    let _marker = InFlight { stripe, block };
     shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
     obs::SERVE_CACHE_MISSES.incr();
     let (data, ulen) = shared.artifact.read_block(block)?;
@@ -330,8 +339,22 @@ fn decode_cached(shared: &Shared, block: usize) -> Result<Vec<u8>, ServeError> {
             format!("decoded {} bytes, index says {ulen}", decoded.len()),
         ));
     }
-    shared.cache(block).insert(block, decoded.clone(), 1);
+    stripe.lock().lru.insert(block, decoded.clone(), 1);
     Ok(decoded)
+}
+
+/// Clears a block's in-flight marker and wakes its waiters, however the
+/// decode ends: success, error or unwind.
+struct InFlight<'a> {
+    stripe: &'a Stripe,
+    block: usize,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.stripe.lock().in_flight.remove(&self.block);
+        self.stripe.settled.notify_all();
+    }
 }
 
 impl Server {
@@ -447,6 +470,10 @@ mod tests {
     /// A codec whose "compression" is identity, with optional delay.
     struct SlowIdentity {
         delay: Duration,
+        /// Only blocks starting with this byte are slow (all when `None`).
+        only: Option<u8>,
+        /// Panic after the delay instead of answering.
+        panic: bool,
     }
 
     impl BlockCodec for SlowIdentity {
@@ -470,8 +497,9 @@ mod tests {
             block: &[u8],
             _out_len: usize,
         ) -> Result<Vec<u8>, cce_codec::CodecError> {
-            if !self.delay.is_zero() {
+            if self.only.is_none_or(|byte| block.first() == Some(&byte)) {
                 std::thread::sleep(self.delay);
+                assert!(!self.panic, "decode panicked");
             }
             Ok(block.to_vec())
         }
@@ -506,7 +534,7 @@ mod tests {
 
     fn server_for(dir: &Path, delay: Duration, config: ServeConfig) -> Server {
         let artifact = Artifact::open(dir).unwrap();
-        Server::new(artifact, Box::new(SlowIdentity { delay }), config)
+        Server::new(artifact, Box::new(SlowIdentity { delay, only: None, panic: false }), config)
     }
 
     /// Spawns an in-memory connection to `server`, returning the
@@ -547,27 +575,6 @@ mod tests {
         assert!(matches!(client.get_block(99), Err(ServeError::NotFound(_))));
         // Same connection still answers afterwards.
         assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn slow_decode_times_out_but_the_daemon_stays_up() {
-        let dir = temp_dir("timeout");
-        let blocks = publish_identity(&dir, 3);
-        let config = ServeConfig {
-            // Pin the shard count so block 1's shard is not the one
-            // the stuck decode occupies.
-            workers: 4,
-            request_timeout: Duration::from_millis(50),
-            ..ServeConfig::default()
-        };
-        let server = server_for(&dir, Duration::from_millis(400), config);
-        let mut client = connect(&server);
-        assert!(matches!(client.decode_block(0), Err(ServeError::Timeout)));
-        // Raw block reads skip the codec (and block 1 lives on an idle
-        // shard), so they still answer.
-        let (data, _) = client.get_block(1).unwrap();
-        assert_eq!(data, blocks[1]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -615,13 +622,14 @@ mod tests {
 
     #[test]
     fn cached_block_answers_while_the_only_shard_is_stuck() {
+        // One LRU stripe, so the hit and the stuck miss share its lock.
         let dir = temp_dir("inline-hit");
         let blocks = publish_identity(&dir, 3);
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
         let server = server_for(&dir, Duration::from_millis(400), config);
         let mut first = connect(&server);
         assert_eq!(first.decode_block(0).unwrap(), blocks[0]);
-        // Block 1 misses and holds the only shard for 400 ms.
+        // Block 1 misses and decodes for 400 ms on `first`'s thread.
         let stuck = std::thread::spawn(move || first.decode_block(1).unwrap());
         wait_for_misses(&server, 2);
         let mut second = connect(&server);
@@ -646,14 +654,100 @@ mod tests {
         let mut first = connect(&server);
         let racing = std::thread::spawn(move || first.decode_block(0).unwrap());
         wait_for_misses(&server, 1);
-        // Block 0 is still decoding, so this request misses on its
-        // connection and queues on the shard behind that decode.
+        // Block 0 is still decoding, so this request waits on its
+        // in-flight marker and then finds it cached.
         let mut second = connect(&server);
         assert_eq!(second.decode_block(0).unwrap(), blocks[0]);
         assert_eq!(racing.join().unwrap(), blocks[0]);
         let hits = server.shared.stats.cache_hits.load(Ordering::Relaxed);
         let misses = server.shared.stats.cache_misses.load(Ordering::Relaxed);
         assert_eq!((hits, misses), (1, 1), "one decode, and each request counted once");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_slow_decode_delays_no_other_connection() {
+        let dir = temp_dir("slow-decode");
+        let blocks = publish_identity(&dir, 3);
+        // One stripe for every block, and a 400 ms decode of block 0.
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let codec = SlowIdentity { delay: Duration::from_millis(400), only: Some(0), panic: false };
+        let server = Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), config);
+        let mut second = connect(&server);
+        assert_eq!(second.decode_block(2).unwrap(), blocks[2]);
+        let mut first = connect(&server);
+        let slow = std::thread::spawn(move || first.decode_block(0).unwrap());
+        wait_for_misses(&server, 2);
+        for block in [1, 2] {
+            let start = Instant::now();
+            assert_eq!(second.decode_block(block as u64).unwrap(), blocks[block]);
+            let elapsed = start.elapsed();
+            assert!(elapsed < Duration::from_millis(100), "block {block} waited {elapsed:?}");
+        }
+        assert_eq!(slow.join().unwrap(), blocks[0]);
+        let hits = server.shared.stats.cache_hits.load(Ordering::Relaxed);
+        let misses = server.shared.stats.cache_misses.load(Ordering::Relaxed);
+        assert_eq!((hits, misses), (1, 3));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_decode_wakes_the_requests_waiting_on_it() {
+        let dir = temp_dir("panic-wakes");
+        let blocks = publish_identity(&dir, 2);
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let codec = SlowIdentity { delay: Duration::from_millis(200), only: Some(0), panic: true };
+        let server = Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), config);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let request = |tx: std::sync::mpsc::Sender<_>| {
+            let mut client = connect(&server);
+            std::thread::spawn(move || tx.send(client.decode_block(0)).unwrap())
+        };
+        request(tx.clone());
+        wait_for_misses(&server, 1);
+        // Block 0 is in flight, so this request waits on its marker.
+        request(tx);
+        for _ in 0..2 {
+            let answer = rx.recv_timeout(Duration::from_secs(10)).expect("a request hung");
+            let err = answer.unwrap_err();
+            assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("worker failed"), "{err}");
+        }
+        // The stripe still decodes, and nothing is left in flight.
+        assert_eq!(connect(&server).decode_block(1).unwrap(), blocks[1]);
+        assert!(server.shared.stripes[0].lock().in_flight.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stripe_capacities_sum_to_the_cache_size() {
+        for cache_blocks in [0, 1, 2, 3, 4, 7, 8, 255, 256, 257, 5000] {
+            for workers in [0, 1, 2, 3, 8, 64, 2000] {
+                let caps = stripe_capacities(cache_blocks, workers);
+                let case = format!("cache {cache_blocks}, workers {workers}: {caps:?}");
+                assert_eq!(caps.len(), workers.min(cache_blocks).clamp(1, 1024), "{case}");
+                assert_eq!(caps.iter().sum::<usize>(), cache_blocks, "{case}");
+                let (min, max) = (caps.iter().min().unwrap(), caps.iter().max().unwrap());
+                assert!(max - min <= 1, "{case}");
+            }
+        }
+        assert_eq!(stripe_capacities(256, 2), [128, 128]);
+        assert_eq!(stripe_capacities(1, 2), [1]);
+        assert_eq!(stripe_capacities(4, 8), [1, 1, 1, 1]);
+        assert_eq!(stripe_capacities(257, 2), [129, 128]);
+    }
+
+    #[test]
+    fn stats_report_the_stripe_count_as_workers() {
+        let dir = temp_dir("stripes");
+        publish_identity(&dir, 2);
+        for (workers, cache_blocks, stripes) in [(8, 4, 4), (2, 256, 2), (3, 0, 1)] {
+            let config = ServeConfig { workers, cache_blocks };
+            let server = server_for(&dir, Duration::ZERO, config);
+            assert_eq!(server.shared.stripes.len(), stripes);
+            let stats = server.stats_json();
+            assert!(stats.contains(&format!("\"workers\":{stripes}}}")), "{stats}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -146,7 +146,7 @@ impl Artifact {
     /// Chunk `ci`'s bytes: the cached verified copy, or a fresh read
     /// and check that is cached once it passes.  The lock covers only
     /// the lookup and the insert, never the read or the hash, so two
-    /// shards missing the same chunk at once may both load it.
+    /// connections missing the same chunk at once may both load it.
     fn verified_chunk(&self, ci: usize) -> Result<Arc<[u8]>, ServeError> {
         if let Some(bytes) = self.chunk_cache().get(ci) {
             self.chunk_hits.fetch_add(1, Ordering::Relaxed);

@@ -478,14 +478,14 @@ fn chunk_corrupted_after_caching_keeps_serving_the_verified_bytes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// Scenario 11: a decode job that panics.  Its request answers a typed
-// error, and the shard it ran on keeps decoding other blocks, for the
-// same connection and for a fresh one.
+// Scenario 11: a decode that panics.  The connection thread catches it,
+// its request answers a typed error, and the daemon keeps decoding other
+// blocks, for the same connection and for a fresh one.
 #[test]
 fn a_panicking_decode_answers_a_typed_error_and_the_shard_serves_on() {
     let dir = temp_dir("panicking-job");
     let blocks = publish_two_chunks(&dir);
-    // One shard, so every block shares the shard the panic ran on.
+    // One LRU stripe, so every block shares the stripe the panic left.
     let config = ServeConfig { workers: 1, ..ServeConfig::default() };
     let codec = Box::new(PanicsOn { poison: blocks[2][0] });
     let server = Server::new(Artifact::open(&dir).unwrap(), codec, config);

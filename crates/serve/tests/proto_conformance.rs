@@ -293,8 +293,8 @@ fn pipelined_requests_stay_within_the_queue_bound() {
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let entered = Arc::new(AtomicBool::new(false));
     let codec = Gated { gate: gate.clone(), entered: entered.clone() };
-    let config = ServeConfig { request_timeout: Duration::from_secs(30), ..ServeConfig::default() };
-    let server = Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), config);
+    let server =
+        Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), ServeConfig::default());
     let (mut stream, server_end) = duplex();
     let (reader, writer) = server_end.split();
     let consumed = Arc::new(AtomicUsize::new(0));
@@ -333,19 +333,15 @@ fn pipelined_requests_stay_within_the_queue_bound() {
 }
 
 /// Eight concurrent clients each pull every block (raw and decoded)
-/// and must see byte-identical payloads no matter how many worker
-/// shards the daemon runs.
+/// and must see byte-identical payloads no matter how many LRU
+/// stripes the daemon runs.
 #[test]
 fn concurrent_clients_get_identical_bytes_across_worker_counts() {
     let dir = temp_dir("workers");
     let blocks = publish_identity(&dir, 9);
     let mut transcripts = Vec::new();
     for workers in [1usize, 2, 8] {
-        let config = ServeConfig {
-            workers,
-            request_timeout: Duration::from_secs(30),
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig { workers, ..ServeConfig::default() };
         let server = server_for(&dir, config);
         let handles: Vec<_> = (0..8)
             .map(|_| {

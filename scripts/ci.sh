@@ -147,7 +147,8 @@ echo "== serve smoke (publish, verify, daemon fetch, corruption) =="
 # a single flipped chunk byte must fail `verify` with a non-zero exit
 # that names the chunk.  `fetch` decodes every block once, in order, so
 # a daemon that verifies each chunk once reports one chunk load per
-# chunk file in its `shutdown:` stats line.
+# chunk file in its `shutdown:` stats line, counts each `decode-block`
+# as exactly one cache hit or miss, and answers no request with an error.
 serve_elf="target/ci-serve.elf"
 serve_cce="target/ci-serve.cce"
 serve_dir="target/ci-serve-artifact"
@@ -175,7 +176,10 @@ log, chunk_files = open(sys.argv[1]).read(), int(sys.argv[2])
 line = next(l for l in log.splitlines() if l.startswith("shutdown: "))
 stats = json.loads(line[len("shutdown: "):])
 assert stats["chunk_loads"] == chunk_files, (stats, chunk_files)
-print("serve smoke:", chunk_files, "chunk files, each loaded and verified once")
+assert stats["cache_hits"] + stats["cache_misses"] == stats["blocks"], stats
+assert stats["errors"] == 0, stats
+print("serve smoke:", chunk_files, "chunk files, each loaded and verified once;",
+      stats["blocks"], "decode-block requests, each counted once")
 EOF
 python3 - "$serve_dir/chunks/00000000.chunk" <<'EOF'
 import sys

@@ -1,26 +1,52 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! The paper's evaluation, regenerated: every measured table of
+//! EXPERIMENTS.md ([`experiments`], run by the `experiments` binary) and
+//! the SAMC optimizer benchmark ([`optimizer`], run by `bench_optimizer`).
 //!
-//! Every binary in `src/bin/` regenerates one figure or claim of the
-//! DAC'98 paper (see DESIGN.md's experiment index).  They share the
-//! [`suite`] runner (deterministic parallel measurement over the SPEC95
-//! workload) and the [`reporter`] (aligned tables and JSON).
-//!
-//! Set `CCE_SCALE` (default `1.0`) to shrink or grow the synthetic
-//! workload; the figures are produced at 1.0.  Set `CCE_WORKERS` to pin
-//! the worker-pool size — results are byte-identical for any value.
+//! The tables share the [`suite`] runner (deterministic parallel
+//! measurement over the SPEC95 workload) and the [`reporter`] (aligned
+//! figure tables).  Set `CCE_SCALE` (default `1.0`) to shrink or grow
+//! the synthetic workload; EXPERIMENTS.md quotes scale 1.0.  Set
+//! `CCE_WORKERS` to pin the worker-pool size — output is byte-identical
+//! for any value.
 
+pub mod experiments;
 pub mod optimizer;
 pub mod reporter;
 pub mod suite;
 
-pub use reporter::{means, print_figure, render_json, render_table};
+pub use reporter::{means, render_table};
 pub use suite::{figure_rows, figure_rows_with_workers, FigureRow};
 
-/// Workload scale from `CCE_SCALE` (default 1.0).
-pub fn scale_from_env() -> f64 {
-    std::env::var("CCE_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s: &f64| s.is_finite() && s > 0.0)
-        .unwrap_or(1.0)
+/// Workload scale from `CCE_SCALE`: 1.0 when unset.
+///
+/// # Errors
+///
+/// A message naming the value when it is set but is not a finite
+/// positive number — a typo must not silently run the full-scale suite.
+pub fn scale_from_env() -> Result<f64, String> {
+    parse_scale(std::env::var("CCE_SCALE").ok().as_deref())
+}
+
+/// Parses a `CCE_SCALE` value (`None` = unset = 1.0).
+fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else { return Ok(1.0) };
+    match raw.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!("CCE_SCALE=`{raw}` is not a finite positive number")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn scale_parse_refuses_typos() {
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.05")), Ok(0.05));
+        for bad in ["0.05x", "0", "-2", "inf", "NaN", ""] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+        }
+    }
 }

@@ -15,7 +15,7 @@
 
 use cce_core::codec::{compress_parallel, worker_count};
 use cce_core::isa::mips::encode_text;
-use cce_core::obs::json_string;
+use cce_core::obs::JsonWriter;
 use cce_core::samc::store::{CachedTrainer, ModelStore};
 use cce_core::samc::{
     optimize_division_reference, optimize_division_with_workers, OptimizeConfig, SamcConfig,
@@ -114,55 +114,46 @@ impl OptimizerReport {
     /// Renders the `BENCH_optimizer.json` artifact: one line, with a
     /// final newline (see README).
     pub fn to_json(&self) -> String {
-        let programs: Vec<String> = CACHE_PROGRAMS.iter().map(|p| json_string(p)).collect();
-        let sources: Vec<String> =
-            self.model_cache.cold_sources.iter().map(|s| json_string(s)).collect();
         let multi = &self.multi_restart;
         let cache = &self.model_cache;
-        format!(
-            concat!(
-                "{{\"version\":1,\"benchmark\":\"optimizer\",",
-                "\"workload\":{{\"profile\":\"{profile}\",\"scale\":{scale},\"seed\":{seed},\"units\":{units}}},",
-                "\"config\":{{\"streams\":{streams},\"iterations\":{iterations},\"sample_units\":{sample},\"seed\":{opt_seed}}},",
-                "\"reference_ms\":{reference_ms:.3},\"fast_ms\":{fast_ms:.3},\"speedup\":{speedup:.2},",
-                "\"matches_reference\":{matches},",
-                "\"cost_bits\":{cost:.3},\"reference_cost_bits\":{reference_cost:.3},",
-                "\"division_hash\":\"{hash:016x}\",",
-                "\"multi_restart\":{{\"restarts\":{restarts},\"workers\":{workers},\"ms\":{multi_ms:.3},\"cost_bits\":{multi_cost:.3}}},",
-                "\"model_cache\":{{\"programs\":[{cache_programs}],\"cold_ms\":{cache_cold_ms:.3},",
-                "\"warm_ms\":{cache_warm_ms:.3},\"warm_speedup\":{warm_speedup:.2},",
-                "\"cold_sources\":[{cold_sources}],\"warm_hits\":{warm_hits},",
-                "\"warm_matches_cold\":{warm_matches_cold},",
-                "\"cold_division_hash\":\"{cold_division_hash:016x}\"}}}}\n"
-            ),
-            profile = PROFILE,
-            scale = WORKLOAD_SCALE,
-            seed = SEED,
-            units = self.units,
-            streams = self.config.streams,
-            iterations = self.config.iterations,
-            sample = self.config.sample_units,
-            opt_seed = self.config.seed,
-            reference_ms = self.reference_ms,
-            fast_ms = self.fast_ms,
-            speedup = self.speedup(),
-            matches = self.matches_reference,
-            cost = self.cost_bits,
-            reference_cost = self.reference_cost_bits,
-            hash = self.division_hash,
-            restarts = RESTARTS,
-            workers = multi.workers,
-            multi_ms = multi.ms,
-            multi_cost = multi.cost_bits,
-            cache_programs = programs.join(","),
-            cache_cold_ms = cache.cold_ms,
-            cache_warm_ms = cache.warm_ms,
-            warm_speedup = cache.warm_speedup(),
-            cold_sources = sources.join(","),
-            warm_hits = cache.warm_hits,
-            warm_matches_cold = cache.warm_matches_cold,
-            cold_division_hash = cache.cold_division_hash,
-        )
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("version").int(1).key("benchmark").string("optimizer");
+            w.key("workload").object(|w| {
+                w.key("profile").string(PROFILE).key("scale").number(WORKLOAD_SCALE);
+                w.key("seed").int(SEED).key("units").int(self.units);
+            });
+            w.key("config").object(|w| {
+                w.key("streams").int(self.config.streams);
+                w.key("iterations").int(self.config.iterations);
+                w.key("sample_units").int(self.config.sample_units);
+                w.key("seed").int(self.config.seed);
+            });
+            w.key("reference_ms").fixed(self.reference_ms, 3);
+            w.key("fast_ms").fixed(self.fast_ms, 3);
+            w.key("speedup").fixed(self.speedup(), 2);
+            w.key("matches_reference").bool(self.matches_reference);
+            w.key("cost_bits").fixed(self.cost_bits, 3);
+            w.key("reference_cost_bits").fixed(self.reference_cost_bits, 3);
+            w.key("division_hash").string(&format!("{:016x}", self.division_hash));
+            w.key("multi_restart").object(|w| {
+                w.key("restarts").int(RESTARTS).key("workers").int(multi.workers);
+                w.key("ms").fixed(multi.ms, 3).key("cost_bits").fixed(multi.cost_bits, 3);
+            });
+            w.key("model_cache").object(|w| {
+                w.key("programs").strings(CACHE_PROGRAMS);
+                w.key("cold_ms").fixed(cache.cold_ms, 3);
+                w.key("warm_ms").fixed(cache.warm_ms, 3);
+                w.key("warm_speedup").fixed(cache.warm_speedup(), 2);
+                w.key("cold_sources").strings(&cache.cold_sources);
+                w.key("warm_hits").int(cache.warm_hits);
+                w.key("warm_matches_cold").bool(cache.warm_matches_cold);
+                w.key("cold_division_hash").string(&format!("{:016x}", cache.cold_division_hash));
+            });
+        });
+        let mut json = w.finish();
+        json.push('\n');
+        json
     }
 }
 

@@ -1,72 +1,27 @@
-//! Table and JSON rendering for figure rows.
+//! Table rendering for figure rows.
 //!
-//! [`render_table`] produces exactly the aligned-text layout the figure
-//! binaries have always printed (the parallel-equivalence tests compare
-//! these strings byte for byte); [`render_json`] produces the
-//! machine-readable form using the JSON helpers in `cce_core::report`
-//! and `cce_core::obs`.
+//! [`render_table`] produces the aligned-text layout of Figures 7 and 8
+//! (the parallel-equivalence tests compare these strings byte for byte).
 
 use crate::FigureRow;
-use cce_core::obs::json_string;
-use cce_core::report::json_number;
 use cce_core::Algorithm;
 use std::fmt::Write as _;
 
 /// Renders a figure as an aligned table with a trailing mean row.
 pub fn render_table(title: &str, algorithms: &[Algorithm], rows: &[FigureRow]) -> String {
-    let mut out = String::new();
-    writeln!(out, "{title}").expect("string write");
-    write!(out, "{:<10}", "benchmark").expect("string write");
+    let mut out = format!("{title}\n{:<10}", "benchmark");
     for a in algorithms {
         write!(out, " {:>9}", a.to_string()).expect("string write");
     }
-    writeln!(out).expect("string write");
-    let mut sums = vec![0.0f64; algorithms.len()];
-    for row in rows {
-        write!(out, "{:<10}", row.benchmark).expect("string write");
-        for (i, r) in row.ratios.iter().enumerate() {
+    let mean = FigureRow { benchmark: "MEAN", ratios: means(rows) };
+    for row in rows.iter().chain([&mean]) {
+        write!(out, "\n{:<10}", row.benchmark).expect("string write");
+        for r in &row.ratios {
             write!(out, " {r:>9.3}").expect("string write");
-            sums[i] += r;
         }
-        writeln!(out).expect("string write");
     }
-    write!(out, "{:<10}", "MEAN").expect("string write");
-    for s in &sums {
-        write!(out, " {:>9.3}", s / rows.len() as f64).expect("string write");
-    }
-    writeln!(out).expect("string write");
+    out.push('\n');
     out
-}
-
-/// Prints [`render_table`] to stdout.
-pub fn print_figure(title: &str, algorithms: &[Algorithm], rows: &[FigureRow]) {
-    print!("{}", render_table(title, algorithms, rows));
-}
-
-/// Renders a figure as a JSON object:
-/// `{"title", "algorithms", "rows": [{"benchmark", "ratios"}], "means"}`.
-pub fn render_json(title: &str, algorithms: &[Algorithm], rows: &[FigureRow]) -> String {
-    let algorithm_names: Vec<String> =
-        algorithms.iter().map(|a| json_string(&a.to_string())).collect();
-    let row_objects: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let ratios: Vec<String> = row.ratios.iter().map(|&r| json_number(r)).collect();
-            format!(
-                "{{\"benchmark\":{},\"ratios\":[{}]}}",
-                json_string(row.benchmark),
-                ratios.join(",")
-            )
-        })
-        .collect();
-    let mean_values: Vec<String> = means(rows).iter().map(|&m| json_number(m)).collect();
-    format!(
-        "{{\"title\":{},\"algorithms\":[{}],\"rows\":[{}],\"means\":[{}]}}",
-        json_string(title),
-        algorithm_names.join(","),
-        row_objects.join(","),
-        mean_values.join(",")
-    )
 }
 
 /// Mean ratio per algorithm across rows.
@@ -109,19 +64,5 @@ mod tests {
                         b              0.300     0.500\n\
                         MEAN           0.400     0.600\n";
         assert_eq!(table, expected);
-    }
-
-    #[test]
-    fn json_shape_is_complete() {
-        let json = render_json("test", &[Algorithm::Samc, Algorithm::Sadc], &sample_rows());
-        for needle in [
-            "\"title\":\"test\"",
-            "\"algorithms\":[\"SAMC\",\"SADC\"]",
-            "\"benchmark\":\"a\"",
-            "\"ratios\":[0.5,0.7]",
-            "\"means\":[0.4",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
     }
 }

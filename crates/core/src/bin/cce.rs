@@ -595,18 +595,10 @@ fn write_metrics(path: &str, command: &str) -> Result<(), Box<dyn Error>> {
     if !cce_core::obs::enabled() {
         eprintln!("cce: warning: built without the `obs` feature; all metrics are zero");
     }
-    std::fs::write(path, terminated(cce_core::obs::metrics_json(command)))?;
+    // JSON artifacts are text files: POSIX tools expect a final newline.
+    std::fs::write(path, cce_core::obs::metrics_json(command) + "\n")?;
     eprintln!("cce: wrote {command} metrics to {path}");
     Ok(())
-}
-
-/// JSON artifacts are text files: POSIX tools (`tail`, `jq`, `wc -l`)
-/// expect a final newline, so every reporter terminates with one.
-fn terminated(mut json: String) -> String {
-    if !json.ends_with('\n') {
-        json.push('\n');
-    }
-    json
 }
 
 /// One comma-separated sweep grid axis: `flag`'s values, each parsed by
@@ -667,19 +659,17 @@ fn parse_decoder(name: &str) -> Result<cce_core::memsim::sweep::SweepDecoder, St
 /// writing the versioned `BENCH_memsim.json` artifact (see README).
 ///
 /// Workload and trace are fixed-seed and generated once; each (codec,
-/// block size) image is trained and compressed exactly once and shared
-/// across its cells via `Arc`; cells fan out over the deterministic
-/// `parallel_map` pool.  The artifact contains no wall-clock numbers,
-/// so it is byte-identical for any `--workers` value — the property CI
-/// pins.
+/// block size) image is built once ([`cce_core::sweep_images`]) and
+/// shared across its cells; `cce_memsim::sweep` simulates the cells and
+/// renders the artifact, which holds no wall-clock numbers, so it is
+/// byte-identical for any `--workers` value — the property CI pins.
 fn sweep(args: &Args) -> Result<(), Box<dyn Error>> {
-    use cce_core::codec::compress_parallel;
     use cce_core::isa::mips::encode_text;
-    use cce_core::memsim::sweep::{run_sweep, SweepConfig, SweepImage};
-    use cce_core::memsim::LineAddressTable;
+    use cce_core::memsim::sweep::{
+        arith_rans_delta, render_artifact, run_sweep, SweepConfig, SweepWorkload,
+    };
     use cce_core::workload::trace::{instruction_trace, TraceConfig};
     use cce_core::workload::{generate_mips_seeded, Spec95};
-    use std::sync::Arc;
 
     const PROFILE: &str = "go";
     args.positionals::<0>()?;
@@ -703,150 +693,36 @@ fn sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let workers = args.number("--workers", worker_count())?;
 
-    // Workload text and fetch trace: generated once, shared by every
-    // image and cell.
     let profile = Spec95::by_name(PROFILE).expect("profile is in the suite");
     let text = encode_text(&generate_mips_seeded(profile, scale, seed));
     let trace =
         instruction_trace(text.len(), &TraceConfig { fetches, seed, ..TraceConfig::default() });
-
-    // Each (codec, block size) grid point is trained and compressed
-    // exactly once; cells only ever see the Arc-shared LAT.
-    let mut images = Vec::new();
-    let mut image_json = Vec::new();
-    for &algorithm in &algorithms {
-        for &block_size in &blocks {
-            let handle = algorithm
-                .build(Isa::Mips, block_size)
-                .train(&text)
-                .map_err(|e| format!("{algorithm}/b{block_size}: {e}"))?;
-            let codec = handle.as_block().expect("random-access checked above");
-            let image = compress_parallel(codec, &text, workers)
-                .map_err(|e| format!("{algorithm}/b{block_size}: {e}"))?;
-            let lat = LineAddressTable::from_image(&image);
-            image_json.push(format!(
-                concat!(
-                    "{{\"codec\":\"{codec}\",\"block_size\":{block},\"blocks\":{blocks},",
-                    "\"compressed_bytes\":{compressed},\"text_bytes\":{text_bytes},",
-                    "\"ratio\":{ratio:.6},\"lat_bytes\":{lat_bytes}}}"
-                ),
-                codec = algorithm,
-                block = block_size,
-                blocks = image.block_count(),
-                compressed = image.compressed_len(),
-                text_bytes = text.len(),
-                ratio = image.compressed_len() as f64 / text.len() as f64,
-                lat_bytes = lat.table_bytes(),
-            ));
-            images.push(SweepImage {
-                codec: algorithm.to_string(),
-                block_size,
-                lat: Arc::new(lat),
-                compressed_bytes: image.compressed_len() as u64,
-                text_bytes: text.len() as u64,
-            });
-        }
-    }
-
+    let images = cce_core::sweep_images(Isa::Mips, &text, &algorithms, &blocks, workers)?;
     let results = run_sweep(&images, &config, &trace, workers);
     if results.is_empty() {
         return Err("sweep grid expanded to zero valid cells".into());
     }
 
-    let mut cell_json = Vec::with_capacity(results.len());
-    for r in &results {
-        let image = &images[r.cell.image];
-        let clb_total = (r.report.clb_hits + r.report.clb_misses).max(1);
-        cell_json.push(format!(
-            concat!(
-                "{{\"codec\":\"{codec}\",\"block_size\":{block},\"cache\":{cache},",
-                "\"assoc\":{assoc},\"clb\":{clb},\"decoder\":\"{decoder}\",",
-                "\"cpf\":{cpf:.6},\"baseline_cpf\":{baseline:.6},\"slowdown\":{slowdown:.6},",
-                "\"cache_hit_ratio\":{cache_hits:.6},\"clb_hit_ratio\":{clb_hits:.6},",
-                "\"refill_cycles\":{refill}}}"
-            ),
-            codec = image.codec,
-            block = image.block_size,
-            cache = r.cell.cache_size,
-            assoc = r.cell.associativity,
-            clb = r.cell.clb_entries,
-            decoder = config.decoders[r.cell.decoder].name,
-            cpf = r.report.cpf(),
-            baseline = r.baseline.cpf(),
-            slowdown = r.slowdown(),
-            cache_hits = r.report.cache.hit_ratio(),
-            clb_hits = r.report.clb_hits as f64 / clb_total as f64,
-            refill = r.report.refill_cycles,
-        ));
-    }
-
-    // Per-decoder mean CPF, and the arith-vs-rANS refill-latency delta
-    // (nibble models the paper's serial engine; positive delta = the
-    // rANS engine is faster end to end).
-    let mut decoder_json = Vec::new();
-    let mut mean_by_decoder = Vec::new();
-    for (index, decoder) in config.decoders.iter().enumerate() {
-        let cpfs: Vec<f64> =
-            results.iter().filter(|r| r.cell.decoder == index).map(|r| r.report.cpf()).collect();
-        let mean = cpfs.iter().sum::<f64>() / cpfs.len().max(1) as f64;
-        mean_by_decoder.push(mean);
-        decoder_json.push(format!(
-            "{{\"decoder\":\"{name}\",\"cells\":{cells},\"mean_cpf\":{mean:.6}}}",
-            name = decoder.name,
-            cells = cpfs.len(),
-        ));
-    }
-    let nibble_mean =
-        config.decoders.iter().position(|d| d.name == "nibble").map(|i| mean_by_decoder[i]);
-    let rans_mean =
-        config.decoders.iter().position(|d| d.name.starts_with("rans")).map(|i| mean_by_decoder[i]);
-    let arith_rans_delta = match (nibble_mean, rans_mean) {
-        (Some(nibble), Some(rans)) => format!("{:.6}", nibble - rans),
-        _ => "null".into(),
+    let workload = SweepWorkload {
+        profile: PROFILE.into(),
+        scale,
+        seed,
+        codecs: algorithms.iter().map(Algorithm::to_string).collect(),
+        block_sizes: blocks,
     };
-
-    let artifact = format!(
-        concat!(
-            "{{\"version\":1,\"benchmark\":\"memsim-sweep\",\"profile\":\"{profile}\",",
-            "\"scale\":{scale},\"seed\":{seed},\"fetches\":{fetches},",
-            "\"grid\":{{\"algos\":[{algos}],\"blocks\":{blocks:?},\"caches\":{caches:?},",
-            "\"assoc\":{assoc:?},\"clb\":{clb:?},\"decoders\":[{decoders}],",
-            "\"memory_latency\":{latency},\"bus_bytes_per_cycle\":{bus}}},",
-            "\"images\":[{images}],\"cells\":[{cells}],",
-            "\"summary\":{{\"cells\":{cell_count},\"images\":{image_count},",
-            "\"decoder_mean_cpf\":[{decoder_means}],\"arith_rans_delta\":{delta}}}}}"
-        ),
-        profile = PROFILE,
-        scale = scale,
-        seed = seed,
-        fetches = trace.len(),
-        algos = algorithms.iter().map(|a| format!("\"{a}\"")).collect::<Vec<_>>().join(","),
-        blocks = blocks,
-        caches = config.cache_sizes,
-        assoc = config.associativities,
-        clb = config.clb_entries,
-        decoders =
-            config.decoders.iter().map(|d| format!("\"{}\"", d.name)).collect::<Vec<_>>().join(","),
-        latency = config.memory_latency,
-        bus = config.bus_bytes_per_cycle,
-        images = image_json.join(","),
-        cells = cell_json.join(","),
-        cell_count = results.len(),
-        image_count = images.len(),
-        decoder_means = decoder_json.join(","),
-        delta = arith_rans_delta,
-    );
+    let artifact = render_artifact(&workload, &images, &config, trace.len(), &results);
     let path = args.value("--output").unwrap_or("BENCH_memsim.json");
-    std::fs::write(path, terminated(artifact.clone()))?;
+    std::fs::write(path, format!("{artifact}\n"))?;
     if args.switch("--json") {
         println!("{artifact}");
     } else {
+        let delta = arith_rans_delta(&config, &results)
+            .map_or_else(|| "null".to_string(), |delta| format!("{delta:.6}"));
         println!(
-            "sweep: {} cells over {} images ({} fetches each), arith-vs-rANS mean CPF delta {}",
+            "sweep: {} cells over {} images ({} fetches each), arith-vs-rANS mean CPF delta {delta}",
             results.len(),
             images.len(),
             trace.len(),
-            arith_rans_delta,
         );
         println!("  wrote {path}");
     }

@@ -5,7 +5,7 @@
 //! compressors for the Wolfe/Chanin compressed-code architecture, the
 //! baselines they are measured against, and the memory system that runs
 //! them.  This crate re-exports every subsystem and adds the measurement
-//! harness used by the figure-regeneration binaries:
+//! harness behind the `experiments` driver:
 //!
 //! * [`Algorithm`] — the five compressors of the paper's evaluation,
 //!   each buildable into a [`codec::BlockCodec`] or [`codec::FileCodec`]
@@ -266,6 +266,47 @@ pub fn measure_suite_with_workers(
     })
     .into_iter()
     .collect()
+}
+
+/// Builds the compressed images of a memory-system sweep
+/// ([`memsim::sweep`]): one per (algorithm, block size) pair, in that
+/// nesting order, each trained on `text`, compressed over `workers`
+/// threads ([`codec::compress_parallel`]) and reduced to its line
+/// address table.
+///
+/// # Errors
+///
+/// A message naming the `algorithm/b<block size>` grid point when an
+/// algorithm is file-oriented (a memory system needs random access) or
+/// fails to train or compress.
+pub fn sweep_images(
+    isa: Isa,
+    text: &[u8],
+    algorithms: &[Algorithm],
+    block_sizes: &[usize],
+    workers: usize,
+) -> Result<Vec<cce_memsim::sweep::SweepImage>, String> {
+    let mut images = Vec::with_capacity(algorithms.len() * block_sizes.len());
+    for &algorithm in algorithms {
+        for &block_size in block_sizes {
+            let point = format!("{algorithm}/b{block_size}");
+            let handle = algorithm
+                .build(isa, block_size)
+                .train(text)
+                .map_err(|e| format!("{point}: {e}"))?;
+            let codec = handle.as_block().ok_or_else(|| format!("{point}: not random-access"))?;
+            let image = cce_codec::compress_parallel(codec, text, workers)
+                .map_err(|e| format!("{point}: {e}"))?;
+            images.push(cce_memsim::sweep::SweepImage {
+                codec: algorithm.to_string(),
+                block_size,
+                lat: std::sync::Arc::new(cce_memsim::LineAddressTable::from_image(&image)),
+                compressed_bytes: image.compressed_len() as u64,
+                text_bytes: text.len() as u64,
+            });
+        }
+    }
+    Ok(images)
 }
 
 #[cfg(test)]

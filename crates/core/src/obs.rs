@@ -1,10 +1,10 @@
 //! Workspace-wide metric aggregation.
 //!
 //! Every instrumented crate exposes an ordered `obs::descriptors()`
-//! list; this module chains them into the single registry the CLI and
-//! the figure harness export from.  The chain order is fixed (codecs in
-//! paper order, then infrastructure), so snapshots and the `--metrics`
-//! artifact are deterministic and diff cleanly.
+//! list; this module chains them into the single registry the CLI
+//! exports from.  The chain order is fixed (codecs in paper order, then
+//! infrastructure), so snapshots and the `--metrics` artifact are
+//! deterministic and diff cleanly.
 //!
 //! The naming scheme, the overhead policy, and the full list of
 //! registered names live in DESIGN.md §7 — a test checks that every name
@@ -12,7 +12,7 @@
 //! documented there is registered.
 
 pub use cce_obs::{
-    json_string, Desc, HitMiss, JsonSink, Kind, MetricsSink, Sample, SampleValue, Snapshot,
+    Desc, HitMiss, JsonSink, JsonWriter, Kind, MetricsSink, Sample, SampleValue, Snapshot,
     TableSink,
 };
 
@@ -73,14 +73,13 @@ pub fn reset() {
 /// The `metrics` array is [`JsonSink`] output — one object per
 /// registered metric, in [`descriptors`] order.
 pub fn metrics_json(command: &str) -> String {
-    let body = JsonSink.render(&snapshot());
-    // JsonSink renders `{"metrics":[...]}`; splice our header into it.
-    format!(
-        "{{\"version\":{METRICS_FORMAT_VERSION},\"command\":{},\"obs_enabled\":{},{}",
-        json_string(command),
-        enabled(),
-        &body[1..],
-    )
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("version").int(METRICS_FORMAT_VERSION);
+        w.key("command").string(command).key("obs_enabled").bool(enabled());
+        JsonSink.write_metrics(w, &snapshot());
+    });
+    w.finish()
 }
 
 #[cfg(test)]

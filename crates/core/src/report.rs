@@ -1,52 +1,51 @@
-//! Machine-readable reporting: a tiny hand-rolled JSON writer shared by
-//! the `cce ratio --json` CLI flow and the figure harness's JSON
-//! reporter.
-//!
-//! The workspace builds without external dependencies, so this module
-//! provides just enough JSON — finite-checked numbers and a
-//! [`Measurement`] renderer, with strings escaped by [`json_string`] —
-//! rather than pulling in a serializer.
+//! Machine-readable measurements: the `cce ratio --json` document,
+//! written through the workspace's one JSON writer ([`JsonWriter`]).
 
-use crate::obs::json_string;
+use crate::obs::JsonWriter;
 use crate::Measurement;
 
-/// Renders `value` as a JSON number (`null` when not finite).
-pub fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        // Enough digits to reconstruct the ratio; trailing zeros trimmed
-        // by using the shortest round-trip representation.
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders one [`Measurement`] as a JSON object.
+/// Writes one [`Measurement`] as a JSON object.
 ///
 /// Fields: `algorithm`, `isa`, `original_len`, `compressed_len`,
 /// `ratio`, `random_access`, `block_count` and `lat_bytes` (both `null`
 /// for file-oriented algorithms).
+fn write_measurement(w: &mut JsonWriter, m: &Measurement) {
+    w.object(|w| {
+        w.key("algorithm").string(&m.algorithm().to_string());
+        w.key("isa").string(&m.isa().to_string());
+        w.key("original_len").int(m.original_len());
+        w.key("compressed_len").int(m.compressed_len());
+        w.key("ratio").number(m.ratio());
+        w.key("random_access").bool(m.random_access());
+        w.key("block_count");
+        match m.block_sizes() {
+            Some(sizes) => w.int(sizes.len()),
+            None => w.null(),
+        };
+        w.key("lat_bytes");
+        match m.lat_bytes() {
+            Some(bytes) => w.int(bytes),
+            None => w.null(),
+        };
+    });
+}
+
+/// Renders one [`Measurement`] as a JSON object (see [`measurements_json`]).
 pub fn measurement_json(m: &Measurement) -> String {
-    let block_count = m.block_sizes().map_or("null".to_string(), |sizes| sizes.len().to_string());
-    let lat = m.lat_bytes().map_or("null".to_string(), |b| b.to_string());
-    format!(
-        "{{\"algorithm\":{},\"isa\":{},\"original_len\":{},\"compressed_len\":{},\
-         \"ratio\":{},\"random_access\":{},\"block_count\":{},\"lat_bytes\":{}}}",
-        json_string(&m.algorithm().to_string()),
-        json_string(&m.isa().to_string()),
-        m.original_len(),
-        m.compressed_len(),
-        json_number(m.ratio()),
-        m.random_access(),
-        block_count,
-        lat,
-    )
+    let mut w = JsonWriter::new();
+    write_measurement(&mut w, m);
+    w.finish()
 }
 
 /// Renders a list of measurements (one per algorithm) as a JSON array.
 pub fn measurements_json(measurements: &[Measurement]) -> String {
-    let items: Vec<String> = measurements.iter().map(measurement_json).collect();
-    format!("[{}]", items.join(","))
+    let mut w = JsonWriter::new();
+    w.array(|w| {
+        for m in measurements {
+            write_measurement(w, m);
+        }
+    });
+    w.finish()
 }
 
 #[cfg(test)]
@@ -54,13 +53,6 @@ mod tests {
     use super::*;
     use crate::{measure, Algorithm};
     use cce_isa::Isa;
-
-    #[test]
-    fn numbers_handle_non_finite() {
-        assert_eq!(json_number(0.5), "0.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
-    }
 
     #[test]
     fn measurement_renders_expected_fields() {

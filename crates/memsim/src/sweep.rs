@@ -16,10 +16,15 @@
 //! worker-count invariant by construction.  `scripts/ci.sh` pins this:
 //! the `cce sweep` artifact carries no timing and must be byte-identical
 //! across `--workers 1/2/8`.
+//!
+//! [`render_artifact`] writes that artifact (`BENCH_memsim.json`): the
+//! workload and grid, one entry per image and per cell, and a summary
+//! with each decoder's mean CPF and the arith-vs-rANS delta.
 
 use crate::cache::CacheConfig;
 use crate::lat::LineAddressTable;
 use crate::system::{CostModel, DecoderLatency, MemorySystem, SimReport};
+use cce_obs::JsonWriter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -234,6 +239,122 @@ pub fn run_sweep(
     results
 }
 
+/// The workload a sweep's images were built from, as its artifact
+/// records it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepWorkload {
+    /// Workload profile name (e.g. `"go"`).
+    pub profile: String,
+    /// Workload scale.
+    pub scale: f64,
+    /// Workload and trace seed.
+    pub seed: u64,
+    /// Codec axis, in grid order.
+    pub codecs: Vec<String>,
+    /// Block-size axis, in grid order.
+    pub block_sizes: Vec<usize>,
+}
+
+/// Mean CPF of the cells run under each of `config`'s decoders, in
+/// decoder order, with the number of cells averaged.
+fn decoder_mean_cpf(config: &SweepConfig, results: &[CellResult]) -> Vec<(usize, f64)> {
+    (0..config.decoders.len())
+        .map(|decoder| {
+            let cpfs: Vec<f64> = results
+                .iter()
+                .filter(|r| r.cell.decoder == decoder)
+                .map(|r| r.report.cpf())
+                .collect();
+            (cpfs.len(), cpfs.iter().sum::<f64>() / cpfs.len().max(1) as f64)
+        })
+        .collect()
+}
+
+/// The arith-vs-rANS refill-latency delta: the `nibble` decoder's mean
+/// CPF minus the first `rans*` decoder's (`nibble` models the paper's
+/// serial engine, so a positive delta means the rANS engine is faster
+/// end to end).  `None` unless the grid has both.
+pub fn arith_rans_delta(config: &SweepConfig, results: &[CellResult]) -> Option<f64> {
+    let means = decoder_mean_cpf(config, results);
+    let nibble = config.decoders.iter().position(|d| d.name == "nibble")?;
+    let rans = config.decoders.iter().position(|d| d.name.starts_with("rans"))?;
+    Some(means[nibble].1 - means[rans].1)
+}
+
+/// Renders the versioned sweep artifact (`BENCH_memsim.json`, without a
+/// final newline) for `results` of [`run_sweep`] over `images` and
+/// `config` with a `fetches`-long trace.  Ratios and CPFs carry six
+/// decimals; the artifact holds no wall-clock numbers.
+pub fn render_artifact(
+    workload: &SweepWorkload,
+    images: &[SweepImage],
+    config: &SweepConfig,
+    fetches: usize,
+    results: &[CellResult],
+) -> String {
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("version").int(1).key("benchmark").string("memsim-sweep");
+        w.key("profile").string(&workload.profile).key("scale").number(workload.scale);
+        w.key("seed").int(workload.seed).key("fetches").int(fetches);
+        w.key("grid").object(|w| {
+            w.key("algos").strings(&workload.codecs).key("blocks").ints(&workload.block_sizes);
+            w.key("caches").ints(&config.cache_sizes).key("assoc").ints(&config.associativities);
+            w.key("clb").ints(&config.clb_entries);
+            w.key("decoders").strings(config.decoders.iter().map(|d| &d.name));
+            w.key("memory_latency").int(config.memory_latency);
+            w.key("bus_bytes_per_cycle").int(config.bus_bytes_per_cycle);
+        });
+        w.key("images").array(|w| {
+            for image in images {
+                w.object(|w| {
+                    w.key("codec").string(&image.codec).key("block_size").int(image.block_size);
+                    w.key("blocks").int(image.lat.len());
+                    w.key("compressed_bytes").int(image.compressed_bytes);
+                    let ratio = image.compressed_bytes as f64 / image.text_bytes as f64;
+                    w.key("text_bytes").int(image.text_bytes).key("ratio").fixed(ratio, 6);
+                    w.key("lat_bytes").int(image.lat.table_bytes());
+                });
+            }
+        });
+        w.key("cells").array(|w| {
+            for r in results {
+                let image = &images[r.cell.image];
+                let clb_total = (r.report.clb_hits + r.report.clb_misses).max(1);
+                w.object(|w| {
+                    w.key("codec").string(&image.codec).key("block_size").int(image.block_size);
+                    w.key("cache").int(r.cell.cache_size).key("assoc").int(r.cell.associativity);
+                    w.key("clb").int(r.cell.clb_entries);
+                    w.key("decoder").string(&config.decoders[r.cell.decoder].name);
+                    w.key("cpf").fixed(r.report.cpf(), 6);
+                    w.key("baseline_cpf").fixed(r.baseline.cpf(), 6);
+                    w.key("slowdown").fixed(r.slowdown(), 6);
+                    w.key("cache_hit_ratio").fixed(r.report.cache.hit_ratio(), 6);
+                    w.key("clb_hit_ratio").fixed(r.report.clb_hits as f64 / clb_total as f64, 6);
+                    w.key("refill_cycles").int(r.report.refill_cycles);
+                });
+            }
+        });
+        w.key("summary").object(|w| {
+            w.key("cells").int(results.len()).key("images").int(images.len());
+            w.key("decoder_mean_cpf").array(|w| {
+                for (decoder, (cells, mean)) in
+                    config.decoders.iter().zip(decoder_mean_cpf(config, results))
+                {
+                    w.object(|w| {
+                        w.key("decoder").string(&decoder.name).key("cells").int(cells);
+                        w.key("mean_cpf").fixed(mean, 6);
+                    });
+                }
+            });
+            // No delta without both decoders: NaN writes `null`.
+            let delta = arith_rans_delta(config, results).unwrap_or(f64::NAN);
+            w.key("arith_rans_delta").fixed(delta, 6);
+        });
+    });
+    w.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,6 +415,50 @@ mod tests {
             // A slower decoder can never speed the compressed system up.
             assert!(pair[0].slowdown() >= 1.0);
         }
+    }
+
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        let images = [image(32, 64, 18), image(16, 128, 10)];
+        let config = SweepConfig {
+            cache_sizes: vec![1024],
+            associativities: vec![2],
+            clb_entries: vec![8],
+            ..SweepConfig::default()
+        };
+        let workload = SweepWorkload {
+            profile: "go".into(),
+            scale: 0.5,
+            seed: 7,
+            codecs: vec!["test".into()],
+            block_sizes: vec![32, 16],
+        };
+        let results = run_sweep(&images, &config, &trace(2_000), 1);
+        let json = render_artifact(&workload, &images, &config, 2_000, &results);
+        let expected = concat!(
+            r#"{"version":1,"benchmark":"memsim-sweep","profile":"go","scale":0.5,"seed":7,"#,
+            r#""fetches":2000,"grid":{"algos":["test"],"blocks":[32,16],"caches":[1024],"#,
+            r#""assoc":[2],"clb":[8],"decoders":["nibble","rans4"],"memory_latency":20,"#,
+            r#""bus_bytes_per_cycle":4},"images":[{"codec":"test","block_size":32,"blocks":64,"#,
+            r#""compressed_bytes":1152,"text_bytes":2048,"ratio":0.562500,"lat_bytes":88},"#,
+            r#"{"codec":"test","block_size":16,"blocks":128,"compressed_bytes":1280,"#,
+            r#""text_bytes":2048,"ratio":0.625000,"lat_bytes":176}],"cells":[{"codec":"test","#,
+            r#""block_size":32,"cache":1024,"assoc":2,"clb":8,"decoder":"nibble","cpf":3.487500,"#,
+            r#""baseline_cpf":1.770000,"slowdown":1.970339,"cache_hit_ratio":0.972500,"#,
+            r#""clb_hit_ratio":0.927273,"refill_cycles":4975},{"codec":"test","block_size":32,"#,
+            r#""cache":1024,"assoc":2,"clb":8,"decoder":"rans4","cpf":3.625000,"#,
+            r#""baseline_cpf":1.770000,"slowdown":2.048023,"cache_hit_ratio":0.972500,"#,
+            r#""clb_hit_ratio":0.927273,"refill_cycles":5250},{"codec":"test","block_size":16,"#,
+            r#""cache":1024,"assoc":2,"clb":8,"decoder":"nibble","cpf":2.757500,"#,
+            r#""baseline_cpf":1.732000,"slowdown":1.592090,"cache_hit_ratio":0.969500,"#,
+            r#""clb_hit_ratio":0.868852,"refill_cycles":3515},{"codec":"test","block_size":16,"#,
+            r#""cache":1024,"assoc":2,"clb":8,"decoder":"rans4","cpf":2.910000,"#,
+            r#""baseline_cpf":1.732000,"slowdown":1.680139,"cache_hit_ratio":0.969500,"#,
+            r#""clb_hit_ratio":0.868852,"refill_cycles":3820}],"summary":{"cells":4,"images":2,"#,
+            r#""decoder_mean_cpf":[{"decoder":"nibble","cells":2,"mean_cpf":3.122500},"#,
+            r#"{"decoder":"rans4","cells":2,"mean_cpf":3.267500}],"arith_rans_delta":-0.145000}}"#,
+        );
+        assert_eq!(json, expected);
     }
 
     #[test]

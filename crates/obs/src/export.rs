@@ -1,5 +1,6 @@
 //! Snapshot exporters: JSON for machines, aligned tables for humans.
 
+use crate::json::JsonWriter;
 use crate::registry::{Sample, SampleValue, Snapshot};
 
 /// Renders a [`Snapshot`] to a string.
@@ -15,62 +16,47 @@ pub trait MetricsSink {
 pub struct JsonSink;
 
 impl JsonSink {
-    /// Renders one sample as a JSON object (no trailing separator).
-    fn sample_json(sample: &Sample, out: &mut String) {
-        out.push_str("{\"name\":");
-        out.push_str(&json_string(sample.name));
-        out.push_str(",\"kind\":\"");
-        out.push_str(match sample.value {
+    /// Writes the `"metrics"` member — one object per sample — into the
+    /// object `w` is writing, so a document can carry its own header
+    /// members next to it (the CLI's `--metrics` artifact does).
+    pub fn write_metrics(&self, w: &mut JsonWriter, snapshot: &Snapshot) {
+        w.key("metrics").array(|w| {
+            for sample in &snapshot.samples {
+                w.object(|w| Self::write_sample(w, sample));
+            }
+        });
+    }
+
+    /// Writes one sample's members.
+    fn write_sample(w: &mut JsonWriter, sample: &Sample) {
+        let kind = match sample.value {
             SampleValue::Counter(_) => "counter",
             SampleValue::Gauge(_) => "gauge",
             SampleValue::Histogram { .. } => "histogram",
             SampleValue::Span { .. } => "span",
-        });
-        out.push_str("\",\"help\":");
-        out.push_str(&json_string(sample.help));
+        };
+        w.key("name").string(sample.name).key("kind").string(kind);
+        w.key("help").string(sample.help);
         match sample.value {
             SampleValue::Counter(v) | SampleValue::Gauge(v) => {
-                out.push_str(",\"value\":");
-                out.push_str(&v.to_string());
+                w.key("value").int(v);
             }
             SampleValue::Histogram { count, sum, buckets } => {
-                out.push_str(",\"count\":");
-                out.push_str(&count.to_string());
-                out.push_str(",\"sum\":");
-                out.push_str(&sum.to_string());
-                out.push_str(",\"buckets\":[");
-                for (i, b) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&b.to_string());
-                }
-                out.push(']');
+                w.key("count").int(count).key("sum").int(sum).key("buckets").ints(buckets);
             }
             SampleValue::Span { count, total_nanos, max_nanos } => {
-                out.push_str(",\"count\":");
-                out.push_str(&count.to_string());
-                out.push_str(",\"total_nanos\":");
-                out.push_str(&total_nanos.to_string());
-                out.push_str(",\"max_nanos\":");
-                out.push_str(&max_nanos.to_string());
+                w.key("count").int(count).key("total_nanos").int(total_nanos);
+                w.key("max_nanos").int(max_nanos);
             }
         }
-        out.push('}');
     }
 }
 
 impl MetricsSink for JsonSink {
     fn render(&self, snapshot: &Snapshot) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, sample) in snapshot.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            Self::sample_json(sample, &mut out);
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::new();
+        w.object(|w| self.write_metrics(w, snapshot));
+        w.finish()
     }
 }
 
@@ -119,27 +105,6 @@ impl MetricsSink for TableSink {
     }
 }
 
-/// Escapes and quotes `s` as a JSON string literal: the one string
-/// escaper behind every JSON document the workspace writes (`--metrics`
-/// artifacts, reports, serving-tier manifests).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,22 +144,6 @@ mod tests {
             assert!(json.contains("\"total_nanos\":2000000"));
         } else {
             assert!(json.contains("\"value\":0"));
-        }
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        for (raw, escaped) in [
-            ("plain", r#""plain""#),
-            ("a\"b", r#""a\"b""#),
-            ("a\\b", r#""a\\b""#),
-            ("a\nb", r#""a\nb""#),
-            ("a\rb", r#""a\rb""#),
-            ("a\tb", r#""a\tb""#),
-            ("a\u{1}b", r#""a\u0001b""#),
-            ("caf\u{e9} \u{1f600}", "\"caf\u{e9} \u{1f600}\""),
-        ] {
-            assert_eq!(json_string(raw), escaped, "{raw:?}");
         }
     }
 

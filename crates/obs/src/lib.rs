@@ -23,6 +23,8 @@
 //! Metrics are exported by collecting [`Desc`] descriptors into a
 //! [`Snapshot`] and rendering it through a [`MetricsSink`] — [`JsonSink`]
 //! for machine-readable artifacts, [`TableSink`] for humans.
+//! [`JsonWriter`] is the one JSON writer: `JsonSink` and every other JSON
+//! document the workspace emits go through it.
 //!
 //! # Examples
 //!
@@ -43,12 +45,14 @@
 
 mod export;
 mod hitmiss;
+mod json;
 mod metric;
 mod registry;
 mod span;
 
-pub use export::{json_string, JsonSink, MetricsSink, TableSink};
+pub use export::{JsonSink, MetricsSink, TableSink};
 pub use hitmiss::HitMiss;
+pub use json::{json_string, JsonInt, JsonWriter};
 pub use metric::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{Desc, Kind, Sample, SampleValue, Snapshot};
 pub use span::{SpanGuard, SpanStat};

@@ -36,6 +36,7 @@ use crate::obs;
 use crate::proto::{read_frame, write_frame, Request, Status, MAX_REQUEST_PAYLOAD};
 use crate::store::Artifact;
 use cce_codec::BlockCodec;
+use cce_obs::JsonWriter;
 use std::collections::HashSet;
 use std::io::{BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -188,21 +189,22 @@ impl Server {
     pub fn stats_json(&self) -> String {
         let s = &self.shared.stats;
         let chunks = self.shared.artifact.chunk_stats();
-        format!(
-            "{{\"requests\":{},\"errors\":{},\"connections\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"chunk_loads\":{},\"chunk_hits\":{},\"chunk_bytes\":{},\
-             \"blocks\":{},\"workers\":{}}}\n",
-            s.requests.load(Ordering::Relaxed),
-            s.errors.load(Ordering::Relaxed),
-            s.connections.load(Ordering::Relaxed),
-            s.cache_hits.load(Ordering::Relaxed),
-            s.cache_misses.load(Ordering::Relaxed),
-            chunks.loads,
-            chunks.hits,
-            chunks.resident_bytes,
-            self.shared.artifact.block_count(),
-            self.shared.stripes.len(),
-        )
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("requests").int(s.requests.load(Ordering::Relaxed));
+            w.key("errors").int(s.errors.load(Ordering::Relaxed));
+            w.key("connections").int(s.connections.load(Ordering::Relaxed));
+            w.key("cache_hits").int(s.cache_hits.load(Ordering::Relaxed));
+            w.key("cache_misses").int(s.cache_misses.load(Ordering::Relaxed));
+            w.key("chunk_loads").int(chunks.loads);
+            w.key("chunk_hits").int(chunks.hits);
+            w.key("chunk_bytes").int(chunks.resident_bytes);
+            w.key("blocks").int(self.shared.artifact.block_count());
+            w.key("workers").int(self.shared.stripes.len());
+        });
+        let mut json = w.finish();
+        json.push('\n');
+        json
     }
 
     /// Serves one connection on the calling thread: reads a request

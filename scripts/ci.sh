@@ -69,6 +69,43 @@ assert blocks == -(-len(a) // 32), f"{blocks} blocks for {len(a)} .text bytes at
 print(f"pipeline smoke: {len(a)} .text bytes round-tripped in {blocks} blocks on {workers} workers")
 EOF
 
+echo "== experiments (EXPERIMENTS.md tables, worker invariance) =="
+# EXPERIMENTS.md quotes every measured table verbatim: a fenced block
+# after each `<!-- experiments:ID -->` marker.  Regenerate them all at
+# scale 1.0 and diff each block against its `== ID ==` section of the
+# `experiments` output, so the document cannot drift from the code.
+exp_out="target/ci-experiments.txt"
+CCE_SCALE=1.0 cargo run --release -q -p cce-bench --bin experiments > "$exp_out"
+exp_ids="$(sed -n 's/^<!-- experiments:\(.*\) -->$/\1/p' EXPERIMENTS.md)"
+test -n "$exp_ids"
+for id in $exp_ids; do
+    awk -v marker="<!-- experiments:$id -->" '
+        $0 == marker { getline; if ($0 != "```text") exit 1; inside = 1; next }
+        inside && $0 == "```" { exit }
+        inside' EXPERIMENTS.md > "$exp_out.doc" || {
+        echo "EXPERIMENTS.md marker \`$id\` is not followed by a \`\`\`text block" >&2
+        exit 1
+    }
+    awk -v header="== $id ==" '
+        $0 == header { inside = 1; next }
+        inside && /^== .* ==$/ { exit }
+        inside' "$exp_out" > "$exp_out.run"
+    diff -u "$exp_out.doc" "$exp_out.run" || {
+        echo "EXPERIMENTS.md block \`$id\` differs from \`experiments $id\` at CCE_SCALE=1.0" >&2
+        exit 1
+    }
+done
+# Determinism: the same tables for any worker count.
+for w in 1 2; do
+    CCE_SCALE=0.05 CCE_WORKERS="$w" cargo run --release -q -p cce-bench --bin experiments > "$exp_out.w$w"
+done
+cmp "$exp_out.w1" "$exp_out.w2"
+# A malformed scale is refused, not silently replaced by 1.0.
+if CCE_SCALE=0.05x cargo run --release -q -p cce-bench --bin experiments fig9 2>/dev/null; then
+    echo "experiments must refuse CCE_SCALE=0.05x" >&2
+    exit 1
+fi
+
 echo "== optimizer perf smoke (fixed seed, pinned division) =="
 # The incremental stream-division search must stay bit-identical to the
 # reference implementation and to its recorded output.  The hash pins the

@@ -2,7 +2,7 @@
 //! byte-identical results for any worker count, so the regenerated
 //! figures never depend on the machine running them.
 
-use cce_bench::{figure_rows_with_workers, render_json, render_table};
+use cce_bench::{figure_rows_with_workers, render_table};
 use cce_core::codec::compress_parallel;
 use cce_core::isa::Isa;
 use cce_core::workload::spec95_suite;
@@ -27,11 +27,9 @@ fn figure_tables_are_byte_identical_across_worker_counts() {
     let algorithms = [Algorithm::ByteHuffman, Algorithm::Samc, Algorithm::Sadc];
     let rows = figure_rows_with_workers(Isa::Mips, &algorithms, 0.02, 32, 1).unwrap();
     let table = render_table("figure", &algorithms, &rows);
-    let json = render_json("figure", &algorithms, &rows);
     for workers in WORKER_COUNTS {
         let rows = figure_rows_with_workers(Isa::Mips, &algorithms, 0.02, 32, workers).unwrap();
         assert_eq!(render_table("figure", &algorithms, &rows), table, "{workers} workers");
-        assert_eq!(render_json("figure", &algorithms, &rows), json, "{workers} workers");
     }
 }
 

@@ -25,8 +25,9 @@ impl BlockImage {
     /// Cache-block codecs use 16–1024 byte blocks; a serialized artifact
     /// claiming more is corrupt, and bounding it caps how much output a
     /// tampered per-block length can demand from a zero-filling decoder.
-    /// The `.cce` container and the serving tier's manifest share this
-    /// cap so every serialized surface enforces the same budget.
+    /// The `.cce` container, the serving tier's run cap and its info
+    /// record share this cap so every serialized surface enforces the
+    /// same budget.
     pub const MAX_BLOCK_SIZE: usize = 1 << 20;
 
     /// Allowance above the nominal block size for a single block's

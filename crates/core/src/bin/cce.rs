@@ -20,13 +20,13 @@
 //! outright, and fresh programs warm-start the stream-division search
 //! from a cached division instead of the cold correlation pass.
 //!
-//! `publish` explodes a v2 container into a content-addressed artifact
-//! directory (chunk files + SHA-256 manifest, [`cce_core::artifact`]),
-//! `verify` re-hashes one end to end, `serve` answers block fetch and
-//! decode requests over a Unix or TCP socket until a client sends
-//! `shutdown`, and `fetch` is the reference client: it pulls the
-//! manifest, decodes every block over the wire, and rebuilds the same
-//! minimal ELF `decompress` writes.
+//! `publish` copies a v2 container into a directory next to a record of
+//! SHA-256 digests over its extents ([`cce_core::artifact`]), `verify`
+//! re-hashes it and re-checks its layout, `serve` answers block fetch
+//! and decode requests from the container over a Unix or TCP socket
+//! until a client sends `shutdown`, and `fetch` is the reference client:
+//! it pulls the info record, decodes every block over the wire, and
+//! rebuilds the same minimal ELF `decompress` writes.
 //!
 //! The `.cce` container holds the trained codec (Markov tables or
 //! dictionary+code tables), the block image, and enough ELF identity to
@@ -251,17 +251,17 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "publish",
         synopsis: "<in.cce> -o <dir>",
-        about: "explode a container into a content-addressed artifact directory",
+        about: "copy a container into a directory with a digest record",
         flags: &[
             output("artifact directory to create"),
-            Flag::value("--chunk-size", "N", "chunk payload bytes (default 65536)"),
+            Flag::value("--chunk-size", "N", "bytes of blocks per digest (default 65536)"),
         ],
         run: publish,
     },
     Command {
         name: "verify",
         synopsis: "<dir>",
-        about: "re-hash a published artifact",
+        about: "re-hash a published artifact and re-check its layout",
         flags: &[],
         run: verify,
     },
@@ -467,11 +467,11 @@ fn cache_request(
     (base, optimize)
 }
 
-/// Buffered ELF load for the measurement-only commands (`ratio` in its
-/// positional form, `stats`, `analyze`, `disasm`): diagnostics want the
-/// whole text resident anyway, so the whole-file read is the honest
-/// cost.  Compression never comes through here — it reads only the
-/// `.text` section through [`streaming::compress_elf`] instead.
+/// Buffered ELF load for the diagnostic commands (`stats`, `analyze`,
+/// `disasm`): they want the whole image resident anyway, so the
+/// whole-file read is the honest cost.  `compress` and `ratio` never
+/// come through here — they read only the headers and the `.text`
+/// section through [`elf_input`] instead.
 fn load_elf(path: &str) -> Result<(ElfImage, Isa), Box<dyn Error>> {
     let bytes = std::fs::read(path)?;
     let image = ElfImage::parse(&bytes)?;
@@ -516,36 +516,37 @@ fn measure_cached(
     }
 }
 
+/// An input ELF opened for the streaming walker.
+type ElfFile = ElfStream<std::io::BufReader<std::fs::File>>;
+
+/// The input ELF of `compress` and `ratio`, given positionally or via
+/// `--elf`, opened for the streaming walker (headers now, `.text` on
+/// demand).
+fn elf_input<'a>(args: &Args<'a>) -> Result<(&'a str, ElfFile), Box<dyn Error>> {
+    let path = match (args.positional.as_slice(), args.value("--elf")) {
+        ([path], None) => *path,
+        ([], Some(path)) => path,
+        _ => return Err(args.usage("pass one input, positionally or via --elf")),
+    };
+    let file = std::fs::File::open(path)?;
+    Ok((path, ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?))
+}
+
 fn ratio(args: &Args) -> Result<(), Box<dyn Error>> {
     let block_size = args.number("--block-size", 32)?;
     let json = args.switch("--json");
-    if let Some(path) = args.value("--elf") {
-        if !args.positional.is_empty() {
-            return Err(args.usage("pass the input either positionally or via --elf, not both"));
-        }
-        // Section stats come from the walker's header pass; each
-        // algorithm is then measured on the `.text` bytes alone (see
-        // [`streaming::measure_elf`]).
-        let file = std::fs::File::open(path)?;
-        let mut elf =
-            ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
-        if !json {
-            print_section_stats(path, &streaming::section_stats(&elf));
-        }
-        print_measurements(json, |algorithm| {
-            Ok(streaming::measure_elf(&mut elf, algorithm, block_size, worker_count())?)
-        });
-        return Ok(());
-    }
-    let [path] = args.positionals()?;
-    let (elf, isa) = load_elf(path)?;
-    let text = elf.text().ok_or("no .text section")?;
+    let (path, mut elf) = elf_input(args)?;
+    let isa = streaming::isa_of(&elf)?;
+    let text = streaming::buffered_text(&mut elf)?;
     let mut trainer = args.value("--model-cache").map(open_model_cache).transpose()?;
     if !json {
+        if args.value("--elf").is_some() {
+            print_section_stats(path, &streaming::section_stats(&elf));
+        }
         println!("{path}: {} bytes of {isa} text", text.len());
     }
     print_measurements(json, |algorithm| {
-        measure_cached(algorithm, isa, text, block_size, &mut trainer)
+        measure_cached(algorithm, isa, &text, block_size, &mut trainer)
     });
     Ok(())
 }
@@ -762,16 +763,9 @@ fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
-    let path = match (args.positional.as_slice(), args.value("--elf")) {
-        ([path], None) => *path,
-        ([], Some(path)) => path,
-        _ => return Err(args.usage("pass one input, positionally or via --elf")),
-    };
+    let (path, mut elf) = elf_input(args)?;
     let output = args.required("--output")?;
     let block_size = args.number("--block-size", 32)?;
-    let file = std::fs::File::open(path)?;
-    let mut elf =
-        ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
     let isa = streaming::isa_of(&elf)?;
 
     let name = args.value("--algo").unwrap_or("samc");
@@ -852,12 +846,8 @@ fn decompress(args: &Args) -> Result<(), Box<dyn Error>> {
     let file = std::fs::File::open(path)?;
     let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
     let identity = reader.identity();
-    let handle = identity
-        .algorithm
-        .build(identity.isa, reader.block_size())
-        .codec_from_bytes(reader.codec_bytes())?;
-    let codec = handle.as_block().expect("container tags are random-access");
-    let text = reader.decode_text(codec)?;
+    let codec = reader.block_codec()?;
+    let text = reader.decode_text(codec.as_ref())?;
     let len = text.len();
     write_elf(output, identity.isa, identity.class, identity.endianness, identity.entry, text)?;
     println!("{path}: decompressed {len} bytes of text into {output}");
@@ -1083,21 +1073,26 @@ fn publish(args: &Args) -> Result<(), Box<dyn Error>> {
     let chunk_size = args.number("--chunk-size", cce_core::serve::DEFAULT_CHUNK_PAYLOAD)?;
     let file = std::fs::File::open(path)?;
     let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
+    let blocks = reader.block_count();
     let summary =
         cce_core::artifact::publish_container(&mut reader, Path::new(output), chunk_size)?;
     println!(
-        "{path}: published {} blocks ({} bytes) into {} chunk files under {output}",
-        summary.manifest.blocks, summary.manifest.data_len, summary.chunk_files,
+        "{path}: published {blocks} blocks in {} runs ({} bytes) under {output}",
+        summary.runs, summary.image_len,
     );
     Ok(())
 }
 
+/// Checks every digest first, so a damaged extent is named before the
+/// container parser trips over it, then everything `serve` checks.
 fn verify(args: &Args) -> Result<(), Box<dyn Error>> {
     let [dir] = args.positionals()?;
     let summary = cce_core::serve::verify_dir(Path::new(dir))?;
+    let (artifact, _) = cce_core::artifact::open_with_codec(Path::new(dir))?;
+    let info = cce_core::artifact::ArtifactInfo::parse(artifact.info())?;
     println!(
-        "{dir}: OK — {} blocks in {} chunks, {} compressed bytes ({} original)",
-        summary.blocks, summary.chunks, summary.data_len, summary.original_len,
+        "{dir}: OK — {} blocks in {} runs, {} bytes ({} original)",
+        info.blocks, summary.runs, summary.image_len, info.original_len,
     );
     Ok(())
 }
@@ -1138,30 +1133,33 @@ fn fetch(args: &Args) -> Result<(), Box<dyn Error>> {
     }
 }
 
-/// The reference-client body of `cce fetch`: pulls the manifest, decodes
-/// every block over the wire, and writes the same minimal ELF
+/// The reference-client body of `cce fetch`: pulls the info record,
+/// decodes every block over the wire, and writes the same minimal ELF
 /// `decompress` produces (so the two outputs byte-compare in CI).
 fn fetch_with<S: std::io::Read + std::io::Write>(
     mut client: cce_core::serve::Client<S>,
     output: &str,
 ) -> Result<(), Box<dyn Error>> {
-    let manifest = cce_core::serve::Manifest::parse(&client.get_manifest()?)?;
-    let (isa, class, endianness, entry) = cce_core::artifact::manifest_identity(&manifest)?;
-    let mut text = Vec::with_capacity(manifest.original_len as usize);
-    for block in 0..manifest.blocks {
+    let info = cce_core::artifact::ArtifactInfo::parse(&client.get_manifest()?)?;
+    let mut text = Vec::new();
+    for block in 0..info.blocks {
         text.extend_from_slice(&client.decode_block(block)?);
+        if text.len() as u64 > info.original_len {
+            return Err(format!("block {block} runs past the promised text length").into());
+        }
     }
-    if text.len() as u64 != manifest.original_len {
+    if text.len() as u64 != info.original_len {
         return Err(format!(
-            "fetched {} decoded bytes but the manifest promises {}",
+            "fetched {} decoded bytes but the info record promises {}",
             text.len(),
-            manifest.original_len
+            info.original_len
         )
         .into());
     }
     client.shutdown()?;
     let len = text.len();
-    write_elf(output, isa, class, endianness, entry, text)?;
-    println!("fetched {} blocks ({len} bytes of text) into {output}", manifest.blocks);
+    let id = info.identity;
+    write_elf(output, id.isa, id.class, id.endianness, id.entry, text)?;
+    println!("fetched {} blocks ({len} bytes of text) into {output}", info.blocks);
     Ok(())
 }

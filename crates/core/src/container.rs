@@ -33,8 +33,9 @@
 //! index cannot demand unbounded output or out-of-extent reads.
 
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 
-use crate::registry::Algorithm;
+use crate::registry::{Algorithm, CodecHandle};
 use cce_codec::{BlockCodec, BlockImage, CodecError};
 use cce_elf::{Class, Endianness};
 use cce_isa::Isa;
@@ -49,7 +50,7 @@ const INDEX_MAGIC: &[u8; 4] = b"CIDX";
 const SELF: &str = "container";
 
 /// Byte length of the shared identity block (tag through entry point).
-const IDENTITY_LEN: usize = 12;
+pub(crate) const IDENTITY_LEN: usize = 12;
 
 /// Fixed v2 header length: magic + identity + block size + model bytes
 /// + codec length.
@@ -82,7 +83,7 @@ pub struct ContainerIdentity {
 
 impl ContainerIdentity {
     /// Appends the 12-byte identity encoding.
-    fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.algorithm.tag());
         out.push(match self.isa {
             Isa::Mips => 0,
@@ -105,7 +106,7 @@ impl ContainerIdentity {
     ///
     /// [`CodecError::Corrupt`] on an unknown or file-oriented codec tag,
     /// or an ISA, class or endianness byte outside its encoding.
-    fn parse(bytes: &[u8; IDENTITY_LEN]) -> Result<Self, CodecError> {
+    pub(crate) fn parse(bytes: &[u8; IDENTITY_LEN]) -> Result<Self, CodecError> {
         let algorithm = Algorithm::from_tag(bytes[0])
             .ok_or_else(|| CodecError::corrupt(SELF, "unknown codec tag"))?;
         if !algorithm.random_access() {
@@ -416,6 +417,36 @@ impl<R: Read + Seek> ContainerV2Reader<R> {
         &self.codec_bytes
     }
 
+    /// Rebuilds the block codec the container was written with, from
+    /// its identity and serialized model.
+    ///
+    /// # Errors
+    ///
+    /// Any `CodecBuilder::codec_from_bytes` failure.
+    pub fn block_codec(&self) -> Result<Box<dyn BlockCodec>, CodecError> {
+        let builder = self.identity.algorithm.build(self.identity.isa, self.block_size);
+        match builder.codec_from_bytes(&self.codec_bytes)? {
+            CodecHandle::Block(codec) => Ok(codec),
+            CodecHandle::File(_) => Err(CodecError::corrupt(SELF, "file-oriented codec")),
+        }
+    }
+
+    /// Byte offset of the first block: the header and model length.
+    pub(crate) fn data_start(&self) -> u64 {
+        self.data_start
+    }
+
+    /// Where block `index` lies in the container: its byte range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn block_range(&self, index: usize) -> Range<u64> {
+        let (offset, compressed, _) = self.index[index];
+        let start = self.data_start + offset;
+        start..start + u64::from(compressed)
+    }
+
     /// Number of blocks in the container.
     pub fn block_count(&self) -> usize {
         self.index.len()
@@ -461,14 +492,25 @@ impl<R: Read + Seek> ContainerV2Reader<R> {
     /// [`CodecError::Corrupt`] when `index` is out of range or the read
     /// fails.
     pub fn read_block(&mut self, index: usize) -> Result<(Vec<u8>, usize), CodecError> {
-        let &(offset, compressed, uncompressed) = self
-            .index
-            .get(index)
-            .ok_or_else(|| CodecError::corrupt(SELF, format!("block {index} out of range")))?;
-        let mut data = vec![0u8; compressed as usize];
-        self.reader.seek(SeekFrom::Start(self.data_start + offset)).map_err(io_corrupt)?;
+        if index >= self.index.len() {
+            return Err(CodecError::corrupt(SELF, format!("block {index} out of range")));
+        }
+        let data = self.read_raw(self.block_range(index))?;
+        Ok((data, self.index[index].2 as usize))
+    }
+
+    /// Reads the container's bytes in `range` with a single seek.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Corrupt`] when the read fails or runs past the end.
+    pub(crate) fn read_raw(&mut self, range: Range<u64>) -> Result<Vec<u8>, CodecError> {
+        let len = usize::try_from(range.end.saturating_sub(range.start))
+            .map_err(|_| CodecError::corrupt(SELF, "range exceeds memory"))?;
+        let mut data = vec![0u8; len];
+        self.reader.seek(SeekFrom::Start(range.start)).map_err(io_corrupt)?;
         self.reader.read_exact(&mut data).map_err(io_corrupt)?;
-        Ok((data, uncompressed as usize))
+        Ok(data)
     }
 
     /// Decodes every block in order and returns the reassembled text.

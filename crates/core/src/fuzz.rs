@@ -22,9 +22,9 @@
 //! * **model-store records** — SAMC's cached-model record parser
 //!   ([`cce_samc::store::ModelRecord`]) on mutated records, with a
 //!   canonical re-serialization check on anything it accepts;
-//! * **serving tier** ([`serve_targets`]) — the artifact manifest
-//!   parser ([`cce_serve::Manifest::parse`]) on mutated JSON documents
-//!   (hash/length/field corruption), and the daemon's wire-frame
+//! * **serving tier** ([`serve_targets`]) — the digest-record parser
+//!   ([`cce_serve::DigestRecord::parse`]) on mutated records
+//!   (count/length/digest corruption), and the daemon's wire-frame
 //!   reader + request parser on mutated request streams (bad magic,
 //!   oversized declared lengths, truncation, unknown opcodes).  Both
 //!   must reject with typed errors — a panic or a non-canonical
@@ -427,85 +427,38 @@ fn serve_reject(e: cce_serve::ServeError) -> CodecError {
     CodecError::corrupt("serve", e.to_string())
 }
 
-/// A small synthetic-but-valid artifact manifest (no disk involved):
-/// two chunks, five blocks, all digests self-consistent.
-fn golden_manifest_json() -> Vec<u8> {
-    use cce_serve::manifest::{ChunkEntry, SectionDigest};
+/// A small valid digest record (no disk involved): a head, three runs
+/// and a tail, every digest over its own stand-in bytes.
+fn golden_digest_record() -> Vec<u8> {
     use cce_serve::sha256;
-    let chunk_data = [vec![0xa5u8; 96], vec![0x5au8; 64]];
-    let model = b"serve fuzz model";
-    let index = vec![0u8; 5 * 16];
-    let chunks = vec![
-        ChunkEntry {
-            first_block: 0,
-            blocks: 3,
-            compressed_len: chunk_data[0].len() as u64,
-            uncompressed_len: 96,
-            sha256: sha256::digest(&chunk_data[0]),
-        },
-        ChunkEntry {
-            first_block: 3,
-            blocks: 2,
-            compressed_len: chunk_data[1].len() as u64,
-            uncompressed_len: 64,
-            sha256: sha256::digest(&chunk_data[1]),
-        },
-    ];
-    let mut manifest = cce_serve::Manifest {
-        algorithm: "samc".into(),
-        isa: "mips".into(),
-        class: 0,
-        endianness: 1,
-        entry: 0x40_0000,
-        block_size: 32,
-        blocks: 5,
-        original_len: 160,
-        data_len: 160,
-        model_bytes: model.len() as u64,
-        chunk_payload: 4096,
-        model: SectionDigest { len: model.len() as u64, sha256: sha256::digest(model) },
-        index: SectionDigest { len: index.len() as u64, sha256: sha256::digest(&index) },
-        chunks,
-        total_sha256: [0; 32],
-    };
-    manifest.total_sha256 = manifest.compute_total();
-    manifest.to_json().into_bytes()
+    let parts: [&[u8]; 5] = [b"header and model", &[0xa5; 96], &[0x5a; 64], &[7; 3], b"index"];
+    let extents: Vec<_> = parts.iter().map(|p| (p.len() as u64, sha256::digest(p))).collect();
+    cce_serve::DigestRecord::new(&extents).expect("golden record is valid").encode()
 }
 
-/// Mutates the manifest JSON document: any parse failure must be a
-/// typed rejection, and an accepted manifest must round-trip through
-/// its own canonical rendering.
-struct ManifestTarget {
-    manifest_json: Vec<u8>,
+/// Mutates the digest record: any parse failure must be a typed
+/// rejection, and an accepted record must re-encode byte for byte (the
+/// record's own SHA-256 leaves no slack for two encodings).
+struct DigestRecordTarget {
+    record: Vec<u8>,
 }
 
-impl FuzzTarget for ManifestTarget {
+impl FuzzTarget for DigestRecordTarget {
     fn name(&self) -> String {
-        "serve/manifest".into()
+        "serve/digests".into()
     }
 
     fn artifact(&self) -> Artifact {
-        // Scalar header, section digests, chunk table, binding digest.
-        let len = self.manifest_json.len();
-        Artifact::with_boundaries(
-            "artifact manifest",
-            self.manifest_json.clone(),
-            vec![16, len / 4, len / 2, 3 * len / 4],
-        )
+        // Magic, extent count, the entries, the record's own digest.
+        let len = self.record.len();
+        Artifact::with_boundaries("digest record", self.record.clone(), vec![4, 8, 48, len - 32])
     }
 
     fn run(&self, bytes: &[u8]) -> Outcome {
-        let manifest = match cce_serve::Manifest::parse(bytes) {
-            Ok(manifest) => manifest,
-            Err(e) => return Outcome::Rejected(serve_reject(e)),
-        };
-        // Anything accepted must survive its own canonical rendering —
-        // a mutation that parses but re-renders differently would let
-        // two verifiers disagree about the same artifact.
-        match cce_serve::Manifest::parse(manifest.to_json().as_bytes()) {
-            Ok(again) if again == manifest => Outcome::Decoded,
-            Ok(_) => Outcome::Violation("accepted manifest re-rendered differently".into()),
-            Err(e) => Outcome::Violation(format!("accepted manifest failed to re-parse: {e}")),
+        match cce_serve::DigestRecord::parse(bytes) {
+            Ok(record) if record.encode() == bytes => Outcome::Decoded,
+            Ok(_) => Outcome::Violation("accepted record re-encoded differently".into()),
+            Err(e) => Outcome::Rejected(serve_reject(e)),
         }
     }
 }
@@ -580,10 +533,10 @@ impl FuzzTarget for ServeFrameTarget {
     }
 }
 
-/// The serving-tier fuzz targets (manifest documents and wire frames).
+/// The serving-tier fuzz targets (digest records and wire frames).
 pub fn serve_targets() -> Vec<Box<dyn FuzzTarget>> {
     vec![
-        Box::new(ManifestTarget { manifest_json: golden_manifest_json() }),
+        Box::new(DigestRecordTarget { record: golden_digest_record() }),
         Box::new(ServeFrameTarget::golden()),
     ]
 }

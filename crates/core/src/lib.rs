@@ -14,9 +14,12 @@
 //!   honest sizes (dictionary/model/table overheads included).  One
 //!   generic path serves every algorithm; [`measure_with_workers`] fans
 //!   block compression across a deterministic worker pool.
-//! * [`measure_suite`] — run one algorithm over the whole SPEC95-like
-//!   workload suite, optionally in parallel via
-//!   [`measure_suite_with_workers`].
+//! * [`sweep_images`] — the compressed images of a memory-system sweep.
+//! * [`artifact`] — the container side of the serving tier
+//!   ([`serve`]): publish, open and the `get-manifest` info record.
+//!
+//! Suite-wide runs (every SPEC95-like benchmark, fanned across workers)
+//! live in `cce-bench` (`figure_rows_with_workers`).
 //!
 //! Re-exports: [`codec`], [`samc`], [`sadc`], [`huffman`], [`lz`],
 //! [`arith`], [`bitstream`], [`isa`], [`elf`], [`workload`], [`memsim`].
@@ -214,60 +217,6 @@ pub fn measure_trained_block_codec(
     })
 }
 
-/// One benchmark's verified measurement within a suite run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuiteMeasurement {
-    /// SPEC95 benchmark name.
-    pub benchmark: &'static str,
-    /// The verified measurement.
-    pub measurement: Measurement,
-}
-
-/// Runs `algorithm` over the whole SPEC95-like suite for `isa`.
-///
-/// `scale` is forwarded to the workload generator (1.0 reproduces the
-/// figures; smaller values are handy in tests).  Benchmarks are measured
-/// across [`codec::worker_count`] threads with a deterministic merge, so
-/// results are identical to a serial run.
-///
-/// # Errors
-///
-/// Fails on the first benchmark (in suite order) whose measurement
-/// fails.
-pub fn measure_suite(
-    algorithm: Algorithm,
-    isa: Isa,
-    scale: f64,
-    block_size: usize,
-) -> Result<Vec<SuiteMeasurement>, CodecError> {
-    measure_suite_with_workers(algorithm, isa, scale, block_size, cce_codec::worker_count())
-}
-
-/// [`measure_suite`] with an explicit worker count (1 = fully serial).
-///
-/// The pool parallelises across benchmarks; each benchmark's block
-/// compression runs serially inside its worker to avoid oversubscribing
-/// the machine.
-///
-/// # Errors
-///
-/// As [`measure_suite`].
-pub fn measure_suite_with_workers(
-    algorithm: Algorithm,
-    isa: Isa,
-    scale: f64,
-    block_size: usize,
-    workers: usize,
-) -> Result<Vec<SuiteMeasurement>, CodecError> {
-    let programs = cce_workload::spec95_suite(isa, scale);
-    cce_codec::parallel_map(workers, &programs, |_, program| {
-        measure_with_workers(algorithm, isa, &program.text, block_size, 1)
-            .map(|measurement| SuiteMeasurement { benchmark: program.name, measurement })
-    })
-    .into_iter()
-    .collect()
-}
-
 /// Builds the compressed images of a memory-system sweep
 /// ([`memsim::sweep`]): one per (algorithm, block size) pair, in that
 /// nesting order, each trained on `text`, compressed over `workers`
@@ -372,13 +321,6 @@ mod tests {
                 Err(CodecError::Train { .. })
             ));
         }
-    }
-
-    #[test]
-    fn suite_runs_all_benchmarks() {
-        let results = measure_suite(Algorithm::ByteHuffman, Isa::Mips, 0.02, 32).unwrap();
-        assert_eq!(results.len(), 18);
-        assert_eq!(results[0].benchmark, "applu");
     }
 
     #[test]

@@ -17,7 +17,6 @@ use std::io::{Read, Seek, Write};
 
 use crate::container::{write_image, ContainerIdentity, ContainerSummary};
 use crate::registry::Algorithm;
-use crate::Measurement;
 use cce_codec::{compress_verified, BlockCodec, CodecError};
 use cce_elf::{ElfStream, Machine, SectionKind, StreamElfError};
 use cce_isa::Isa;
@@ -164,24 +163,6 @@ pub fn compress_elf<R: Read + Seek, W: Write>(
     Ok(StreamReport { stats, summary })
 }
 
-/// Measures one algorithm over `elf`'s `.text` section: the
-/// [`measure_with_workers`](crate::measure_with_workers) accounting on
-/// the section's bytes.
-///
-/// # Errors
-///
-/// As [`measure`](crate::measure), plus walker failures.
-pub fn measure_elf<R: Read + Seek>(
-    elf: &mut ElfStream<R>,
-    algorithm: Algorithm,
-    block_size: usize,
-    workers: usize,
-) -> Result<Measurement, CodecError> {
-    let isa = isa_of(elf)?;
-    let text = buffered_text(elf)?;
-    crate::measure_with_workers(algorithm, isa, &text, block_size, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,19 +197,6 @@ mod tests {
         assert_eq!(text.len(), 1);
         assert_eq!(text[0].name, ".text");
         assert!(text[0].size > 0 && text[0].in_file);
-    }
-
-    #[test]
-    fn streamed_measurement_matches_buffered() {
-        let bytes = sample_elf();
-        let mut elf = ElfStream::open(Cursor::new(&bytes)).unwrap();
-        let text = buffered_text(&mut elf).unwrap();
-        for algorithm in Algorithm::ALL {
-            let streamed = measure_elf(&mut elf, algorithm, 32, 2)
-                .unwrap_or_else(|e| panic!("{algorithm}: {e}"));
-            let buffered = crate::measure_with_workers(algorithm, Isa::Mips, &text, 32, 2).unwrap();
-            assert_eq!(streamed, buffered, "{algorithm}");
-        }
     }
 
     /// A reader that stops producing bytes inside `hole` — a file whose

@@ -112,27 +112,35 @@ mod tests {
     use crate::span::SpanStat;
     use crate::Desc;
 
-    static HITS: Counter = Counter::new();
-    static SIZES: Histogram = Histogram::new();
-    static SPAN: SpanStat = SpanStat::new();
+    /// One set of metrics per test: tests run in parallel, and a shared
+    /// set would let one test's reset race another's snapshot.
+    struct Metrics {
+        hits: Counter,
+        sizes: Histogram,
+        span: SpanStat,
+    }
 
-    fn snapshot() -> Snapshot {
-        HITS.reset();
-        SIZES.reset();
-        SPAN.reset();
-        HITS.add(4);
-        SIZES.record(3);
-        SPAN.record_nanos(2_000_000);
-        Snapshot::collect(&[
-            Desc::counter("t.hits", "hits seen", &HITS),
-            Desc::histogram("t.sizes", "block sizes", &SIZES),
-            Desc::span("t.span", "time spent", &SPAN),
-        ])
+    impl Metrics {
+        const fn new() -> Self {
+            Self { hits: Counter::new(), sizes: Histogram::new(), span: SpanStat::new() }
+        }
+
+        fn snapshot(&'static self) -> Snapshot {
+            self.hits.add(4);
+            self.sizes.record(3);
+            self.span.record_nanos(2_000_000);
+            Snapshot::collect(&[
+                Desc::counter("t.hits", "hits seen", &self.hits),
+                Desc::histogram("t.sizes", "block sizes", &self.sizes),
+                Desc::span("t.span", "time spent", &self.span),
+            ])
+        }
     }
 
     #[test]
     fn json_is_valid_and_ordered() {
-        let json = JsonSink.render(&snapshot());
+        static METRICS: Metrics = Metrics::new();
+        let json = JsonSink.render(&METRICS.snapshot());
         assert!(json.starts_with("{\"metrics\":["));
         assert!(json.ends_with("]}"));
         let hits = json.find("t.hits").unwrap();
@@ -149,7 +157,8 @@ mod tests {
 
     #[test]
     fn table_aligns_and_skips_zero() {
-        let snap = snapshot();
+        static METRICS: Metrics = Metrics::new();
+        let snap = METRICS.snapshot();
         let table = TableSink::default().render(&snap);
         assert!(table.contains("t.hits"));
         assert!(table.starts_with("metric"));

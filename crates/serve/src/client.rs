@@ -67,7 +67,7 @@ impl<S: Read + Write> Client<S> {
         }
     }
 
-    /// Fetches the raw manifest document.
+    /// Fetches the artifact's info record (the `get-manifest` reply).
     ///
     /// # Errors
     ///

@@ -14,12 +14,12 @@ use std::io;
 /// What went wrong in the serving tier.
 #[derive(Debug)]
 pub enum ServeError {
-    /// An underlying I/O operation failed (socket, chunk file).
+    /// An underlying I/O operation failed (socket, image file).
     Io(io::Error),
     /// Stored data failed validation: `what` names the artifact piece
-    /// (e.g. `"chunk 00000003"`), `detail` says how it failed.
+    /// (e.g. `"image.cce run 3"`), `detail` says how it failed.
     Corrupt {
-        /// Which artifact piece failed (manifest, chunk N, index…).
+        /// Which artifact piece failed (digest record, run N, head…).
         what: String,
         /// Human-readable description of the mismatch.
         detail: String,
@@ -29,10 +29,6 @@ pub enum ServeError {
     Proto(String),
     /// The requested entity does not exist (block index out of range).
     NotFound(String),
-    /// A request did not complete within a deadline.  Kept so the
-    /// wire status stays decodable; this crate's daemon has no
-    /// per-request deadline and never sends it.
-    Timeout,
     /// The server refused a connection over its connection cap.
     Busy,
     /// A codec operation failed while decoding a block.
@@ -57,7 +53,6 @@ impl ServeError {
             Self::Corrupt { .. } => "corrupt",
             Self::Proto(_) => "proto",
             Self::NotFound(_) => "not-found",
-            Self::Timeout => "timeout",
             Self::Busy => "busy",
             Self::Codec(_) => "codec",
         }
@@ -71,7 +66,6 @@ impl fmt::Display for ServeError {
             Self::Corrupt { what, detail } => write!(f, "corrupt {what}: {detail}"),
             Self::Proto(detail) => write!(f, "protocol violation: {detail}"),
             Self::NotFound(what) => write!(f, "not found: {what}"),
-            Self::Timeout => write!(f, "request timed out"),
             Self::Busy => write!(f, "server busy: connection limit reached"),
             Self::Codec(e) => write!(f, "codec error: {e}"),
         }
@@ -106,8 +100,8 @@ mod tests {
 
     #[test]
     fn display_names_the_failing_piece() {
-        let e = ServeError::corrupt("chunk 00000003", "sha-256 mismatch");
-        assert_eq!(e.to_string(), "corrupt chunk 00000003: sha-256 mismatch");
+        let e = ServeError::corrupt("image.cce run 3", "sha-256 mismatch");
+        assert_eq!(e.to_string(), "corrupt image.cce run 3: sha-256 mismatch");
         assert_eq!(e.class(), "corrupt");
     }
 
@@ -118,7 +112,6 @@ mod tests {
             ServeError::corrupt("a", "b").class(),
             ServeError::proto("p").class(),
             ServeError::NotFound("n".into()).class(),
-            ServeError::Timeout.class(),
             ServeError::Busy.class(),
             ServeError::Codec(CodecError::round_trip("SAMC")).class(),
         ];

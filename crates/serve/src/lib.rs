@@ -1,20 +1,21 @@
-//! Chunked compressed-artifact serving tier.
+//! Compressed-image serving tier.
 //!
 //! The paper's premise is that compressed code is *served* at runtime:
 //! blocks are fetched and decompressed on demand by the memory system.
-//! This crate is the scale-out version of that loop — a published v2
-//! container becomes a content-addressed artifact directory, and a
-//! long-lived daemon answers block fetch/decode requests over a small
-//! length-prefixed binary protocol:
+//! This crate is the scale-out version of that loop — a published image
+//! (the `cce compress` container, byte for byte) plus a digest record,
+//! and a long-lived daemon that answers block fetch/decode requests over
+//! a small length-prefixed binary protocol:
 //!
-//! - [`Publisher`] / [`verify_dir`] — write and re-verify an artifact
-//!   directory: fixed-width chunk files named by index, a versioned
-//!   JSON [`Manifest`] with per-chunk SHA-256 digests (in-tree
-//!   [`sha256`]), and defensive caps on every length a peer declares.
-//! - [`Artifact`] — the read side; the first fetch from a chunk reads
-//!   it and checks its SHA-256, and only verified chunks are cached
-//!   (byte-bounded) for later fetches, so corruption surfaces as a
-//!   typed error naming the chunk, never as garbage handed to a codec.
+//! - [`publish()`] / [`verify_dir`] — write and re-verify an image
+//!   directory: the image file and a binary [`DigestRecord`] of
+//!   SHA-256 digests (in-tree [`sha256`]) over the extents that tile
+//!   it, with defensive caps on every length the record declares.
+//! - [`Artifact`] — the read side; the first fetch from a run reads
+//!   it with one positioned read and checks its SHA-256, and only
+//!   verified runs are cached (byte-bounded) for later fetches, so
+//!   corruption surfaces as a typed error naming the run, never as
+//!   garbage handed to a codec.
 //! - [`Server`] / [`Client`] — the daemon and its reference client:
 //!   one thread per connection (capped, answering `Busy` beyond the
 //!   cap) that answers every request itself, hits and misses alike,
@@ -25,8 +26,10 @@
 //!
 //! The crate depends only on `cce-codec` and `cce-obs`: it is
 //! codec-generic (any [`BlockCodec`](cce_codec::BlockCodec) serves)
-//! and knows nothing about containers — `cce-core` provides the
-//! container→manifest bridge.
+//! and container-agnostic — it checks byte extents against digests and
+//! serves blocks at the offsets it is given.  `cce-core` checks that
+//! the extents fall on the container's section and block boundaries,
+//! hands over the block table, and defines the `get-manifest` reply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,24 +38,22 @@ pub mod cache;
 pub mod client;
 pub mod error;
 pub mod fault;
-pub mod json;
-pub mod manifest;
 pub mod obs;
 pub mod proto;
 pub mod publish;
+pub mod record;
 pub mod server;
 pub mod sha256;
 pub mod store;
 
 pub use client::Client;
 pub use error::ServeError;
-pub use manifest::{Manifest, SCHEMA};
 pub use publish::{
-    read_manifest, verify_dir, ArtifactMeta, PublishSummary, Publisher, VerifySummary,
-    DEFAULT_CHUNK_PAYLOAD,
+    pack_runs, publish, verify_dir, PublishSummary, VerifySummary, DEFAULT_CHUNK_PAYLOAD,
 };
+pub use record::DigestRecord;
 pub use server::{ServeConfig, Server};
-pub use store::Artifact;
+pub use store::{Artifact, BlockEntry};
 
 #[cfg(test)]
 mod trait_assertions {

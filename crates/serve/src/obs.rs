@@ -22,7 +22,7 @@ pub static SERVE_CACHE_HITS: Counter = Counter::new();
 /// Decoded-block LRU cache misses.
 pub static SERVE_CACHE_MISSES: Counter = Counter::new();
 
-/// Chunks read from disk and verified by an artifact.
+/// Runs read from the image and verified by an artifact.
 pub static SERVE_CHUNK_LOADS: Counter = Counter::new();
 /// Block reads served from an artifact's verified-chunk cache.
 pub static SERVE_CHUNK_HITS: Counter = Counter::new();
@@ -49,7 +49,7 @@ pub fn chunk_descriptors() -> [Desc; 2] {
     [
         Desc::counter(
             "serve.chunk.loads",
-            "chunks read from disk and verified",
+            "runs read from the image and verified",
             &SERVE_CHUNK_LOADS,
         ),
         Desc::counter(

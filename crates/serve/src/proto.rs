@@ -7,14 +7,14 @@
 //! ```
 //!
 //! Request opcodes are `0x01..=0x05`; response statuses are `0x80`
-//! (ok) and `0xE1..=0xE6` (the typed error classes, payload = UTF-8
-//! message).  Declared lengths are capped *before* allocation on both
-//! sides: requests at [`MAX_REQUEST_PAYLOAD`], responses at
+//! (ok) and the typed error classes `0xE1..=0xE3`, `0xE5` and `0xE6`
+//! (payload = UTF-8 message; `0xE4` is unassigned, an unknown status).
+//! Declared lengths are capped *before* allocation on both sides:
+//! requests at [`MAX_REQUEST_PAYLOAD`], responses at
 //! [`MAX_RESPONSE_PAYLOAD`].  A malformed frame is a per-connection
 //! failure; it never kills the daemon.
 
 use crate::error::ServeError;
-use crate::manifest::MAX_MANIFEST_LEN;
 use std::io::{self, Read, Write};
 
 /// Frame magic, first on the wire in both directions.
@@ -23,8 +23,10 @@ pub const MAGIC: [u8; 4] = *b"CSRV";
 /// Cap on request payloads (requests are tiny: at most one u64).
 pub const MAX_REQUEST_PAYLOAD: usize = 4096;
 
-/// Cap on response payloads (the manifest is the largest response).
-pub const MAX_RESPONSE_PAYLOAD: usize = MAX_MANIFEST_LEN;
+/// Cap on response payloads.  The largest reply is a block: a decoded
+/// one is at most `BlockImage::MAX_BLOCK_SIZE + BLOCK_SLACK` bytes, and
+/// the cap leaves room for a compressed one that expanded.
+pub const MAX_RESPONSE_PAYLOAD: usize = 16 << 20;
 
 /// Bytes of framing before the payload (magic + opcode + length).
 pub const HEADER_LEN: usize = 9;
@@ -32,7 +34,8 @@ pub const HEADER_LEN: usize = 9;
 /// A request to the daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Request {
-    /// Fetch the raw manifest document.
+    /// Fetch the artifact's info record (the payload is opaque to this
+    /// crate; `cce-core` defines it).
     GetManifest,
     /// Fetch compressed block `n` (response: u32 BE ulen ‖ data).
     GetBlock(u64),
@@ -111,9 +114,6 @@ pub enum Status {
     NotFound,
     /// Stored data failed an integrity check.
     Corrupt,
-    /// The request missed its deadline (decodable; this crate's daemon
-    /// never sends it).
-    Timeout,
     /// A bounded queue was full.
     Busy,
     /// Any other server-side failure.
@@ -128,7 +128,6 @@ impl Status {
             Self::BadRequest => 0xe1,
             Self::NotFound => 0xe2,
             Self::Corrupt => 0xe3,
-            Self::Timeout => 0xe4,
             Self::Busy => 0xe5,
             Self::Internal => 0xe6,
         }
@@ -141,7 +140,6 @@ impl Status {
             0xe1 => Some(Self::BadRequest),
             0xe2 => Some(Self::NotFound),
             0xe3 => Some(Self::Corrupt),
-            0xe4 => Some(Self::Timeout),
             0xe5 => Some(Self::Busy),
             0xe6 => Some(Self::Internal),
             _ => None,
@@ -155,7 +153,6 @@ impl Status {
             ServeError::Corrupt { .. } => Self::Corrupt,
             ServeError::Proto(_) => Self::BadRequest,
             ServeError::NotFound(_) => Self::NotFound,
-            ServeError::Timeout => Self::Timeout,
             ServeError::Busy => Self::Busy,
             ServeError::Codec(_) => Self::Corrupt,
         }
@@ -168,7 +165,6 @@ impl Status {
             Self::BadRequest => ServeError::proto(message),
             Self::NotFound => ServeError::NotFound(message),
             Self::Corrupt => ServeError::corrupt("served artifact", message),
-            Self::Timeout => ServeError::Timeout,
             Self::Busy => ServeError::Busy,
             Self::Internal => ServeError::Io(io::Error::other(message)),
         }
@@ -325,14 +321,13 @@ mod tests {
             Status::BadRequest,
             Status::NotFound,
             Status::Corrupt,
-            Status::Timeout,
             Status::Busy,
             Status::Internal,
         ] {
             assert_eq!(Status::from_code(status.code()), Some(status));
         }
         assert_eq!(Status::from_code(0x00), None);
-        assert_eq!(Status::for_error(&ServeError::Timeout), Status::Timeout);
+        assert_eq!(Status::from_code(0xe4), None, "0xe4 is unassigned");
         assert_eq!(Status::for_error(&ServeError::Busy), Status::Busy);
         assert_eq!(Status::for_error(&ServeError::proto("x")), Status::BadRequest);
     }

@@ -6,7 +6,7 @@
 //! drive.  The resilience contract:
 //!
 //! * every failure is a *per-request* typed error response — corrupt
-//!   chunks, bad frames, and codec errors never kill the daemon or the
+//!   runs, bad frames, and codec errors never kill the daemon or the
 //!   connection (only an unrecoverable stream desync closes the
 //!   connection);
 //! * one thread per connection reads a request, answers it, then
@@ -20,15 +20,14 @@
 //! * the decoded-block LRU is lock-striped by block index, and each
 //!   stripe marks the blocks being decoded, so concurrent misses on one
 //!   block decode it once (single flight);
-//! * a miss reads its chunk through the artifact's verified-chunk
-//!   cache, so each chunk is read and SHA-256-checked once per daemon
+//! * a miss reads its run through the artifact's verified-chunk
+//!   cache, so each run is read and SHA-256-checked once per daemon
 //!   (see [`store`](crate::store) for the integrity contract);
 //! * a decode or read that panics is caught on the connection thread
 //!   and answers its request with a typed error.
 //!
 //! There is no per-request deadline: a thread cannot be pre-empted, and
-//! every shipped codec's block decode is bounded.  The daemon never
-//! sends [`ServeError::Timeout`].
+//! every shipped codec's block decode is bounded.
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
@@ -73,7 +72,7 @@ impl Default for ServeConfig {
 
 /// Always-on request accounting (the `stats` response), independent of
 /// the compile-time `obs` feature.  The verified-chunk counters in that
-/// response come from the [`Artifact`], which counts every chunk read,
+/// response come from the [`Artifact`], which counts every run read,
 /// `get-block` and `decode-block` alike.
 #[derive(Debug, Default)]
 pub struct Stats {
@@ -266,7 +265,7 @@ impl Server {
     /// Answers one request, producing the `Ok` payload.
     fn process(&self, req: Request) -> Result<Vec<u8>, ServeError> {
         match req {
-            Request::GetManifest => Ok(self.shared.artifact.manifest_bytes().to_vec()),
+            Request::GetManifest => Ok(self.shared.artifact.info().to_vec()),
             Request::Stats => Ok(self.stats_json().into_bytes()),
             Request::Shutdown => {
                 self.request_shutdown();
@@ -465,7 +464,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::fault::duplex;
-    use crate::publish::{ArtifactMeta, Publisher};
+    use crate::store::{open_blocks, publish_blocks, BlockEntry};
     use std::fs;
     use std::path::{Path, PathBuf};
 
@@ -514,29 +513,23 @@ mod tests {
         dir
     }
 
-    fn publish_identity(dir: &Path, blocks: usize) -> Vec<Vec<u8>> {
-        let meta = ArtifactMeta {
-            algorithm: "samc".into(),
-            isa: "mips".into(),
-            class: 0,
-            endianness: 1,
-            entry: 0,
-            block_size: 64,
-            model_bytes: 0,
-        };
-        let mut p = Publisher::create(dir, meta, b"", 128).unwrap();
+    /// Publishes `blocks` identity blocks of 40..60 bytes in 128-byte
+    /// runs, returning the blocks and their table.
+    fn publish_identity(dir: &Path, blocks: usize) -> (Vec<Vec<u8>>, Vec<BlockEntry>) {
         let data: Vec<Vec<u8>> =
             (0..blocks).map(|i| vec![(i * 17 % 251) as u8; 40 + i % 20]).collect();
-        for b in &data {
-            p.push_block(b, b.len()).unwrap();
-        }
-        p.finish().unwrap();
-        data
+        let entries = publish_blocks(dir, &data, 128);
+        (data, entries)
     }
 
-    fn server_for(dir: &Path, delay: Duration, config: ServeConfig) -> Server {
-        let artifact = Artifact::open(dir).unwrap();
-        Server::new(artifact, Box::new(SlowIdentity { delay, only: None, panic: false }), config)
+    fn server_for(
+        dir: &Path,
+        entries: &[BlockEntry],
+        delay: Duration,
+        config: ServeConfig,
+    ) -> Server {
+        let codec = SlowIdentity { delay, only: None, panic: false };
+        Server::new(open_blocks(dir, entries.to_vec()).unwrap(), Box::new(codec), config)
     }
 
     /// Spawns an in-memory connection to `server`, returning the
@@ -552,11 +545,10 @@ mod tests {
     #[test]
     fn serves_blocks_and_decodes_over_an_in_memory_connection() {
         let dir = temp_dir("basic");
-        let blocks = publish_identity(&dir, 7);
-        let server = server_for(&dir, Duration::ZERO, ServeConfig::default());
+        let (blocks, entries) = publish_identity(&dir, 7);
+        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
-        let manifest = client.get_manifest().unwrap();
-        assert!(manifest.starts_with(b"{\"schema\":\"cce-artifact/1\""));
+        assert_eq!(client.get_manifest().unwrap(), b"info");
         for (i, expect) in blocks.iter().enumerate() {
             let (data, ulen) = client.get_block(i as u64).unwrap();
             assert_eq!(&data, expect);
@@ -571,8 +563,8 @@ mod tests {
     #[test]
     fn out_of_range_block_is_not_found_and_connection_survives() {
         let dir = temp_dir("notfound");
-        let blocks = publish_identity(&dir, 3);
-        let server = server_for(&dir, Duration::ZERO, ServeConfig::default());
+        let (blocks, entries) = publish_identity(&dir, 3);
+        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
         assert!(matches!(client.get_block(99), Err(ServeError::NotFound(_))));
         // Same connection still answers afterwards.
@@ -583,8 +575,8 @@ mod tests {
     #[test]
     fn decode_cache_hits_on_repeat_requests() {
         let dir = temp_dir("cache");
-        publish_identity(&dir, 4);
-        let server = server_for(&dir, Duration::ZERO, ServeConfig::default());
+        let (_, entries) = publish_identity(&dir, 4);
+        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
         for _ in 0..3 {
             client.decode_block(2).unwrap();
@@ -599,16 +591,16 @@ mod tests {
     #[test]
     fn two_decodes_in_one_chunk_load_it_once() {
         let dir = temp_dir("chunk-once");
-        let blocks = publish_identity(&dir, 4);
-        let server = server_for(&dir, Duration::ZERO, ServeConfig::default());
-        let manifest = server.shared.artifact.manifest();
-        assert_eq!(manifest.chunk_for_block(0), manifest.chunk_for_block(1));
+        let (blocks, entries) = publish_identity(&dir, 4);
+        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
+        let artifact = &server.shared.artifact;
+        assert_eq!(artifact.run_of(0), artifact.run_of(1));
         let mut client = connect(&server);
         assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
         assert_eq!(client.decode_block(1).unwrap(), blocks[1]);
         let stats = client.stats().unwrap();
         assert!(stats.contains("\"chunk_loads\":1,\"chunk_hits\":1,"), "{stats}");
-        let resident = manifest.chunks[0].compressed_len;
+        let resident = artifact.record().runs()[0].len;
         assert!(stats.contains(&format!("\"chunk_bytes\":{resident},")), "{stats}");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -626,9 +618,9 @@ mod tests {
     fn cached_block_answers_while_the_only_shard_is_stuck() {
         // One LRU stripe, so the hit and the stuck miss share its lock.
         let dir = temp_dir("inline-hit");
-        let blocks = publish_identity(&dir, 3);
+        let (blocks, entries) = publish_identity(&dir, 3);
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let server = server_for(&dir, Duration::from_millis(400), config);
+        let server = server_for(&dir, &entries, Duration::from_millis(400), config);
         let mut first = connect(&server);
         assert_eq!(first.decode_block(0).unwrap(), blocks[0]);
         // Block 1 misses and decodes for 400 ms on `first`'s thread.
@@ -650,9 +642,9 @@ mod tests {
     #[test]
     fn a_miss_queued_behind_the_same_block_decodes_once() {
         let dir = temp_dir("racing-miss");
-        let blocks = publish_identity(&dir, 2);
+        let (blocks, entries) = publish_identity(&dir, 2);
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let server = server_for(&dir, Duration::from_millis(200), config);
+        let server = server_for(&dir, &entries, Duration::from_millis(200), config);
         let mut first = connect(&server);
         let racing = std::thread::spawn(move || first.decode_block(0).unwrap());
         wait_for_misses(&server, 1);
@@ -670,11 +662,12 @@ mod tests {
     #[test]
     fn a_slow_decode_delays_no_other_connection() {
         let dir = temp_dir("slow-decode");
-        let blocks = publish_identity(&dir, 3);
+        let (blocks, entries) = publish_identity(&dir, 3);
         // One stripe for every block, and a 400 ms decode of block 0.
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
         let codec = SlowIdentity { delay: Duration::from_millis(400), only: Some(0), panic: false };
-        let server = Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), config);
+        let server =
+            Server::new(open_blocks(&dir, entries.clone()).unwrap(), Box::new(codec), config);
         let mut second = connect(&server);
         assert_eq!(second.decode_block(2).unwrap(), blocks[2]);
         let mut first = connect(&server);
@@ -696,10 +689,11 @@ mod tests {
     #[test]
     fn a_panicking_decode_wakes_the_requests_waiting_on_it() {
         let dir = temp_dir("panic-wakes");
-        let blocks = publish_identity(&dir, 2);
+        let (blocks, entries) = publish_identity(&dir, 2);
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
         let codec = SlowIdentity { delay: Duration::from_millis(200), only: Some(0), panic: true };
-        let server = Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), config);
+        let server =
+            Server::new(open_blocks(&dir, entries.clone()).unwrap(), Box::new(codec), config);
         let (tx, rx) = std::sync::mpsc::channel();
         let request = |tx: std::sync::mpsc::Sender<_>| {
             let mut client = connect(&server);
@@ -742,10 +736,10 @@ mod tests {
     #[test]
     fn stats_report_the_stripe_count_as_workers() {
         let dir = temp_dir("stripes");
-        publish_identity(&dir, 2);
+        let (_, entries) = publish_identity(&dir, 2);
         for (workers, cache_blocks, stripes) in [(8, 4, 4), (2, 256, 2), (3, 0, 1)] {
             let config = ServeConfig { workers, cache_blocks };
-            let server = server_for(&dir, Duration::ZERO, config);
+            let server = server_for(&dir, &entries, Duration::ZERO, config);
             assert_eq!(server.shared.stripes.len(), stripes);
             let stats = server.stats_json();
             assert!(stats.contains(&format!("\"workers\":{stripes}}}")), "{stats}");
@@ -756,8 +750,8 @@ mod tests {
     #[test]
     fn shutdown_request_is_acknowledged_and_sets_the_flag() {
         let dir = temp_dir("shutdown");
-        publish_identity(&dir, 2);
-        let server = server_for(&dir, Duration::ZERO, ServeConfig::default());
+        let (_, entries) = publish_identity(&dir, 2);
+        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
         assert!(!server.shutdown_requested());
         client.shutdown().unwrap();
@@ -768,8 +762,8 @@ mod tests {
     #[test]
     fn end_to_end_over_a_unix_socket() {
         let dir = temp_dir("unix");
-        let blocks = publish_identity(&dir, 5);
-        let server = server_for(&dir, Duration::ZERO, ServeConfig::default());
+        let (blocks, entries) = publish_identity(&dir, 5);
+        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
         let socket =
             std::env::temp_dir().join(format!("cce-serve-test-{}.sock", std::process::id()));
         let _ = fs::remove_file(&socket);

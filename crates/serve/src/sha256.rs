@@ -1,7 +1,7 @@
 //! In-tree SHA-256 (FIPS 180-4), incremental and allocation-free.
 //!
-//! The serving tier content-addresses every chunk and the manifest
-//! itself; the workspace is hermetic (no external crates), so the hash
+//! The serving tier digests every extent of a published image and the
+//! digest record itself; the workspace is hermetic (no external crates), so the hash
 //! lives here.  The implementation is the textbook 64-round
 //! compression function — publishing is I/O-bound, so a portable
 //! scalar core is plenty.
@@ -135,7 +135,7 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-/// Lowercase hex rendering of a digest (the manifest encoding).
+/// Lowercase hex rendering of a digest.
 pub fn to_hex(digest: &[u8; DIGEST_LEN]) -> String {
     let mut s = String::with_capacity(DIGEST_LEN * 2);
     for b in digest {

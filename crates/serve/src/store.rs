@@ -1,125 +1,146 @@
-//! Read side of a published artifact: open, integrity-checked block
+//! Read side of a published image: open, integrity-checked block
 //! fetch, and full-text decode.
 //!
-//! [`Artifact::open`] reads and checks the manifest and index (cheap).
-//! A block read needs its *containing chunk*.  The first read of a
-//! chunk pulls it from disk and checks its length and SHA-256 against
-//! the manifest; only bytes that pass enter a byte-bounded LRU of
-//! verified chunks ([`VERIFIED_CHUNK_BYTES`]), and later reads slice
-//! their block out of that copy without touching the disk.  A chunk
-//! that fails a check is never cached, so it answers a typed
-//! [`ServeError::Corrupt`] naming the chunk on every read — never
-//! garbage handed to a codec.
+//! [`Artifact::open`] checks the image's length against its digest
+//! record, verifies the head and tail extents, and places every block
+//! in the run that holds it (cheap).  A block read needs its *run*.
+//! The first read of a run pulls it from the image with one positioned
+//! read and checks its SHA-256 against the record; only bytes that pass
+//! enter a byte-bounded LRU of verified chunks ([`VERIFIED_CHUNK_BYTES`];
+//! a cached run is a *chunk*), and later reads slice their block out of
+//! that copy without touching the disk.  A run that fails its check is
+//! never cached, so it answers a typed [`ServeError::Corrupt`] naming
+//! the run on every read — never garbage handed to a codec.
 //!
 //! The integrity contract is therefore *verified at load*: an artifact
-//! serves only bytes that matched the manifest when they were read.  A
-//! chunk corrupted on disk after it was cached keeps being served from
+//! serves only bytes that matched the record when they were read.  A
+//! run corrupted on disk after it was cached keeps being served from
 //! the verified copy, while [`verify_dir`](crate::verify_dir) reports
-//! the file on disk.
+//! the run on disk.
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
-use crate::manifest::{Manifest, MAX_CHUNK_PAYLOAD};
 use crate::obs;
-use crate::publish::{parse_index, read_chunk, read_manifest, read_section, IndexEntry};
-use cce_codec::{BlockCodec, BlockImage};
-use std::path::{Path, PathBuf};
+use crate::publish::{open_image, read_extent};
+use crate::record::{DigestRecord, MAX_RUN_LEN};
+use cce_codec::BlockCodec;
+use std::fs::File;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Byte budget of each artifact's verified-chunk cache.  It holds the
-/// largest chunk [`Manifest::validate`] admits, so any valid chunk can
-/// be cached.
+/// longest run a digest record admits, so any valid run can be cached.
 pub const VERIFIED_CHUNK_BYTES: usize = 32 << 20;
 
-const _: () = assert!(
-    VERIFIED_CHUNK_BYTES as u64
-        >= MAX_CHUNK_PAYLOAD + 2 * (BlockImage::MAX_BLOCK_SIZE + BlockImage::BLOCK_SLACK) as u64
-);
+const _: () = assert!(VERIFIED_CHUNK_BYTES as u64 >= MAX_RUN_LEN);
+
+/// Where one compressed block lies in the image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEntry {
+    /// Byte offset in the image file.
+    pub offset: u64,
+    /// Compressed length in bytes.
+    pub len: u32,
+    /// Length the block decodes to.
+    pub uncompressed_len: u32,
+}
 
 /// The verified-chunk cache's counters (the `chunk_*` fields of the
 /// daemon's `stats` reply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChunkStats {
-    /// Chunks read from disk and verified.
+    /// Runs read from disk and verified.
     pub(crate) loads: u64,
-    /// Block reads served from a cached verified chunk.
+    /// Block reads served from a cached verified run.
     pub(crate) hits: u64,
-    /// Verified chunk bytes resident now (at most
+    /// Verified run bytes resident now (at most
     /// [`VERIFIED_CHUNK_BYTES`]).
     pub(crate) resident_bytes: usize,
 }
 
-/// An opened artifact directory.
+/// An opened image directory.
 pub struct Artifact {
-    dir: PathBuf,
-    manifest: Manifest,
-    manifest_bytes: Vec<u8>,
-    index: Vec<IndexEntry>,
-    /// Byte offset of each chunk's first payload byte (cumulative).
-    chunk_starts: Vec<u64>,
-    /// Verified chunk bytes by chunk index, each costing its length.
+    image: File,
+    record: DigestRecord,
+    info: Vec<u8>,
+    blocks: Vec<BlockEntry>,
+    /// The run holding each block (an index into `record.runs()`).
+    block_runs: Vec<usize>,
+    /// Verified run bytes by run index, each costing its length.
     chunks: Mutex<LruCache<Arc<[u8]>>>,
     chunk_loads: AtomicU64,
     chunk_hits: AtomicU64,
 }
 
 impl Artifact {
-    /// Opens `<dir>`, reading and validating the manifest and index.
-    /// Every index entry must lie inside its chunk's byte range, which
-    /// is what lets a block be sliced out of its chunk.
+    /// Opens the image in `<dir>` under its parsed digest `record`:
+    /// checks the image's length, verifies the head and tail extents,
+    /// and places each of `blocks` in the run that holds it.  `info` is
+    /// the `get-manifest` reply.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Corrupt`] when the manifest or index fail
-    /// validation; [`ServeError::Io`] when files cannot be read.
-    pub fn open(dir: &Path) -> Result<Self, ServeError> {
-        let (manifest, manifest_bytes) = read_manifest(dir)?;
-        let index = parse_index(&read_section(dir, "index.bin", &manifest.index)?, &manifest)?;
-        let mut chunk_starts = Vec::with_capacity(manifest.chunks.len());
-        let mut start = 0u64;
-        for chunk in &manifest.chunks {
-            chunk_starts.push(start);
-            start += chunk.compressed_len;
-        }
+    /// [`ServeError::Corrupt`] when the image length differs from the
+    /// record's, the head or tail digest differs, or a block does not
+    /// lie inside one run.
+    pub fn open(
+        dir: &Path,
+        record: DigestRecord,
+        blocks: Vec<BlockEntry>,
+        info: Vec<u8>,
+    ) -> Result<Self, ServeError> {
+        let image = open_image(dir, &record)?;
+        read_extent(&image, &record, 0)?;
+        read_extent(&image, &record, record.extents().len() - 1)?;
+        let runs = record.runs();
+        let block_runs = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, block)| {
+                let run = runs.partition_point(|r| r.start <= block.offset).checked_sub(1);
+                run.filter(|&r| block.offset.saturating_add(block.len.into()) <= runs[r].end())
+                    .ok_or_else(|| {
+                        ServeError::corrupt(format!("block {i}"), "does not lie inside one run")
+                    })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Self {
-            dir: dir.to_path_buf(),
-            manifest,
-            manifest_bytes,
-            index,
-            chunk_starts,
+            image,
+            record,
+            info,
+            blocks,
+            block_runs,
             chunks: Mutex::new(LruCache::new(VERIFIED_CHUNK_BYTES)),
             chunk_loads: AtomicU64::new(0),
             chunk_hits: AtomicU64::new(0),
         })
     }
 
-    /// The validated manifest.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
+    /// The digest record the artifact was opened under.
+    #[cfg(test)]
+    pub(crate) fn record(&self) -> &DigestRecord {
+        &self.record
     }
 
-    /// The raw manifest document (what `get-manifest` serves).
-    pub fn manifest_bytes(&self) -> &[u8] {
-        &self.manifest_bytes
+    /// The `get-manifest` reply.
+    pub fn info(&self) -> &[u8] {
+        &self.info
     }
 
     /// Number of blocks in the artifact.
     pub fn block_count(&self) -> usize {
-        self.index.len()
+        self.blocks.len()
     }
 
-    /// Reads `model.bin`, verifying it against the manifest digest.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corrupt`] on a digest or length mismatch.
-    pub fn read_model(&self) -> Result<Vec<u8>, ServeError> {
-        read_section(&self.dir, "model.bin", &self.manifest.model)
+    /// The run holding `block`, or `None` past the end.
+    #[cfg(test)]
+    pub(crate) fn run_of(&self, block: usize) -> Option<usize> {
+        self.block_runs.get(block).copied()
     }
 
     /// Reads compressed block `block`, returning `(data,
-    /// uncompressed_len)`.  The containing chunk comes from the
+    /// uncompressed_len)`.  The run holding it comes from the
     /// verified-chunk cache, or is read and verified first, so
     /// corruption found on disk is caught before any codec sees the
     /// bytes.
@@ -127,36 +148,34 @@ impl Artifact {
     /// # Errors
     ///
     /// [`ServeError::NotFound`] past the end; [`ServeError::Corrupt`]
-    /// naming the chunk on a digest/length mismatch.
+    /// naming the run on a short read or digest mismatch.
     pub fn read_block(&self, block: usize) -> Result<(Vec<u8>, usize), ServeError> {
-        let entry =
-            *self.index.get(block).ok_or_else(|| ServeError::NotFound(format!("block {block}")))?;
-        let ci = self
-            .manifest
-            .chunk_for_block(block as u64)
-            .expect("in-range block has a chunk (validated at open)");
-        let chunk = self.verified_chunk(ci)?;
-        let local = (entry.offset - self.chunk_starts[ci]) as usize;
-        let end = local + entry.compressed_len as usize;
-        // In range: open checked that every entry lies inside its
-        // chunk, and the chunk's length matched the manifest.
-        Ok((chunk[local..end].to_vec(), entry.uncompressed_len as usize))
+        let entry = *self
+            .blocks
+            .get(block)
+            .ok_or_else(|| ServeError::NotFound(format!("block {block}")))?;
+        let run = self.block_runs[block];
+        let bytes = self.verified_run(run)?;
+        let local = (entry.offset - self.record.runs()[run].start) as usize;
+        // In range: open checked that the block lies inside its run,
+        // and the run's bytes matched its digest.
+        Ok((bytes[local..local + entry.len as usize].to_vec(), entry.uncompressed_len as usize))
     }
 
-    /// Chunk `ci`'s bytes: the cached verified copy, or a fresh read
+    /// Run `run`'s bytes: the cached verified copy, or a fresh read
     /// and check that is cached once it passes.  The lock covers only
     /// the lookup and the insert, never the read or the hash, so two
-    /// connections missing the same chunk at once may both load it.
-    fn verified_chunk(&self, ci: usize) -> Result<Arc<[u8]>, ServeError> {
-        if let Some(bytes) = self.chunk_cache().get(ci) {
+    /// connections missing the same run at once may both load it.
+    fn verified_run(&self, run: usize) -> Result<Arc<[u8]>, ServeError> {
+        if let Some(bytes) = self.chunk_cache().get(run) {
             self.chunk_hits.fetch_add(1, Ordering::Relaxed);
             obs::SERVE_CHUNK_HITS.incr();
             return Ok(bytes);
         }
-        let bytes: Arc<[u8]> = read_chunk(&self.dir, &self.manifest, ci)?.into();
+        let bytes: Arc<[u8]> = read_extent(&self.image, &self.record, run + 1)?.into();
         self.chunk_loads.fetch_add(1, Ordering::Relaxed);
         obs::SERVE_CHUNK_LOADS.incr();
-        self.chunk_cache().insert(ci, bytes.clone(), bytes.len());
+        self.chunk_cache().insert(run, bytes.clone(), bytes.len());
         Ok(bytes)
     }
 
@@ -180,7 +199,7 @@ impl Artifact {
     ///
     /// Any [`read_block`](Self::read_block) failure or codec error.
     pub fn decode_text(&self, codec: &dyn BlockCodec) -> Result<Vec<u8>, ServeError> {
-        let mut out = Vec::with_capacity(self.manifest.original_len as usize);
+        let mut out = Vec::new();
         for block in 0..self.block_count() {
             let (data, ulen) = self.read_block(block)?;
             let decoded = codec.decompress_block(&data, ulen)?;
@@ -196,12 +215,52 @@ impl Artifact {
     }
 }
 
+/// Test fixture shared by the unit tests: publishes `blocks` as an
+/// image (8-byte head, runs packed to `chunk_payload`, 8-byte tail)
+/// and returns the block table [`Artifact::open`] takes.
+#[cfg(test)]
+pub(crate) fn publish_blocks(
+    dir: &Path,
+    blocks: &[Vec<u8>],
+    chunk_payload: u64,
+) -> Vec<BlockEntry> {
+    let runs =
+        crate::publish::pack_runs(blocks.iter().map(|b| b.len() as u64), chunk_payload).unwrap();
+    let mut extents = vec![b"headhead".to_vec()];
+    let mut entries = Vec::new();
+    let mut next = blocks.iter();
+    let mut offset = 8u64;
+    for run in runs {
+        let mut bytes = Vec::new();
+        while (bytes.len() as u64) < run {
+            let block = next.next().unwrap();
+            entries.push(BlockEntry {
+                offset,
+                len: block.len() as u32,
+                uncompressed_len: block.len() as u32,
+            });
+            offset += block.len() as u64;
+            bytes.extend_from_slice(block);
+        }
+        extents.push(bytes);
+    }
+    extents.push(b"tailtail".to_vec());
+    crate::publish::publish(dir, extents.into_iter().map(Ok)).unwrap();
+    entries
+}
+
+/// Opens what [`publish_blocks`] wrote.
+#[cfg(test)]
+pub(crate) fn open_blocks(dir: &Path, blocks: Vec<BlockEntry>) -> Result<Artifact, ServeError> {
+    Artifact::open(dir, DigestRecord::read(dir)?, blocks, b"info".to_vec())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::chunk_file_name;
-    use crate::publish::{ArtifactMeta, Publisher};
+    use crate::record::IMAGE_FILE;
     use std::fs;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -210,29 +269,19 @@ mod tests {
         dir
     }
 
-    fn publish_blocks(dir: &Path, blocks: &[Vec<u8>]) {
-        let meta = ArtifactMeta {
-            algorithm: "samc".into(),
-            isa: "mips".into(),
-            class: 0,
-            endianness: 1,
-            entry: 0,
-            block_size: 64,
-            model_bytes: 10,
-        };
-        let mut p = Publisher::create(dir, meta, b"model", 64).unwrap();
-        for b in blocks {
-            p.push_block(b, b.len()).unwrap();
-        }
-        p.finish().unwrap();
+    /// Flips the byte at `offset` of the published image.
+    fn flip(dir: &Path, offset: u64) {
+        let path = dir.join(IMAGE_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[offset as usize] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
     }
 
     #[test]
     fn every_block_reads_back_byte_identical() {
         let dir = temp_dir("roundtrip");
         let blocks: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i ^ 0x5a; 10 + 7 * i as usize]).collect();
-        publish_blocks(&dir, &blocks);
-        let artifact = Artifact::open(&dir).unwrap();
+        let artifact = open_blocks(&dir, publish_blocks(&dir, &blocks, 64)).unwrap();
         assert_eq!(artifact.block_count(), blocks.len());
         for (i, expect) in blocks.iter().enumerate() {
             let (data, ulen) = artifact.read_block(i).unwrap();
@@ -247,25 +296,20 @@ mod tests {
     fn corrupt_chunk_read_names_the_chunk() {
         let dir = temp_dir("corrupt");
         let blocks: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 30]).collect();
-        publish_blocks(&dir, &blocks);
-        let artifact = Artifact::open(&dir).unwrap();
-        let ci = artifact.manifest().chunk_for_block(4).unwrap();
-        let victim = dir.join("chunks").join(chunk_file_name(ci));
-        let mut bytes = fs::read(&victim).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(&victim, &bytes).unwrap();
-        // A chunk that fails its check is not cached: every read of it
+        let artifact = open_blocks(&dir, publish_blocks(&dir, &blocks, 64)).unwrap();
+        let run = artifact.run_of(4).unwrap();
+        flip(&dir, artifact.record().runs()[run].end() - 1);
+        // A run that fails its check is not cached: every read of it
         // fails the same way.
         for _ in 0..2 {
             let err = artifact.read_block(4).unwrap_err();
-            assert!(err.to_string().contains(&chunk_file_name(ci)), "{err}");
+            assert!(err.to_string().contains(&format!("run {run}:")), "{err}");
         }
         assert_eq!(artifact.chunk_stats().resident_bytes, 0);
-        // Blocks in other chunks still read fine — corruption is local.
+        // Blocks in other runs still read fine — corruption is local.
         let other = (0..blocks.len())
-            .find(|&b| artifact.manifest().chunk_for_block(b as u64) != Some(ci))
-            .expect("payload 64 splits 6×30-byte blocks across chunks");
+            .find(|&b| artifact.run_of(b) != Some(run))
+            .expect("payload 64 splits 6×30-byte blocks across runs");
         artifact.read_block(other).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -274,68 +318,58 @@ mod tests {
     fn each_chunk_is_read_and_verified_once() {
         let dir = temp_dir("once");
         let blocks: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 20]).collect();
-        publish_blocks(&dir, &blocks);
-        let artifact = Artifact::open(&dir).unwrap();
-        let chunks = artifact.manifest().chunks.len();
+        let artifact = open_blocks(&dir, publish_blocks(&dir, &blocks, 64)).unwrap();
+        let runs = artifact.record().runs().len();
         for _ in 0..3 {
             for (i, expect) in blocks.iter().enumerate() {
                 assert_eq!(&artifact.read_block(i).unwrap().0, expect, "block {i}");
             }
         }
         let stats = artifact.chunk_stats();
-        assert_eq!(stats.loads, chunks as u64);
-        assert_eq!(stats.hits, 3 * blocks.len() as u64 - chunks as u64);
-        assert_eq!(stats.resident_bytes as u64, artifact.manifest().data_len);
+        assert_eq!(stats.loads, runs as u64);
+        assert_eq!(stats.hits, 3 * blocks.len() as u64 - runs as u64);
+        assert_eq!(stats.resident_bytes, 6 * 20);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn non_dense_index_entry_is_refused_at_open() {
-        // Chunk 0 holds blocks 0..=2 (3 × 20 = 60 <= 64); block 3 spills.
+        // Runs hold blocks 0..=2 (3 × 20 = 60 <= 64) and block 3.
         let dir = temp_dir("nondense");
-        publish_blocks(&dir, &(0..4u8).map(|i| vec![i; 20]).collect::<Vec<_>>());
-        let (mut manifest, _) = read_manifest(&dir).unwrap();
-        assert!(manifest.chunks.len() >= 2, "need at least 2 chunks");
-        // Point block 1 (chunk 0's second block) past its chunk but
-        // still inside the payload, then re-sign index and manifest so
-        // every digest is consistent.
-        let index_path = dir.join("index.bin");
-        let mut index = fs::read(&index_path).unwrap();
-        let bogus_offset = manifest.data_len - 30;
-        index[16..24].copy_from_slice(&bogus_offset.to_be_bytes());
-        index[24..28].copy_from_slice(&30u32.to_be_bytes());
-        fs::write(&index_path, &index).unwrap();
-        manifest.index.sha256 = crate::sha256::digest(&index);
-        manifest.total_sha256 = manifest.compute_total();
-        fs::write(dir.join("manifest.json"), manifest.to_json()).unwrap();
-        let err = match Artifact::open(&dir) {
-            Ok(_) => panic!("open accepted an entry outside its chunk"),
-            Err(err) => err,
-        };
+        let mut entries =
+            publish_blocks(&dir, &(0..4u8).map(|i| vec![i; 20]).collect::<Vec<_>>(), 64);
+        // Stretch block 2 across the boundary into the second run, and
+        // point a block into the head.
+        entries[2].len = 30;
+        let err = open_blocks(&dir, entries.clone()).err().expect("a straddling block opened");
         assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("index.bin"), "{err}");
-        assert!(crate::verify_dir(&dir).is_err());
+        assert!(err.to_string().contains("block 2"), "{err}");
+        entries[2].len = 20;
+        entries[0].offset = 0;
+        assert!(open_blocks(&dir, entries).is_err(), "a block in the head opened");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn model_digest_mismatch_is_typed() {
         let dir = temp_dir("model");
-        publish_blocks(&dir, &[vec![1; 8]]);
-        fs::write(dir.join("model.bin"), b"modeX").unwrap();
-        let artifact = Artifact::open(&dir).unwrap();
-        assert!(matches!(artifact.read_model(), Err(ServeError::Corrupt { .. })));
+        let entries = publish_blocks(&dir, &[vec![1; 8]], 64);
+        flip(&dir, 3);
+        let err = open_blocks(&dir, entries).err().expect("a corrupt head opened");
+        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("image.cce head"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn truncated_manifest_fails_open_with_typed_error() {
-        let dir = temp_dir("truncmanifest");
-        publish_blocks(&dir, &[vec![1; 8], vec![2; 8]]);
-        let path = dir.join("manifest.json");
+        let dir = temp_dir("truncrecord");
+        let entries = publish_blocks(&dir, &[vec![1; 8], vec![2; 8]], 64);
+        let path = dir.join(crate::record::RECORD_FILE);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(Artifact::open(&dir), Err(ServeError::Corrupt { .. })));
+        let err = open_blocks(&dir, entries).err().expect("a truncated record opened");
+        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

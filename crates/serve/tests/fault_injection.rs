@@ -4,19 +4,21 @@
 //! Every scenario asserts two things — the failure surfaces as a
 //! *typed* error (never a panic, never a hang), and the daemon keeps
 //! serving fresh connections afterwards.  Scenarios covered: a
-//! corrupted chunk, a truncated chunk file, a truncated manifest, an
-//! oversized request frame, a mid-request client disconnect, an I/O
-//! error mid-stream, a client limping along on 1-byte reads, a
-//! truncated response, a connection flood past the daemon's cap, a
-//! chunk corrupted after the daemon verified and cached it, and a
-//! decode job that panics.
+//! corrupted run, a truncated image, a truncated or garbled digest
+//! record, an oversized request frame, a mid-request client
+//! disconnect, an I/O error mid-stream, a client limping along on
+//! 1-byte reads, a truncated response, a connection flood past the
+//! daemon's cap, a run corrupted after the daemon verified and cached
+//! it, and a decode job that panics.
+
+mod common;
 
 use cce_serve::fault::{duplex, DuplexStream, Fault, FaultReader, FaultStream};
 use cce_serve::proto::{read_frame, Request, Status, MAX_RESPONSE_PAYLOAD};
-use cce_serve::publish::{ArtifactMeta, Publisher};
+use cce_serve::record::{DigestRecord, IMAGE_FILE, RECORD_FILE};
 use cce_serve::server::MAX_CONNECTIONS;
-use cce_serve::store::Artifact;
 use cce_serve::{verify_dir, Client, ServeConfig, ServeError, Server};
+use common::{open_blocks, publish_blocks, Identity};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -25,64 +27,27 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Identity;
-
-impl cce_codec::BlockCodec for Identity {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-    fn block_size(&self) -> usize {
-        64
-    }
-    fn model_bytes(&self) -> usize {
-        0
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, cce_codec::CodecError> {
-        Ok(chunk.to_vec())
-    }
-    fn decompress_block(
-        &self,
-        block: &[u8],
-        _out_len: usize,
-    ) -> Result<Vec<u8>, cce_codec::CodecError> {
-        Ok(block.to_vec())
-    }
-}
-
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cce-serve-fault-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// Publishes an identity artifact whose blocks span two chunk files
-/// (chunk payload 128, blocks ~56 bytes), so corrupting chunk 0 leaves
-/// chunk 1 healthy.
+/// Six 56-byte identity blocks.
+fn fixture() -> Vec<Vec<u8>> {
+    (0..6).map(|i| vec![(i * 41 % 249) as u8; 56]).collect()
+}
+
+/// Publishes [`fixture`] in 128-byte runs (two blocks each), so
+/// corrupting run 0 leaves the other runs healthy.
 fn publish_two_chunks(dir: &Path) -> Vec<Vec<u8>> {
-    let meta = ArtifactMeta {
-        algorithm: "samc".into(),
-        isa: "mips".into(),
-        class: 0,
-        endianness: 1,
-        entry: 0,
-        block_size: 64,
-        model_bytes: 0,
-    };
-    let mut p = Publisher::create(dir, meta, b"", 128).unwrap();
-    let data: Vec<Vec<u8>> = (0..6).map(|i| vec![(i * 41 % 249) as u8; 56]).collect();
-    for b in &data {
-        p.push_block(b, b.len()).unwrap();
-    }
-    let summary = p.finish().unwrap();
-    assert!(summary.chunk_files >= 2, "fixture must span multiple chunks");
-    data
+    let blocks = fixture();
+    assert_eq!(publish_blocks(dir, &blocks, 128), 3, "fixture must span multiple runs");
+    blocks
 }
 
 fn server_for(dir: &Path) -> Server {
-    Server::new(Artifact::open(dir).unwrap(), Box::new(Identity), ServeConfig::default())
+    Server::new(open_blocks(dir, &fixture()).unwrap(), Box::new(Identity), ServeConfig::default())
 }
 
 fn connect(server: &Server) -> Client<DuplexStream> {
@@ -93,12 +58,12 @@ fn connect(server: &Server) -> Client<DuplexStream> {
     Client::new(client_end)
 }
 
-/// Flips one byte in the middle of chunk file `index`.
+/// Flips one byte in the middle of run `index` of the image.
 fn corrupt_chunk(dir: &Path, index: usize) {
-    let path = dir.join("chunks").join(format!("{index:08x}.chunk"));
+    let run = DigestRecord::read(dir).unwrap().runs()[index];
+    let path = dir.join(IMAGE_FILE);
     let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
+    bytes[(run.start + run.len / 2) as usize] ^= 0x40;
     std::fs::write(&path, bytes).unwrap();
 }
 
@@ -134,7 +99,7 @@ impl cce_codec::BlockCodec for PanicsOn {
     }
 }
 
-// Scenario 1: a flipped byte in a chunk file.
+// Scenario 1: a flipped byte in a run.
 #[test]
 fn corrupt_chunk_is_a_typed_error_and_the_daemon_survives() {
     let dir = temp_dir("corrupt-chunk");
@@ -142,60 +107,78 @@ fn corrupt_chunk_is_a_typed_error_and_the_daemon_survives() {
     let server = server_for(&dir);
     corrupt_chunk(&dir, 0);
     let mut client = connect(&server);
-    // Every block in the poisoned chunk answers Corrupt, on both the
-    // raw and the decoded path.
-    let err = client.get_block(0).unwrap_err();
-    assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-    assert!(err.to_string().contains("chunk 00000000"), "{err}");
-    let err = client.decode_block(0).unwrap_err();
-    assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-    // The same connection still serves the healthy chunk and metadata.
+    // Every block in the poisoned run answers Corrupt naming the run,
+    // on both the raw and the decoded path, on every read.
+    for _ in 0..2 {
+        for block in [0, 1] {
+            let err = client.get_block(block).unwrap_err();
+            assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("run 0:"), "{err}");
+            let err = client.decode_block(block).unwrap_err();
+            assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("run 0:"), "{err}");
+        }
+    }
+    // The same connection still serves the healthy runs and metadata.
     let last = blocks.len() as u64 - 1;
     assert_eq!(client.decode_block(last).unwrap(), blocks[last as usize]);
     assert!(client.get_manifest().is_ok());
     // And verify tells the truth about the directory.
     let err = verify_dir(&dir).unwrap_err();
-    assert!(err.to_string().contains("chunk 00000000"), "{err}");
+    assert!(err.to_string().contains("image.cce run 0:"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// Scenario 2: a chunk file cut short on disk.
+// Scenario 2: the image cut short on disk.  At open and from verify it
+// is a typed error naming the image; cut under a running daemon, the
+// runs it lost answer Corrupt naming them.
 #[test]
 fn truncated_chunk_file_is_a_typed_error_not_a_panic() {
     let dir = temp_dir("truncated-chunk");
     let blocks = publish_two_chunks(&dir);
     let server = server_for(&dir);
-    let path = dir.join("chunks").join("00000001.chunk");
+    let path = dir.join(IMAGE_FILE);
     let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    // Keep the head and run 0 (blocks 0 and 1) and half of run 1.
+    let run = DigestRecord::read(&dir).unwrap().runs()[1];
+    std::fs::write(&path, &bytes[..(run.start + run.len / 2) as usize]).unwrap();
     let mut client = connect(&server);
-    // Chunk payload 128 / 56-byte blocks → two blocks per chunk, so
-    // chunk 1 holds blocks 2 and 3.
     let err = client.get_block(2).unwrap_err();
     assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-    assert!(err.to_string().contains("chunk 00000001"), "{err}");
-    // Chunk 0 is untouched.
+    assert!(err.to_string().contains("run 1:"), "{err}");
+    // Run 0 is untouched.
     assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
-    assert!(verify_dir(&dir).is_err());
+    for err in [open_blocks(&dir, &blocks).err().expect("opened"), verify_dir(&dir).unwrap_err()] {
+        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("corrupt image.cce:"), "{err}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// Scenario 3: a truncated manifest is refused at open (and by verify),
-// with a typed error — a daemon can never start over a half manifest.
+// Scenario 3: a truncated or garbled digest record is refused at open
+// (and by verify), with a typed error — a daemon can never start over
+// a half record.
 #[test]
 fn truncated_manifest_is_refused_with_a_typed_error() {
-    let dir = temp_dir("truncated-manifest");
-    publish_two_chunks(&dir);
-    let path = dir.join("manifest.json");
+    let dir = temp_dir("truncated-record");
+    let blocks = publish_two_chunks(&dir);
+    let path = dir.join(RECORD_FILE);
     let bytes = std::fs::read(&path).unwrap();
-    for keep in [0, 1, bytes.len() / 2, bytes.len() - 2] {
-        std::fs::write(&path, &bytes[..keep]).unwrap();
-        let err = match Artifact::open(&dir) {
-            Ok(_) => panic!("keep {keep}: a truncated manifest opened"),
-            Err(err) => err,
-        };
-        assert!(matches!(err, ServeError::Corrupt { .. }), "keep {keep}: {err}");
-        assert!(verify_dir(&dir).is_err(), "keep {keep}");
+    let garbled = |at: usize| {
+        let mut bad = bytes.clone();
+        bad[at] ^= 0x08;
+        bad
+    };
+    let cases = [0, 1, bytes.len() / 2, bytes.len() - 2]
+        .map(|keep| bytes[..keep].to_vec())
+        .into_iter()
+        .chain([3, 9, 20, bytes.len() - 1].map(garbled));
+    for (case, bad) in cases.enumerate() {
+        std::fs::write(&path, &bad).unwrap();
+        let err = open_blocks(&dir, &blocks).err().expect("a damaged record opened");
+        assert!(matches!(err, ServeError::Corrupt { .. }), "case {case}: {err}");
+        assert!(err.to_string().contains(RECORD_FILE), "case {case}: {err}");
+        assert!(verify_dir(&dir).is_err(), "case {case}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -452,20 +435,20 @@ fn flood_past_the_cap<S: Read + Write>(
     client.shutdown().unwrap();
 }
 
-// Scenario 10: a chunk corrupted on disk *after* the daemon verified
-// and cached it.  The daemon keeps serving the bytes that matched the
-// manifest when it loaded them, and `verify` reports the file on disk.
+// Scenario 10: a run corrupted on disk *after* the daemon verified and
+// cached it.  The daemon keeps serving the bytes that matched the
+// record when it loaded them, and `verify` reports the run on disk.
 #[test]
 fn chunk_corrupted_after_caching_keeps_serving_the_verified_bytes() {
     let dir = temp_dir("corrupt-after-cache");
     let blocks = publish_two_chunks(&dir);
     let server = server_for(&dir);
     let mut client = connect(&server);
-    // Warm chunk 0 (blocks 0 and 1) through block 0.
+    // Warm run 0 (blocks 0 and 1) through block 0.
     assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
     corrupt_chunk(&dir, 0);
     // Block 1 was never decoded, so both answers slice the verified
-    // copy of chunk 0, on this connection and on a fresh one.
+    // copy of run 0, on this connection and on a fresh one.
     assert_eq!(client.decode_block(1).unwrap(), blocks[1]);
     assert_eq!(client.get_block(1).unwrap(), (blocks[1].clone(), blocks[1].len()));
     let mut fresh = connect(&server);
@@ -474,7 +457,7 @@ fn chunk_corrupted_after_caching_keeps_serving_the_verified_bytes() {
     assert!(stats.contains("\"chunk_loads\":1,"), "{stats}");
     let err = verify_dir(&dir).unwrap_err();
     assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-    assert!(err.to_string().contains("chunk 00000000"), "{err}");
+    assert!(err.to_string().contains("image.cce run 0:"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -488,7 +471,7 @@ fn a_panicking_decode_answers_a_typed_error_and_the_shard_serves_on() {
     // One LRU stripe, so every block shares the stripe the panic left.
     let config = ServeConfig { workers: 1, ..ServeConfig::default() };
     let codec = Box::new(PanicsOn { poison: blocks[2][0] });
-    let server = Server::new(Artifact::open(&dir).unwrap(), codec, config);
+    let server = Server::new(open_blocks(&dir, &blocks).unwrap(), codec, config);
     let mut client = connect(&server);
     let err = client.decode_block(2).unwrap_err();
     assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");

@@ -7,49 +7,22 @@
 //! the connection's read buffer and that concurrent clients receive
 //! byte-identical responses regardless of the worker count.
 
+mod common;
+
+use cce_codec::BlockImage;
 use cce_serve::fault::{duplex, DuplexStream};
 use cce_serve::proto::{
     encode_frame, read_frame, Frame, Request, Status, HEADER_LEN, MAX_REQUEST_PAYLOAD,
     MAX_RESPONSE_PAYLOAD,
 };
-use cce_serve::publish::{ArtifactMeta, Publisher};
 use cce_serve::server::READ_BUFFER_BYTES;
-use cce_serve::store::Artifact;
 use cce_serve::{Client, ServeConfig, Server};
+use common::{open_blocks, publish_blocks, Identity};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// A codec whose "compression" is identity (the conformance suite
-/// exercises framing, not entropy coding).
-struct Identity;
-
-impl cce_codec::BlockCodec for Identity {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-    fn block_size(&self) -> usize {
-        64
-    }
-    fn model_bytes(&self) -> usize {
-        0
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, cce_codec::CodecError> {
-        Ok(chunk.to_vec())
-    }
-    fn decompress_block(
-        &self,
-        block: &[u8],
-        _out_len: usize,
-    ) -> Result<Vec<u8>, cce_codec::CodecError> {
-        Ok(block.to_vec())
-    }
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cce-serve-proto-{tag}-{}", std::process::id()));
@@ -58,26 +31,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn publish_identity(dir: &Path, blocks: usize) -> Vec<Vec<u8>> {
-    let meta = ArtifactMeta {
-        algorithm: "samc".into(),
-        isa: "mips".into(),
-        class: 0,
-        endianness: 1,
-        entry: 0,
-        block_size: 64,
-        model_bytes: 0,
-    };
-    let mut p = Publisher::create(dir, meta, b"", 128).unwrap();
     let data: Vec<Vec<u8>> = (0..blocks).map(|i| vec![(i * 31 % 253) as u8; 48 + i % 16]).collect();
-    for b in &data {
-        p.push_block(b, b.len()).unwrap();
-    }
-    p.finish().unwrap();
+    publish_blocks(dir, &data, 128);
     data
 }
 
-fn server_for(dir: &Path, config: ServeConfig) -> Server {
-    Server::new(Artifact::open(dir).unwrap(), Box::new(Identity), config)
+fn server_for(dir: &Path, blocks: &[Vec<u8>], config: ServeConfig) -> Server {
+    Server::new(open_blocks(dir, blocks).unwrap(), Box::new(Identity), config)
 }
 
 /// Spawns an in-memory connection to `server`, returning the client
@@ -124,12 +84,11 @@ fn golden_request_frames_are_pinned() {
 /// Response status bytes and a full golden response frame.
 #[test]
 fn golden_response_frames_are_pinned() {
-    let codes: [(Status, u8); 7] = [
+    let codes: [(Status, u8); 6] = [
         (Status::Ok, 0x80),
         (Status::BadRequest, 0xe1),
         (Status::NotFound, 0xe2),
         (Status::Corrupt, 0xe3),
-        (Status::Timeout, 0xe4),
         (Status::Busy, 0xe5),
         (Status::Internal, 0xe6),
     ];
@@ -142,9 +101,13 @@ fn golden_response_frames_are_pinned() {
         b"CSRV\x80\x00\x00\x00\x02ok",
         "response framing drifted"
     );
+    assert_eq!(Status::from_code(0xe4), None, "0xe4 is unassigned");
     assert_eq!(HEADER_LEN, 9);
     assert_eq!(MAX_REQUEST_PAYLOAD, 4096);
-    const _: () = assert!(MAX_RESPONSE_PAYLOAD >= 1 << 20, "manifest responses need room");
+    const _: () = assert!(
+        MAX_RESPONSE_PAYLOAD >= 4 + BlockImage::MAX_BLOCK_SIZE + BlockImage::BLOCK_SLACK,
+        "block responses, the largest, need room"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -161,8 +124,8 @@ fn read_response(stream: &mut DuplexStream) -> Frame {
 #[test]
 fn unknown_opcode_gets_bad_request_and_the_connection_survives() {
     let dir = temp_dir("badop");
-    publish_identity(&dir, 2);
-    let server = server_for(&dir, ServeConfig::default());
+    let blocks = publish_identity(&dir, 2);
+    let server = server_for(&dir, &blocks, ServeConfig::default());
     let mut stream = connect_raw(&server);
     stream.write_all(&encode_frame(0x7f, &[])).unwrap();
     let response = read_response(&mut stream);
@@ -178,8 +141,8 @@ fn unknown_opcode_gets_bad_request_and_the_connection_survives() {
 #[test]
 fn wrong_payload_size_gets_bad_request_and_the_connection_survives() {
     let dir = temp_dir("badsize");
-    publish_identity(&dir, 2);
-    let server = server_for(&dir, ServeConfig::default());
+    let blocks = publish_identity(&dir, 2);
+    let server = server_for(&dir, &blocks, ServeConfig::default());
     let mut stream = connect_raw(&server);
     stream.write_all(&encode_frame(0x02, &[0; 4])).unwrap();
     assert_eq!(read_response(&mut stream).opcode, Status::BadRequest.code());
@@ -194,8 +157,8 @@ fn wrong_payload_size_gets_bad_request_and_the_connection_survives() {
 #[test]
 fn bad_magic_closes_the_connection_but_not_the_daemon() {
     let dir = temp_dir("badmagic");
-    publish_identity(&dir, 2);
-    let server = server_for(&dir, ServeConfig::default());
+    let blocks = publish_identity(&dir, 2);
+    let server = server_for(&dir, &blocks, ServeConfig::default());
     let mut stream = connect_raw(&server);
     stream.write_all(b"XSRV\x01\x00\x00\x00\x00").unwrap();
     let response = read_response(&mut stream);
@@ -214,8 +177,8 @@ fn bad_magic_closes_the_connection_but_not_the_daemon() {
 #[test]
 fn oversized_declared_length_is_refused_before_allocation() {
     let dir = temp_dir("huge");
-    publish_identity(&dir, 2);
-    let server = server_for(&dir, ServeConfig::default());
+    let blocks = publish_identity(&dir, 2);
+    let server = server_for(&dir, &blocks, ServeConfig::default());
     let mut stream = connect_raw(&server);
     let mut huge = encode_frame(0x01, &[]);
     huge[5..9].copy_from_slice(&u32::MAX.to_be_bytes());
@@ -294,7 +257,7 @@ fn pipelined_requests_stay_within_the_queue_bound() {
     let entered = Arc::new(AtomicBool::new(false));
     let codec = Gated { gate: gate.clone(), entered: entered.clone() };
     let server =
-        Server::new(Artifact::open(&dir).unwrap(), Box::new(codec), ServeConfig::default());
+        Server::new(open_blocks(&dir, &blocks).unwrap(), Box::new(codec), ServeConfig::default());
     let (mut stream, server_end) = duplex();
     let (reader, writer) = server_end.split();
     let consumed = Arc::new(AtomicUsize::new(0));
@@ -342,7 +305,7 @@ fn concurrent_clients_get_identical_bytes_across_worker_counts() {
     let mut transcripts = Vec::new();
     for workers in [1usize, 2, 8] {
         let config = ServeConfig { workers, ..ServeConfig::default() };
-        let server = server_for(&dir, config);
+        let server = server_for(&dir, &blocks, config);
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let server = server.clone();

@@ -179,13 +179,15 @@ echo "$warm_out" | grep -q 'division 49bc0a2a57dccd29'
 cmp target/ci-cache-cold.cce target/ci-cache-warm.cce
 
 echo "== serve smoke (publish, verify, daemon fetch, corruption) =="
-# A published artifact must verify clean, a daemon on a Unix socket must
-# serve a fetch whose rebuilt ELF is byte-identical to `decompress`, and
-# a single flipped chunk byte must fail `verify` with a non-zero exit
-# that names the chunk.  `fetch` decodes every block once, in order, so
-# a daemon that verifies each chunk once reports one chunk load per
-# chunk file in its `shutdown:` stats line, counts each `decode-block`
-# as exactly one cache hit or miss, and answers no request with an error.
+# `publish` must copy the container byte for byte, the published
+# directory must verify clean, a daemon on a Unix socket must serve a
+# fetch whose rebuilt ELF is byte-identical to `decompress`, and a single
+# flipped byte in a run must fail `verify` with a non-zero exit that
+# names the run.  `fetch` decodes every block once, in order, so a
+# daemon that verifies each run once reports one chunk load per run
+# (the count `verify` prints) in its `shutdown:` stats line, counts each
+# `decode-block` as exactly one cache hit or miss, and answers no
+# request with an error.
 serve_elf="target/ci-serve.elf"
 serve_cce="target/ci-serve.cce"
 serve_dir="target/ci-serve-artifact"
@@ -197,7 +199,11 @@ rm -rf "$serve_dir" "$serve_sock"
 cargo run --release -q -p cce-core --bin cce -- gen ijpeg --scale 0.5 --seed 7 -o "$serve_elf"
 cargo run --release -q -p cce-core --bin cce -- compress "$serve_elf" -a huffman -o "$serve_cce"
 cargo run --release -q -p cce-core --bin cce -- publish "$serve_cce" -o "$serve_dir" --chunk-size 4096
-cargo run --release -q -p cce-core --bin cce -- verify "$serve_dir"
+cmp "$serve_cce" "$serve_dir/image.cce"
+verify_out="$(cargo run --release -q -p cce-core --bin cce -- verify "$serve_dir")"
+echo "$verify_out"
+runs="$(echo "$verify_out" | sed -n 's/.* blocks in \([0-9]*\) runs,.*/\1/p')"
+test "$runs" -gt 1
 cargo run --release -q -p cce-core --bin cce -- decompress "$serve_cce" -o "$serve_direct"
 cargo run --release -q -p cce-core --bin cce -- serve "$serve_dir" --socket "$serve_sock" >"$serve_log" &
 serve_pid=$!
@@ -206,30 +212,34 @@ test -S "$serve_sock"
 cargo run --release -q -p cce-core --bin cce -- fetch --socket "$serve_sock" -o "$serve_fetched"
 wait "$serve_pid"   # fetch sends shutdown; the daemon must exit 0
 cmp "$serve_direct" "$serve_fetched"
-chunk_files="$(find "$serve_dir/chunks" -name '*.chunk' | wc -l)"
-python3 - "$serve_log" "$chunk_files" <<'EOF'
+python3 - "$serve_log" "$runs" <<'EOF'
 import json, sys
-log, chunk_files = open(sys.argv[1]).read(), int(sys.argv[2])
+log, runs = open(sys.argv[1]).read(), int(sys.argv[2])
 line = next(l for l in log.splitlines() if l.startswith("shutdown: "))
 stats = json.loads(line[len("shutdown: "):])
-assert stats["chunk_loads"] == chunk_files, (stats, chunk_files)
+assert stats["chunk_loads"] == runs, (stats, runs)
 assert stats["cache_hits"] + stats["cache_misses"] == stats["blocks"], stats
 assert stats["errors"] == 0, stats
-print("serve smoke:", chunk_files, "chunk files, each loaded and verified once;",
+print("serve smoke:", runs, "runs, each loaded and verified once;",
       stats["blocks"], "decode-block requests, each counted once")
 EOF
-python3 - "$serve_dir/chunks/00000000.chunk" <<'EOF'
-import sys
-path = sys.argv[1]
+# Flip the middle byte of run 0.  The digest record's first two entries
+# (a u64 length and a 32-byte SHA-256 each, after an 8-byte preamble)
+# are the head and run 0.
+python3 - "$serve_dir" <<'EOF'
+import struct, sys
+record = open(sys.argv[1] + "/image.digests", "rb").read()
+head, run0 = struct.unpack(">Q", record[8:16])[0], struct.unpack(">Q", record[48:56])[0]
+path = sys.argv[1] + "/image.cce"
 data = bytearray(open(path, "rb").read())
-data[len(data) // 2] ^= 1
+data[head + run0 // 2] ^= 1
 open(path, "wb").write(bytes(data))
 EOF
 if verify_out="$(cargo run --release -q -p cce-core --bin cce -- verify "$serve_dir" 2>&1)"; then
-    echo "verify must fail on a corrupted chunk" >&2
+    echo "verify must fail on a corrupted run" >&2
     exit 1
 fi
-echo "$verify_out" | grep -q 'chunk 00000000'
+echo "$verify_out" | grep -q 'run 0:'
 echo "serve smoke: publish/verify/daemon/corruption all behaved"
 
 echo "== serve load smoke (daemon on a Unix socket, pipelined connections) =="

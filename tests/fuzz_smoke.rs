@@ -37,7 +37,7 @@ fn every_registered_codec_survives_the_mutation_budget() {
     }
 }
 
-/// The serving tier's decode surfaces — manifest documents and wire
+/// The serving tier's decode surfaces — digest records and wire
 /// request frames — survive the same mutation budget under the same
 /// trichotomy.  The target list is pinned so a new wire surface cannot
 /// land without fuzz coverage.
@@ -46,7 +46,7 @@ fn serve_decode_surfaces_survive_the_mutation_budget() {
     let reports = run_serve(&CONFIG);
     assert_eq!(
         reports.iter().map(|r| r.target.as_str()).collect::<Vec<_>>(),
-        ["serve/manifest", "serve/frame"],
+        ["serve/digests", "serve/frame"],
     );
     for report in &reports {
         assert!(

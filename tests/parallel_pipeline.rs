@@ -6,30 +6,41 @@ use cce_bench::{figure_rows_with_workers, render_table};
 use cce_core::codec::compress_parallel;
 use cce_core::isa::Isa;
 use cce_core::workload::spec95_suite;
-use cce_core::{measure_suite_with_workers, Algorithm, CodecHandle};
+use cce_core::{Algorithm, CodecHandle};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// Every benchmark's ratios, on both ISAs, match the serial run row for
+/// row.
 #[test]
 fn suite_measurements_are_identical_across_worker_counts() {
+    let algorithms = [Algorithm::ByteHuffman];
     for isa in [Isa::Mips, Isa::X86] {
-        let serial = measure_suite_with_workers(Algorithm::ByteHuffman, isa, 0.02, 32, 1).unwrap();
+        let serial = figure_rows_with_workers(isa, &algorithms, 0.02, 32, 1).unwrap();
+        assert_eq!(serial.len(), 18, "{isa}: every suite benchmark");
         for workers in WORKER_COUNTS {
-            let parallel =
-                measure_suite_with_workers(Algorithm::ByteHuffman, isa, 0.02, 32, workers).unwrap();
-            assert_eq!(serial, parallel, "{isa} with {workers} workers");
+            let rows = figure_rows_with_workers(isa, &algorithms, 0.02, 32, workers).unwrap();
+            assert_eq!(rows, serial, "{isa} with {workers} workers");
         }
     }
 }
 
+/// The rendered figure table, over every block codec, is byte-identical
+/// for any worker count on both ISAs.
 #[test]
 fn figure_tables_are_byte_identical_across_worker_counts() {
     let algorithms = [Algorithm::ByteHuffman, Algorithm::Samc, Algorithm::Sadc];
-    let rows = figure_rows_with_workers(Isa::Mips, &algorithms, 0.02, 32, 1).unwrap();
-    let table = render_table("figure", &algorithms, &rows);
-    for workers in WORKER_COUNTS {
-        let rows = figure_rows_with_workers(Isa::Mips, &algorithms, 0.02, 32, workers).unwrap();
-        assert_eq!(render_table("figure", &algorithms, &rows), table, "{workers} workers");
+    for isa in [Isa::Mips, Isa::X86] {
+        let rows = figure_rows_with_workers(isa, &algorithms, 0.02, 32, 1).unwrap();
+        let table = render_table("figure", &algorithms, &rows);
+        for workers in WORKER_COUNTS {
+            let rows = figure_rows_with_workers(isa, &algorithms, 0.02, 32, workers).unwrap();
+            assert_eq!(
+                render_table("figure", &algorithms, &rows),
+                table,
+                "{isa}, {workers} workers"
+            );
+        }
     }
 }
 

@@ -1,15 +1,16 @@
 //! End-to-end tests of the publish/verify/serve tier against the
 //! committed pipeline fixture: a published artifact round-trips
 //! byte-identically to `cce decompress`, a flipped byte is pinned to
-//! the exact chunk file, the manifest cross-checks the container for
-//! every registered algorithm on both ISAs, and a Unix-socket daemon
-//! serves a full fetch over the wire.
+//! the exact run, the info record cross-checks the container for every
+//! registered algorithm on both ISAs, and a Unix-socket daemon serves a
+//! full fetch over the wire.
 
-use cce_core::artifact::{codec_from_manifest, open_with_codec, publish_container, registry_name};
+use cce_core::artifact::{open_with_codec, publish_container, ArtifactInfo};
 use cce_core::container::ContainerV2Reader;
 use cce_core::elf::ElfImage;
 use cce_core::isa::Isa;
-use cce_core::serve::{verify_dir, Client, Manifest, ServeConfig, ServeError, Server};
+use cce_core::serve::record::{DigestRecord, IMAGE_FILE};
+use cce_core::serve::{verify_dir, Client, ServeConfig, ServeError, Server};
 use cce_core::workload::spec95_suite;
 use cce_core::Algorithm;
 use std::path::{Path, PathBuf};
@@ -42,8 +43,9 @@ fn compress_fixture(dir: &Path, algo: &str) -> PathBuf {
     container
 }
 
-/// `cce publish` then `cce verify` succeed on the fixture; flipping a
-/// single byte makes `verify` fail naming the exact chunk file.
+/// `cce publish` copies the container byte for byte and `cce verify`
+/// succeeds on it; flipping a single byte makes `verify` fail naming
+/// the exact run.
 #[test]
 fn publish_verify_round_trip_and_flipped_byte_names_the_chunk() {
     let dir = temp_dir("verify");
@@ -55,71 +57,67 @@ fn publish_verify_round_trip_and_flipped_byte_names_the_chunk() {
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("published"), "{stdout}");
+    let image = artifact_dir.join(IMAGE_FILE);
+    assert_eq!(std::fs::read(&image).unwrap(), std::fs::read(&container).unwrap());
 
     let output = cce(&["verify", utf8(&artifact_dir)]);
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
     assert!(String::from_utf8_lossy(&output.stdout).contains("OK"), "verify output");
 
-    // Flip one byte in the middle of chunk 1: verify must fail, exit
-    // non-zero, and name that exact chunk — not "something's wrong".
-    let chunk = artifact_dir.join("chunks").join("00000001.chunk");
-    let mut bytes = std::fs::read(&chunk).expect("chunk readable");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&chunk, bytes).expect("chunk writable");
+    // Flip one byte in the middle of run 1: verify must fail, exit
+    // non-zero, and name that exact run — not "something's wrong".
+    let run = DigestRecord::read(&artifact_dir).unwrap().runs()[1];
+    let mut bytes = std::fs::read(&image).expect("image readable");
+    bytes[(run.start + run.len / 2) as usize] ^= 0x01;
+    std::fs::write(&image, bytes).expect("image writable");
 
     let output = cce(&["verify", utf8(&artifact_dir)]);
     assert!(!output.status.success(), "verify must fail on a flipped byte");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("chunk 00000001"), "error must name the chunk: {stderr}");
+    assert!(stderr.contains("image.cce run 1:"), "error must name the run: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// For every registered algorithm on both ISAs: random-access codecs
-/// publish, verify, and decode byte-identically to the container;
-/// file-oriented codecs are refused with a typed error (they cannot
-/// serve blocks).
+/// publish, verify, answer an info record that mirrors the container,
+/// and decode byte-identically to the program text; a container
+/// claiming a file-oriented codec is refused at open with a typed
+/// error (those cannot serve blocks).
 #[test]
 fn manifest_cross_checks_the_container_for_every_algorithm_and_isa() {
     for isa in [Isa::Mips, Isa::X86] {
         let text =
             spec95_suite(isa, 0.1).into_iter().find(|p| p.name == "ijpeg").expect("in suite").text;
         for algorithm in Algorithm::ALL {
+            let name = algorithm.to_string().to_ascii_lowercase();
             if !algorithm.random_access() {
-                // File-oriented algorithms never publish; a manifest
-                // claiming one is refused when rebuilding the codec.
-                let dir = temp_dir(&format!("refuse-{isa}-{}", registry_name(algorithm)));
+                // File-oriented algorithms never publish; a published
+                // container whose codec tag claims one is refused at
+                // open, before any block is served.
+                let dir = temp_dir(&format!("refuse-{isa}-{name}"));
                 let container = compress_fixture(&dir, "huffman");
                 let artifact_dir = dir.join("artifact");
                 let file = std::fs::File::open(&container).unwrap();
                 let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file)).unwrap();
-                let mut manifest =
-                    publish_container(&mut reader, &artifact_dir, 4096).unwrap().manifest;
-                manifest.algorithm = registry_name(algorithm).into();
-                let err = match codec_from_manifest(&manifest, b"") {
-                    Ok(_) => panic!("{algorithm} must not build a block codec"),
-                    Err(err) => err,
-                };
+                publish_container(&mut reader, &artifact_dir, 4096).unwrap();
+                let image = artifact_dir.join(IMAGE_FILE);
+                let mut bytes = std::fs::read(&image).unwrap();
+                bytes[4] = algorithm.tag();
+                std::fs::write(&image, bytes).unwrap();
+                let err = open_with_codec(&artifact_dir).err().expect("a file codec opened");
                 assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
                 assert!(err.to_string().contains("file-oriented"), "{err}");
                 std::fs::remove_dir_all(&dir).unwrap();
                 continue;
             }
-            let dir = temp_dir(&format!("cross-{isa}-{}", registry_name(algorithm)));
+            let dir = temp_dir(&format!("cross-{isa}-{name}"));
             let elf = dir.join("prog.elf");
             let program =
                 spec95_suite(isa, 0.1).into_iter().find(|p| p.name == "ijpeg").expect("in suite");
             std::fs::write(&elf, program.to_elf().to_bytes()).unwrap();
             let container = dir.join("prog.cce");
-            let output = cce(&[
-                "compress",
-                utf8(&elf),
-                "-a",
-                registry_name(algorithm),
-                "-o",
-                utf8(&container),
-            ]);
+            let output = cce(&["compress", utf8(&elf), "-a", &name, "-o", utf8(&container)]);
             assert!(
                 output.status.success(),
                 "{algorithm}/{isa}: {}",
@@ -130,20 +128,21 @@ fn manifest_cross_checks_the_container_for_every_algorithm_and_isa() {
             let file = std::fs::File::open(&container).unwrap();
             let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file)).unwrap();
             let summary = reader.summary();
-            let manifest = publish_container(&mut reader, &artifact_dir, 4096).unwrap().manifest;
-
-            // Manifest fields mirror the container exactly.
-            assert_eq!(manifest.algorithm, registry_name(algorithm), "{isa}");
-            assert_eq!(manifest.blocks as usize, summary.blocks, "{algorithm}/{isa}");
-            assert_eq!(manifest.original_len, summary.original_len, "{algorithm}/{isa}");
-            assert_eq!(manifest.data_len, summary.data_len, "{algorithm}/{isa}");
-            assert_eq!(manifest.model_bytes as usize, summary.model_bytes, "{algorithm}/{isa}");
+            let published = publish_container(&mut reader, &artifact_dir, 4096).unwrap();
+            assert_eq!(published.image_len, summary.total_len, "{algorithm}/{isa}");
             let verified = verify_dir(&artifact_dir).unwrap();
-            assert_eq!(verified.blocks, manifest.blocks);
-            assert_eq!(verified.original_len, text.len() as u64, "{algorithm}/{isa}");
+            assert_eq!(verified.runs, published.runs, "{algorithm}/{isa}");
+
+            // The info record mirrors the container exactly.
+            let (artifact, codec) = open_with_codec(&artifact_dir).unwrap();
+            let info = ArtifactInfo::parse(artifact.info()).unwrap();
+            assert_eq!(info.identity, reader.identity(), "{algorithm}/{isa}");
+            assert_eq!(info.identity.algorithm, algorithm, "{isa}");
+            assert_eq!(info.block_size, reader.block_size(), "{algorithm}/{isa}");
+            assert_eq!(info.blocks as usize, summary.blocks, "{algorithm}/{isa}");
+            assert_eq!(info.original_len, text.len() as u64, "{algorithm}/{isa}");
 
             // The served decode is byte-identical to the source text.
-            let (artifact, codec) = open_with_codec(&artifact_dir).unwrap();
             assert_eq!(
                 artifact.decode_text(codec.as_ref()).unwrap(),
                 text,
@@ -155,7 +154,7 @@ fn manifest_cross_checks_the_container_for_every_algorithm_and_isa() {
 }
 
 /// A Unix-socket daemon serves the fixture end to end: the library
-/// client pulls the manifest and every decoded block, and the bytes
+/// client pulls the info record and every decoded block, and the bytes
 /// match what the container itself decodes.
 #[test]
 fn unix_daemon_serves_the_fixture_end_to_end() {
@@ -184,10 +183,10 @@ fn unix_daemon_serves_the_fixture_end_to_end() {
     }
 
     let mut client = Client::connect_unix(&socket).unwrap();
-    let manifest = Manifest::parse(&client.get_manifest().unwrap()).unwrap();
-    assert_eq!(manifest.algorithm, "samc");
+    let info = ArtifactInfo::parse(&client.get_manifest().unwrap()).unwrap();
+    assert_eq!(info.identity.algorithm, Algorithm::Samc);
     let mut text = Vec::new();
-    for n in 0..manifest.blocks {
+    for n in 0..info.blocks {
         text.extend_from_slice(&client.decode_block(n).unwrap());
     }
     assert_eq!(text, expected, "wire-served text diverged from the local decode");

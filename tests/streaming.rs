@@ -1,5 +1,5 @@
 //! ELF-path integration tests: `streaming::compress_elf` /
-//! `streaming::measure_elf` (the `.text` section read through the ELF
+//! `streaming::buffered_text` (the `.text` section read through the ELF
 //! walker) and the v2 container.
 //!
 //! Three properties are locked here:
@@ -60,6 +60,16 @@ fn trained_block_codec(algorithm: Algorithm, isa: Isa, text: &[u8]) -> Box<dyn B
     }
 }
 
+/// Measures `algorithm` on `elf_bytes`' `.text` as read by the ELF
+/// walker, the path `cce ratio` takes.
+fn measure_streamed(elf_bytes: &[u8], algorithm: Algorithm) -> cce_core::Measurement {
+    let mut elf = ElfStream::open(Cursor::new(elf_bytes)).expect("well-formed elf");
+    let isa = streaming::isa_of(&elf).expect("known machine");
+    let text = streaming::buffered_text(&mut elf).expect("text reads");
+    cce_core::measure_with_workers(algorithm, isa, &text, BLOCK_SIZE, WORKERS)
+        .unwrap_or_else(|e| panic!("{algorithm} on {isa}: {e}"))
+}
+
 /// Compresses `elf_bytes`' text through `compress_elf` into an in-memory v2
 /// container and returns the container bytes.
 fn stream_container(elf_bytes: &[u8], algorithm: Algorithm, codec: &dyn BlockCodec) -> Vec<u8> {
@@ -76,11 +86,9 @@ fn streamed_payload_matches_in_memory_for_every_algorithm_on_both_isas() {
         let elf_bytes = sample_elf_bytes(isa);
         for algorithm in Algorithm::ALL {
             if !algorithm.random_access() {
-                // File baselines have no container; their streamed
-                // measurement must still agree exactly.
-                let mut elf = ElfStream::open(Cursor::new(&elf_bytes)).expect("elf");
-                let streamed = streaming::measure_elf(&mut elf, algorithm, BLOCK_SIZE, WORKERS)
-                    .unwrap_or_else(|e| panic!("{algorithm} on {isa}: {e}"));
+                // File baselines have no container; the walker must
+                // still hand them exactly the in-memory text.
+                let streamed = measure_streamed(&elf_bytes, algorithm);
                 let buffered =
                     cce_core::measure_with_workers(algorithm, isa, &text, BLOCK_SIZE, WORKERS)
                         .expect("measures");
@@ -210,8 +218,8 @@ fn fixture_path() -> PathBuf {
 
 #[test]
 fn multi_section_fixture_streams_within_pinned_ratios() {
-    let file = std::fs::File::open(fixture_path()).expect("committed fixture exists");
-    let mut elf = ElfStream::open(std::io::BufReader::new(file)).expect("fixture parses");
+    let bytes = std::fs::read(fixture_path()).expect("committed fixture exists");
+    let elf = ElfStream::open(Cursor::new(&bytes)).expect("fixture parses");
 
     let names: Vec<&str> = elf.sections().iter().map(|s| s.name.as_str()).collect();
     for expected in [".text", ".rodata", ".bss"] {
@@ -221,8 +229,7 @@ fn multi_section_fixture_streams_within_pinned_ratios() {
     if std::env::var_os("CCE_RECORD_RATIOS").is_some_and(|v| v == "1") {
         println!("const EXPECTED_FIXTURE_RATIOS: [(Algorithm, f64); 5] = [");
         for algorithm in Algorithm::ALL {
-            let m =
-                streaming::measure_elf(&mut elf, algorithm, BLOCK_SIZE, WORKERS).expect("measures");
+            let m = measure_streamed(&bytes, algorithm);
             println!("    (Algorithm::{algorithm:?}, {:.6}),", m.ratio());
         }
         println!("];");
@@ -230,9 +237,7 @@ fn multi_section_fixture_streams_within_pinned_ratios() {
     }
 
     for (algorithm, recorded) in EXPECTED_FIXTURE_RATIOS {
-        let m = streaming::measure_elf(&mut elf, algorithm, BLOCK_SIZE, WORKERS)
-            .unwrap_or_else(|e| panic!("{algorithm}: {e}"));
-        let ratio = m.ratio();
+        let ratio = measure_streamed(&bytes, algorithm).ratio();
         let drift = (ratio - recorded).abs() / recorded;
         assert!(
             drift <= 0.01,

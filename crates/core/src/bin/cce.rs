@@ -7,13 +7,14 @@
 //! writes the observability artifact after the command succeeds.  Run
 //! `cce help` for the full synopsis.
 //!
-//! `compress` reads only the ELF's headers and text section
-//! ([`cce_core::streaming`]), compresses the text block by block across
-//! the worker pool, verifying every block in its worker, and writes an
-//! indexed **v2** container.  `decompress` and `info` read v2 containers
-//! only.  The `--elf` spelling of
-//! `compress`/`ratio` additionally prints per-section statistics of the
-//! input.
+//! Every command that reads an ELF (`ratio`, `compress`, `stats`,
+//! `analyze`, `disasm`) takes it positionally and opens it one way
+//! ([`open_elf`]): the streaming walker reads the headers and the `.text`
+//! section only ([`cce_core::streaming`]).  `compress` trains on that text,
+//! compresses it block by block across the worker pool, verifying every
+//! block in its worker, and writes an indexed **v2** container.
+//! `decompress` and `info` read v2 containers only.  `analyze` also prints
+//! the input's section table.
 //!
 //! `--model-cache DIR` points SAMC at a persistent model store
 //! ([`cce_core::samc::store`]): repeat requests reuse the trained model
@@ -138,8 +139,6 @@ const BLOCK_SIZE: Flag =
 const JSON: Flag = Flag::switch("--json", "print JSON instead of a table");
 const MODEL_CACHE: Flag =
     Flag::value("--model-cache", "DIR", "reuse and persist trained SAMC models in DIR");
-const ELF: Flag =
-    Flag::value("--elf", "PATH", "read the input from PATH and print its section stats");
 const SEED: Flag = Flag::value("--seed", "S", "workload seed (default 229382552)");
 const SOCKET: Flag = Flag::value("--socket", "PATH", "Unix socket");
 const TCP: Flag = Flag::value("--tcp", "ADDR", "TCP address, e.g. 127.0.0.1:7070");
@@ -153,7 +152,7 @@ const COMMANDS: &[Command] = &[
         name: "ratio",
         synopsis: "<input.elf>",
         about: "compare every algorithm's compression ratio",
-        flags: &[BLOCK_SIZE, JSON, MODEL_CACHE, ELF],
+        flags: &[BLOCK_SIZE, JSON, MODEL_CACHE],
         run: ratio,
     },
     Command {
@@ -164,7 +163,6 @@ const COMMANDS: &[Command] = &[
             Flag::value("--algo", "ALGO", "samc|sadc|huffman|samc-rans (default samc)").short("-a"),
             BLOCK_SIZE,
             MODEL_CACHE,
-            ELF,
             output("container to write"),
         ],
         run: compress,
@@ -206,7 +204,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "analyze",
         synopsis: "<input.elf>",
-        about: "entropy diagnostics",
+        about: "section table and entropy diagnostics",
         flags: &[],
         run: analyze,
     },
@@ -467,22 +465,6 @@ fn cache_request(
     (base, optimize)
 }
 
-/// Buffered ELF load for the diagnostic commands (`stats`, `analyze`,
-/// `disasm`): they want the whole image resident anyway, so the
-/// whole-file read is the honest cost.  `compress` and `ratio` never
-/// come through here — they read only the headers and the `.text`
-/// section through [`elf_input`] instead.
-fn load_elf(path: &str) -> Result<(ElfImage, Isa), Box<dyn Error>> {
-    let bytes = std::fs::read(path)?;
-    let image = ElfImage::parse(&bytes)?;
-    let isa = match image.machine {
-        Machine::Mips => Isa::Mips,
-        Machine::I386 => Isa::X86,
-        Machine::Other(m) => return Err(format!("unsupported e_machine {m}").into()),
-    };
-    Ok((image, isa))
-}
-
 /// Measures one algorithm, routing SAMC through the model cache when a
 /// trainer is open (exact-key hits skip training; misses warm-start the
 /// division search and persist the result).  The cache source is
@@ -519,30 +501,25 @@ fn measure_cached(
 /// An input ELF opened for the streaming walker.
 type ElfFile = ElfStream<std::io::BufReader<std::fs::File>>;
 
-/// The input ELF of `compress` and `ratio`, given positionally or via
-/// `--elf`, opened for the streaming walker (headers now, `.text` on
-/// demand).
-fn elf_input<'a>(args: &Args<'a>) -> Result<(&'a str, ElfFile), Box<dyn Error>> {
-    let path = match (args.positional.as_slice(), args.value("--elf")) {
-        ([path], None) => *path,
-        ([], Some(path)) => path,
-        _ => return Err(args.usage("pass one input, positionally or via --elf")),
-    };
+/// Opens the input ELF of every command that reads one: the walker reads
+/// the headers now, then the ISA comes from the machine field and the
+/// `.text` section is read into memory.
+fn open_elf(path: &str) -> Result<(ElfFile, Isa, Vec<u8>), Box<dyn Error>> {
     let file = std::fs::File::open(path)?;
-    Ok((path, ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?))
+    let mut elf =
+        ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
+    let isa = streaming::isa_of(&elf)?;
+    let text = streaming::buffered_text(&mut elf)?;
+    Ok((elf, isa, text))
 }
 
 fn ratio(args: &Args) -> Result<(), Box<dyn Error>> {
+    let [path] = args.positionals()?;
     let block_size = args.number("--block-size", 32)?;
     let json = args.switch("--json");
-    let (path, mut elf) = elf_input(args)?;
-    let isa = streaming::isa_of(&elf)?;
-    let text = streaming::buffered_text(&mut elf)?;
+    let (_, isa, text) = open_elf(path)?;
     let mut trainer = args.value("--model-cache").map(open_model_cache).transpose()?;
     if !json {
-        if args.value("--elf").is_some() {
-            print_section_stats(path, &streaming::section_stats(&elf));
-        }
         println!("{path}: {} bytes of {isa} text", text.len());
     }
     print_measurements(json, |algorithm| {
@@ -575,16 +552,17 @@ fn print_measurements(
     }
 }
 
-/// Renders the per-section table the `--elf` forms print.
-fn print_section_stats(path: &str, stats: &[streaming::SectionStat]) {
+/// Prints `elf`'s section table, in section-header order.
+fn print_sections(path: &str, elf: &ElfFile) {
     println!("{path}: sections");
     println!("  {:<12} {:>10} {:>12}  notes", "name", "size", "addr");
-    for s in stats {
+    let text = elf.text_index();
+    for (index, s) in elf.sections().iter().enumerate() {
         let mut notes = Vec::new();
-        if s.is_text {
+        if Some(index) == text {
             notes.push("text (compressed)");
         }
-        if !s.in_file {
+        if s.file_extent().is_none() {
             notes.push("nobits");
         }
         println!("  {:<12} {:>10} {:>#12x}  {}", s.name, s.size, s.addr, notes.join(", "));
@@ -744,11 +722,10 @@ fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         [path] => {
-            let (elf, isa) = load_elf(path)?;
-            let text = elf.text().ok_or("no .text section")?;
+            let (_, isa, text) = open_elf(path)?;
             cce_core::obs::reset();
             for algorithm in Algorithm::ALL {
-                if let Err(e) = measure(algorithm, isa, text, block_size) {
+                if let Err(e) = measure(algorithm, isa, &text, block_size) {
                     eprintln!("cce: {algorithm} failed: {e}");
                 }
             }
@@ -763,14 +740,20 @@ fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
-    let (path, mut elf) = elf_input(args)?;
+    let [path] = args.positionals()?;
     let output = args.required("--output")?;
     let block_size = args.number("--block-size", 32)?;
-    let isa = streaming::isa_of(&elf)?;
+    let (elf, isa, text) = open_elf(path)?;
 
     let name = args.value("--algo").unwrap_or("samc");
-    let algorithm = Algorithm::by_name(name)
-        .ok_or_else(|| format!("unknown algorithm `{name}` (samc|sadc|huffman)"))?;
+    let algorithm = Algorithm::by_name(name).ok_or_else(|| {
+        let names: Vec<String> = Algorithm::ALL
+            .iter()
+            .filter(|a| a.random_access())
+            .map(|a| a.to_string().to_ascii_lowercase())
+            .collect();
+        format!("unknown algorithm `{name}` ({})", names.join("|"))
+    })?;
     if !algorithm.random_access() {
         return Err(format!(
             "`{algorithm}` is file-oriented; only random-access codecs fit the container"
@@ -778,10 +761,7 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
         .into());
     }
 
-    // Training pass: model builders need full-text statistics.  The
-    // buffer is dropped before `compress_elf` reads the section again,
-    // so the text is resident once at a time.
-    let text = streaming::buffered_text(&mut elf)?;
+    // Training needs full-text statistics; the same buffer is compressed.
     let codec: Box<dyn BlockCodec> = match args.value("--model-cache") {
         Some(dir) => {
             if algorithm != Algorithm::Samc {
@@ -803,12 +783,8 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
             CodecHandle::File(_) => unreachable!("random-access algorithms build block codecs"),
         },
     };
-    drop(text);
     let codec = codec.as_ref();
-
-    if args.value("--elf").is_some() {
-        print_section_stats(path, &streaming::section_stats(&elf));
-    }
+    let identity = streaming::identity_of(&elf, algorithm)?;
 
     // Write into a sibling temp file and rename on success, so a failed
     // run never leaves a truncated artifact at the destination.
@@ -816,7 +792,7 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
     let workers = worker_count();
     let result = std::fs::File::create(&tmp).map_err(Box::<dyn Error>::from).and_then(|out| {
         let out = std::io::BufWriter::new(out);
-        Ok(streaming::compress_elf(&mut elf, algorithm, codec, out, workers)?)
+        Ok(streaming::compress_text(identity, &text, codec, out, workers)?)
     });
     let report = match result {
         Ok(report) => report,
@@ -876,21 +852,21 @@ fn write_elf(
 fn analyze(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::stats;
     let [path] = args.positionals()?;
-    let (elf, isa) = load_elf(path)?;
-    let text = elf.text().ok_or("no .text section")?;
+    let (elf, isa, text) = open_elf(path)?;
+    print_sections(path, &elf);
     println!("{path}: {} bytes of {isa} text", text.len());
-    println!("  byte entropy:        {:.3} bits/byte", stats::byte_entropy(text));
-    let positions = stats::position_entropy(text, 4);
+    println!("  byte entropy:        {:.3} bits/byte", stats::byte_entropy(&text));
+    let positions = stats::position_entropy(&text, 4);
     println!(
         "  per-byte-position:   [{:.2}, {:.2}, {:.2}, {:.2}] bits (stride 4)",
         positions[0], positions[1], positions[2], positions[3]
     );
     println!(
         "  word repeat ratio:   {:.1}% of 4-byte records repeat",
-        100.0 * stats::repeat_ratio(text, 4)
+        100.0 * stats::repeat_ratio(&text, 4)
     );
     if isa == Isa::Mips {
-        let fields = stats::mips_field_stats(text)?;
+        let fields = stats::mips_field_stats(&text)?;
         println!("  instructions:        {}", fields.instructions);
         println!("  distinct operations: {}", fields.distinct_operations);
         println!("  opcode entropy:      {:.3} bits/insn", fields.opcode_entropy);
@@ -909,13 +885,12 @@ fn disasm(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::isa::mips::decode_text;
     let [path] = args.positionals()?;
     let count = args.number("--count", 32)?;
-    let (elf, isa) = load_elf(path)?;
+    let (elf, isa, text) = open_elf(path)?;
     if isa != Isa::Mips {
         return Err("disassembly is only supported for MIPS executables".into());
     }
-    let text = elf.text().ok_or("no .text section")?;
-    let instructions = decode_text(text)?;
-    let base = elf.section(".text").map_or(0, |s| s.addr);
+    let instructions = decode_text(&text)?;
+    let base = elf.sections()[streaming::text_index(&elf)?].addr;
     for (i, insn) in instructions.iter().take(count).enumerate() {
         println!("{:#010x}:  {:08x}  {insn}", base + 4 * i as u64, insn.encode());
     }
@@ -959,9 +934,8 @@ fn info(args: &Args) -> Result<(), Box<dyn Error>> {
 /// shell pipelines (and the CI cache smoke) can feed `cce compress` the
 /// exact same deterministic program the benchmarks measure.
 fn gen(args: &Args) -> Result<(), Box<dyn Error>> {
-    use cce_core::elf::{Class, Endianness};
     use cce_core::isa::mips::encode_text;
-    use cce_core::workload::{generate_mips_seeded, generate_x86_seeded, Spec95};
+    use cce_core::workload::{generate_mips_seeded, generate_x86_seeded, Program, Spec95};
 
     let [name] = args.positionals()?;
     let output = args.required("--output")?;
@@ -975,15 +949,11 @@ fn gen(args: &Args) -> Result<(), Box<dyn Error>> {
         "x86" => Isa::X86,
         other => return Err(format!("unknown ISA `{other}` (mips|x86)").into()),
     };
-    let (machine, endianness, text) = match isa {
-        Isa::Mips => (
-            Machine::Mips,
-            Endianness::Big,
-            encode_text(&generate_mips_seeded(profile, scale, seed)),
-        ),
-        Isa::X86 => (Machine::I386, Endianness::Little, generate_x86_seeded(profile, scale, seed)),
+    let text = match isa {
+        Isa::Mips => encode_text(&generate_mips_seeded(profile, scale, seed)),
+        Isa::X86 => generate_x86_seeded(profile, scale, seed),
     };
-    let mut elf = ElfImage::new_executable(machine, Class::Elf32, endianness, text);
+    let mut elf = Program { name: profile.name, isa, text }.to_elf();
     if multi_section {
         push_workload_sections(&mut elf, seed);
     }

@@ -7,18 +7,17 @@
 //! rest of the file.  The text itself is held in memory: every model
 //! builder in the workspace (SAMC arithmetic models, SADC dictionaries,
 //! Huffman code books) derives statistics from the whole text, so
-//! [`buffered_text`] reads the section once for training, and
-//! [`compress_elf`] reads it once more and compresses it as one ordered
-//! parallel map over the codec's block ranges, each worker
-//! round-trip-verifying its own block.  Peak memory is the text plus its
-//! compressed image.
+//! [`buffered_text`] reads the section once, the caller trains on it, and
+//! [`compress_text`] compresses the same buffer as one ordered parallel
+//! map over the codec's block ranges, each worker round-trip-verifying
+//! its own block.  Peak memory is the text plus its compressed image.
 
 use std::io::{Read, Seek, Write};
 
 use crate::container::{write_image, ContainerIdentity, ContainerSummary};
 use crate::registry::Algorithm;
 use cce_codec::{compress_verified, BlockCodec, CodecError};
-use cce_elf::{ElfStream, Machine, SectionKind, StreamElfError};
+use cce_elf::{ElfStream, Machine, StreamElfError};
 use cce_isa::Isa;
 
 /// Name used in errors raised by the streaming bridge itself.
@@ -83,39 +82,7 @@ pub fn buffered_text<R: Read + Seek>(elf: &mut ElfStream<R>) -> Result<Vec<u8>, 
     elf.read_section(index).map_err(stream_error)
 }
 
-/// One section's identity and size, for the per-section reports the
-/// `--elf` CLI paths print.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionStat {
-    /// Section name (e.g. `.text`).
-    pub name: String,
-    /// Section size in bytes (`sh_size`).
-    pub size: u64,
-    /// Load address.
-    pub addr: u64,
-    /// Whether the section occupies file bytes (`false` for `.bss`).
-    pub in_file: bool,
-    /// Whether this is the compressed (`.text`) section.
-    pub is_text: bool,
-}
-
-/// Per-section statistics of `elf`, in section-header order.
-pub fn section_stats<R: Read + Seek>(elf: &ElfStream<R>) -> Vec<SectionStat> {
-    let text = elf.text_index();
-    elf.sections()
-        .iter()
-        .enumerate()
-        .map(|(index, section)| SectionStat {
-            name: section.name.clone(),
-            size: section.size,
-            addr: section.addr,
-            in_file: section.kind != SectionKind::NoBits,
-            is_text: Some(index) == text,
-        })
-        .collect()
-}
-
-/// Block counts of one [`compress_elf`] run.
+/// Block counts of one [`compress_text`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Blocks compressed (and round-trip-verified).
@@ -136,18 +103,11 @@ pub struct StreamReport {
 }
 
 /// Compresses `elf`'s `.text` section with `codec` into a v2 container
-/// on `out`.
-///
-/// `codec` must already be trained (see [`buffered_text`]; the CLI may
-/// instead hit its model cache).  Every worker round-trip-verifies the
-/// block it compressed, so a lying codec fails here rather than
-/// producing a bad artifact.
+/// on `out`: [`identity_of`], [`buffered_text`], then [`compress_text`].
 ///
 /// # Errors
 ///
-/// Propagates walker, codec, verification, and output-write failures;
-/// the artifact is incomplete on error (callers write to a temp path and
-/// rename on success).
+/// Propagates walker failures and everything [`compress_text`] returns.
 pub fn compress_elf<R: Read + Seek, W: Write>(
     elf: &mut ElfStream<R>,
     algorithm: Algorithm,
@@ -157,7 +117,31 @@ pub fn compress_elf<R: Read + Seek, W: Write>(
 ) -> Result<StreamReport, CodecError> {
     let identity = identity_of(elf, algorithm)?;
     let text = buffered_text(elf)?;
-    let image = compress_verified(codec, &text, workers)?;
+    compress_text(identity, &text, codec, out, workers)
+}
+
+/// Compresses `text` with `codec` into a v2 container for `identity` on
+/// `out`.
+///
+/// `codec` must already be trained, typically on this same `text`, so a
+/// caller that trained on [`buffered_text`] compresses that buffer
+/// without reading the section again.  Every worker round-trip-verifies
+/// the block it compressed, so a lying codec fails here rather than
+/// producing a bad artifact.
+///
+/// # Errors
+///
+/// Propagates codec, verification, and output-write failures; the
+/// artifact is incomplete on error (callers write to a temp path and
+/// rename on success).
+pub fn compress_text<W: Write>(
+    identity: ContainerIdentity,
+    text: &[u8],
+    codec: &dyn BlockCodec,
+    out: W,
+    workers: usize,
+) -> Result<StreamReport, CodecError> {
+    let image = compress_verified(codec, text, workers)?;
     let summary = write_image(out, identity, &codec.to_bytes(), &image)?;
     let stats = StreamStats { blocks: image.block_count() as u64, stalls: 0 };
     Ok(StreamReport { stats, summary })
@@ -186,17 +170,6 @@ mod tests {
         assert_eq!(identity.class, Class::Elf32);
         assert_eq!(identity.endianness, Endianness::Big);
         assert_eq!(identity.entry, elf.entry());
-    }
-
-    #[test]
-    fn section_stats_flag_the_text_section() {
-        let bytes = sample_elf();
-        let elf = ElfStream::open(Cursor::new(&bytes)).unwrap();
-        let stats = section_stats(&elf);
-        let text: Vec<_> = stats.iter().filter(|s| s.is_text).collect();
-        assert_eq!(text.len(), 1);
-        assert_eq!(text[0].name, ".text");
-        assert!(text[0].size > 0 && text[0].in_file);
     }
 
     /// A reader that stops producing bytes inside `hole` — a file whose

@@ -168,9 +168,4 @@ impl ElfImage {
     pub fn section(&self, name: &str) -> Option<&Section> {
         self.sections.iter().find(|s| s.name == name)
     }
-
-    /// Mutable section lookup by name.
-    pub fn section_mut(&mut self, name: &str) -> Option<&mut Section> {
-        self.sections.iter_mut().find(|s| s.name == name)
-    }
 }

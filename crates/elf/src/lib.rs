@@ -5,8 +5,12 @@
 //! instructions, not any data, tables etc."  This crate provides exactly
 //! the tooling that workflow needs:
 //!
-//! * [`ElfImage::parse`] reads ELF32/ELF64 objects in either endianness and
-//!   exposes their sections, so `.text` can be pulled out of a real binary.
+//! * [`ElfStream`] reads ELF32/ELF64 objects in either endianness from any
+//!   `Read + Seek` source: the headers and section table on
+//!   [`ElfStream::open`], then one section's bytes on demand, so `.text`
+//!   can be pulled out of a real binary without reading the rest.
+//!   [`ElfImage::parse`] runs the same reader over a buffer and collects
+//!   every section.
 //! * [`ElfImage::to_bytes`] writes a valid image back out, which the
 //!   synthetic SPEC95 workload generator uses so that the whole pipeline
 //!   (ELF in → compress → decompress → ELF-identical text out) is exercised

@@ -1,9 +1,10 @@
-//! ELF parser.
+//! In-memory ELF reading: [`ElfImage::parse`] over the streaming walker.
 
-use crate::image::{Class, ElfImage, Endianness, Machine, Section, SectionKind};
-use cce_bitstream::ByteCursor;
+use crate::image::{ElfImage, Section, SectionKind};
+use crate::stream::{ElfStream, StreamElfError};
 use std::error::Error;
 use std::fmt;
+use std::io::Cursor;
 
 /// Errors from [`ElfImage::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,168 +51,66 @@ impl From<cce_bitstream::EndOfStreamError> for ParseElfError {
     }
 }
 
-/// Endianness- and class-aware field reader (shared with the streaming
-/// walker in `stream.rs`).
-pub(crate) struct FieldReader<'a> {
-    pub(crate) cursor: ByteCursor<'a>,
-    pub(crate) endianness: Endianness,
-    pub(crate) class: Class,
-}
-
-impl<'a> FieldReader<'a> {
-    pub(crate) fn u16(&mut self) -> Result<u16, ParseElfError> {
-        Ok(match self.endianness {
-            Endianness::Little => self.cursor.read_u16_le()?,
-            Endianness::Big => self.cursor.read_u16_be()?,
-        })
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, ParseElfError> {
-        Ok(match self.endianness {
-            Endianness::Little => self.cursor.read_u32_le()?,
-            Endianness::Big => self.cursor.read_u32_be()?,
-        })
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, ParseElfError> {
-        Ok(match self.endianness {
-            Endianness::Little => self.cursor.read_u64_le()?,
-            Endianness::Big => self.cursor.read_u64_be()?,
-        })
-    }
-    pub(crate) fn addr(&mut self) -> Result<u64, ParseElfError> {
-        match self.class {
-            Class::Elf32 => Ok(u64::from(self.u32()?)),
-            Class::Elf64 => self.u64(),
-        }
-    }
-    pub(crate) fn seek(&mut self, offset: u64) -> Result<(), ParseElfError> {
-        self.cursor
-            .seek(usize::try_from(offset).map_err(|_| ParseElfError::Truncated)?)
-            .map_err(|_| ParseElfError::Truncated)
-    }
-}
-
-/// Raw section header fields needed to slice the file.
-struct RawSectionHeader {
-    name_offset: u32,
-    sh_type: u32,
-    flags: u64,
-    addr: u64,
-    offset: u64,
-    size: u64,
-}
-
 impl ElfImage {
-    /// Parses an ELF file.
+    /// Parses an ELF file held in memory.
     ///
-    /// Only the pieces the compression pipeline uses are interpreted:
-    /// identity, machine, entry point and the section list (the mandatory
-    /// null section and the section-name string table are consumed, not
-    /// exposed).
+    /// This is [`ElfStream::open`] over `bytes` followed by
+    /// [`ElfStream::read_section`] for every section that occupies file
+    /// bytes, so the in-memory and streaming readers accept and reject
+    /// exactly the same files.  Only the pieces the compression pipeline
+    /// uses are interpreted: identity, machine, entry point and the
+    /// section list (the mandatory null section and the section-name
+    /// string table are consumed, not exposed).
     ///
     /// # Errors
     ///
-    /// See [`ParseElfError`].
+    /// See [`ParseElfError`]; a section extent past the end of `bytes` is
+    /// [`ParseElfError::Truncated`].
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseElfError> {
-        if bytes.len() < 16 || &bytes[0..4] != b"\x7FELF" {
-            return Err(ParseElfError::BadMagic);
-        }
-        let class = match bytes[4] {
-            1 => Class::Elf32,
-            2 => Class::Elf64,
-            value => return Err(ParseElfError::BadIdent { index: 4, value }),
-        };
-        let endianness = match bytes[5] {
-            1 => Endianness::Little,
-            2 => Endianness::Big,
-            value => return Err(ParseElfError::BadIdent { index: 5, value }),
-        };
-        let mut r = FieldReader { cursor: ByteCursor::new(bytes), endianness, class };
-        r.seek(16)?;
-        let _etype = r.u16()?;
-        let machine = Machine::from_raw(r.u16()?);
-        let _version = r.u32()?;
-        let entry = r.addr()?;
-        let _phoff = r.addr()?;
-        let shoff = r.addr()?;
-        let _flags = r.u32()?;
-        let _ehsize = r.u16()?;
-        let _phentsize = r.u16()?;
-        let _phnum = r.u16()?;
-        let shentsize = r.u16()?;
-        let shnum = r.u16()?;
-        let shstrndx = r.u16()?;
-
-        // Read all raw section headers.
-        let mut raw = Vec::with_capacity(usize::from(shnum));
-        for i in 0..shnum {
-            // shoff is input-derived; near u64::MAX the addition overflows
-            // (a debug-build panic) before seek can bounds-check it.
-            let header_offset = shoff
-                .checked_add(u64::from(i) * u64::from(shentsize))
-                .ok_or(ParseElfError::Truncated)?;
-            r.seek(header_offset)?;
-            let name_offset = r.u32()?;
-            let sh_type = r.u32()?;
-            let (flags, addr, offset, size) = match class {
-                Class::Elf32 => (
-                    u64::from(r.u32()?),
-                    u64::from(r.u32()?),
-                    u64::from(r.u32()?),
-                    u64::from(r.u32()?),
-                ),
-                Class::Elf64 => (r.u64()?, r.u64()?, r.u64()?, r.u64()?),
-            };
-            raw.push(RawSectionHeader { name_offset, sh_type, flags, addr, offset, size });
-        }
-
-        // Section name string table.
-        let strtab = raw.get(usize::from(shstrndx)).ok_or(ParseElfError::Truncated)?;
-        let strtab_bytes = slice_file(bytes, strtab.offset, strtab.size)?;
-
-        let mut sections = Vec::new();
-        for (i, header) in raw.iter().enumerate() {
-            if i == 0 || i == usize::from(shstrndx) {
-                continue; // null section / shstrtab are structural
-            }
-            let name = read_name(strtab_bytes, header.name_offset)
-                .ok_or(ParseElfError::BadSectionName { section: i })?;
-            let kind = SectionKind::from_raw(header.sh_type);
-            let (data, nobits_size) = if kind == SectionKind::NoBits {
-                (Vec::new(), header.size)
+        let mut stream = ElfStream::open(Cursor::new(bytes)).map_err(parse_error)?;
+        let infos = stream.sections().to_vec();
+        let mut sections = Vec::with_capacity(infos.len());
+        for (index, info) in infos.into_iter().enumerate() {
+            let (data, nobits_size) = if info.kind == SectionKind::NoBits {
+                (Vec::new(), info.size)
             } else {
-                (slice_file(bytes, header.offset, header.size)?.to_vec(), 0)
+                (stream.read_section(index).map_err(parse_error)?, 0)
             };
             sections.push(Section {
-                name,
-                kind,
-                flags: header.flags,
-                addr: header.addr,
+                name: info.name,
+                kind: info.kind,
+                flags: info.flags,
+                addr: info.addr,
                 data,
                 nobits_size,
             });
         }
-
-        Ok(ElfImage { class, endianness, machine, entry, sections })
+        Ok(ElfImage {
+            class: stream.class(),
+            endianness: stream.endianness(),
+            machine: stream.machine(),
+            entry: stream.entry(),
+            sections,
+        })
     }
 }
 
-fn slice_file(bytes: &[u8], offset: u64, size: u64) -> Result<&[u8], ParseElfError> {
-    let start = usize::try_from(offset).map_err(|_| ParseElfError::Truncated)?;
-    let len = usize::try_from(size).map_err(|_| ParseElfError::Truncated)?;
-    let end = start.checked_add(len).ok_or(ParseElfError::Truncated)?;
-    bytes.get(start..end).ok_or(ParseElfError::Truncated)
-}
-
-pub(crate) fn read_name(strtab: &[u8], offset: u32) -> Option<String> {
-    let start = usize::try_from(offset).ok()?;
-    let rest = strtab.get(start..)?;
-    let end = rest.iter().position(|&b| b == 0)?;
-    String::from_utf8(rest[..end].to_vec()).ok()
+/// Maps a walker failure over an in-memory buffer: a section that
+/// reaches past the buffer is a truncated file, and a `Cursor` over a
+/// slice has no I/O failure of its own to report.
+fn parse_error(e: StreamElfError) -> ParseElfError {
+    match e {
+        StreamElfError::Parse(e) => e,
+        StreamElfError::Io(_)
+        | StreamElfError::ExtentOutOfBounds { .. }
+        | StreamElfError::TruncatedBlock { .. } => ParseElfError::Truncated,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::{Class, Endianness, Machine};
 
     fn sample_text() -> Vec<u8> {
         (0..64u8).collect()

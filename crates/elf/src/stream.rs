@@ -1,12 +1,12 @@
-//! Streaming ELF walker: section extents without materializing the file.
+//! The ELF reader: section extents without materializing the file.
 //!
-//! [`ElfImage::parse`](crate::ElfImage::parse) needs the whole file in
-//! memory; compression only ever needs the one section it compresses.
-//! [`ElfStream`] reads just the headers (ELF header, section-header
-//! table, section-name string table) from any `Read + Seek` source and
-//! records each section's file extent, so callers can then read exactly
-//! one section's bytes ([`ElfStream::read_section`]) without ever
-//! holding the rest of the file.
+//! [`ElfStream`] is the crate's only parser of the ELF header, the
+//! section-header table and the section-name string table.  It reads just
+//! those from any `Read + Seek` source and records each section's file
+//! extent, so callers can then read exactly one section's bytes
+//! ([`ElfStream::read_section`]) without ever holding the rest of the
+//! file.  [`ElfImage::parse`](crate::ElfImage::parse) is this walker over
+//! an in-memory buffer, reading every section.
 //!
 //! Extents are validated against the stream length up front, and a
 //! source that ends before a section's extent does (a file truncated
@@ -15,7 +15,7 @@
 //! short section.
 
 use crate::image::{Class, Endianness, Machine, SectionKind};
-use crate::read::{read_name, FieldReader, ParseElfError};
+use crate::read::ParseElfError;
 use cce_bitstream::ByteCursor;
 use std::error::Error;
 use std::fmt;
@@ -26,7 +26,7 @@ use std::io::{Read, Seek, SeekFrom};
 pub enum StreamElfError {
     /// The underlying reader failed.
     Io(std::io::Error),
-    /// The headers are malformed (same classes as the buffered parser).
+    /// The headers are malformed.
     Parse(ParseElfError),
     /// A section's file extent reaches past the end of the stream.
     ExtentOutOfBounds {
@@ -81,8 +81,8 @@ impl From<ParseElfError> for StreamElfError {
     }
 }
 
-/// Maps reader failures: an early end-of-file is a truncated ELF (same
-/// class the buffered parser reports), anything else is I/O.
+/// Maps reader failures: an early end-of-file is a truncated ELF,
+/// anything else is I/O.
 fn io_error(e: std::io::Error) -> StreamElfError {
     if e.kind() == std::io::ErrorKind::UnexpectedEof {
         StreamElfError::Parse(ParseElfError::Truncated)
@@ -134,9 +134,8 @@ impl<R: Read + Seek> ElfStream<R> {
     ///
     /// # Errors
     ///
-    /// [`StreamElfError::Parse`] mirrors every malformed-header class of
-    /// the buffered [`ElfImage::parse`](crate::ElfImage::parse);
-    /// [`StreamElfError::Io`] wraps reader failures.
+    /// [`StreamElfError::Parse`] for a malformed header, section table or
+    /// name table; [`StreamElfError::Io`] wraps reader failures.
     pub fn open(mut reader: R) -> Result<Self, StreamElfError> {
         let stream_len = reader.seek(SeekFrom::End(0)).map_err(StreamElfError::Io)?;
         reader.seek(SeekFrom::Start(0)).map_err(StreamElfError::Io)?;
@@ -320,6 +319,48 @@ impl<R: Read + Seek> ElfStream<R> {
         }
         Ok(bytes)
     }
+}
+
+/// Endianness- and class-aware field reader over one header's bytes.
+struct FieldReader<'a> {
+    cursor: ByteCursor<'a>,
+    endianness: Endianness,
+    class: Class,
+}
+
+impl FieldReader<'_> {
+    fn u16(&mut self) -> Result<u16, ParseElfError> {
+        Ok(match self.endianness {
+            Endianness::Little => self.cursor.read_u16_le()?,
+            Endianness::Big => self.cursor.read_u16_be()?,
+        })
+    }
+    fn u32(&mut self) -> Result<u32, ParseElfError> {
+        Ok(match self.endianness {
+            Endianness::Little => self.cursor.read_u32_le()?,
+            Endianness::Big => self.cursor.read_u32_be()?,
+        })
+    }
+    fn u64(&mut self) -> Result<u64, ParseElfError> {
+        Ok(match self.endianness {
+            Endianness::Little => self.cursor.read_u64_le()?,
+            Endianness::Big => self.cursor.read_u64_be()?,
+        })
+    }
+    fn addr(&mut self) -> Result<u64, ParseElfError> {
+        match self.class {
+            Class::Elf32 => Ok(u64::from(self.u32()?)),
+            Class::Elf64 => self.u64(),
+        }
+    }
+}
+
+/// The NUL-terminated UTF-8 name at `offset` in the section-name table.
+fn read_name(strtab: &[u8], offset: u32) -> Option<String> {
+    let start = usize::try_from(offset).ok()?;
+    let rest = strtab.get(start..)?;
+    let end = rest.iter().position(|&b| b == 0)?;
+    String::from_utf8(rest[..end].to_vec()).ok()
 }
 
 /// Reads until `buf` is full or EOF, returning the bytes read.

@@ -9,11 +9,12 @@
 //! For your own binary the text must decode under the supported MIPS-I /
 //! IA-32 subsets; otherwise only the ISA-independent algorithms run.
 
-use cce_core::elf::{ElfImage, Machine};
+use cce_core::elf::ElfStream;
 use cce_core::isa::Isa;
 use cce_core::workload::spec95_suite;
-use cce_core::{measure, Algorithm};
+use cce_core::{measure, streaming, Algorithm};
 use std::error::Error;
+use std::io::Cursor;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let elf_bytes = match std::env::args().nth(1) {
@@ -28,13 +29,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     };
 
-    let image = ElfImage::parse(&elf_bytes)?;
-    let text = image.text().ok_or("executable has no .text section")?;
-    let isa = match image.machine {
-        Machine::Mips => Isa::Mips,
-        Machine::I386 => Isa::X86,
-        Machine::Other(m) => return Err(format!("unsupported machine {m}").into()),
-    };
+    let mut elf = ElfStream::open(Cursor::new(elf_bytes)).map_err(streaming::stream_error)?;
+    let isa = streaming::isa_of(&elf)?;
+    let text = streaming::buffered_text(&mut elf)?;
     println!("firmware text section: {} bytes ({isa})", text.len());
     println!();
     println!(
@@ -43,7 +40,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     for algorithm in Algorithm::ALL {
-        match measure(algorithm, isa, text, 32) {
+        match measure(algorithm, isa, &text, 32) {
             Ok(m) => println!(
                 "{:<10} {:>12} {:>8.3} {:>14} {:>12}",
                 algorithm.to_string(),

@@ -20,10 +20,11 @@ echo "== fuzz smoke (fixed seed) =="
 cargo run --release -q -p cce-core --bin cce -- fuzz --algo all --cases 512 --seed 7
 
 echo "== pipeline smoke (compress a multi-MB ELF, decode to equality) =="
-# A ~4.2 MB generated workload goes through `compress --elf` (huffman,
+# A ~4.2 MB generated workload goes through `compress` (huffman,
 # 32-byte blocks, verified per block across the workers) and back through
 # `decompress`; the rebuilt ELF's .text must be byte-identical, and the
-# recorded block count must be exactly ceil(len(.text) / 32).
+# recorded block count must be exactly ceil(len(.text) / 32).  `analyze`
+# must list the workload's .text, .rodata and .bss sections.
 pipe_workers=4
 pipe_elf="target/ci-pipeline.elf"
 pipe_cce="target/ci-pipeline.cce"
@@ -31,8 +32,16 @@ pipe_out="target/ci-pipeline-out.elf"
 pipe_metrics="target/ci-pipeline-metrics.json"
 cargo run --release -q -p cce-core --bin cce -- gen go --scale 64 --seed 7 --multi-section -o "$pipe_elf"
 CCE_WORKERS="$pipe_workers" cargo run --release -q -p cce-core --bin cce -- \
-    compress --elf "$pipe_elf" -a huffman -o "$pipe_cce" --metrics "$pipe_metrics"
+    compress "$pipe_elf" -a huffman -o "$pipe_cce" --metrics "$pipe_metrics"
 cargo run --release -q -p cce-core --bin cce -- decompress "$pipe_cce" -o "$pipe_out"
+pipe_sections="$(cargo run --release -q -p cce-core --bin cce -- analyze "$pipe_elf")"
+for section in .text .rodata .bss; do
+    grep -q "^  $section " <<<"$pipe_sections" || {
+        echo "cce analyze lists no $section section:" >&2
+        echo "$pipe_sections" >&2
+        exit 1
+    }
+done
 python3 - "$pipe_elf" "$pipe_out" "$pipe_metrics" "$pipe_workers" <<'EOF'
 import json, struct, sys
 

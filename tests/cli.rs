@@ -190,15 +190,32 @@ fn bad_inputs_fail_cleanly() {
     let dir = temp_dir("bad");
     let junk = dir.join("junk.elf");
     std::fs::write(&junk, b"this is not an elf").expect("written");
-    let output = cce(&["ratio", junk.to_str().expect("utf8")]);
-    assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("cce:"));
-
-    let output = cce(&["frobnicate"]);
-    assert!(!output.status.success());
-
-    let output = cce(&["info", junk.to_str().expect("utf8")]);
-    assert!(!output.status.success());
+    let junk = junk.to_str().expect("utf8");
+    let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
+    let elf = elf_path.to_str().expect("utf8");
+    let out = dir.join("out.cce");
+    let out = out.to_str().expect("utf8");
+    // Each case exits 1 with a `cce:` error that names `needle`, never a
+    // panic: every ELF-reading command refuses the junk input the same way.
+    let cases: &[(&[&str], &str)] = &[
+        (&["ratio", junk], "bad magic"),
+        (&["compress", junk, "-o", out], "bad magic"),
+        (&["stats", junk], "bad magic"),
+        (&["analyze", junk], "bad magic"),
+        (&["disasm", junk], "bad magic"),
+        (&["info", junk], "cce:"),
+        (&["frobnicate"], "unknown command"),
+        // The list of container codecs is built from the registry.
+        (&["compress", elf, "--algo", "bogus", "-o", out], "samc-rans"),
+    ];
+    for (args, needle) in cases {
+        let output = cce(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.contains("cce:") && stderr.contains(needle), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+    assert!(!std::path::Path::new(out).exists(), "a refused command wrote its output");
 }
 
 #[test]
@@ -298,9 +315,9 @@ fn compress_model_cache_hits_across_processes() {
     assert!(!output.status.success());
 }
 
-/// `ratio` reads its input through the same path for both spellings:
-/// the `--elf` one also prints the section table, and both route SAMC
-/// through `--model-cache`, reporting the cache source on stderr.
+/// `ratio` routes SAMC through `--model-cache` for both output forms
+/// (table and `--json`), reporting the cache source on stderr; the
+/// section table is `analyze`'s, not `ratio`'s.
 #[test]
 fn ratio_model_cache_serves_both_input_spellings() {
     let dir = temp_dir("ratio-model-cache");
@@ -311,15 +328,15 @@ fn ratio_model_cache_serves_both_input_spellings() {
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
 
     for (args, source) in [
-        (["ratio", "--elf", &elf, "--model-cache", &cache], "cold miss"),
-        (["ratio", &elf, "--model-cache", &cache, "--json"], "disk hit"),
+        (vec!["ratio", &elf, "--model-cache", &cache], "cold miss"),
+        (vec!["ratio", &elf, "--model-cache", &cache, "--json"], "disk hit"),
     ] {
         let output = cce(&args);
         assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains(&format!("cce: model cache: {source}")), "{args:?}: {stderr}");
         let stdout = String::from_utf8_lossy(&output.stdout);
-        assert_eq!(stdout.contains(": sections"), args[1] == "--elf", "{args:?}: {stdout}");
+        assert!(!stdout.contains(": sections"), "{args:?}: {stdout}");
         assert!(stdout.contains("SAMC") || stdout.contains("\"samc\""), "{stdout}");
     }
 }
@@ -335,16 +352,29 @@ fn disasm_prints_assembly() {
     assert!(stdout.contains("more instructions"), "{stdout}");
 }
 
+/// `analyze` prints the section table of a multi-section ELF (the
+/// committed `.text`/`.rodata`/`.bss` fixture) before the entropy
+/// diagnostics of its text.
 #[test]
 fn analyze_prints_entropy_diagnostics() {
-    let dir = temp_dir("analyze");
-    let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
-    let output = cce(&["analyze", elf_path.to_str().expect("utf8")]);
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/pipeline_workload.elf");
+    let output = cce(&["analyze", fixture.to_str().expect("utf8")]);
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
     let stdout = String::from_utf8_lossy(&output.stdout);
-    for needle in ["byte entropy", "opcode entropy", "field-coder bound"] {
+    for needle in ["byte entropy", "opcode entropy", "field-coder bound", ": sections"] {
         assert!(stdout.contains(needle), "missing {needle}:\n{stdout}");
     }
+    let row = |name: &str| {
+        stdout
+            .lines()
+            .find(|line| line.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} row:\n{stdout}"))
+            .to_owned()
+    };
+    assert!(row(".text").ends_with("text (compressed)"), "{stdout}");
+    assert!(!row(".rodata").contains("text") && !row(".rodata").contains("nobits"), "{stdout}");
+    assert!(row(".bss").ends_with("nobits"), "{stdout}");
 }
 
 #[test]
@@ -366,12 +396,14 @@ fn flags_from_other_commands_are_usage_errors() {
         (&["analyze", elf, "--scale", "2"], "--scale"),
         (&["disasm", elf, "-b", "3"], "-b"),
         (&["fuzz", "--socket", "x"], "--socket"),
-        (&["sweep", "--elf", elf], "--elf"),
+        (&["sweep", "--count", "3"], "--count"),
         (&["publish", out, "--tcp", "9", "-o", out], "--tcp"),
         (&["verify", out, "--cache", "3"], "--cache"),
         (&["serve", out, "--algos", "samc", "--socket", out], "--algos"),
         // A retired flag fails loudly rather than being ignored.
         (&["serve", out, "--timeout-ms", "9", "--socket", out], "--timeout-ms"),
+        (&["ratio", elf, "--elf", elf], "--elf"),
+        (&["compress", "--elf", elf, "-o", out], "--elf"),
         (&["fetch", "--workers", "2", "--socket", out, "-o", out], "--workers"),
     ];
     for (args, flag) in cases {

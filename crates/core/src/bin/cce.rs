@@ -45,14 +45,34 @@ use cce_core::{measure, report, streaming, Algorithm, CodecHandle};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
+
+/// `print!` to stdout, returning the write error instead of panicking
+/// on it.  Every table and JSON document the commands print goes through
+/// this macro or `outln!`, so a reader that closes the pipe early
+/// (`cce ratio prog.elf | head -1`) ends the command cleanly in `main`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*)
+    };
+}
+
+/// `println!` counterpart of `out!`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*)
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader has stopped listening: nothing is left to report.
+        Err(e) if is_broken_pipe(&*e) => ExitCode::SUCCESS,
         Err(e) => {
             match e.downcast_ref::<UsageError>() {
                 Some(usage) => eprintln!("cce {usage}"),
@@ -63,10 +83,15 @@ fn main() -> ExitCode {
     }
 }
 
+/// Whether `e` is a write to a pipe whose reader has gone.
+fn is_broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>().is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
+}
+
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let name = match args.first().map(String::as_str) {
         Some("--help" | "-h" | "help") | None => {
-            print!("{}", help());
+            out!("{}", help())?;
             return Ok(());
         }
         Some(name) => name,
@@ -520,11 +545,11 @@ fn ratio(args: &Args) -> Result<(), Box<dyn Error>> {
     let (_, isa, text) = open_elf(path)?;
     let mut trainer = args.value("--model-cache").map(open_model_cache).transpose()?;
     if !json {
-        println!("{path}: {} bytes of {isa} text", text.len());
+        outln!("{path}: {} bytes of {isa} text", text.len())?;
     }
     print_measurements(json, |algorithm| {
         measure_cached(algorithm, isa, &text, block_size, &mut trainer)
-    });
+    })?;
     Ok(())
 }
 
@@ -533,29 +558,30 @@ fn ratio(args: &Args) -> Result<(), Box<dyn Error>> {
 fn print_measurements(
     json: bool,
     mut measure_one: impl FnMut(Algorithm) -> Result<cce_core::Measurement, Box<dyn Error>>,
-) {
+) -> std::io::Result<()> {
     if !json {
-        println!("{:<10} {:>12} {:>8}", "algorithm", "compressed", "ratio");
+        outln!("{:<10} {:>12} {:>8}", "algorithm", "compressed", "ratio")?;
     }
     let mut measurements = Vec::new();
     for algorithm in Algorithm::ALL {
         let name = algorithm.to_string();
         match measure_one(algorithm) {
             Ok(m) if json => measurements.push(m),
-            Ok(m) => println!("{name:<10} {:>12} {:>8.3}", m.compressed_len(), m.ratio()),
+            Ok(m) => outln!("{name:<10} {:>12} {:>8.3}", m.compressed_len(), m.ratio())?,
             Err(e) if json => eprintln!("cce: {algorithm} failed: {e}"),
-            Err(e) => println!("{name:<10} failed: {e}"),
+            Err(e) => outln!("{name:<10} failed: {e}")?,
         }
     }
     if json {
-        println!("{}", report::measurements_json(&measurements));
+        outln!("{}", report::measurements_json(&measurements))?;
     }
+    Ok(())
 }
 
 /// Prints `elf`'s section table, in section-header order.
-fn print_sections(path: &str, elf: &ElfFile) {
-    println!("{path}: sections");
-    println!("  {:<12} {:>10} {:>12}  notes", "name", "size", "addr");
+fn print_sections(path: &str, elf: &ElfFile) -> std::io::Result<()> {
+    outln!("{path}: sections")?;
+    outln!("  {:<12} {:>10} {:>12}  notes", "name", "size", "addr")?;
     let text = elf.text_index();
     for (index, s) in elf.sections().iter().enumerate() {
         let mut notes = Vec::new();
@@ -565,8 +591,9 @@ fn print_sections(path: &str, elf: &ElfFile) {
         if s.file_extent().is_none() {
             notes.push("nobits");
         }
-        println!("  {:<12} {:>10} {:>#12x}  {}", s.name, s.size, s.addr, notes.join(", "));
+        outln!("  {:<12} {:>10} {:>#12x}  {}", s.name, s.size, s.addr, notes.join(", "))?;
     }
+    Ok(())
 }
 
 /// Writes the `--metrics` artifact for `command` to `path`.
@@ -693,17 +720,17 @@ fn sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let path = args.value("--output").unwrap_or("BENCH_memsim.json");
     std::fs::write(path, format!("{artifact}\n"))?;
     if args.switch("--json") {
-        println!("{artifact}");
+        outln!("{artifact}")?;
     } else {
         let delta = arith_rans_delta(&config, &results)
             .map_or_else(|| "null".to_string(), |delta| format!("{delta:.6}"));
-        println!(
+        outln!(
             "sweep: {} cells over {} images ({} fetches each), arith-vs-rANS mean CPF delta {delta}",
             results.len(),
             images.len(),
             trace.len(),
-        );
-        println!("  wrote {path}");
+        )?;
+        outln!("  wrote {path}")?;
     }
     Ok(())
 }
@@ -717,7 +744,7 @@ fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
         // can record, whether or not anything has run.
         [] => {
             for desc in cce_core::obs::descriptors() {
-                println!("{:<26} {:<9} {}", desc.name, desc.kind().name(), desc.help);
+                outln!("{:<26} {:<9} {}", desc.name, desc.kind().name(), desc.help)?;
             }
             Ok(())
         }
@@ -732,7 +759,7 @@ fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
             if !cce_core::obs::enabled() {
                 eprintln!("cce: built without the `obs` feature; all metrics read zero");
             }
-            print!("{}", TableSink { skip_zero: true }.render(&cce_core::obs::snapshot()));
+            out!("{}", TableSink { skip_zero: true }.render(&cce_core::obs::snapshot()))?;
             Ok(())
         }
         _ => Err(args.usage("expected at most one input")),
@@ -770,12 +797,12 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
             let mut trainer = open_model_cache(dir)?;
             let (config, optimize) = cache_request(isa, block_size);
             let outcome = trainer.train(&text, &config, &optimize)?;
-            println!(
+            outln!(
                 "model cache: {} (key {}, division {:016x})",
                 outcome.source,
                 outcome.key,
                 outcome.codec.config().division.division_hash()
-            );
+            )?;
             Box::new(outcome.codec)
         }
         None => match algorithm.build(isa, block_size).train(&text)? {
@@ -804,14 +831,14 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
     std::fs::rename(&tmp, output)?;
 
     let summary = report.summary;
-    println!(
+    outln!(
         "{path}: {} -> {} bytes (text ratio {:.3}, artifact {} bytes)",
         summary.original_len,
         summary.compressed_len(),
         summary.ratio(),
         summary.total_len
-    );
-    println!("  pipeline: {} blocks, {} workers", report.stats.blocks, workers);
+    )?;
+    outln!("  pipeline: {} blocks, {} workers", report.stats.blocks, workers)?;
     Ok(())
 }
 
@@ -826,7 +853,7 @@ fn decompress(args: &Args) -> Result<(), Box<dyn Error>> {
     let text = reader.decode_text(codec.as_ref())?;
     let len = text.len();
     write_elf(output, identity.isa, identity.class, identity.endianness, identity.entry, text)?;
-    println!("{path}: decompressed {len} bytes of text into {output}");
+    outln!("{path}: decompressed {len} bytes of text into {output}")?;
     Ok(())
 }
 
@@ -853,30 +880,33 @@ fn analyze(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::stats;
     let [path] = args.positionals()?;
     let (elf, isa, text) = open_elf(path)?;
-    print_sections(path, &elf);
-    println!("{path}: {} bytes of {isa} text", text.len());
-    println!("  byte entropy:        {:.3} bits/byte", stats::byte_entropy(&text));
+    print_sections(path, &elf)?;
+    outln!("{path}: {} bytes of {isa} text", text.len())?;
+    outln!("  byte entropy:        {:.3} bits/byte", stats::byte_entropy(&text))?;
     let positions = stats::position_entropy(&text, 4);
-    println!(
+    outln!(
         "  per-byte-position:   [{:.2}, {:.2}, {:.2}, {:.2}] bits (stride 4)",
-        positions[0], positions[1], positions[2], positions[3]
-    );
-    println!(
+        positions[0],
+        positions[1],
+        positions[2],
+        positions[3]
+    )?;
+    outln!(
         "  word repeat ratio:   {:.1}% of 4-byte records repeat",
         100.0 * stats::repeat_ratio(&text, 4)
-    );
+    )?;
     if isa == Isa::Mips {
         let fields = stats::mips_field_stats(&text)?;
-        println!("  instructions:        {}", fields.instructions);
-        println!("  distinct operations: {}", fields.distinct_operations);
-        println!("  opcode entropy:      {:.3} bits/insn", fields.opcode_entropy);
-        println!("  register entropy:    {:.3} bits/field", fields.register_entropy);
-        println!("  imm16 entropy:       {:.3} bits/imm", fields.imm16_entropy);
-        println!(
+        outln!("  instructions:        {}", fields.instructions)?;
+        outln!("  distinct operations: {}", fields.distinct_operations)?;
+        outln!("  opcode entropy:      {:.3} bits/insn", fields.opcode_entropy)?;
+        outln!("  register entropy:    {:.3} bits/field", fields.register_entropy)?;
+        outln!("  imm16 entropy:       {:.3} bits/imm", fields.imm16_entropy)?;
+        outln!(
             "  field-coder bound:   {:.2} bits/insn  (ratio floor {:.3})",
             fields.field_bits_per_instruction,
             fields.field_bits_per_instruction / 32.0
-        );
+        )?;
     }
     Ok(())
 }
@@ -892,10 +922,10 @@ fn disasm(args: &Args) -> Result<(), Box<dyn Error>> {
     let instructions = decode_text(&text)?;
     let base = elf.sections()[streaming::text_index(&elf)?].addr;
     for (i, insn) in instructions.iter().take(count).enumerate() {
-        println!("{:#010x}:  {:08x}  {insn}", base + 4 * i as u64, insn.encode());
+        outln!("{:#010x}:  {:08x}  {insn}", base + 4 * i as u64, insn.encode())?;
     }
     if instructions.len() > count {
-        println!("... {} more instructions", instructions.len() - count);
+        outln!("... {} more instructions", instructions.len() - count)?;
     }
     Ok(())
 }
@@ -906,27 +936,30 @@ fn info(args: &Args) -> Result<(), Box<dyn Error>> {
     let reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
     let identity = reader.identity();
     let summary = reader.summary();
-    println!("{path}:");
-    println!("  container:  v2 (indexed)");
-    println!("  codec:      {}", identity.algorithm);
-    println!(
+    outln!("{path}:")?;
+    outln!("  container:  v2 (indexed)")?;
+    outln!("  codec:      {}", identity.algorithm)?;
+    outln!(
         "  isa:        {} ({:?}, {:?}, entry {:#x})",
-        identity.isa, identity.class, identity.endianness, identity.entry
-    );
-    println!("  codec size: {} bytes", reader.codec_bytes().len());
-    println!(
+        identity.isa,
+        identity.class,
+        identity.endianness,
+        identity.entry
+    )?;
+    outln!("  codec size: {} bytes", reader.codec_bytes().len())?;
+    outln!(
         "  text:       {} bytes in {} blocks of {}",
         summary.original_len,
         summary.blocks,
         reader.block_size()
-    );
-    println!(
+    )?;
+    outln!(
         "  compressed: {} bytes (ratio {:.3}, model {} bytes, LAT {} bytes)",
         summary.compressed_len(),
         summary.ratio(),
         summary.model_bytes,
         summary.lat_bytes()
-    );
+    )?;
     Ok(())
 }
 
@@ -958,12 +991,12 @@ fn gen(args: &Args) -> Result<(), Box<dyn Error>> {
         push_workload_sections(&mut elf, seed);
     }
     std::fs::write(output, elf.to_bytes())?;
-    println!(
+    outln!(
         "{output}: {} bytes of {isa} `{name}` text at scale {scale} (seed {seed})",
         elf.text().expect("text").len()
-    );
+    )?;
     if multi_section {
-        println!("{output}: {} sections (multi-section workload)", elf.sections.len());
+        outln!("{output}: {} sections (multi-section workload)", elf.sections.len())?;
     }
     Ok(())
 }
@@ -1022,9 +1055,9 @@ fn fuzz(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let mut dirty = 0usize;
     for report in &reports {
-        println!("{}", report.summary());
+        outln!("{}", report.summary())?;
         for failure in &report.failures {
-            println!("    {failure}");
+            outln!("    {failure}")?;
         }
         if !report.is_clean() {
             dirty += 1;
@@ -1033,7 +1066,7 @@ fn fuzz(args: &Args) -> Result<(), Box<dyn Error>> {
     if dirty > 0 {
         return Err(format!("{dirty} of {} targets reported failures", reports.len()).into());
     }
-    println!("all {} targets clean ({cases} cases each, seed {seed})", reports.len());
+    outln!("all {} targets clean ({cases} cases each, seed {seed})", reports.len())?;
     Ok(())
 }
 
@@ -1046,10 +1079,11 @@ fn publish(args: &Args) -> Result<(), Box<dyn Error>> {
     let blocks = reader.block_count();
     let summary =
         cce_core::artifact::publish_container(&mut reader, Path::new(output), chunk_size)?;
-    println!(
+    outln!(
         "{path}: published {blocks} blocks in {} runs ({} bytes) under {output}",
-        summary.runs, summary.image_len,
-    );
+        summary.runs,
+        summary.image_len,
+    )?;
     Ok(())
 }
 
@@ -1060,10 +1094,13 @@ fn verify(args: &Args) -> Result<(), Box<dyn Error>> {
     let summary = cce_core::serve::verify_dir(Path::new(dir))?;
     let (artifact, _) = cce_core::artifact::open_with_codec(Path::new(dir))?;
     let info = cce_core::artifact::ArtifactInfo::parse(artifact.info())?;
-    println!(
+    outln!(
         "{dir}: OK — {} blocks in {} runs, {} bytes ({} original)",
-        info.blocks, summary.runs, summary.image_len, info.original_len,
-    );
+        info.blocks,
+        summary.runs,
+        summary.image_len,
+        info.original_len,
+    )?;
     Ok(())
 }
 
@@ -1076,19 +1113,21 @@ fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     let (artifact, codec) = cce_core::artifact::open_with_codec(Path::new(dir))?;
     let blocks = artifact.block_count();
     let server = Server::new(artifact, codec, config);
+    // The banner is best effort: the daemon serves whether or not
+    // anyone still reads its stdout.
     match (args.value("--socket"), args.value("--tcp")) {
         (Some(path), None) => {
-            println!("serving {blocks} blocks from {dir} on unix socket {path}");
+            let _ = outln!("serving {blocks} blocks from {dir} on unix socket {path}");
             server.serve_unix(Path::new(path))?;
         }
         (None, Some(addr)) => {
             server.serve_tcp(addr, |local| {
-                println!("serving {blocks} blocks from {dir} on tcp {local}");
+                let _ = outln!("serving {blocks} blocks from {dir} on tcp {local}");
             })?;
         }
         _ => return Err(args.usage("pass exactly one of --socket PATH or --tcp ADDR")),
     }
-    println!("shutdown: {}", server.stats_json());
+    outln!("shutdown: {}", server.stats_json())?;
     Ok(())
 }
 
@@ -1130,6 +1169,6 @@ fn fetch_with<S: std::io::Read + std::io::Write>(
     let len = text.len();
     let id = info.identity;
     write_elf(output, id.isa, id.class, id.endianness, id.entry, text)?;
-    println!("fetched {} blocks ({len} bytes of text) into {output}", info.blocks);
+    outln!("fetched {} blocks ({len} bytes of text) into {output}", info.blocks)?;
     Ok(())
 }

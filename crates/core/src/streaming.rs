@@ -17,15 +17,22 @@ use std::io::{Read, Seek, Write};
 use crate::container::{write_image, ContainerIdentity, ContainerSummary};
 use crate::registry::Algorithm;
 use cce_codec::{compress_verified, BlockCodec, CodecError};
-use cce_elf::{ElfStream, Machine, StreamElfError};
+use cce_elf::{ElfStream, Machine, ParseElfError, StreamElfError};
 use cce_isa::Isa;
 
 /// Name used in errors raised by the streaming bridge itself.
 const SELF: &str = "elf stream";
 
-/// Maps a streaming-walker failure into the workspace error type.
+/// Maps a streaming-walker failure into the workspace error type: a
+/// well-formed ELF without section headers is unsupported, anything
+/// else the walker rejects is corrupt.
 pub fn stream_error(e: StreamElfError) -> CodecError {
-    CodecError::corrupt(SELF, e.to_string())
+    match e {
+        StreamElfError::Parse(ParseElfError::NoSectionHeaders) => {
+            CodecError::unsupported(SELF, e.to_string())
+        }
+        e => CodecError::corrupt(SELF, e.to_string()),
+    }
 }
 
 /// The instruction set implied by the ELF machine field.

@@ -20,6 +20,9 @@ pub enum ParseElfError {
     },
     /// A header or section reached past the end of the file.
     Truncated,
+    /// The file has no section-header table (`e_shnum = 0`, as in a
+    /// program-header-only image), so it has no `.text` to find.
+    NoSectionHeaders,
     /// A section name was not valid UTF-8 / not NUL-terminated in the
     /// string table.
     BadSectionName {
@@ -36,6 +39,7 @@ impl fmt::Display for ParseElfError {
                 write!(f, "unsupported e_ident[{index}] = {value:#04x}")
             }
             Self::Truncated => write!(f, "file truncated"),
+            Self::NoSectionHeaders => write!(f, "no section headers (e_shnum = 0)"),
             Self::BadSectionName { section } => {
                 write!(f, "section {section} has an invalid name")
             }

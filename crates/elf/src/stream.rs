@@ -178,6 +178,9 @@ impl<R: Read + Seek> ElfStream<R> {
         let shentsize = r.u16()?;
         let shnum = r.u16()?;
         let shstrndx = r.u16()?;
+        if shnum == 0 {
+            return Err(ParseElfError::NoSectionHeaders.into());
+        }
 
         // Fields of one section header the walker needs: name(4) type(4)
         // then flags/addr/offset/size (4×4 or 4×8 bytes).
@@ -528,6 +531,31 @@ mod tests {
                 if section == ".text" && offset == text_offset + 10),
             "{err}"
         );
+    }
+
+    #[test]
+    fn missing_section_header_table_is_a_typed_error() {
+        // A program-header-only ELF32 big-endian MIPS executable: the ELF
+        // header with e_shoff = e_shnum = e_shstrndx = 0, one PT_LOAD
+        // program header, then 32 bytes of code.
+        let mut bytes = b"\x7FELF\x01\x02\x01".to_vec();
+        bytes.resize(16, 0);
+        let u16s = |bytes: &mut Vec<u8>, values: &[u16]| {
+            values.iter().for_each(|v| bytes.extend(v.to_be_bytes()));
+        };
+        let u32s = |bytes: &mut Vec<u8>, values: &[u32]| {
+            values.iter().for_each(|v| bytes.extend(v.to_be_bytes()));
+        };
+        u16s(&mut bytes, &[2, 8]); // e_type EXEC, e_machine MIPS
+        u32s(&mut bytes, &[1, 0x0040_0054, 52, 0, 0]); // version, entry, phoff, shoff, flags
+        u16s(&mut bytes, &[52, 32, 1, 40, 0, 0]); // ehsize, phentsize, phnum, shentsize, shnum, shstrndx
+        u32s(&mut bytes, &[1, 84, 0x0040_0054, 0x0040_0054, 32, 32, 5, 4]); // PT_LOAD
+        bytes.resize(116, 0);
+
+        let err = ElfStream::open(Cursor::new(bytes.clone())).unwrap_err();
+        assert!(matches!(err, StreamElfError::Parse(ParseElfError::NoSectionHeaders)), "{err}");
+        assert!(err.to_string().contains("no section headers"), "{err}");
+        assert!(matches!(ElfImage::parse(&bytes), Err(ParseElfError::NoSectionHeaders)));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The simulator's per-run numbers live in [`SimReport`](crate::SimReport)
 //! (always-on results); these global counters accumulate *deltas* flushed
-//! at the end of each `run`, so a metrics artifact covering a whole bench
-//! invocation sees the combined cache/CLB/LAT traffic of every simulation
-//! it performed.
+//! at the end of each `run` and once per sweep baseline and cell, so a
+//! metrics artifact covering a whole bench invocation sees the combined
+//! cache/CLB/LAT traffic of every simulation it performed.
 
 use cce_obs::{Counter, Desc, SpanStat};
 
@@ -28,6 +28,19 @@ pub static SWEEP_CELLS: Counter = Counter::new();
 pub static SWEEP_IMAGE_REUSE: Counter = Counter::new();
 /// Wall time of whole sweep runs.
 pub static SWEEP_SPAN: SpanStat = SpanStat::new();
+
+/// Flushes one simulation's cache and CLB traffic and its refill cycles
+/// into the global counters.  Every cache miss is one refill, and every
+/// CLB miss one LAT fetch.
+pub(crate) fn record_run(cache: crate::CacheStats, clb: cce_obs::HitMiss, refill_cycles: u64) {
+    CACHE_HITS.add(cache.hits);
+    CACHE_MISSES.add(cache.misses);
+    CLB_HITS.add(clb.hits);
+    CLB_MISSES.add(clb.misses);
+    LAT_REFILLS.add(clb.misses);
+    REFILLS.add(cache.misses);
+    REFILL_CYCLES.add(refill_cycles);
+}
 
 /// Descriptors for the simulator metrics this crate registers.
 pub fn descriptors() -> [Desc; 7] {

@@ -3,29 +3,48 @@
 //! A sweep expands a configuration grid — compressed image (codec ×
 //! block size) × cache size × associativity × CLB entries × decoder —
 //! into cells and simulates every cell over one shared fetch trace.
-//! The expensive inputs are built exactly once and shared immutably:
-//! each [`SweepImage`] carries its [`LineAddressTable`] behind an
-//! [`Arc`], the trace is decoded once by the caller, and uncompressed
-//! baselines are simulated once per distinct cache geometry rather than
-//! once per cell.
+//! In the Fig. 1 system the CLB, the LAT and the decoder sit only on the
+//! I-cache miss path, so which fetches miss depends on the cache
+//! geometry alone.  [`run_sweep`] exploits that in three steps:
 //!
-//! Cells run through [`cce_codec::parallel_map`], whose results
-//! come back in item order regardless of worker count or scheduling —
-//! and every cell simulates a fresh [`MemorySystem`] from a shared
-//! immutable image, so a sweep's output is deterministic and
-//! worker-count invariant by construction.  `scripts/ci.sh` pins this:
-//! the `cce sweep` artifact carries no timing and must be byte-identical
-//! across `--workers 1/2/8`.
+//! 1. **Transitions, once per block size.** The trace collapses into its
+//!    block-transition list: a fetch to the block of the fetch before it
+//!    is a guaranteed hit on the most recently used way, and re-stamping
+//!    that way cannot change any later LRU victim, so dropping it changes
+//!    no miss.
+//! 2. **One cache pass per geometry.** Each distinct (block size, cache
+//!    size, associativity) runs once over its transition list, recording
+//!    its cache stats and the ordered block indices of its misses.  That
+//!    pass, priced at the uncompressed refill, is also the cell's
+//!    baseline.
+//! 3. **Pricing per cell.** Each cell walks its geometry's miss list
+//!    (about 1% of fetches) through a fresh [`Clb`] and its image's
+//!    [`LineAddressTable`] at the cell decoder's costs.
+//!
+//! Every quantity is an integer count or the per-block decompression
+//! time [`MemorySystem::run`](crate::MemorySystem::run) hoists the same
+//! way, so each cell's [`SimReport`] equals a full simulation of it exactly
+//! (pinned by `tests/differential.rs`).  Images, with their LATs behind
+//! an [`Arc`], and the trace are shared immutably.
+//!
+//! Both passes run through [`cce_codec::parallel_map`], whose results
+//! come back in item order regardless of worker count or scheduling, so
+//! a sweep's output is deterministic and worker-count invariant by
+//! construction.  `scripts/ci.sh` pins this: the `cce sweep` artifact
+//! carries no timing and must be byte-identical across `--workers
+//! 1/2/8`, and the default grid must reproduce the committed
+//! `BENCH_memsim.json`.
 //!
 //! [`render_artifact`] writes that artifact (`BENCH_memsim.json`): the
 //! workload and grid, one entry per image and per cell, and a summary
 //! with each decoder's mean CPF and the arith-vs-rANS delta.
 
-use crate::cache::CacheConfig;
+use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::clb::Clb;
 use crate::lat::LineAddressTable;
-use crate::system::{CostModel, DecoderLatency, MemorySystem, SimReport};
-use cce_obs::JsonWriter;
-use std::collections::BTreeMap;
+use crate::system::{CostModel, DecoderLatency, RefillCost, SimReport};
+use cce_obs::{HitMiss, JsonWriter};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// One compressed program image — a (codec, block size) grid point,
@@ -169,14 +188,82 @@ impl CellResult {
     }
 }
 
-/// Runs the full sweep: expands the grid, simulates each distinct
-/// uncompressed baseline geometry once, then fans the cells across
-/// `workers` threads.  Results come back in [`SweepConfig::expand`]
-/// order for any worker count.
+/// One cache geometry's misses over a trace: the shared first half of
+/// every cell with that geometry.
+struct MissStream {
+    fetches: u64,
+    cache: CacheStats,
+    /// Block index of every miss, in trace order.
+    misses: Vec<usize>,
+}
+
+impl MissStream {
+    /// Runs `geometry` over `transitions`, the block-transition list of
+    /// a `fetches`-long trace (see [`block_transitions`]).  Every dropped
+    /// fetch is a hit.
+    fn simulate(geometry: CacheConfig, transitions: &[u64], fetches: u64) -> Self {
+        let block_shift = geometry.block_size.trailing_zeros();
+        let mut cache = Cache::new(geometry);
+        let misses: Vec<usize> = transitions
+            .iter()
+            .filter(|&&addr| !cache.access(addr))
+            .map(|&addr| (addr >> block_shift) as usize)
+            .collect();
+        let missed = misses.len() as u64;
+        Self { fetches, cache: CacheStats { hits: fetches - missed, misses: missed }, misses }
+    }
+
+    /// The uncompressed system's report: every miss refills a plain block.
+    fn baseline(&self, cost: RefillCost) -> SimReport {
+        self.report(HitMiss::new(), self.misses.len() as u64 * cost.uncompressed())
+    }
+
+    /// A compressed cell's report: every miss refills through `lat`
+    /// behind a fresh CLB of `clb_entries`.
+    fn price(&self, lat: &LineAddressTable, clb_entries: usize, cost: RefillCost) -> SimReport {
+        let mut clb = Clb::new(clb_entries);
+        let refill_cycles =
+            self.misses.iter().map(|&block| cost.compressed(lat, &mut clb, block)).sum();
+        self.report(clb.stats(), refill_cycles)
+    }
+
+    /// Assembles a report (one cycle per fetch plus the refills) and
+    /// flushes its traffic into the global metrics, as a full
+    /// simulation would.
+    fn report(&self, clb: HitMiss, refill_cycles: u64) -> SimReport {
+        crate::obs::record_run(self.cache, clb, refill_cycles);
+        SimReport {
+            fetches: self.fetches,
+            cache: self.cache,
+            clb_hits: clb.hits,
+            clb_misses: clb.misses,
+            cycles: self.fetches + refill_cycles,
+            refill_cycles,
+        }
+    }
+}
+
+/// The first fetch of every run of consecutive fetches to one
+/// `block_size` block of `trace`.
+fn block_transitions(trace: &[u64], block_size: usize) -> Vec<u64> {
+    let block_shift = block_size.trailing_zeros();
+    trace.chunk_by(|a, b| a >> block_shift == b >> block_shift).map(|run| run[0]).collect()
+}
+
+/// Runs the full sweep: expands the grid, collapses the trace into one
+/// block-transition list per block size, runs each distinct cache
+/// geometry once over its list (its miss list and stats also give the
+/// uncompressed baseline), then prices every cell on its geometry's miss
+/// list.  Both passes fan out across `workers` threads; results come
+/// back in [`SweepConfig::expand`] order for any worker count, and each
+/// equals a standalone [`MemorySystem::run`](crate::MemorySystem::run)
+/// of its cell.
 ///
 /// Records `sweep.cells` (cells simulated), `sweep.reuse.images`
 /// (cells beyond the first use of each image — the builds the sharing
-/// policy avoided), and `sweep.span` (wall time) obs metrics.
+/// policy avoided), and `sweep.span` (wall time) obs metrics, and
+/// flushes each baseline's and each cell's cache, CLB and refill traffic
+/// into the `memsim.*` counters once.
 ///
 /// # Panics
 ///
@@ -190,48 +277,43 @@ pub fn run_sweep(
 ) -> Vec<CellResult> {
     let _span = crate::obs::SWEEP_SPAN.time();
     let cells = config.expand(images);
+    let fetches = trace.len() as u64;
 
-    // Uncompressed baselines depend only on the cache geometry, never on
-    // the codec or decoder: simulate each distinct geometry exactly once.
-    let geometries: Vec<(usize, usize, usize)> = {
-        let set: std::collections::BTreeSet<_> = cells
-            .iter()
-            .map(|c| (images[c.image].block_size, c.cache_size, c.associativity))
-            .collect();
-        set.into_iter().collect()
-    };
+    // Which fetches miss depends only on the cache geometry, never on
+    // the codec, CLB or decoder: simulate each distinct geometry once.
+    let geometries: Vec<(usize, usize, usize)> = cells
+        .iter()
+        .map(|c| (images[c.image].block_size, c.cache_size, c.associativity))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let mut transitions = BTreeMap::new();
+    for &(block_size, ..) in &geometries {
+        transitions.entry(block_size).or_insert_with(|| block_transitions(trace, block_size));
+    }
     let baseline_costs = CostModel {
         memory_latency: config.memory_latency,
         bus_bytes_per_cycle: config.bus_bytes_per_cycle,
         decoder: DecoderLatency::default(),
     };
-    let baseline_reports = cce_codec::parallel_map(
+    let passes = cce_codec::parallel_map(
         workers,
         &geometries,
         |_, &(block_size, size_bytes, associativity)| {
-            let cache = CacheConfig { size_bytes, block_size, associativity };
-            MemorySystem::uncompressed(cache, baseline_costs).run(trace)
+            let geometry = CacheConfig { size_bytes, block_size, associativity };
+            let stream = MissStream::simulate(geometry, &transitions[&block_size], fetches);
+            let baseline = stream.baseline(RefillCost::new(&baseline_costs, block_size));
+            (stream, baseline)
         },
     );
-    let baselines: BTreeMap<(usize, usize, usize), SimReport> =
-        geometries.into_iter().zip(baseline_reports).collect();
+    let passes: BTreeMap<_, _> = geometries.into_iter().zip(passes).collect();
 
     let results = cce_codec::parallel_map(workers, &cells, |_, cell| {
         let image = &images[cell.image];
-        let cache = CacheConfig {
-            size_bytes: cell.cache_size,
-            block_size: image.block_size,
-            associativity: cell.associativity,
-        };
-        let mut system = MemorySystem::compressed(
-            cache,
-            config.costs(cell.decoder),
-            Arc::clone(&image.lat),
-            cell.clb_entries,
-        );
-        let report = system.run(trace);
-        let baseline = baselines[&(image.block_size, cell.cache_size, cell.associativity)];
-        CellResult { cell: *cell, report, baseline }
+        let (stream, baseline) = &passes[&(image.block_size, cell.cache_size, cell.associativity)];
+        let cost = RefillCost::new(&config.costs(cell.decoder), image.block_size);
+        let report = stream.price(&image.lat, cell.clb_entries, cost);
+        CellResult { cell: *cell, report, baseline: *baseline }
     });
 
     crate::obs::SWEEP_CELLS.add(results.len() as u64);

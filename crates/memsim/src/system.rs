@@ -126,6 +126,56 @@ impl Default for CostModel {
     }
 }
 
+/// The price of one I-cache refill under a [`CostModel`] at one block
+/// size — the single home of the per-miss formula, shared by
+/// [`MemorySystem::run`] and the sweep's miss-stream pricing.
+///
+/// Every term that does not depend on the missed block (the
+/// uncompressed refill and the decompression time) is computed once here
+/// rather than per miss.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RefillCost {
+    memory_latency: u64,
+    bus_bytes_per_cycle: u64,
+    /// Memory latency plus the uncompressed block's transfer.
+    uncompressed: u64,
+    /// Decoder startup plus its throughput term for one block.
+    decompress: u64,
+}
+
+impl RefillCost {
+    pub(crate) fn new(costs: &CostModel, block_size: usize) -> Self {
+        Self {
+            memory_latency: costs.memory_latency,
+            bus_bytes_per_cycle: costs.bus_bytes_per_cycle,
+            uncompressed: costs.memory_latency
+                + (block_size as u64).div_ceil(costs.bus_bytes_per_cycle),
+            decompress: costs.decoder.startup_cycles
+                + (block_size as f64 * costs.decoder.cycles_per_byte).ceil() as u64,
+        }
+    }
+
+    /// Cycles to refill a block from uncompressed memory.
+    #[inline]
+    pub(crate) fn uncompressed(&self) -> u64 {
+        self.uncompressed
+    }
+
+    /// Cycles to refill cache block `block` from the compressed image:
+    /// its LAT entry (addresses past the table wrap) is looked up through
+    /// `clb` — a CLB miss costs one more memory access — then the
+    /// compressed bytes are fetched and decompressed.
+    #[inline]
+    pub(crate) fn compressed(&self, lat: &LineAddressTable, clb: &mut Clb, block: usize) -> u64 {
+        let block = block % lat.len().max(1);
+        // A CLB miss fetches the LAT entry from main memory.
+        let lat_penalty = if clb.access(block) { 0 } else { self.memory_latency };
+        let (_, compressed_size) = lat.lookup(block);
+        let transfer = u64::from(compressed_size).div_ceil(self.bus_bytes_per_cycle);
+        lat_penalty + self.memory_latency + transfer + self.decompress
+    }
+}
+
 /// Result of a trace simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimReport {
@@ -263,9 +313,8 @@ impl MemorySystem {
     }
 
     /// The fast kernel: shift addressing (block size is asserted a power
-    /// of two by [`Cache::new`]), every refill-cost term that does not
-    /// depend on the missed block hoisted out of the loop, and refills
-    /// decompressed into one reused buffer.
+    /// of two by [`Cache::new`]), refills priced by the hoisted
+    /// [`RefillCost`], and refills decompressed into one reused buffer.
     fn run_inner(
         &mut self,
         trace: &[u64],
@@ -275,18 +324,10 @@ impl MemorySystem {
         let cache_before = self.cache.stats();
         let clb_before = self.compressed.as_ref().map(|(_, clb)| clb.stats()).unwrap_or_default();
         let block_shift = self.block_size.trailing_zeros();
-        // Per-miss constants, identical to the per-miss expressions the
-        // reference walk evaluates (same operations, same rounding).
-        let uncompressed_refill = self.costs.memory_latency
-            + (self.block_size as u64).div_ceil(self.costs.bus_bytes_per_cycle);
-        let decompress_cycles = self.costs.decoder.startup_cycles
-            + (self.block_size as f64 * self.costs.decoder.cycles_per_byte).ceil() as u64;
-        let lat_len = self.compressed.as_ref().map(|(lat, _)| lat.len().max(1)).unwrap_or(1);
+        let cost = RefillCost::new(&self.costs, self.block_size);
         let mut buf = std::mem::take(&mut self.refill_buf);
 
-        let mut cycles = 0u64;
         let mut refill_cycles = 0u64;
-        let mut refills = 0u64;
         let mut i = 0;
         while i < trace.len() {
             let addr = trace[i];
@@ -295,16 +336,12 @@ impl MemorySystem {
             // consecutive fetches in one cache block, and after the first
             // access nothing can evict that block — so the tail of a run
             // is guaranteed hits and collapses into one `access_run`.
-            // The run scan walks eight fetches per probe (a branchless
-            // all-equal check the compiler can unroll or vectorize) and
-            // finishes the tail a fetch at a time.
             let mut j = i + 1;
             while j < trace.len() && trace[j] >> block_shift == block_addr {
                 j += 1;
             }
             let run = (j - i) as u64;
             i = j;
-            cycles += run;
             if self.cache.access_run(addr, run) {
                 continue;
             }
@@ -325,28 +362,15 @@ impl MemorySystem {
                     );
                 }
             }
-            let refill = match &mut self.compressed {
-                None => uncompressed_refill,
-                Some((lat, clb)) => {
-                    let block = block % lat_len;
-                    let lat_penalty = if clb.access(block) {
-                        0
-                    } else {
-                        // LAT entry fetched from main memory.
-                        self.costs.memory_latency
-                    };
-                    let (_, compressed_size) = lat.lookup(block);
-                    let transfer =
-                        u64::from(compressed_size).div_ceil(self.costs.bus_bytes_per_cycle);
-                    lat_penalty + self.costs.memory_latency + transfer + decompress_cycles
-                }
+            refill_cycles += match &mut self.compressed {
+                None => cost.uncompressed(),
+                Some((lat, clb)) => cost.compressed(lat, clb, block),
             };
-            cycles += refill;
-            refill_cycles += refill;
-            refills += 1;
         }
         self.refill_buf = buf;
-        self.finish(trace.len() as u64, cache_before, clb_before, cycles, refill_cycles, refills)
+        // One cycle per fetch plus the refill penalties.
+        let fetches = trace.len() as u64;
+        self.finish(fetches, cache_before, clb_before, fetches + refill_cycles, refill_cycles)
     }
 
     /// The retained pre-PR-10 loop, verbatim: `/` and `%` addressing via
@@ -362,7 +386,6 @@ impl MemorySystem {
         let clb_before = self.compressed.as_ref().map(|(_, clb)| clb.stats()).unwrap_or_default();
         let mut cycles = 0u64;
         let mut refill_cycles = 0u64;
-        let mut refills = 0u64;
         for &addr in trace {
             cycles += 1;
             if self.cache.access_reference(addr) {
@@ -408,9 +431,8 @@ impl MemorySystem {
             };
             cycles += refill;
             refill_cycles += refill;
-            refills += 1;
         }
-        self.finish(trace.len() as u64, cache_before, clb_before, cycles, refill_cycles, refills)
+        self.finish(trace.len() as u64, cache_before, clb_before, cycles, refill_cycles)
     }
 
     /// Shared epilogue: flush this run's deltas into the global metrics
@@ -423,18 +445,13 @@ impl MemorySystem {
         clb_before: cce_obs::HitMiss,
         cycles: u64,
         refill_cycles: u64,
-        refills: u64,
     ) -> SimReport {
-        let cache_delta = self.cache.stats().since(&cache_before);
-        crate::obs::CACHE_HITS.add(cache_delta.hits);
-        crate::obs::CACHE_MISSES.add(cache_delta.misses);
         let clb_now = self.compressed.as_ref().map(|(_, clb)| clb.stats()).unwrap_or_default();
-        let clb_delta = clb_now.since(&clb_before);
-        crate::obs::CLB_HITS.add(clb_delta.hits);
-        crate::obs::CLB_MISSES.add(clb_delta.misses);
-        crate::obs::LAT_REFILLS.add(clb_delta.misses);
-        crate::obs::REFILLS.add(refills);
-        crate::obs::REFILL_CYCLES.add(refill_cycles);
+        crate::obs::record_run(
+            self.cache.stats().since(&cache_before),
+            clb_now.since(&clb_before),
+            refill_cycles,
+        );
         SimReport {
             fetches,
             cache: self.cache.stats(),

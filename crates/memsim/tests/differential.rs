@@ -4,8 +4,10 @@
 //! the final contents, which encode every eviction decision), and the
 //! same final stats — across seeded random geometries and traces.
 
-use cce_memsim::sweep::{run_sweep, SweepConfig, SweepImage};
-use cce_memsim::{Cache, CacheConfig, Clb, CostModel, LineAddressTable, MemorySystem};
+use cce_memsim::sweep::{run_sweep, SweepConfig, SweepDecoder, SweepImage};
+use cce_memsim::{
+    Cache, CacheConfig, Clb, CostModel, DecoderLatency, LineAddressTable, MemorySystem,
+};
 use cce_rng::Rng;
 use std::sync::Arc;
 
@@ -121,47 +123,141 @@ fn system_runs_agree_end_to_end_on_random_configurations() {
     }
 }
 
-/// Every sweep cell's report must equal a from-scratch serial simulation
-/// of that cell — the parallel driver may not perturb results.
-#[test]
-fn sweep_cells_match_standalone_simulations() {
-    let mut rng = Rng::seed_from_u64(42);
-    let images: Vec<SweepImage> = (0..2)
-        .map(|i| {
-            let block_size = 32 << i;
-            let blocks = 256usize;
-            let sizes: Vec<usize> = (0..blocks).map(|_| rng.random_range(4..=block_size)).collect();
-            SweepImage {
-                codec: format!("img{i}"),
-                block_size,
-                compressed_bytes: sizes.iter().sum::<usize>() as u64,
-                text_bytes: (blocks * block_size) as u64,
-                lat: Arc::new(LineAddressTable::from_block_sizes(sizes)),
+/// A trace of fall-through runs, long stretches of fetches inside one
+/// block (tight loops) and far jumps anywhere in `span`.
+fn runny_trace(rng: &mut Rng, len: usize, span: u64) -> Vec<u64> {
+    let mut trace = Vec::with_capacity(len);
+    let mut pc = 0u64;
+    while trace.len() < len {
+        match rng.random_range(0..12u32) {
+            0 => pc = rng.random_range(0..span) & !3, // far jump
+            1 => {
+                // Spin inside pc's 8-byte neighbourhood for a while.
+                let spin: usize = rng.random_range(1..=300);
+                trace.extend((0..spin).map(|i| (pc & !7) + (i as u64 % 2) * 4));
+            }
+            _ => pc = (pc + 4) % span, // fall through
+        }
+        trace.push(pc);
+    }
+    trace.truncate(len);
+    trace
+}
+
+/// A random sweep grid whose cache axes include geometries that
+/// [`SweepConfig::expand`] must skip (sizes that are no power-of-two
+/// multiple of block × ways, and 3-, 5-, 6- and 7-way caches of
+/// power-of-two sizes).
+fn random_grid(rng: &mut Rng) -> SweepConfig {
+    let cache_sizes = (0..rng.random_range(1..=3))
+        .map(|_| {
+            if rng.random_bool(0.2) {
+                rng.random_range(100..5_000)
+            } else {
+                1 << rng.random_range(6..=12u32)
             }
         })
         .collect();
-    let config = SweepConfig::default();
-    let trace = random_trace(&mut rng, 8_000, 256 * 32);
-
-    for result in run_sweep(&images, &config, &trace, 4) {
-        let cell = result.cell;
-        let image = &images[cell.image];
-        let cache = CacheConfig {
-            size_bytes: cell.cache_size,
-            block_size: image.block_size,
-            associativity: cell.associativity,
-        };
-        let costs = CostModel {
-            memory_latency: config.memory_latency,
-            bus_bytes_per_cycle: config.bus_bytes_per_cycle,
-            decoder: config.decoders[cell.decoder].latency,
-        };
-        let mut standalone =
-            MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);
-        assert_eq!(standalone.run(&trace), result.report, "cell {cell:?}");
-        // And the reference kernel agrees with the sweep's fast cells.
-        let mut reference =
-            MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);
-        assert_eq!(reference.run_reference(&trace), result.report, "cell {cell:?} (reference)");
+    let associativities = (0..rng.random_range(1..=3)).map(|_| rng.random_range(1..=8)).collect();
+    let clb_entries = (0..rng.random_range(1..=2)).map(|_| rng.random_range(1..=40)).collect();
+    let decoders = (0..rng.random_range(1..=3))
+        .map(|_| match rng.random_range(0..=8usize) {
+            0 => SweepDecoder { name: "nibble".into(), latency: DecoderLatency::nibble() },
+            lanes => {
+                SweepDecoder { name: format!("rans{lanes}"), latency: DecoderLatency::rans(lanes) }
+            }
+        })
+        .collect();
+    SweepConfig {
+        cache_sizes,
+        associativities,
+        clb_entries,
+        decoders,
+        memory_latency: rng.random_range(1..=40),
+        bus_bytes_per_cycle: rng.random_range(1..=8),
     }
+}
+
+/// Every sweep cell's report must equal a from-scratch serial simulation
+/// of that cell — through both the fast and the reference kernel — and
+/// every baseline a standalone uncompressed run, over seeded random
+/// grids, images and traces.  LATs may be shorter than the trace's block
+/// range, so refills wrap.
+#[test]
+fn sweep_cells_match_standalone_simulations() {
+    let mut rng = Rng::seed_from_u64(42);
+    let (mut skipped_geometries, mut wrapped_cells, mut cells) = (0, 0, 0);
+    for case in 0..12 {
+        let config = random_grid(&mut rng);
+        let span = 1u64 << rng.random_range(10..=14u32);
+        let images: Vec<SweepImage> = (0..rng.random_range(1..=3))
+            .map(|i| {
+                let block_size = 8usize << rng.random_range(0..=3u32);
+                let range = (span as usize).div_ceil(block_size);
+                // Some LATs cover only part of the trace's blocks.
+                let blocks = if rng.random_bool(0.5) { rng.random_range(1..range) } else { range };
+                let sizes: Vec<usize> =
+                    (0..blocks).map(|_| rng.random_range(1..=block_size)).collect();
+                SweepImage {
+                    codec: format!("img{i}"),
+                    block_size,
+                    compressed_bytes: sizes.iter().sum::<usize>() as u64,
+                    text_bytes: (blocks * block_size) as u64,
+                    lat: Arc::new(LineAddressTable::from_block_sizes(sizes)),
+                }
+            })
+            .collect();
+        let trace = if case % 2 == 0 {
+            runny_trace(&mut rng, 3_000, span)
+        } else {
+            random_trace(&mut rng, 3_000, span)
+        };
+        let workers = rng.random_range(1..=4);
+        let grid = images.len()
+            * config.cache_sizes.len()
+            * config.associativities.len()
+            * config.clb_entries.len()
+            * config.decoders.len();
+
+        let results = run_sweep(&images, &config, &trace, workers);
+        assert_eq!(results.len(), config.expand(&images).len(), "case {case}");
+        skipped_geometries += grid - results.len();
+        for result in results {
+            let cell = result.cell;
+            let image = &images[cell.image];
+            let cache = CacheConfig {
+                size_bytes: cell.cache_size,
+                block_size: image.block_size,
+                associativity: cell.associativity,
+            };
+            let costs = CostModel {
+                memory_latency: config.memory_latency,
+                bus_bytes_per_cycle: config.bus_bytes_per_cycle,
+                decoder: config.decoders[cell.decoder].latency,
+            };
+            let mut standalone =
+                MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);
+            assert_eq!(standalone.run(&trace), result.report, "case {case}, cell {cell:?}");
+            let mut reference =
+                MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);
+            assert_eq!(
+                reference.run_reference(&trace),
+                result.report,
+                "case {case}, cell {cell:?} (reference)"
+            );
+            let baseline_costs = CostModel { decoder: DecoderLatency::default(), ..costs };
+            let mut baseline = MemorySystem::uncompressed(cache, baseline_costs);
+            assert_eq!(
+                baseline.run(&trace),
+                result.baseline,
+                "case {case}, cell {cell:?} baseline"
+            );
+            cells += 1;
+            wrapped_cells +=
+                usize::from(image.lat.len() < (span as usize).div_ceil(image.block_size));
+        }
+    }
+    // The seeded grids must actually reach the cases they exist for.
+    assert!(skipped_geometries > 0, "no invalid geometry was skipped");
+    assert!(wrapped_cells > 0 && wrapped_cells < cells, "{wrapped_cells} of {cells} cells wrap");
 }

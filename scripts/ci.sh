@@ -171,6 +171,10 @@ for w in 2 8; do
     cargo run --release -q -p cce-core --bin cce -- sweep --scale 0.05 --fetches 60000 --workers "$w" -o "$sweep_file.w$w"
     cmp "$sweep_file" "$sweep_file.w$w"
 done
+# The committed artifact is current: the default grid reproduces
+# BENCH_memsim.json byte for byte.
+cargo run --release -q -p cce-core --bin cce -- sweep --workers 2 -o target/ci-memsim.json
+cmp target/ci-memsim.json BENCH_memsim.json
 
 echo "== model-cache smoke (cold miss, then disk hit, pinned division) =="
 cache_dir="target/ci-model-cache"

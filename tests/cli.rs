@@ -103,6 +103,27 @@ fn ratio_prints_all_algorithms() {
 }
 
 #[test]
+fn closed_stdout_ends_printing_commands_cleanly() {
+    let dir = temp_dir("pipe");
+    let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
+    let elf = elf_path.to_str().expect("utf8");
+    // `cce ratio prog.elf | head -1` with the reader already gone: every
+    // write to stdout fails with a broken pipe.
+    for args in [&["ratio", elf][..], &["ratio", elf, "--json"], &["stats"], &["help"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_cce"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("cce runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+        assert_eq!(output.status.code(), Some(0), "{args:?}:\n{stderr}");
+    }
+}
+
+#[test]
 fn ratio_emits_json_with_custom_block_size() {
     let dir = temp_dir("ratio-json");
     let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
@@ -191,6 +212,22 @@ fn bad_inputs_fail_cleanly() {
     let junk = dir.join("junk.elf");
     std::fs::write(&junk, b"this is not an elf").expect("written");
     let junk = junk.to_str().expect("utf8");
+    // A bare ELF32 MIPS header with no section-header table:
+    // e_phnum = e_shoff = e_shnum = 0.
+    let headerless = dir.join("headerless.elf");
+    let mut bytes = b"\x7FELF\x01\x02\x01".to_vec();
+    bytes.resize(16, 0);
+    for half in [2u16, 8] {
+        bytes.extend(half.to_be_bytes());
+    }
+    for word in [1u32, 0x0040_0034, 0, 0, 0] {
+        bytes.extend(word.to_be_bytes());
+    }
+    for half in [52u16, 32, 0, 40, 0, 0] {
+        bytes.extend(half.to_be_bytes());
+    }
+    std::fs::write(&headerless, &bytes).expect("written");
+    let headerless = headerless.to_str().expect("utf8");
     let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
     let elf = elf_path.to_str().expect("utf8");
     let out = dir.join("out.cce");
@@ -203,6 +240,8 @@ fn bad_inputs_fail_cleanly() {
         (&["stats", junk], "bad magic"),
         (&["analyze", junk], "bad magic"),
         (&["disasm", junk], "bad magic"),
+        (&["analyze", headerless], "no section headers"),
+        (&["compress", headerless, "-o", out], "no section headers"),
         (&["info", junk], "cce:"),
         (&["frobnicate"], "unknown command"),
         // The list of container codecs is built from the registry.

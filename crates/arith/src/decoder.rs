@@ -1,4 +1,5 @@
-//! Binary range decoder (bit-serial reference model).
+//! Binary range decoder: one bit per call, the interval half selected
+//! by mask rather than by a branch on the decoded bit.
 
 use crate::prob::{Prob, PROB_BITS};
 use crate::RENORM_THRESHOLD;
@@ -41,14 +42,13 @@ impl<'a> BitDecoder<'a> {
     /// Must be called with the exact probability sequence used to encode.
     pub fn decode_bit(&mut self, p0: Prob) -> bool {
         let bound = (self.range >> PROB_BITS) * p0.raw();
-        let bit = if self.code < bound {
-            self.range = bound;
-            false
-        } else {
-            self.code -= bound;
-            self.range -= bound;
-            true
-        };
+        let bit = self.code >= bound;
+        // All ones exactly when the bit is 1: the interval half is picked
+        // by mask, since a branch on an entropy-carrying bit mispredicts
+        // about as often as the bit is uncertain.
+        let one = u32::from(bit).wrapping_neg();
+        self.code -= bound & one;
+        self.range = bound & !one | (self.range - bound) & one;
         // Renormalization is bounded by construction: `Prob` is clamped to
         // [1, 4095] so `bound >= range >> 12 > 0` and the post-decode range
         // is at least 2^12 before the threshold (2^24) — at most 2 refills

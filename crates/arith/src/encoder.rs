@@ -62,12 +62,11 @@ impl BitEncoder {
     pub fn encode_bit(&mut self, bit: bool, p0: Prob) {
         let bound = (self.range >> PROB_BITS) * p0.raw();
         debug_assert!(bound > 0 && bound < self.range);
-        if bit {
-            self.low += u64::from(bound);
-            self.range -= bound;
-        } else {
-            self.range = bound;
-        }
+        // All ones exactly when the bit is 1: the upper half is selected
+        // by mask, without a branch on the bit.
+        let one = u32::from(bit).wrapping_neg();
+        self.low += u64::from(bound & one);
+        self.range = bound & !one | (self.range - bound) & one;
         while self.range < RENORM_THRESHOLD {
             self.shift_low();
             self.range <<= 8;

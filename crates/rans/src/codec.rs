@@ -2,7 +2,7 @@
 
 use crate::coder::{Lanes, RansDecoder, RansEncoder, SCALE, SCALE_BITS};
 use cce_codec::{BlockCodec, CodecError};
-use cce_samc::{SamcCodec, SamcConfig};
+use cce_samc::{MarkovModel, SamcCodec, SamcConfig};
 
 /// Display name used in errors, tables, and the registry.
 const NAME: &str = "samc-rans";
@@ -11,28 +11,6 @@ const NAME: &str = "samc-rans";
 /// fall back to bit-wise coding so quantizing their `2^bits` leaves to a
 /// 12-bit scale never degenerates toward uniform.
 const MAX_SYMBOL_BITS: usize = 8;
-
-/// Flattened per-stream decode tables.
-///
-/// The faithful SAMC walk resolves every probability through
-/// `MarkovModel::prob` — three nested `Vec` indexings per bit.  The rANS
-/// backend is a throughput backend, so it pre-flattens each stream's
-/// trees into one contiguous `u16` array (`probs[ctx · nodes + node]` =
-/// raw `P(0)`) and pre-computes the bit shifts the division walk needs.
-/// Streams up to [`MAX_SYMBOL_BITS`] wide additionally carry a
-/// [`SymbolTable`] so the whole stream value codes as ONE rANS symbol
-/// per unit instead of one per bit.
-#[derive(Debug, Clone)]
-struct StreamTable {
-    /// `width − 1 − bit_index` for each bit of the stream, walk order.
-    shifts: Vec<u32>,
-    /// Heap-tree size: `2^bits` slots per context (slot 0 unused).
-    nodes: usize,
-    /// Raw 12-bit `P(0)` per `(context, node)`, contexts contiguous.
-    probs: Vec<u16>,
-    /// Symbol-per-unit coding tables; `None` for wide streams.
-    sym: Option<SymbolTable>,
-}
 
 /// Whole-stream symbol coding tables for one stream.
 ///
@@ -59,10 +37,11 @@ struct SymbolTable {
 }
 
 impl SymbolTable {
-    /// Builds the tables for one stream from its flattened per-node
-    /// probabilities (`probs[ctx · nodes + node]`).
-    fn build(shifts: &[u32], nodes: usize, probs: &[u16], contexts: usize) -> Self {
+    /// Builds the tables for stream `s` of `model`.
+    fn build(model: &MarkovModel, s: usize) -> Self {
+        let shifts = model.shifts(s);
         let bits = shifts.len();
+        let contexts = model.config().contexts();
         let values = 1usize << bits;
         let scatter = (0..values as u32)
             .map(|v| {
@@ -80,10 +59,11 @@ impl SymbolTable {
             // Walk the heap tree top-down: p[node] is the probability of
             // reaching `node`; leaves `values..2·values` map to stream
             // value `node − values`.
+            let tree = model.tree(s, ctx);
             let mut reach = vec![0.0f64; 2 * values];
             reach[1] = 1.0;
             for node in 1..values {
-                let p0 = f64::from(probs[ctx * nodes + node]) / f64::from(cce_arith::PROB_ONE);
+                let p0 = tree[node].as_f64();
                 reach[2 * node] = reach[node] * p0;
                 reach[2 * node + 1] = reach[node] * (1.0 - p0);
             }
@@ -160,7 +140,10 @@ pub struct SamcRansCodec {
     inner: SamcCodec,
     lanes: Lanes,
     mask: usize,
-    streams: Vec<StreamTable>,
+    /// Per stream: whole-stream symbol tables, or `None` for a stream
+    /// wider than [`MAX_SYMBOL_BITS`], which codes bit by bit straight
+    /// from the model's trees.
+    symbols: Vec<Option<SymbolTable>>,
 }
 
 impl SamcRansCodec {
@@ -178,29 +161,14 @@ impl SamcRansCodec {
 
     /// Wraps an already-trained [`SamcCodec`], reusing its model.
     pub fn from_samc(inner: SamcCodec, lanes: Lanes) -> Self {
-        let config = inner.config();
-        let division = &config.division;
         let model = inner.model();
-        let contexts = config.markov.contexts();
-        let width = division.width();
-        let streams = (0..division.stream_count())
+        let symbols = (0..model.division().stream_count())
             .map(|s| {
-                let bits = division.stream_bits(s);
-                let nodes = 1usize << bits.len();
-                let mut probs = vec![0u16; contexts * nodes];
-                for ctx in 0..contexts {
-                    for node in 1..nodes {
-                        probs[ctx * nodes + node] = model.prob(s, ctx, node).raw() as u16;
-                    }
-                }
-                let shifts: Vec<u32> = bits.iter().map(|&b| u32::from(width - 1 - b)).collect();
-                let sym = (bits.len() <= MAX_SYMBOL_BITS)
-                    .then(|| SymbolTable::build(&shifts, nodes, &probs, contexts));
-                StreamTable { shifts, nodes, probs, sym }
+                (model.shifts(s).len() <= MAX_SYMBOL_BITS).then(|| SymbolTable::build(model, s))
             })
             .collect();
-        let mask = config.markov.contexts() - 1;
-        Self { inner, lanes, mask, streams }
+        let mask = model.config().contexts() - 1;
+        Self { inner, lanes, mask, symbols }
     }
 
     /// The interleave width this codec encodes with.
@@ -243,25 +211,26 @@ impl BlockCodec for SamcRansCodec {
                 format!("chunk of {} bytes is not a multiple of the {unit}-byte unit", chunk.len()),
             ));
         }
+        let model = self.inner.model();
         let mut encoder = RansEncoder::new(self.lanes);
         let mut ctx = 0usize;
         for unit_bytes in chunk.chunks(unit) {
             let word = unit_bytes.iter().fold(0u32, |acc, &b| acc << 8 | u32::from(b));
-            for stream in &self.streams {
-                if let Some(sym) = &stream.sym {
-                    let v = stream
-                        .shifts
+            for (s, symbols) in self.symbols.iter().enumerate() {
+                let shifts = model.shifts(s);
+                if let Some(sym) = symbols {
+                    let v = shifts
                         .iter()
                         .fold(0usize, |acc, &shift| acc << 1 | (word >> shift & 1) as usize);
                     let at = (ctx << sym.bits) | v;
                     encoder.encode_symbol(sym.freqs[at], sym.cums[at]);
                     ctx = (ctx << 1 | (v & 1)) & self.mask;
                 } else {
+                    let tree = model.tree(s, ctx);
                     let mut node = 1usize;
-                    let probs = &stream.probs[ctx * stream.nodes..(ctx + 1) * stream.nodes];
-                    for &shift in &stream.shifts {
+                    for &shift in shifts {
                         let bit = word >> shift & 1 == 1;
-                        encoder.encode_bit_raw(bit, probs[node]);
+                        encoder.encode_bit_raw(bit, tree[node].raw() as u16);
                         node = 2 * node + usize::from(bit);
                     }
                     // The stream's last bit is the low bit of the final node.
@@ -291,12 +260,13 @@ impl BlockCodec for SamcRansCodec {
                 ),
             ));
         }
+        let model = self.inner.model();
         let mut out = Vec::with_capacity(out_len);
         let mut ctx = 0usize;
         for _ in 0..out_len / unit {
             let mut word = 0u32;
-            for stream in &self.streams {
-                if let Some(sym) = &stream.sym {
+            for (s, symbols) in self.symbols.iter().enumerate() {
+                if let Some(sym) = symbols {
                     let slot_base = ctx << SCALE_BITS;
                     let v = decoder
                         .decode_symbol_with(|low| {
@@ -308,12 +278,11 @@ impl BlockCodec for SamcRansCodec {
                     word |= sym.scatter[v];
                     ctx = (ctx << 1 | (v & 1)) & self.mask;
                 } else {
+                    let tree = model.tree(s, ctx);
                     let mut node = 1usize;
-                    let probs = &stream.probs[ctx * stream.nodes..(ctx + 1) * stream.nodes];
-                    for &shift in &stream.shifts {
-                        let bit = decoder
-                            .decode_bit_raw(u32::from(probs[node]))
-                            .map_err(|e| e.named(NAME))?;
+                    for &shift in model.shifts(s) {
+                        let bit =
+                            decoder.decode_bit_raw(tree[node].raw()).map_err(|e| e.named(NAME))?;
                         word |= u32::from(bit) << shift;
                         node = 2 * node + usize::from(bit);
                     }
@@ -406,7 +375,7 @@ mod tests {
             ..SamcConfig::mips()
         };
         let codec = SamcRansCodec::train(&text, config, Lanes::FOUR).unwrap();
-        assert!(codec.streams.iter().all(|s| s.sym.is_none()), "16-bit streams must fall back");
+        assert!(codec.symbols.iter().all(Option::is_none), "16-bit streams must fall back");
         let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
     }

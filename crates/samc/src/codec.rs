@@ -87,33 +87,8 @@ impl SamcCodec {
     /// size misaligned with the instruction unit, or a stream width that
     /// is not byte-framed.
     pub fn train(text: &[u8], config: SamcConfig) -> Result<Self, CodecError> {
-        let width = config.division.width();
-        if !width.is_multiple_of(8) {
-            return Err(CodecError::train(
-                NAME,
-                format!("stream width {width} is not byte-framed"),
-            ));
-        }
-        let unit = config.unit_bytes();
-        if text.is_empty() {
-            return Err(CodecError::train(NAME, "cannot train on an empty text section"));
-        }
-        if !text.len().is_multiple_of(unit) {
-            return Err(CodecError::train(
-                NAME,
-                format!("text of {} bytes is not a multiple of the {unit}-byte unit", text.len()),
-            ));
-        }
-        if config.block_size == 0 || !config.block_size.is_multiple_of(unit) {
-            return Err(CodecError::train(
-                NAME,
-                format!("block size {} is not a positive multiple of {unit}", config.block_size),
-            ));
-        }
-        let units = frame_units(text, unit);
-        let model =
-            MarkovModel::train(&units, &config.division, config.markov, config.block_units());
-        Ok(Self { config, model })
+        let units = training_units(text, &config)?;
+        Ok(Self::train_units(&units, config))
     }
 
     /// Trains with an optimized stream division instead of `config`'s:
@@ -136,16 +111,15 @@ impl SamcCodec {
         optimize: &crate::OptimizeConfig,
     ) -> Result<(Self, f64), CodecError> {
         let width = config.division.width();
-        // Run `train`'s validation first so the optimizer's panics
-        // (empty units, stream mismatch) become typed errors here.
-        let probe = Self::train(text, config.clone())?;
+        // `train`'s checks come first so the optimizer's panics (empty
+        // units, stream mismatch) become typed errors here.
+        let units = training_units(text, &config)?;
         if optimize.streams == 0 || !usize::from(width).is_multiple_of(optimize.streams) {
             return Err(CodecError::train(
                 NAME,
                 format!("{} streams do not divide the {width}-bit width", optimize.streams),
             ));
         }
-        let units = frame_units(text, config.unit_bytes());
         let optimize = crate::OptimizeConfig {
             block_units: config.block_units(),
             markov: config.markov,
@@ -157,11 +131,14 @@ impl SamcCodec {
             &optimize,
             cce_codec::worker_count(),
         );
-        if division == config.division {
-            return Ok((probe, cost));
-        }
-        let codec = Self::train(text, config.with_division(division))?;
-        Ok((codec, cost))
+        Ok((Self::train_units(&units, config.with_division(division)), cost))
+    }
+
+    /// Trains the model on units [`training_units`] framed for `config`.
+    fn train_units(units: &[u32], config: SamcConfig) -> Self {
+        let model =
+            MarkovModel::train(units, &config.division, config.markov, config.block_units());
+        Self { config, model }
     }
 
     /// The trained model (exposed for size accounting and the optimizer).
@@ -190,22 +167,22 @@ impl SamcCodec {
         let _span = crate::obs::COMPRESS_SPAN.time();
         let unit = self.config.unit_bytes();
         crate::obs::COMPRESSED_UNITS.add((chunk.len() / unit) as u64);
-        let division = &self.config.division;
+        let model = &self.model;
         let mask = self.config.markov.context_mask();
         let mut encoder = BitEncoder::new();
         let mut ctx = 0usize;
         for unit_bytes in chunk.chunks(unit) {
             let word = unit_to_word(unit_bytes);
-            for s in 0..division.stream_count() {
+            for s in 0..self.config.division.stream_count() {
+                let tree = model.tree(s, ctx);
                 let mut node = 1usize;
-                let mut last = false;
-                for &bit_index in division.stream_bits(s) {
-                    let bit = division.bit_of(word, bit_index);
-                    encoder.encode_bit(bit, self.model.prob(s, ctx, node));
-                    node = 2 * node + usize::from(bit);
-                    last = bit;
+                for &shift in model.shifts(s) {
+                    let bit = word >> shift & 1;
+                    encoder.encode_bit(bit == 1, tree[node]);
+                    node = 2 * node + bit as usize;
                 }
-                ctx = (ctx << 1 | usize::from(last)) & mask;
+                // The stream's last bit is the low bit of the leaf reached.
+                ctx = (ctx << 1 | (node & 1)) & mask;
             }
         }
         encoder.finish()
@@ -247,6 +224,7 @@ impl SamcCodec {
                 "nibble engine requires 4-bit-aligned streams",
             ));
         }
+        let model = &self.model;
         let mask = self.config.markov.context_mask();
         let mut engine = NibbleDecoder::new(bytes);
         let mut out = Vec::with_capacity(out_len);
@@ -254,27 +232,24 @@ impl SamcCodec {
         for _ in 0..out_len / unit {
             let mut word = 0u32;
             for s in 0..division.stream_count() {
-                let bits = division.stream_bits(s);
+                let tree = model.tree(s, ctx);
                 let mut node = 1usize;
-                for nibble_index in 0..bits.len() / 4 {
-                    // The 15-probability subtree rooted at `node`: heap
-                    // index i at depth l maps to global node n·2^l + path.
+                for shifts in model.shifts(s).chunks_exact(4) {
+                    // The 15-probability subtree rooted at `node`: its
+                    // depth-l row is the 2^l consecutive heap nodes from
+                    // node·2^l.
                     let mut probs = [Prob::HALF; 15];
-                    for (i, slot) in probs.iter_mut().enumerate() {
-                        let depth = usize::BITS as usize - 1 - (i + 1).leading_zeros() as usize;
-                        let path = (i + 1) - (1 << depth);
-                        *slot = self.model.prob(s, ctx, (node << depth) + path);
+                    for depth in 0..4 {
+                        let row = node << depth..(node + 1) << depth;
+                        probs[(1 << depth) - 1..(2 << depth) - 1].copy_from_slice(&tree[row]);
                     }
                     let nibble = engine.decode_nibble(&NibbleProbTree::new(probs));
-                    for (j, &bit_index) in
-                        bits[nibble_index * 4..nibble_index * 4 + 4].iter().enumerate()
-                    {
-                        division.set_bit(&mut word, bit_index, nibble >> (3 - j) & 1 == 1);
+                    for (j, &shift) in shifts.iter().enumerate() {
+                        word |= u32::from(nibble >> (3 - j) & 1) << shift;
                     }
                     node = (node << 4) + usize::from(nibble);
                 }
-                let last = division.bit_of(word, *bits.last().expect("non-empty stream"));
-                ctx = (ctx << 1 | usize::from(last)) & mask;
+                ctx = (ctx << 1 | (node & 1)) & mask;
             }
             out.extend_from_slice(&word.to_be_bytes()[4 - unit..]);
         }
@@ -327,23 +302,33 @@ impl BlockCodec for SamcCodec {
             return Err(misaligned_length(out_len, unit));
         }
         crate::obs::DECOMPRESSED_UNITS.add((out_len / unit) as u64);
-        let division = &self.config.division;
+        let model = &self.model;
         let mask = self.config.markov.context_mask();
         let mut decoder = BitDecoder::new(block);
         let mut out = Vec::with_capacity(out_len);
         let mut ctx = 0usize;
         for _ in 0..out_len / unit {
             let mut word = 0u32;
-            for s in 0..division.stream_count() {
+            for s in 0..self.config.division.stream_count() {
+                let tree = model.tree(s, ctx);
+                // The last bit is peeled: its children would be leaves,
+                // which the tree does not store.
+                let (&last_shift, shifts) =
+                    model.shifts(s).split_last().expect("streams are non-empty");
                 let mut node = 1usize;
-                let mut last = false;
-                for &bit_index in division.stream_bits(s) {
-                    let bit = decoder.decode_bit(self.model.prob(s, ctx, node));
-                    division.set_bit(&mut word, bit_index, bit);
+                let mut p0 = tree[1];
+                for &shift in shifts {
+                    // Both children load while the bit resolves, so the
+                    // next probability is a select, not a dependent load.
+                    let (zero, one) = (tree[2 * node], tree[2 * node + 1]);
+                    let bit = decoder.decode_bit(p0);
+                    p0 = if bit { one } else { zero };
                     node = 2 * node + usize::from(bit);
-                    last = bit;
+                    word |= u32::from(bit) << shift;
                 }
-                ctx = (ctx << 1 | usize::from(last)) & mask;
+                let bit = decoder.decode_bit(p0);
+                word |= u32::from(bit) << last_shift;
+                ctx = (ctx << 1 | usize::from(bit)) & mask;
             }
             out.extend_from_slice(&word.to_be_bytes()[4 - unit..]);
         }
@@ -356,6 +341,32 @@ fn misaligned_length(len: usize, unit: usize) -> CodecError {
         NAME,
         format!("block length {len} is not a multiple of the {unit}-byte unit"),
     )
+}
+
+/// Checks `text` and `config` for training and frames the text into
+/// units.
+fn training_units(text: &[u8], config: &SamcConfig) -> Result<Vec<u32>, CodecError> {
+    let width = config.division.width();
+    if !width.is_multiple_of(8) {
+        return Err(CodecError::train(NAME, format!("stream width {width} is not byte-framed")));
+    }
+    let unit = config.unit_bytes();
+    if text.is_empty() {
+        return Err(CodecError::train(NAME, "cannot train on an empty text section"));
+    }
+    if !text.len().is_multiple_of(unit) {
+        return Err(CodecError::train(
+            NAME,
+            format!("text of {} bytes is not a multiple of the {unit}-byte unit", text.len()),
+        ));
+    }
+    if config.block_size == 0 || !config.block_size.is_multiple_of(unit) {
+        return Err(CodecError::train(
+            NAME,
+            format!("block size {} is not a positive multiple of {unit}", config.block_size),
+        ));
+    }
+    Ok(frame_units(text, unit))
 }
 
 /// Frames text into big-endian instruction units of `unit` bytes.

@@ -57,13 +57,50 @@ impl MarkovConfig {
 /// k-bit stream stores `2^k − 1` probabilities — the count the paper
 /// derives ("for a stream of k bits we need to store (2^{k+1} − 2)/2
 /// probabilities").
+///
+/// All trees live in one flat array, streams in order and each stream's
+/// contexts contiguous: [`MarkovModel::tree`] hands the coder one tree as
+/// a slice, and [`MarkovModel::shifts`] the shifts that move each of the
+/// stream's bits to the low bit of a unit word, so the per-bit walk is a
+/// slice index and a shift.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarkovModel {
     division: StreamDivision,
     config: MarkovConfig,
-    /// `trees[stream][context][node]`; context is the previous stream's
-    /// last bit (always 0 when unconnected).
-    trees: Vec<Vec<Vec<Prob>>>,
+    /// Every tree's `P(0)` per heap node; stream `s`'s tree under context
+    /// `ctx` is `probs[streams[s].base + ctx · nodes..][..nodes]`.
+    probs: Vec<Prob>,
+    streams: Vec<StreamLayout>,
+}
+
+/// Where one stream's trees sit in [`MarkovModel`]'s flat array.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct StreamLayout {
+    /// Offset of the stream's context-0 tree.
+    base: usize,
+    /// Slots per tree: `2^k` for a k-bit stream (slot 0 is never visited,
+    /// which keeps heap indexing exact).
+    nodes: usize,
+    /// `width − 1 − bit` for each of the stream's bits, in walk order.
+    shifts: Vec<u32>,
+}
+
+/// The flat layout of `division`'s trees under `contexts` contexts, and
+/// the total slot count.
+fn layout(division: &StreamDivision, contexts: usize) -> (Vec<StreamLayout>, usize) {
+    let width = division.width();
+    let mut base = 0;
+    let streams = (0..division.stream_count())
+        .map(|s| {
+            let bits = division.stream_bits(s);
+            let nodes = 1usize << bits.len();
+            let shifts = bits.iter().map(|&b| u32::from(width - 1 - b)).collect();
+            let stream = StreamLayout { base, nodes, shifts };
+            base += contexts * nodes;
+            stream
+        })
+        .collect();
+    (streams, base)
 }
 
 impl MarkovModel {
@@ -83,54 +120,32 @@ impl MarkovModel {
         block_units: usize,
     ) -> Self {
         assert!(block_units > 0, "blocks must hold at least one unit");
-        let contexts = config.contexts();
-        // counts[stream][ctx][node] = (zeros, ones)
-        let mut counts: Vec<Vec<Vec<(u64, u64)>>> = (0..division.stream_count())
-            .map(|s| {
-                let nodes = 1usize << division.stream_bits(s).len();
-                vec![vec![(0u64, 0u64); nodes]; contexts]
-            })
-            .collect();
-
+        let (streams, slots) = layout(division, config.contexts());
+        let mask = config.context_mask();
+        // (zeros, ones) per slot, laid out like the probabilities.
+        let mut counts = vec![(0u64, 0u64); slots];
         for block in units.chunks(block_units) {
             let mut ctx = 0usize;
             for &unit in block {
-                for (s, stream_counts) in counts.iter_mut().enumerate() {
+                for stream in &streams {
+                    let tree = &mut counts[stream.base + ctx * stream.nodes..][..stream.nodes];
                     let mut node = 1usize;
-                    let mut last = false;
-                    for &bit_index in division.stream_bits(s) {
-                        let bit = division.bit_of(unit, bit_index);
-                        let slot = &mut stream_counts[ctx][node];
-                        if bit {
-                            slot.1 += 1;
-                        } else {
-                            slot.0 += 1;
-                        }
-                        node = 2 * node + usize::from(bit);
-                        last = bit;
+                    for &shift in &stream.shifts {
+                        let bit = unit >> shift & 1;
+                        let slot = &mut tree[node];
+                        slot.0 += u64::from(bit ^ 1);
+                        slot.1 += u64::from(bit);
+                        node = 2 * node + bit as usize;
                     }
-                    ctx = (ctx << 1 | usize::from(last)) & config.context_mask();
+                    ctx = (ctx << 1 | (node & 1)) & mask;
                 }
             }
         }
-
-        let trees = counts
+        let probs = counts
             .into_iter()
-            .map(|stream_counts| {
-                stream_counts
-                    .into_iter()
-                    .map(|ctx_counts| {
-                        ctx_counts
-                            .into_iter()
-                            .map(|(zeros, ones)| {
-                                Prob::from_counts(zeros, ones).quantize(config.prob_mode)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
+            .map(|(zeros, ones)| Prob::from_counts(zeros, ones).quantize(config.prob_mode))
             .collect();
-        Self { division: division.clone(), config, trees }
+        Self { division: division.clone(), config, probs, streams }
     }
 
     /// Ideal coded size (in bits) of `units` under a model trained on
@@ -178,13 +193,26 @@ impl MarkovModel {
             .sum()
     }
 
-    /// Reassembles a model from serialized parts (crate-internal).
-    pub(crate) fn from_parts(
+    /// Reassembles a model from serialized parts (crate-internal):
+    /// `read` yields each visited node's probability in flat order
+    /// (stream, then context, then node 1..2^k); unvisited slot 0 is
+    /// [`Prob::HALF`], as training leaves it.
+    pub(crate) fn from_parts<E>(
         division: StreamDivision,
         config: MarkovConfig,
-        trees: Vec<Vec<Vec<Prob>>>,
-    ) -> Self {
-        Self { division, config, trees }
+        mut read: impl FnMut() -> Result<Prob, E>,
+    ) -> Result<Self, E> {
+        let (streams, slots) = layout(&division, config.contexts());
+        let mut probs = Vec::with_capacity(slots);
+        for stream in &streams {
+            for _ in 0..config.contexts() {
+                probs.push(Prob::HALF);
+                for _ in 1..stream.nodes {
+                    probs.push(read()?);
+                }
+            }
+        }
+        Ok(Self { division, config, probs, streams })
     }
 
     /// The division this model was trained with.
@@ -197,19 +225,41 @@ impl MarkovModel {
         self.config
     }
 
+    /// Stream `s`'s tree under context `ctx`: `P(next bit = 0)` per heap
+    /// node, root at index 1, `2^k` slots for a k-bit stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of range (codec-internal misuse).
+    pub fn tree(&self, stream: usize, ctx: usize) -> &[Prob] {
+        let layout = &self.streams[stream];
+        assert!(ctx < self.config.contexts(), "context {ctx} out of range");
+        &self.probs[layout.base + ctx * layout.nodes..][..layout.nodes]
+    }
+
+    /// `width − 1 − bit` for each bit of stream `s`, in walk order: the
+    /// right shift that brings the bit to the low end of a unit word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    pub fn shifts(&self, stream: usize) -> &[u32] {
+        &self.streams[stream].shifts
+    }
+
     /// P(next bit = 0) at `node` of stream `s` under context `ctx`.
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of range (codec-internal misuse).
     pub fn prob(&self, stream: usize, ctx: usize, node: usize) -> Prob {
-        self.trees[stream][ctx][node]
+        self.tree(stream, ctx)[node]
     }
 
     /// Number of stored probabilities across all trees.
     pub fn prob_count(&self) -> usize {
-        // Node 0 of each tree is never visited (root is 1), so subtract it.
-        self.trees.iter().flat_map(|stream| stream.iter()).map(|tree| tree.len() - 1).sum()
+        // Slot 0 of each tree is never visited (root is 1), so subtract it.
+        self.probs.len() - self.streams.len() * self.config.contexts()
     }
 
     /// Serialized model size in bytes: 12 bits per probability in exact
@@ -230,16 +280,15 @@ impl MarkovModel {
         for block in units.chunks(block_units) {
             let mut ctx = 0usize;
             for &unit in block {
-                for s in 0..self.division.stream_count() {
+                for s in 0..self.streams.len() {
+                    let tree = self.tree(s, ctx);
                     let mut node = 1usize;
-                    let mut last = false;
-                    for &bit_index in self.division.stream_bits(s) {
-                        let bit = self.division.bit_of(unit, bit_index);
-                        total += self.prob(s, ctx, node).code_length(bit);
-                        node = 2 * node + usize::from(bit);
-                        last = bit;
+                    for &shift in self.shifts(s) {
+                        let bit = unit >> shift & 1;
+                        total += tree[node].code_length(bit == 1);
+                        node = 2 * node + bit as usize;
                     }
-                    ctx = (ctx << 1 | usize::from(last)) & self.config.context_mask();
+                    ctx = (ctx << 1 | (node & 1)) & self.config.context_mask();
                 }
             }
         }

@@ -67,10 +67,8 @@ impl SamcCodec {
         let model = self.model();
         let contexts = config.markov.contexts();
         for s in 0..division.stream_count() {
-            let nodes = 1usize << division.stream_bits(s).len();
             for ctx in 0..contexts {
-                for node in 1..nodes {
-                    let p = model.prob(s, ctx, node);
+                for &p in &model.tree(s, ctx)[1..] {
                     match config.markov.prob_mode {
                         ProbMode::Exact => w.write_bits(p.raw(), 12),
                         ProbMode::Pow2 => w.write_bits(pow2_nibble(p), 4),
@@ -136,26 +134,13 @@ impl SamcCodec {
         let prob_mode = if r.read_bit().map_err(named)? { ProbMode::Pow2 } else { ProbMode::Exact };
         r.align_to_byte();
 
-        let contexts = 1usize << context_bits;
-        let mut trees: Vec<Vec<Vec<Prob>>> = Vec::with_capacity(division.stream_count());
-        for s in 0..division.stream_count() {
-            let nodes = 1usize << division.stream_bits(s).len();
-            let mut per_ctx = Vec::with_capacity(contexts);
-            for _ in 0..contexts {
-                let mut probs = vec![Prob::HALF; nodes];
-                for node in probs.iter_mut().skip(1) {
-                    *node = match prob_mode {
-                        ProbMode::Exact => Prob::from_raw(r.read_bits(12).map_err(named)?),
-                        ProbMode::Pow2 => nibble_pow2(r.read_bits(4).map_err(named)? as u8),
-                    };
-                }
-                per_ctx.push(probs);
-            }
-            trees.push(per_ctx);
-        }
         let markov = MarkovConfig { context_bits, prob_mode };
-        let config = SamcConfig { block_size, division: division.clone(), markov };
-        let model = MarkovModel::from_parts(division, markov, trees);
+        let model = MarkovModel::from_parts(division.clone(), markov, || match prob_mode {
+            ProbMode::Exact => r.read_bits(12).map(Prob::from_raw),
+            ProbMode::Pow2 => r.read_bits(4).map(|nibble| nibble_pow2(nibble as u8)),
+        })
+        .map_err(named)?;
+        let config = SamcConfig { block_size, division, markov };
         Ok(SamcCodec::from_parts(config, model))
     }
 }

@@ -156,16 +156,6 @@ impl StreamDivision {
         word >> (self.width - 1 - bit) & 1 == 1
     }
 
-    /// Sets instruction-bit-index `bit` in `word`.
-    pub fn set_bit(&self, word: &mut u32, bit: u8, value: bool) {
-        let mask = 1u32 << (self.width - 1 - bit);
-        if value {
-            *word |= mask;
-        } else {
-            *word &= !mask;
-        }
-    }
-
     /// Total bits (equals `width`).
     pub fn total_bits(&self) -> usize {
         self.streams.iter().map(Vec::len).sum()
@@ -218,11 +208,6 @@ mod tests {
         assert!(d.bit_of(0x8000_0000, 0));
         assert!(!d.bit_of(0x8000_0000, 1));
         assert!(d.bit_of(0x0000_0001, 31));
-        let mut w = 0u32;
-        d.set_bit(&mut w, 0, true);
-        assert_eq!(w, 0x8000_0000);
-        d.set_bit(&mut w, 0, false);
-        assert_eq!(w, 0);
     }
 
     #[test]

@@ -23,17 +23,27 @@ echo "== pipeline smoke (compress a multi-MB ELF, decode to equality) =="
 # A ~4.2 MB generated workload goes through `compress` (huffman,
 # 32-byte blocks, verified per block across the workers) and back through
 # `decompress`; the rebuilt ELF's .text must be byte-identical, and the
-# recorded block count must be exactly ceil(len(.text) / 32).  `analyze`
-# must list the workload's .text, .rodata and .bss sections.
+# recorded block count must be exactly ceil(len(.text) / 32).  The same
+# workload compressed with SAMC must give the same container on 1 and 4
+# workers, and decompress to the same .text.  `analyze` must list the
+# workload's .text, .rodata and .bss sections.
 pipe_workers=4
 pipe_elf="target/ci-pipeline.elf"
 pipe_cce="target/ci-pipeline.cce"
 pipe_out="target/ci-pipeline-out.elf"
 pipe_metrics="target/ci-pipeline-metrics.json"
+pipe_samc="target/ci-pipeline-samc"
 cargo run --release -q -p cce-core --bin cce -- gen go --scale 64 --seed 7 --multi-section -o "$pipe_elf"
 CCE_WORKERS="$pipe_workers" cargo run --release -q -p cce-core --bin cce -- \
     compress "$pipe_elf" -a huffman -o "$pipe_cce" --metrics "$pipe_metrics"
 cargo run --release -q -p cce-core --bin cce -- decompress "$pipe_cce" -o "$pipe_out"
+for workers in 1 "$pipe_workers"; do
+    CCE_WORKERS="$workers" cargo run --release -q -p cce-core --bin cce -- \
+        compress "$pipe_elf" -a samc -o "$pipe_samc-w$workers.cce"
+done
+cmp "$pipe_samc-w1.cce" "$pipe_samc-w$pipe_workers.cce"
+cargo run --release -q -p cce-core --bin cce -- \
+    decompress "$pipe_samc-w$pipe_workers.cce" -o "$pipe_samc-out.elf"
 pipe_sections="$(cargo run --release -q -p cce-core --bin cce -- analyze "$pipe_elf")"
 for section in .text .rodata .bss; do
     grep -q "^  $section " <<<"$pipe_sections" || {
@@ -42,7 +52,7 @@ for section in .text .rodata .bss; do
         exit 1
     }
 done
-python3 - "$pipe_elf" "$pipe_out" "$pipe_metrics" "$pipe_workers" <<'EOF'
+python3 - "$pipe_elf" "$pipe_out" "$pipe_metrics" "$pipe_workers" "$pipe_samc-out.elf" <<'EOF'
 import json, struct, sys
 
 def text_section(path):
@@ -66,16 +76,18 @@ def text_section(path):
             return data[offset:offset + size]
     raise AssertionError(f"no .text in {path}")
 
-original, rebuilt, metrics_path, workers = sys.argv[1:5]
+original, rebuilt, metrics_path, workers, samc_rebuilt = sys.argv[1:6]
 a, b = text_section(original), text_section(rebuilt)
 assert len(a) >= 4 * 1024 * 1024, f"workload too small: {len(a)} bytes"
 assert a == b, "decompressed .text differs from the original"
+assert text_section(samc_rebuilt) == a, "SAMC-decompressed .text differs from the original"
 with open(metrics_path) as f:
     # Hit/miss metrics carry hits/misses instead of a scalar value.
     metrics = {m["name"]: m["value"] for m in json.load(f)["metrics"] if "value" in m}
 blocks = metrics["pipeline.blocks"]
 assert blocks == -(-len(a) // 32), f"{blocks} blocks for {len(a)} .text bytes at 32 B"
-print(f"pipeline smoke: {len(a)} .text bytes round-tripped in {blocks} blocks on {workers} workers")
+print(f"pipeline smoke: {len(a)} .text bytes round-tripped in {blocks} blocks on {workers} workers"
+      " (huffman; samc identical on 1 and 4 workers)")
 EOF
 
 echo "== experiments (EXPERIMENTS.md tables, worker invariance) =="

@@ -57,6 +57,9 @@ where
     if workers == 1 {
         return items.iter().enumerate().map(|(i, item)| timed(&f, i, item)).collect();
     }
+    // The first claimed item leaves every other one queued: the run's
+    // deepest queue, recorded once rather than by every claim.
+    crate::obs::PAR_QUEUE_DEPTH.set_max((items.len() - 1) as u64);
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
@@ -70,7 +73,6 @@ where
                         if index >= items.len() {
                             break;
                         }
-                        crate::obs::PAR_QUEUE_DEPTH.set_max((items.len() - index - 1) as u64);
                         local.push((index, timed(&f, index, &items[index])));
                     }
                     local

@@ -697,6 +697,9 @@ fn sweep(args: &Args) -> Result<(), Box<dyn Error>> {
         decoders: axis(args, "--decoders", defaults.decoders.clone(), parse_decoder)?,
         ..defaults
     };
+    if config.clb_entries.contains(&0) {
+        return Err(args.usage("--clb: CLB entries must be positive"));
+    }
     let workers = args.number("--workers", worker_count())?;
 
     let profile = Spec95::by_name(PROFILE).expect("profile is in the suite");

@@ -35,15 +35,19 @@ pub struct Clb {
 }
 
 impl Clb {
-    /// Creates an empty CLB of `capacity` lines, each covering 16
-    /// consecutive LAT entries (one memory line's worth).
+    /// Consecutive LAT entries each line of a [`Clb::new`] CLB covers:
+    /// one memory line's worth.
+    pub const LINE_COVERAGE: usize = 16;
+
+    /// Creates an empty CLB of `capacity` lines, each covering
+    /// [`Clb::LINE_COVERAGE`] consecutive LAT entries.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0` (model a CLB-less system by never calling
     /// [`Clb::access`] instead).
     pub fn new(capacity: usize) -> Self {
-        Self::with_coverage(capacity, 16)
+        Self::with_coverage(capacity, Self::LINE_COVERAGE)
     }
 
     /// Creates a CLB whose lines each cover `coverage` LAT entries.

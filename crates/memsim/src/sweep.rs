@@ -5,41 +5,52 @@
 //! into cells and simulates every cell over one shared fetch trace.
 //! In the Fig. 1 system the CLB, the LAT and the decoder sit only on the
 //! I-cache miss path, so which fetches miss depends on the cache
-//! geometry alone.  [`run_sweep`] exploits that in three steps:
+//! geometry alone; and the I-cache and the CLB are both true LRU, so one
+//! LRU-stack walk gives the misses of every capacity at once (Mattson et
+//! al., *Evaluation techniques for storage hierarchies*, 1970).
+//! [`run_sweep`] exploits both in four steps:
 //!
 //! 1. **Transitions, once per block size.** The trace collapses into its
 //!    block-transition list: a fetch to the block of the fetch before it
 //!    is a guaranteed hit on the most recently used way, and re-stamping
 //!    that way cannot change any later LRU victim, so dropping it changes
-//!    no miss.
-//! 2. **One cache pass per geometry.** Each distinct (block size, cache
-//!    size, associativity) runs once over its transition list, recording
-//!    its cache stats and the ordered block indices of its misses.  That
-//!    pass, priced at the uncompressed refill, is also the cell's
-//!    baseline.
-//! 3. **Pricing per cell.** Each cell walks its geometry's miss list
-//!    (about 1% of fetches) through a fresh [`Clb`] and its image's
-//!    [`LineAddressTable`] at the cell decoder's costs.
+//!    no miss.  Block sizes are powers of two and nest, so each size's
+//!    list is collapsed from the next finer size's list.
+//! 2. **One cache pass per (block size, set count).** Each set keeps its
+//!    blocks in recency order, as deep as the group's largest
+//!    associativity.  A fetch found at stack depth `d` misses in an
+//!    `A`-way cache iff `d >= A` (a block not found misses in all), so
+//!    one walk fills the ordered miss list of every associativity.
+//! 3. **One CLB pass per (geometry, LAT length).** The miss list, mapped
+//!    to LAT lines (block indices past the table wrap), runs through one
+//!    fully associative stack as deep as the largest CLB, which counts
+//!    the CLB misses of every CLB capacity.  The transfer cycles of each
+//!    image's compressed blocks are summed over the same list.
+//! 4. **Cells priced from counts.** A cell's refill cycles are its cache
+//!    misses, CLB misses and transfer sum priced by the one refill
+//!    formula ([`MemorySystem::run`](crate::MemorySystem::run) prices
+//!    misses one at a time with it); the baseline prices the cache
+//!    misses at the uncompressed refill.
 //!
 //! Every quantity is an integer count or the per-block decompression
-//! time [`MemorySystem::run`](crate::MemorySystem::run) hoists the same
-//! way, so each cell's [`SimReport`] equals a full simulation of it exactly
-//! (pinned by `tests/differential.rs`).  Images, with their LATs behind
-//! an [`Arc`], and the trace are shared immutably.
+//! time hoisted the same way, so each cell's [`SimReport`] equals a full
+//! simulation of it exactly (pinned by `tests/differential.rs`).  Images,
+//! with their LATs behind an [`Arc`], and the trace are shared
+//! immutably.
 //!
-//! Both passes run through [`cce_codec::parallel_map`], whose results
-//! come back in item order regardless of worker count or scheduling, so
-//! a sweep's output is deterministic and worker-count invariant by
-//! construction.  `scripts/ci.sh` pins this: the `cce sweep` artifact
-//! carries no timing and must be byte-identical across `--workers
-//! 1/2/8`, and the default grid must reproduce the committed
+//! The passes of steps 2 and 3 run through [`cce_codec::parallel_map`],
+//! whose results come back in item order regardless of worker count or
+//! scheduling, so a sweep's output is deterministic and worker-count
+//! invariant by construction.  `scripts/ci.sh` pins this: the `cce sweep`
+//! artifact carries no timing and must be byte-identical across
+//! `--workers 1/2/8`, and the default grid must reproduce the committed
 //! `BENCH_memsim.json`.
 //!
 //! [`render_artifact`] writes that artifact (`BENCH_memsim.json`): the
 //! workload and grid, one entry per image and per cell, and a summary
 //! with each decoder's mean CPF and the arith-vs-rANS delta.
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{CacheConfig, CacheStats};
 use crate::clb::Clb;
 use crate::lat::LineAddressTable;
 use crate::system::{CostModel, DecoderLatency, RefillCost, SimReport};
@@ -110,9 +121,9 @@ impl SweepConfig {
     /// Expands the grid against `images` into cells, in the fixed
     /// nesting order image → cache size → associativity → CLB entries →
     /// decoder.  Cells whose cache geometry is impossible (capacity not
-    /// divisible, set count or block size not a power of two) are
-    /// skipped rather than simulated — the grid axes are free-form, the
-    /// cache model is not.
+    /// divisible, set count or block size not a power of two) or whose
+    /// CLB has no entries are skipped rather than simulated — the grid
+    /// axes are free-form, the memory-system model is not.
     pub fn expand(&self, images: &[SweepImage]) -> Vec<SweepCell> {
         let mut cells = Vec::new();
         for (image, spec) in images.iter().enumerate() {
@@ -126,7 +137,7 @@ impl SweepConfig {
                     if !config.is_valid() {
                         continue;
                     }
-                    for &clb in &self.clb_entries {
+                    for &clb in self.clb_entries.iter().filter(|&&clb| clb > 0) {
                         for decoder in 0..self.decoders.len() {
                             cells.push(SweepCell {
                                 image,
@@ -188,76 +199,136 @@ impl CellResult {
     }
 }
 
-/// One cache geometry's misses over a trace: the shared first half of
-/// every cell with that geometry.
-struct MissStream {
-    fetches: u64,
-    cache: CacheStats,
-    /// Block index of every miss, in trace order.
-    misses: Vec<usize>,
+/// One cache geometry as the sweep groups it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Geometry {
+    block_size: usize,
+    sets: usize,
+    associativity: usize,
 }
 
-impl MissStream {
-    /// Runs `geometry` over `transitions`, the block-transition list of
-    /// a `fetches`-long trace (see [`block_transitions`]).  Every dropped
-    /// fetch is a hit.
-    fn simulate(geometry: CacheConfig, transitions: &[u64], fetches: u64) -> Self {
-        let block_shift = geometry.block_size.trailing_zeros();
-        let mut cache = Cache::new(geometry);
-        let misses: Vec<usize> = transitions
-            .iter()
-            .filter(|&&addr| !cache.access(addr))
-            .map(|&addr| (addr >> block_shift) as usize)
-            .collect();
-        let missed = misses.len() as u64;
-        Self { fetches, cache: CacheStats { hits: fetches - missed, misses: missed }, misses }
-    }
+/// The counts every cell of one [`Geometry`] is priced from.
+struct MissCounts {
+    /// I-cache misses over the whole trace.
+    misses: u64,
+    /// CLB misses by LAT length (wrap modulus), then by CLB capacity in
+    /// ascending order.
+    clb_misses: BTreeMap<usize, Vec<u64>>,
+    /// Transfer cycles of the missed compressed blocks, by image index.
+    transfer: BTreeMap<usize, u64>,
+}
 
-    /// The uncompressed system's report: every miss refills a plain block.
-    fn baseline(&self, cost: RefillCost) -> SimReport {
-        self.report(HitMiss::new(), self.misses.len() as u64 * cost.uncompressed())
+/// The block-transition list of `trace` at each of `block_sizes` (powers
+/// of two): the block index of the first fetch of every run of
+/// consecutive fetches to one block.  Each list is collapsed from the
+/// next finer size's, which is exact because power-of-two blocks nest.
+fn block_transitions(
+    trace: &[u64],
+    block_sizes: impl IntoIterator<Item = usize>,
+) -> BTreeMap<usize, Vec<u64>> {
+    let mut lists: Vec<(usize, Vec<u64>)> = Vec::new();
+    for block_size in block_sizes.into_iter().collect::<BTreeSet<_>>() {
+        let (finer, finer_shift) = lists
+            .last()
+            .map_or((trace, 0), |(size, list)| (list.as_slice(), size.trailing_zeros()));
+        let shift = block_size.trailing_zeros() - finer_shift;
+        let list = finer.chunk_by(|a, b| a >> shift == b >> shift).map(|run| run[0] >> shift);
+        lists.push((block_size, list.collect()));
     }
+    lists.into_iter().collect()
+}
 
-    /// A compressed cell's report: every miss refills through `lat`
-    /// behind a fresh CLB of `clb_entries`.
-    fn price(&self, lat: &LineAddressTable, clb_entries: usize, cost: RefillCost) -> SimReport {
-        let mut clb = Clb::new(clb_entries);
-        let refill_cycles =
-            self.misses.iter().map(|&block| cost.compressed(lat, &mut clb, block)).sum();
-        self.report(clb.stats(), refill_cycles)
-    }
-
-    /// Assembles a report (one cycle per fetch plus the refills) and
-    /// flushes its traffic into the global metrics, as a full
-    /// simulation would.
-    fn report(&self, clb: HitMiss, refill_cycles: u64) -> SimReport {
-        crate::obs::record_run(self.cache, clb, refill_cycles);
-        SimReport {
-            fetches: self.fetches,
-            cache: self.cache,
-            clb_hits: clb.hits,
-            clb_misses: clb.misses,
-            cycles: self.fetches + refill_cycles,
-            refill_cycles,
+/// Moves `key` to the front of the LRU stack `stack[..*held]` (most
+/// recent first), growing it up to `stack.len()` entries; returns the
+/// depth `key` was found at, or `stack.len()` if it was not held.
+#[inline]
+fn stack_access<T: Copy + PartialEq>(stack: &mut [T], held: &mut usize, key: T) -> usize {
+    // One walk both finds `key` and shifts every more recent entry down
+    // a place: each slot takes the entry above it.
+    let mut carried = key;
+    for (depth, slot) in stack[..*held].iter_mut().enumerate() {
+        std::mem::swap(slot, &mut carried);
+        if carried == key {
+            return depth;
         }
     }
+    // Not held: `carried` is the old least recent entry, kept if the
+    // stack has room.
+    if *held < stack.len() {
+        stack[*held] = carried;
+        *held += 1;
+    }
+    stack.len()
 }
 
-/// The first fetch of every run of consecutive fetches to one
-/// `block_size` block of `trace`.
-fn block_transitions(trace: &[u64], block_size: usize) -> Vec<u64> {
-    let block_shift = block_size.trailing_zeros();
-    trace.chunk_by(|a, b| a >> block_shift == b >> block_shift).map(|run| run[0]).collect()
+/// One LRU-stack pass of a block-transition list through a cache of
+/// `sets` sets: the ordered miss list (block indices) of each of
+/// `associativities` (ascending).
+fn cache_misses(blocks: &[u64], sets: usize, associativities: &[usize]) -> Vec<Vec<usize>> {
+    let depth = associativities[associativities.len() - 1];
+    let set_mask = (sets - 1) as u64;
+    let mut stacks = vec![0u64; sets * depth];
+    let mut held = vec![0usize; sets];
+    let mut misses = vec![Vec::new(); associativities.len()];
+    for &block in blocks {
+        let set = (block & set_mask) as usize;
+        let stack = &mut stacks[set * depth..(set + 1) * depth];
+        let distance = stack_access(stack, &mut held[set], block);
+        for (&ways, list) in associativities.iter().zip(&mut misses) {
+            if distance < ways {
+                break;
+            }
+            list.push(block as usize);
+        }
+    }
+    misses
+}
+
+/// One fully associative LRU-stack pass of a miss list through the CLB's
+/// lines, block indices wrapping at `lat_len`: the CLB misses at each of
+/// `capacities` (ascending).
+fn clb_misses(misses: &[usize], lat_len: usize, capacities: &[usize]) -> Vec<u64> {
+    let coverage_shift = Clb::LINE_COVERAGE.trailing_zeros();
+    let mut stack = vec![0usize; capacities[capacities.len() - 1]];
+    let mut held = 0;
+    let mut counts = vec![0u64; capacities.len()];
+    for &block in misses {
+        let distance = stack_access(&mut stack, &mut held, (block % lat_len) >> coverage_shift);
+        for (&capacity, count) in capacities.iter().zip(&mut counts) {
+            if distance < capacity {
+                break;
+            }
+            *count += 1;
+        }
+    }
+    counts
+}
+
+/// A report of `fetches` fetches with `misses` cache misses, `clb`
+/// traffic and `refill_cycles` (one cycle per fetch plus the refills),
+/// whose traffic is flushed into the global metrics as a full simulation
+/// would.
+fn report(fetches: u64, misses: u64, clb: HitMiss, refill_cycles: u64) -> SimReport {
+    let cache = CacheStats { hits: fetches - misses, misses };
+    crate::obs::record_run(cache, clb, refill_cycles);
+    SimReport {
+        fetches,
+        cache,
+        clb_hits: clb.hits,
+        clb_misses: clb.misses,
+        cycles: fetches + refill_cycles,
+        refill_cycles,
+    }
 }
 
 /// Runs the full sweep: expands the grid, collapses the trace into one
-/// block-transition list per block size, runs each distinct cache
-/// geometry once over its list (its miss list and stats also give the
-/// uncompressed baseline), then prices every cell on its geometry's miss
-/// list.  Both passes fan out across `workers` threads; results come
-/// back in [`SweepConfig::expand`] order for any worker count, and each
-/// equals a standalone [`MemorySystem::run`](crate::MemorySystem::run)
-/// of its cell.
+/// block-transition list per block size, runs one cache stack pass per
+/// (block size, set count) and one CLB stack pass per (geometry, LAT
+/// length), then prices every cell and each geometry's uncompressed
+/// baseline from the counts.  The passes fan out across `workers`
+/// threads; results come back in [`SweepConfig::expand`] order for any
+/// worker count, and each equals a standalone
+/// [`MemorySystem::run`](crate::MemorySystem::run) of its cell.
 ///
 /// Records `sweep.cells` (cells simulated), `sweep.reuse.images`
 /// (cells beyond the first use of each image — the builds the sharing
@@ -278,43 +349,105 @@ pub fn run_sweep(
     let _span = crate::obs::SWEEP_SPAN.time();
     let cells = config.expand(images);
     let fetches = trace.len() as u64;
+    let geometry = |cell: &SweepCell| {
+        let block_size = images[cell.image].block_size;
+        let cache = CacheConfig {
+            size_bytes: cell.cache_size,
+            block_size,
+            associativity: cell.associativity,
+        };
+        Geometry { block_size, sets: cache.sets(), associativity: cell.associativity }
+    };
 
     // Which fetches miss depends only on the cache geometry, never on
-    // the codec, CLB or decoder: simulate each distinct geometry once.
-    let geometries: Vec<(usize, usize, usize)> = cells
-        .iter()
-        .map(|c| (images[c.image].block_size, c.cache_size, c.associativity))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let mut transitions = BTreeMap::new();
-    for &(block_size, ..) in &geometries {
-        transitions.entry(block_size).or_insert_with(|| block_transitions(trace, block_size));
+    // the codec, CLB or decoder; one stack pass per (block size, set
+    // count) serves every associativity, and one CLB pass per LAT length
+    // every CLB capacity.
+    let mut groups: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
+    for cell in &cells {
+        let g = geometry(cell);
+        groups.entry((g.block_size, g.sets)).or_default().insert(g.associativity);
     }
+    let groups: Vec<((usize, usize), Vec<usize>)> =
+        groups.into_iter().map(|(key, ways)| (key, ways.into_iter().collect())).collect();
+    let capacities: Vec<usize> =
+        cells.iter().map(|c| c.clb_entries).collect::<BTreeSet<_>>().into_iter().collect();
+    let transitions =
+        block_transitions(trace, groups.iter().map(|&((block_size, _), _)| block_size));
     let baseline_costs = CostModel {
         memory_latency: config.memory_latency,
         bus_bytes_per_cycle: config.bus_bytes_per_cycle,
         decoder: DecoderLatency::default(),
     };
-    let passes = cce_codec::parallel_map(
-        workers,
-        &geometries,
-        |_, &(block_size, size_bytes, associativity)| {
-            let geometry = CacheConfig { size_bytes, block_size, associativity };
-            let stream = MissStream::simulate(geometry, &transitions[&block_size], fetches);
-            let baseline = stream.baseline(RefillCost::new(&baseline_costs, block_size));
-            (stream, baseline)
-        },
-    );
-    let passes: BTreeMap<_, _> = geometries.into_iter().zip(passes).collect();
-
-    let results = cce_codec::parallel_map(workers, &cells, |_, cell| {
-        let image = &images[cell.image];
-        let (stream, baseline) = &passes[&(image.block_size, cell.cache_size, cell.associativity)];
-        let cost = RefillCost::new(&config.costs(cell.decoder), image.block_size);
-        let report = stream.price(&image.lat, cell.clb_entries, cost);
-        CellResult { cell: *cell, report, baseline: *baseline }
+    let passes = cce_codec::parallel_map(workers, &groups, |_, ((block_size, sets), ways)| {
+        let cost = RefillCost::new(&baseline_costs, *block_size);
+        let images: Vec<(usize, &SweepImage)> = images
+            .iter()
+            .enumerate()
+            .filter(|(_, image)| image.block_size == *block_size)
+            .collect();
+        let lat_lens: BTreeSet<usize> =
+            images.iter().map(|(_, image)| image.lat.len().max(1)).collect();
+        let per_ways = cache_misses(&transitions[block_size], *sets, ways);
+        per_ways
+            .into_iter()
+            .map(|misses| MissCounts {
+                misses: misses.len() as u64,
+                clb_misses: lat_lens
+                    .iter()
+                    .map(|&lat_len| (lat_len, clb_misses(&misses, lat_len, &capacities)))
+                    .collect(),
+                transfer: images
+                    .iter()
+                    .map(|&(index, image)| {
+                        let lat_len = image.lat.len().max(1);
+                        let cycles = misses
+                            .iter()
+                            .map(|&block| cost.transfer(image.lat.lookup(block % lat_len).1))
+                            .sum();
+                        (index, cycles)
+                    })
+                    .collect(),
+            })
+            .collect::<Vec<_>>()
     });
+    let counts: BTreeMap<Geometry, MissCounts> = groups
+        .iter()
+        .zip(passes)
+        .flat_map(|(&((block_size, sets), ref ways), per_ways)| {
+            ways.iter().zip(per_ways).map(move |(&associativity, counts)| {
+                (Geometry { block_size, sets, associativity }, counts)
+            })
+        })
+        .collect();
+
+    let baselines: BTreeMap<Geometry, SimReport> = counts
+        .iter()
+        .map(|(g, counts)| {
+            let refill =
+                counts.misses * RefillCost::new(&baseline_costs, g.block_size).uncompressed();
+            (*g, report(fetches, counts.misses, HitMiss::new(), refill))
+        })
+        .collect();
+    let results: Vec<CellResult> = cells
+        .iter()
+        .map(|cell| {
+            let g = geometry(cell);
+            let counts = &counts[&g];
+            let image = &images[cell.image];
+            let capacity = capacities.binary_search(&cell.clb_entries).expect("capacity of a cell");
+            let clb_misses = counts.clb_misses[&image.lat.len().max(1)][capacity];
+            let clb = HitMiss { hits: counts.misses - clb_misses, misses: clb_misses };
+            let cost = RefillCost::new(&config.costs(cell.decoder), image.block_size);
+            let refill =
+                cost.compressed_refills(counts.misses, clb_misses, counts.transfer[&cell.image]);
+            CellResult {
+                cell: *cell,
+                report: report(fetches, counts.misses, clb, refill),
+                baseline: baselines[&g],
+            }
+        })
+        .collect();
 
     crate::obs::SWEEP_CELLS.add(results.len() as u64);
     crate::obs::SWEEP_IMAGE_REUSE.add(results.len().saturating_sub(images.len()) as u64);
@@ -471,6 +604,21 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.cache_size == 1024));
         assert_eq!((cells[0].decoder, cells[1].decoder), (0, 1));
+    }
+
+    #[test]
+    fn zero_entry_clb_cells_are_skipped() {
+        let config = SweepConfig { clb_entries: vec![0, 8, 0], ..SweepConfig::default() };
+        let images = [image(32, 512, 18)];
+        let cells = config.expand(&images);
+        assert!(!cells.is_empty());
+        assert!(cells.iter().all(|c| c.clb_entries == 8));
+        // The zero-entry values expand to nothing, so the sweep runs.
+        let eight = SweepConfig { clb_entries: vec![8], ..SweepConfig::default() };
+        assert_eq!(
+            run_sweep(&images, &config, &trace(5_000), 2),
+            run_sweep(&images, &eight, &trace(5_000), 2)
+        );
     }
 
     #[test]

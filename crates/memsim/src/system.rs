@@ -126,9 +126,10 @@ impl Default for CostModel {
     }
 }
 
-/// The price of one I-cache refill under a [`CostModel`] at one block
-/// size — the single home of the per-miss formula, shared by
-/// [`MemorySystem::run`] and the sweep's miss-stream pricing.
+/// The price of I-cache refills under a [`CostModel`] at one block size
+/// — the single home of the refill formula, shared by
+/// [`MemorySystem::run`] (one miss at a time) and the sweep (whole miss
+/// lists priced from their counts).
 ///
 /// Every term that does not depend on the missed block (the
 /// uncompressed refill and the decompression time) is computed once here
@@ -161,18 +162,33 @@ impl RefillCost {
         self.uncompressed
     }
 
+    /// Bus cycles to move a compressed block of `bytes` from memory.
+    #[inline]
+    pub(crate) fn transfer(&self, bytes: u32) -> u64 {
+        u64::from(bytes).div_ceil(self.bus_bytes_per_cycle)
+    }
+
+    /// Cycles of `refills` compressed refills, `clb_misses` of which
+    /// missed the CLB, whose compressed blocks took `transfer` bus
+    /// cycles in all ([`RefillCost::transfer`] summed over the refills).
+    /// A CLB miss fetches the LAT entry from main memory; every refill
+    /// then fetches its compressed bytes and decompresses them.
+    #[inline]
+    pub(crate) fn compressed_refills(&self, refills: u64, clb_misses: u64, transfer: u64) -> u64 {
+        clb_misses * self.memory_latency
+            + refills * (self.memory_latency + self.decompress)
+            + transfer
+    }
+
     /// Cycles to refill cache block `block` from the compressed image:
     /// its LAT entry (addresses past the table wrap) is looked up through
-    /// `clb` — a CLB miss costs one more memory access — then the
-    /// compressed bytes are fetched and decompressed.
+    /// `clb`, then priced by [`RefillCost::compressed_refills`].
     #[inline]
     pub(crate) fn compressed(&self, lat: &LineAddressTable, clb: &mut Clb, block: usize) -> u64 {
         let block = block % lat.len().max(1);
-        // A CLB miss fetches the LAT entry from main memory.
-        let lat_penalty = if clb.access(block) { 0 } else { self.memory_latency };
+        let clb_miss = !clb.access(block);
         let (_, compressed_size) = lat.lookup(block);
-        let transfer = u64::from(compressed_size).div_ceil(self.bus_bytes_per_cycle);
-        lat_penalty + self.memory_latency + transfer + self.decompress
+        self.compressed_refills(1, u64::from(clb_miss), self.transfer(compressed_size))
     }
 }
 

@@ -9,6 +9,7 @@ use cce_memsim::{
     Cache, CacheConfig, Clb, CostModel, DecoderLatency, LineAddressTable, MemorySystem,
 };
 use cce_rng::Rng;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A random but legal cache geometry: power-of-two block size and set
@@ -187,7 +188,8 @@ fn random_grid(rng: &mut Rng) -> SweepConfig {
 fn sweep_cells_match_standalone_simulations() {
     let mut rng = Rng::seed_from_u64(42);
     let (mut skipped_geometries, mut wrapped_cells, mut cells) = (0, 0, 0);
-    for case in 0..12 {
+    let (mut shared_stack_passes, mut shared_clb_passes, mut split_lat_lengths) = (0, 0, 0);
+    for case in 0..40 {
         let config = random_grid(&mut rng);
         let span = 1u64 << rng.random_range(10..=14u32);
         let images: Vec<SweepImage> = (0..rng.random_range(1..=3))
@@ -220,8 +222,31 @@ fn sweep_cells_match_standalone_simulations() {
             * config.decoders.len();
 
         let results = run_sweep(&images, &config, &trace, workers);
-        assert_eq!(results.len(), config.expand(&images).len(), "case {case}");
+        let expanded = config.expand(&images);
+        assert_eq!(results.len(), expanded.len(), "case {case}");
         skipped_geometries += grid - results.len();
+        // The sharing the sweep's passes exist for: one (block size, set
+        // count) pass serving several associativities, one CLB pass
+        // serving several capacities, and images of one block size whose
+        // LATs wrap at different lengths.
+        let mut ways_by_pass: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
+        for cell in &expanded {
+            let block_size = images[cell.image].block_size;
+            let sets = cell.cache_size / (block_size * cell.associativity);
+            ways_by_pass.entry((block_size, sets)).or_default().insert(cell.associativity);
+        }
+        shared_stack_passes += ways_by_pass.values().filter(|ways| ways.len() >= 2).count();
+        let capacities: BTreeSet<usize> = expanded.iter().map(|c| c.clb_entries).collect();
+        shared_clb_passes += usize::from(capacities.len() >= 2);
+        let swept: BTreeSet<usize> = expanded.iter().map(|c| c.image).collect();
+        for &a in &swept {
+            for &b in swept.range(a + 1..) {
+                split_lat_lengths += usize::from(
+                    images[a].block_size == images[b].block_size
+                        && images[a].lat.len() != images[b].lat.len(),
+                );
+            }
+        }
         for result in results {
             let cell = result.cell;
             let image = &images[cell.image];
@@ -260,4 +285,7 @@ fn sweep_cells_match_standalone_simulations() {
     // The seeded grids must actually reach the cases they exist for.
     assert!(skipped_geometries > 0, "no invalid geometry was skipped");
     assert!(wrapped_cells > 0 && wrapped_cells < cells, "{wrapped_cells} of {cells} cells wrap");
+    assert!(shared_stack_passes > 0, "no cache pass served two associativities");
+    assert!(shared_clb_passes > 0, "no CLB pass served two capacities");
+    assert!(split_lat_lengths > 0, "no two images of one block size had different LAT lengths");
 }

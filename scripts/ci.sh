@@ -156,9 +156,10 @@ echo "== sweep smoke (fixed-seed grid, worker invariance) =="
 # required per-cell field, and — because each cell is a pure function of
 # the shared compressed images and the one decoded trace, and the
 # artifact carries no timing — it must be byte-identical for any worker
-# count.
+# count.  So must the simulator's `memsim.*` and `sweep.*` counters in
+# the `--metrics` artifact (all but the `sweep.span` wall time).
 sweep_file="target/ci-sweep.json"
-cargo run --release -q -p cce-core --bin cce -- sweep --scale 0.05 --fetches 60000 --workers 1 -o "$sweep_file"
+cargo run --release -q -p cce-core --bin cce -- sweep --scale 0.05 --fetches 60000 --workers 1 -o "$sweep_file" --metrics "$sweep_file.m1"
 python3 - "$sweep_file" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -180,9 +181,22 @@ EOF
 test "$(tail -c1 "$sweep_file")" = ""
 # Determinism: byte-identical artifacts across worker counts.
 for w in 2 8; do
-    cargo run --release -q -p cce-core --bin cce -- sweep --scale 0.05 --fetches 60000 --workers "$w" -o "$sweep_file.w$w"
+    cargo run --release -q -p cce-core --bin cce -- sweep --scale 0.05 --fetches 60000 --workers "$w" -o "$sweep_file.w$w" --metrics "$sweep_file.m$w"
     cmp "$sweep_file" "$sweep_file.w$w"
 done
+python3 - "$sweep_file.m1" "$sweep_file.m2" "$sweep_file.m8" <<'EOF'
+import json, sys
+def counters(path):
+    with open(path) as f:
+        metrics = json.load(f)["metrics"]
+    return {m["name"]: m["value"] for m in metrics
+            if m["name"].startswith(("memsim.", "sweep.")) and m["name"] != "sweep.span"}
+one = counters(sys.argv[1])
+assert len(one) == 9 and one["sweep.cells"] >= 200 and one["memsim.clb.misses"] > 0, one
+for path in sys.argv[2:]:
+    assert counters(path) == one, f"{path}: {counters(path)} != {one}"
+print(f"sweep smoke: {len(one)} memsim/sweep counters equal at 1, 2 and 8 workers")
+EOF
 # The committed artifact is current: the default grid reproduces
 # BENCH_memsim.json byte for byte.
 cargo run --release -q -p cce-core --bin cce -- sweep --workers 2 -o target/ci-memsim.json

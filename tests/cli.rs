@@ -457,6 +457,25 @@ fn flags_from_other_commands_are_usage_errors() {
 }
 
 #[test]
+fn sweep_refuses_a_zero_entry_clb() {
+    let dir = temp_dir("sweep-clb");
+    let out = dir.join("memsim.json");
+    let out = out.to_str().expect("utf8");
+    // A CLB needs at least one entry: the value is a usage error, caught
+    // before any image is built, never a worker panic.
+    for clb in ["0", "8,0"] {
+        let args = ["sweep", "--scale", "0.05", "--fetches", "1000", "--clb", clb, "-o", out];
+        let output = cce(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.contains("--clb: CLB entries must be positive"), "{args:?}:\n{stderr}");
+        assert!(stderr.contains("usage: cce sweep "), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+    assert!(!std::path::Path::new(out).exists(), "a refused sweep wrote its output");
+}
+
+#[test]
 fn metrics_artifacts_are_written_for_compress_and_info() {
     // `cce_obs::JsonWriter` output is deterministic (keys in writing
     // order, no whitespace), so fields are checked as exact substrings;

@@ -1,77 +1,40 @@
 //! The container side of the serving tier.
 //!
-//! [`cce_serve`] is container-agnostic: it checks byte extents of an
-//! image file against a digest record and serves blocks at offsets it
-//! is given.  This module publishes a v2 container as that image
-//! ([`publish_container`]: head = header and model, runs of whole
-//! blocks, tail = index and footer), checks on open that a record's
-//! extents fall on the container's section and block boundaries, hands
-//! the daemon the container's block table ([`open_with_codec`]), and
-//! defines the `get-manifest` reply ([`ArtifactInfo`]).
-//! [`ContainerV2Reader`] stays the only decoder of the block index.
+//! [`cce_serve`] is container-agnostic: it serves blocks at the offsets
+//! it is given and checks each run it loads against the digest it is
+//! given.  This module opens a CCE2 container for it ([`open`]):
+//! [`ContainerV2Reader`] parses the digest section and checks the head
+//! and the index, and the daemon gets the file, the runs and the block
+//! table.  It also defines the `get-manifest` reply ([`ArtifactInfo`]).
+//! [`ContainerV2Reader`] stays the only parser of the block index and
+//! the digests.
 
 use crate::container::{ContainerIdentity, ContainerV2Reader, IDENTITY_LEN};
+pub use crate::publish::{open_with_codec, publish_container};
 use cce_codec::{BlockCodec, BlockImage};
-use cce_serve::record::IMAGE_FILE;
 use cce_serve::store::{Artifact, BlockEntry};
-use cce_serve::{pack_runs, publish, DigestRecord, PublishSummary, ServeError};
+use cce_serve::ServeError;
+use std::fs::File;
 use std::io::{BufReader, Read, Seek};
 use std::path::Path;
 
-/// Publishes an open v2 container into the directory `dir`: the
-/// container byte for byte, and a digest record whose runs pack whole
-/// blocks to `chunk_payload` bytes.
+/// Opens the container at `path` for serving and rebuilds its codec:
+/// the one-call path `cce serve` uses.  The container is parsed by
+/// [`ContainerV2Reader`] (head, index and digest section checked) and
+/// the codec rebuilt from its identity as `cce decompress` does; the
+/// runs are checked as the daemon loads them.
 ///
 /// # Errors
 ///
-/// [`ServeError::Io`] when `dir` exists non-empty or a write fails;
-/// [`ServeError::Corrupt`] on an out-of-range `chunk_payload` or when a
-/// container read fails.
-pub fn publish_container<R: Read + Seek>(
-    reader: &mut ContainerV2Reader<R>,
-    dir: &Path,
-    chunk_payload: u64,
-) -> Result<PublishSummary, ServeError> {
-    let blocks = (0..reader.block_count()).map(|i| {
-        let range = reader.block_range(i);
-        range.end - range.start
-    });
-    let mut bounds = vec![0, reader.data_start()];
-    for run in pack_runs(blocks, chunk_payload)? {
-        bounds.push(bounds[bounds.len() - 1] + run);
-    }
-    bounds.push(reader.summary().total_len);
-    let extents = bounds.windows(2).map(|pair| reader.read_raw(pair[0]..pair[1]).map_err(corrupt));
-    publish(dir, extents)
-}
-
-/// Opens a published directory and rebuilds its codec: the one-call
-/// path `cce serve` and `cce verify` use.  The container is parsed by
-/// [`ContainerV2Reader`], its layout checked against the digest record,
-/// and the codec rebuilt from its identity as `cce decompress` does.
-///
-/// # Errors
-///
-/// [`ServeError::Corrupt`] when the record or the container does not
-/// parse, the record's head, tail or total length disagree with the
-/// container's sections, or the codec model does not load; any
-/// [`Artifact::open`] failure.
-pub fn open_with_codec(dir: &Path) -> Result<(Artifact, Box<dyn BlockCodec>), ServeError> {
-    let record = DigestRecord::read(dir)?;
-    let file = std::fs::File::open(dir.join(IMAGE_FILE))?;
-    let reader = ContainerV2Reader::open(BufReader::new(file)).map_err(corrupt)?;
-    let data_end = reader.data_start() + reader.summary().data_len;
-    let layout = [
-        ("head length", record.head().len, reader.data_start()),
-        ("tail start", record.tail().start, data_end),
-        ("image length", record.image_len(), reader.summary().total_len),
-    ];
-    for (what, recorded, actual) in layout {
-        if recorded != actual {
-            let detail = format!("digest record {what} {recorded}, container has {actual}");
-            return Err(ServeError::corrupt(IMAGE_FILE, detail));
-        }
-    }
+/// [`ServeError::Io`] naming `path` when it cannot be opened;
+/// [`ServeError::Corrupt`] naming `path` when the container does not
+/// parse or the codec model does not load; any [`Artifact::open`]
+/// failure.
+pub fn open(path: &Path) -> Result<(Artifact, Box<dyn BlockCodec>), ServeError> {
+    let corrupt = |e| ServeError::corrupt(path.display(), e);
+    let file = File::open(path)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    let reader = ContainerV2Reader::open(BufReader::new(file.try_clone()?)).map_err(corrupt)?;
     let codec = reader.block_codec().map_err(corrupt)?;
     let blocks = (0..reader.block_count())
         .map(|i| {
@@ -84,12 +47,7 @@ pub fn open_with_codec(dir: &Path) -> Result<(Artifact, Box<dyn BlockCodec>), Se
         })
         .collect();
     let info = ArtifactInfo::of(&reader).encode();
-    Ok((Artifact::open(dir, record, blocks, info)?, codec))
-}
-
-/// A container error, as the serving tier reports it.
-fn corrupt(e: cce_codec::CodecError) -> ServeError {
-    ServeError::corrupt(IMAGE_FILE, e)
+    Ok((Artifact::open(file, reader.runs().collect(), blocks, info)?, codec))
 }
 
 /// The `get-manifest` reply: what a client needs to fetch a served
@@ -174,11 +132,11 @@ impl ArtifactInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::encode_image;
+    use crate::container::{digest_extents, encode_image, with_section};
     use crate::registry::Algorithm;
+    use crate::serve::verify_dir;
     use cce_elf::{Class, Endianness};
     use cce_isa::Isa;
-    use cce_serve::verify_dir;
     use std::fs;
     use std::io::Cursor;
     use std::path::PathBuf;
@@ -187,15 +145,17 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("cce-core-artifact-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
         dir
     }
 
-    /// A trained huffman container over a small MIPS workload, in memory.
-    fn sample_container() -> Vec<u8> {
+    /// A trained huffman container over the first `len` bytes of a MIPS
+    /// `go` workload, in memory.
+    fn sample_container(len: usize) -> Vec<u8> {
         use cce_workload::{generate_mips, Spec95};
-        let profile = Spec95::by_name("ijpeg").unwrap();
-        let mut text = cce_isa::mips::encode_text(&generate_mips(profile, 0.02));
-        text.truncate(4096);
+        let profile = Spec95::by_name("go").unwrap();
+        let mut text = cce_isa::mips::encode_text(&generate_mips(profile, 2.0));
+        text.truncate(len);
         let handle = Algorithm::ByteHuffman.build(Isa::Mips, 32).train(&text).unwrap();
         let codec = handle.as_block().unwrap();
         let image = codec.compress(&text).unwrap();
@@ -209,67 +169,69 @@ mod tests {
         encode_image(identity, &codec.to_bytes(), &image).unwrap()
     }
 
+    /// Through the benchmark wrappers: the published image is the
+    /// container byte for byte, verifies with every run, and serves an
+    /// info record that mirrors the container.
     #[test]
     fn published_container_verifies_and_matches_its_summary() {
-        let container = sample_container();
+        // More than 64 KiB of payload, so the container has two runs.
+        let container = sample_container(128 << 10);
         let mut reader = ContainerV2Reader::open(Cursor::new(&container)).unwrap();
-        let dir = temp_dir("publish");
-        let published = publish_container(&mut reader, &dir, 256).unwrap();
-        assert_eq!(fs::read(dir.join(IMAGE_FILE)).unwrap(), container, "published byte for byte");
-        assert_eq!(published.image_len, container.len() as u64);
-        assert!(published.runs > 1, "256-byte runs split the container");
-        let verified = verify_dir(&dir).unwrap();
-        assert_eq!((verified.runs, verified.image_len), (published.runs, published.image_len));
+        let dir = temp_dir("publish").join("artifact");
+        let published =
+            publish_container(&mut reader, &dir, crate::serve::DEFAULT_CHUNK_PAYLOAD).unwrap();
+        assert_eq!(fs::read(dir.join("image.cce")).unwrap(), container, "published byte for byte");
+        assert_eq!(published, container.len() as u64);
+        assert!(reader.runs().len() > 1, "more than 64 KiB of payload splits into runs");
+        assert_eq!(verify_dir(&dir).unwrap(), reader.runs().len());
         let (artifact, _) = open_with_codec(&dir).unwrap();
         let info = ArtifactInfo::parse(artifact.info()).unwrap();
         assert_eq!(info, ArtifactInfo::of(&reader));
         assert_eq!(info.blocks as usize, artifact.block_count());
-        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(dir.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn published_artifact_decodes_byte_identically_to_the_container() {
-        let container = sample_container();
-        let mut reader = ContainerV2Reader::open(Cursor::new(&container)).unwrap();
+        let container = sample_container(4096);
         let dir = temp_dir("decode");
-        publish_container(&mut reader, &dir, 512).unwrap();
-        let (artifact, codec) = open_with_codec(&dir).unwrap();
+        let path = dir.join("prog.cce");
+        fs::write(&path, &container).unwrap();
+        let (artifact, codec) = open(&path).unwrap();
         let served = artifact.decode_text(codec.as_ref()).unwrap();
+        let mut reader = ContainerV2Reader::open(Cursor::new(&container)).unwrap();
         let direct = reader.decode_text(reader.block_codec().unwrap().as_ref()).unwrap();
         assert_eq!(served, direct);
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A well-formed digest section whose first run ends one byte into
+    /// a block: every digest matches its bytes, but the runs no longer
+    /// end on block boundaries, so the container is refused at open.
     #[test]
     fn a_record_off_the_container_layout_is_refused() {
-        let container = sample_container();
-        let mut reader = ContainerV2Reader::open(Cursor::new(&container)).unwrap();
-        let dir = temp_dir("layout");
-        publish_container(&mut reader, &dir, 512).unwrap();
-        // A well-formed record whose head swallows the first block's
-        // bytes: every digest matches, but the head no longer ends
-        // where the blocks start.
-        let record = DigestRecord::read(&dir).unwrap();
-        let mut extents: Vec<_> = record.extents().iter().map(|e| (e.len, e.sha256)).collect();
-        let shift = reader.block_range(0).end - reader.block_range(0).start;
+        let container = sample_container(4096);
+        let mut extents = digest_extents(&container);
+        let (head, run) = (extents[0], extents[1]);
         let digest = |start: u64, len: u64| {
             cce_serve::sha256::digest(&container[start as usize..(start + len) as usize])
         };
-        extents[0] = (extents[0].0 + shift, digest(0, extents[0].0 + shift));
-        extents[1] =
-            (extents[1].0 - shift, digest(record.runs()[0].start + shift, extents[1].0 - shift));
-        let shifted = DigestRecord::new(&extents).unwrap();
-        fs::write(dir.join(cce_serve::record::RECORD_FILE), shifted.encode()).unwrap();
-        verify_dir(&dir).expect("every digest still matches");
-        let err = open_with_codec(&dir).err().expect("a misaligned record opened");
+        extents.splice(
+            1..2,
+            [(run.0 - 1, digest(head.0, run.0 - 1)), (1, digest(head.0 + run.0 - 1, 1))],
+        );
+        let dir = temp_dir("layout");
+        let path = dir.join("shifted.cce");
+        fs::write(&path, with_section(&container, &extents)).unwrap();
+        let err = open(&path).err().expect("a misaligned section opened");
         assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("head length"), "{err}");
+        assert!(err.to_string().contains("digest runs miss the block boundaries"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn info_round_trips_and_refuses_bad_fields() {
-        let container = sample_container();
+        let container = sample_container(4096);
         let reader = ContainerV2Reader::open(Cursor::new(&container)).unwrap();
         let info = ArtifactInfo::of(&reader);
         let bytes = info.encode();

@@ -14,20 +14,23 @@
 //! compresses it block by block across the worker pool, verifying every
 //! block in its worker, and writes an indexed **v2** container.
 //! `decompress` and `info` read v2 containers only.  `analyze` also prints
-//! the input's section table.
+//! the input's section table.  Every file a command opens, creates,
+//! writes or renames goes through [`at`], so a failure names the path.
 //!
 //! `--model-cache DIR` points SAMC at a persistent model store
 //! ([`cce_core::samc::store`]): repeat requests reuse the trained model
 //! outright, and fresh programs warm-start the stream-division search
 //! from a cached division instead of the cold correlation pass.
 //!
-//! `publish` copies a v2 container into a directory next to a record of
-//! SHA-256 digests over its extents ([`cce_core::artifact`]), `verify`
-//! re-hashes it and re-checks its layout, `serve` answers block fetch
-//! and decode requests from the container over a Unix or TCP socket
-//! until a client sends `shutdown`, and `fetch` is the reference client:
-//! it pulls the info record, decodes every block over the wire, and
-//! rebuilds the same minimal ELF `decompress` writes.
+//! Every container carries SHA-256 digests of its head, of each run of
+//! blocks and of its index, and every command that reads one checks them
+//! through the one reader ([`ContainerV2Reader`]): `info` the head and
+//! index, `decompress` every run it decodes, and `verify` every run.
+//! `serve` answers block fetch and decode requests from a container over
+//! a Unix or TCP socket until a client sends `shutdown`, checking each
+//! run as it loads it ([`cce_core::artifact`]), and `fetch` is the
+//! reference client: it pulls the info record, decodes every block over
+//! the wire, and rebuilds the same minimal ELF `decompress` writes.
 //!
 //! The `.cce` container holds the trained codec (Markov tables or
 //! dictionary+code tables), the block image, and enough ELF identity to
@@ -272,25 +275,15 @@ const COMMANDS: &[Command] = &[
         run: sweep,
     },
     Command {
-        name: "publish",
-        synopsis: "<in.cce> -o <dir>",
-        about: "copy a container into a directory with a digest record",
-        flags: &[
-            output("artifact directory to create"),
-            Flag::value("--chunk-size", "N", "bytes of blocks per digest (default 65536)"),
-        ],
-        run: publish,
-    },
-    Command {
         name: "verify",
-        synopsis: "<dir>",
-        about: "re-hash a published artifact and re-check its layout",
+        synopsis: "<in.cce>",
+        about: "check every digest of a container and load its codec",
         flags: &[],
         run: verify,
     },
     Command {
         name: "serve",
-        synopsis: "<dir> --socket PATH | --tcp ADDR",
+        synopsis: "<in.cce> --socket PATH | --tcp ADDR",
         about: "block-serving daemon; runs until a client sends shutdown",
         flags: &[SOCKET, TCP, Flag::value("--cache", "N", "decoded blocks to cache (default 256)")],
         run: serve,
@@ -523,6 +516,22 @@ fn measure_cached(
     }
 }
 
+/// Names `path` in the failure of a file operation on it, so every error
+/// from opening, creating, writing or renaming a file reads
+/// `cce: <path>: <reason>`.
+fn at<T>(path: impl AsRef<Path>, result: std::io::Result<T>) -> Result<T, std::io::Error> {
+    result.map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.as_ref().display())))
+}
+
+/// Opens the container at `path`, checking its head, index and digest
+/// section.
+fn open_container(
+    path: &str,
+) -> Result<ContainerV2Reader<std::io::BufReader<std::fs::File>>, Box<dyn Error>> {
+    let file = at(path, std::fs::File::open(path))?;
+    Ok(ContainerV2Reader::open(std::io::BufReader::new(file))?)
+}
+
 /// An input ELF opened for the streaming walker.
 type ElfFile = ElfStream<std::io::BufReader<std::fs::File>>;
 
@@ -530,7 +539,7 @@ type ElfFile = ElfStream<std::io::BufReader<std::fs::File>>;
 /// the headers now, then the ISA comes from the machine field and the
 /// `.text` section is read into memory.
 fn open_elf(path: &str) -> Result<(ElfFile, Isa, Vec<u8>), Box<dyn Error>> {
-    let file = std::fs::File::open(path)?;
+    let file = at(path, std::fs::File::open(path))?;
     let mut elf =
         ElfStream::open(std::io::BufReader::new(file)).map_err(streaming::stream_error)?;
     let isa = streaming::isa_of(&elf)?;
@@ -602,7 +611,7 @@ fn write_metrics(path: &str, command: &str) -> Result<(), Box<dyn Error>> {
         eprintln!("cce: warning: built without the `obs` feature; all metrics are zero");
     }
     // JSON artifacts are text files: POSIX tools expect a final newline.
-    std::fs::write(path, cce_core::obs::metrics_json(command) + "\n")?;
+    at(path, std::fs::write(path, cce_core::obs::metrics_json(command) + "\n"))?;
     eprintln!("cce: wrote {command} metrics to {path}");
     Ok(())
 }
@@ -721,7 +730,7 @@ fn sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let artifact = render_artifact(&workload, &images, &config, trace.len(), &results);
     let path = args.value("--output").unwrap_or("BENCH_memsim.json");
-    std::fs::write(path, format!("{artifact}\n"))?;
+    at(path, std::fs::write(path, format!("{artifact}\n")))?;
     if args.switch("--json") {
         outln!("{artifact}")?;
     } else {
@@ -820,10 +829,11 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
     // run never leaves a truncated artifact at the destination.
     let tmp = format!("{output}.tmp");
     let workers = worker_count();
-    let result = std::fs::File::create(&tmp).map_err(Box::<dyn Error>::from).and_then(|out| {
-        let out = std::io::BufWriter::new(out);
-        Ok(streaming::compress_text(identity, &text, codec, out, workers)?)
-    });
+    let result =
+        at(&tmp, std::fs::File::create(&tmp)).map_err(Box::<dyn Error>::from).and_then(|out| {
+            let out = std::io::BufWriter::new(out);
+            Ok(streaming::compress_text(identity, &text, codec, out, workers)?)
+        });
     let report = match result {
         Ok(report) => report,
         Err(e) => {
@@ -831,7 +841,7 @@ fn compress(args: &Args) -> Result<(), Box<dyn Error>> {
             return Err(e);
         }
     };
-    std::fs::rename(&tmp, output)?;
+    at(output, std::fs::rename(&tmp, output))?;
 
     let summary = report.summary;
     outln!(
@@ -849,8 +859,7 @@ fn decompress(args: &Args) -> Result<(), Box<dyn Error>> {
     let [path] = args.positionals()?;
     let output = args.required("--output")?;
 
-    let file = std::fs::File::open(path)?;
-    let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
+    let mut reader = open_container(path)?;
     let identity = reader.identity();
     let codec = reader.block_codec()?;
     let text = reader.decode_text(codec.as_ref())?;
@@ -876,7 +885,7 @@ fn write_elf(
     };
     let mut elf = ElfImage::new_executable(machine, class, endianness, text);
     elf.entry = entry;
-    Ok(std::fs::write(output, elf.to_bytes())?)
+    Ok(at(output, std::fs::write(output, elf.to_bytes()))?)
 }
 
 fn analyze(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -935,8 +944,7 @@ fn disasm(args: &Args) -> Result<(), Box<dyn Error>> {
 
 fn info(args: &Args) -> Result<(), Box<dyn Error>> {
     let [path] = args.positionals()?;
-    let file = std::fs::File::open(path)?;
-    let reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
+    let reader = open_container(path)?;
     let identity = reader.identity();
     let summary = reader.summary();
     outln!("{path}:")?;
@@ -963,6 +971,7 @@ fn info(args: &Args) -> Result<(), Box<dyn Error>> {
         summary.model_bytes,
         summary.lat_bytes()
     )?;
+    outln!("  digests:    head, {} runs, index (SHA-256)", reader.runs().len())?;
     Ok(())
 }
 
@@ -993,7 +1002,7 @@ fn gen(args: &Args) -> Result<(), Box<dyn Error>> {
     if multi_section {
         push_workload_sections(&mut elf, seed);
     }
-    std::fs::write(output, elf.to_bytes())?;
+    at(output, std::fs::write(output, elf.to_bytes()))?;
     outln!(
         "{output}: {} bytes of {isa} `{name}` text at scale {scale} (seed {seed})",
         elf.text().expect("text").len()
@@ -1073,59 +1082,43 @@ fn fuzz(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn publish(args: &Args) -> Result<(), Box<dyn Error>> {
-    let [path] = args.positionals()?;
-    let output = args.required("--output")?;
-    let chunk_size = args.number("--chunk-size", cce_core::serve::DEFAULT_CHUNK_PAYLOAD)?;
-    let file = std::fs::File::open(path)?;
-    let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file))?;
-    let blocks = reader.block_count();
-    let summary =
-        cce_core::artifact::publish_container(&mut reader, Path::new(output), chunk_size)?;
-    outln!(
-        "{path}: published {blocks} blocks in {} runs ({} bytes) under {output}",
-        summary.runs,
-        summary.image_len,
-    )?;
-    Ok(())
-}
-
-/// Checks every digest first, so a damaged extent is named before the
-/// container parser trips over it, then everything `serve` checks.
+/// Everything `decompress` and `serve` check before decoding: the head,
+/// index and digest section at open, every run's digest, and the codec
+/// model.
 fn verify(args: &Args) -> Result<(), Box<dyn Error>> {
-    let [dir] = args.positionals()?;
-    let summary = cce_core::serve::verify_dir(Path::new(dir))?;
-    let (artifact, _) = cce_core::artifact::open_with_codec(Path::new(dir))?;
-    let info = cce_core::artifact::ArtifactInfo::parse(artifact.info())?;
+    let [path] = args.positionals()?;
+    let mut reader = open_container(path)?;
+    let runs = reader.verify()?;
+    reader.block_codec()?;
+    let summary = reader.summary();
     outln!(
-        "{dir}: OK — {} blocks in {} runs, {} bytes ({} original)",
-        info.blocks,
-        summary.runs,
-        summary.image_len,
-        info.original_len,
+        "{path}: OK — {} blocks in {runs} runs, {} bytes ({} original)",
+        summary.blocks,
+        summary.total_len,
+        summary.original_len,
     )?;
     Ok(())
 }
 
 fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     use cce_core::serve::{ServeConfig, Server};
-    let [dir] = args.positionals()?;
+    let [path] = args.positionals()?;
     let defaults = ServeConfig::default();
     let config =
         ServeConfig { cache_blocks: args.number("--cache", defaults.cache_blocks)?, ..defaults };
-    let (artifact, codec) = cce_core::artifact::open_with_codec(Path::new(dir))?;
+    let (artifact, codec) = cce_core::artifact::open(Path::new(path))?;
     let blocks = artifact.block_count();
     let server = Server::new(artifact, codec, config);
     // The banner is best effort: the daemon serves whether or not
     // anyone still reads its stdout.
     match (args.value("--socket"), args.value("--tcp")) {
-        (Some(path), None) => {
-            let _ = outln!("serving {blocks} blocks from {dir} on unix socket {path}");
-            server.serve_unix(Path::new(path))?;
+        (Some(socket), None) => {
+            let _ = outln!("serving {blocks} blocks from {path} on unix socket {socket}");
+            server.serve_unix(Path::new(socket))?;
         }
         (None, Some(addr)) => {
             server.serve_tcp(addr, |local| {
-                let _ = outln!("serving {blocks} blocks from {dir} on tcp {local}");
+                let _ = outln!("serving {blocks} blocks from {path} on tcp {local}");
             })?;
         }
         _ => return Err(args.usage("pass exactly one of --socket PATH or --tcp ADDR")),

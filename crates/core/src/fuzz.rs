@@ -8,11 +8,13 @@
 //! * **codec model bytes** — `CodecBuilder::codec_from_bytes` on mutated
 //!   serialized models, then a decode of the pristine image with whatever
 //!   deserialized (a tampered-codebook probe);
-//! * **`.cce` container bytes** — [`ContainerV2Reader::open`] on mutated
-//!   containers (header, codec model, blocks, offset index and footer
-//!   all in the mutation surface), then a block-by-block decode
-//!   cross-checked *differentially* against a full decode of the same
-//!   blocks rebuilt as a [`BlockImage`];
+//! * **`.cce` container bytes** — [`ContainerV2Reader::open`] and
+//!   [`ContainerV2Reader::verify`] on mutated containers (header, codec
+//!   model, blocks, offset index and footer all in the mutation surface,
+//!   the digest section resealed over each mutant so the tampering gets
+//!   past it), then a block-by-block decode cross-checked
+//!   *differentially* against a full decode of the same blocks rebuilt
+//!   as a [`BlockImage`];
 //! * **program text** — the *differential* compress path: serial
 //!   [`BlockCodec::compress`] vs [`compress_parallel`] must agree
 //!   byte-for-byte (or fail identically), and whatever compresses must
@@ -22,9 +24,10 @@
 //! * **model-store records** — SAMC's cached-model record parser
 //!   ([`cce_samc::store::ModelRecord`]) on mutated records, with a
 //!   canonical re-serialization check on anything it accepts;
-//! * **serving tier** ([`serve_targets`]) — the digest-record parser
-//!   ([`cce_serve::DigestRecord::parse`]) on mutated records
-//!   (count/length/digest corruption), and the daemon's wire-frame
+//! * **serving tier** ([`serve_targets`]) — a golden container's
+//!   digest section, mutated in place and read back through
+//!   [`ContainerV2Reader`] (count/length/digest corruption), and the
+//!   daemon's wire-frame
 //!   reader + request parser on mutated request streams (bad magic,
 //!   oversized declared lengths, truncation, unknown opcodes).  Both
 //!   must reject with typed errors — a panic or a non-canonical
@@ -51,6 +54,7 @@ pub use cce_fuzz::{Failure, FailureKind, FuzzConfig, FuzzReport, FuzzTarget, Out
 use cce_isa::Isa;
 use cce_lz::{Gzip, Lzw};
 use cce_workload::{generate_mips, generate_x86, Spec95};
+use std::ops::Range;
 
 /// Extra headroom above `16 × golden` in the per-case output budget.
 const BUDGET_SLACK: usize = 64 * 1024;
@@ -131,11 +135,13 @@ impl FuzzTarget for CodecBytesTarget {
     }
 }
 
-/// Mutates a whole v2 (streamed, indexed) `.cce` container: header,
-/// codec model, index trailer, and footer all sit in the mutation
-/// surface.  Whatever [`ContainerV2Reader::open`] accepts must decode
-/// block by block without panic or blowup, and agree with a full decode
-/// of the same blocks rebuilt as a [`BlockImage`].
+/// Mutates a whole v2 (indexed) `.cce` container: header, codec model,
+/// blocks, index and footer all sit in the mutation surface, and the
+/// digest section is resealed over each mutant (`container::reseal`).
+/// Whatever [`ContainerV2Reader::open`] and
+/// [`ContainerV2Reader::verify`] accept must decode block by block
+/// without panic or blowup, and agree with a full decode of the same
+/// blocks rebuilt as a [`BlockImage`].
 struct ContainerV2Target {
     label: String,
     container_bytes: Vec<u8>,
@@ -150,22 +156,48 @@ impl FuzzTarget for ContainerV2Target {
 
     fn artifact(&self) -> Artifact {
         // Header fields (each identity byte on its own), codec model,
-        // block data, index trailer, footer.
-        let len = self.container_bytes.len();
+        // block data, index, digest section, footer and its digest
+        // section offset field.
+        let bytes = &self.container_bytes;
+        let len = bytes.len();
+        let section = u64::from_be_bytes(bytes[len - 12..len - 4].try_into().expect("8 bytes"));
         Artifact::with_boundaries(
             "container v2",
-            self.container_bytes.clone(),
-            vec![4, 5, 6, 7, 8, 16, 20, 24, 28, 28 + self.codec_len, len - 28, len - 4],
+            bytes.clone(),
+            vec![
+                4,
+                5,
+                6,
+                7,
+                8,
+                16,
+                20,
+                24,
+                28,
+                28 + self.codec_len,
+                section as usize,
+                len - 36,
+                len - 12,
+                len - 4,
+            ],
         )
     }
 
     fn run(&self, bytes: &[u8]) -> Outcome {
+        // Reseal the digests over the mutant, so a tampered header,
+        // model, index or payload reaches the parser and the decoders
+        // (the section's own corruption is `serve/digests`' surface).
+        let resealed = container::reseal(bytes);
+        let bytes = resealed.as_deref().unwrap_or(bytes);
         let mut reader = match ContainerV2Reader::open(std::io::Cursor::new(bytes)) {
             Ok(reader) => reader,
             Err(e) => return Outcome::Rejected(e),
         };
         if reader.original_len() > self.budget as u64 {
             return Outcome::Rejected(over_budget());
+        }
+        if let Err(e) = reader.verify() {
+            return Outcome::Rejected(e);
         }
         // The mutated tag byte may redirect to another algorithm; build
         // the codec from the *container's* claimed identity, like the
@@ -427,38 +459,62 @@ fn serve_reject(e: cce_serve::ServeError) -> CodecError {
     CodecError::corrupt("serve", e.to_string())
 }
 
-/// A small valid digest record (no disk involved): a head, three runs
-/// and a tail, every digest over its own stand-in bytes.
-fn golden_digest_record() -> Vec<u8> {
-    use cce_serve::sha256;
-    let parts: [&[u8]; 5] = [b"header and model", &[0xa5; 96], &[0x5a; 64], &[7; 3], b"index"];
-    let extents: Vec<_> = parts.iter().map(|p| (p.len() as u64, sha256::digest(p))).collect();
-    cce_serve::DigestRecord::new(&extents).expect("golden record is valid").encode()
+/// Mutates the digest section of a golden container: three raw 40 KiB
+/// blocks (three runs) under a huffman tag.  Whatever the reader
+/// accepts must verify, and must be the section the writer wrote (its
+/// own SHA-256 leaves no slack for another).
+struct DigestSectionTarget {
+    container: Vec<u8>,
+    /// Where the digest section lies in `container`.
+    section: Range<usize>,
 }
 
-/// Mutates the digest record: any parse failure must be a typed
-/// rejection, and an accepted record must re-encode byte for byte (the
-/// record's own SHA-256 leaves no slack for two encodings).
-struct DigestRecordTarget {
-    record: Vec<u8>,
+impl DigestSectionTarget {
+    fn golden() -> Self {
+        let blocks: Vec<Vec<u8>> = (0..3u8).map(|i| vec![0xa5 ^ i; 40 << 10]).collect();
+        let image = BlockImage::new(blocks, vec![32; 3], 32, 96, 0);
+        let identity = ContainerIdentity {
+            algorithm: Algorithm::ByteHuffman,
+            isa: Isa::Mips,
+            class: cce_elf::Class::Elf32,
+            endianness: cce_elf::Endianness::Big,
+            entry: 0x40_0000,
+        };
+        let container = container::encode_image(identity, &[], &image).expect("golden container");
+        let len = container.len();
+        let start = u64::from_be_bytes(container[len - 12..len - 4].try_into().expect("8 bytes"));
+        Self { section: start as usize..len - 36, container }
+    }
 }
 
-impl FuzzTarget for DigestRecordTarget {
+impl FuzzTarget for DigestSectionTarget {
     fn name(&self) -> String {
         "serve/digests".into()
     }
 
     fn artifact(&self) -> Artifact {
-        // Magic, extent count, the entries, the record's own digest.
-        let len = self.record.len();
-        Artifact::with_boundaries("digest record", self.record.clone(), vec![4, 8, 48, len - 32])
+        // Extent count, each extent's length and digest, the section's
+        // own digest.
+        let section = self.container[self.section.clone()].to_vec();
+        let mut boundaries: Vec<usize> = (0..5).flat_map(|e| [4 + 40 * e, 12 + 40 * e]).collect();
+        boundaries.push(section.len() - 32);
+        Artifact::with_boundaries("digest section", section, boundaries)
     }
 
     fn run(&self, bytes: &[u8]) -> Outcome {
-        match cce_serve::DigestRecord::parse(bytes) {
-            Ok(record) if record.encode() == bytes => Outcome::Decoded,
-            Ok(_) => Outcome::Violation("accepted record re-encoded differently".into()),
-            Err(e) => Outcome::Rejected(serve_reject(e)),
+        let container =
+            [&self.container[..self.section.start], bytes, &self.container[self.section.end..]]
+                .concat();
+        let mut reader = match ContainerV2Reader::open(std::io::Cursor::new(&container)) {
+            Ok(reader) => reader,
+            Err(e) => return Outcome::Rejected(e),
+        };
+        match reader.verify() {
+            Ok(_) if bytes == &self.container[self.section.clone()] => Outcome::Decoded,
+            Ok(_) => {
+                Outcome::Violation("accepted a digest section the writer did not write".into())
+            }
+            Err(e) => Outcome::Rejected(e),
         }
     }
 }
@@ -533,12 +589,10 @@ impl FuzzTarget for ServeFrameTarget {
     }
 }
 
-/// The serving-tier fuzz targets (digest records and wire frames).
+/// The serving-tier fuzz targets (a container's digest section and
+/// wire frames).
 pub fn serve_targets() -> Vec<Box<dyn FuzzTarget>> {
-    vec![
-        Box::new(DigestRecordTarget { record: golden_digest_record() }),
-        Box::new(ServeFrameTarget::golden()),
-    ]
+    vec![Box::new(DigestSectionTarget::golden()), Box::new(ServeFrameTarget::golden())]
 }
 
 // ---------------------------------------------------------------------

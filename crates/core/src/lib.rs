@@ -16,7 +16,8 @@
 //!   block compression across a deterministic worker pool.
 //! * [`sweep_images`] — the compressed images of a memory-system sweep.
 //! * [`artifact`] — the container side of the serving tier
-//!   ([`serve`]): publish, open and the `get-manifest` info record.
+//!   ([`serve`]): open a container for the daemon, and the
+//!   `get-manifest` info record.
 //!
 //! Suite-wide runs (every SPEC95-like benchmark, fanned across workers)
 //! live in `cce-bench` (`figure_rows_with_workers`).
@@ -50,6 +51,7 @@ pub mod artifact;
 pub mod container;
 pub mod fuzz;
 pub mod obs;
+mod publish;
 pub mod registry;
 pub mod report;
 pub mod stats;
@@ -66,10 +68,17 @@ pub use cce_memsim as memsim;
 pub use cce_rans as rans;
 pub use cce_sadc as sadc;
 pub use cce_samc as samc;
-pub use cce_serve as serve;
 pub use cce_workload as workload;
 
 pub use registry::{Algorithm, CodecBuilder, CodecHandle};
+
+/// The serving tier ([`cce_serve`]), plus the `DIR/image.cce` wrappers
+/// the benchmark harness still calls, kept only until it moves to
+/// container paths.
+pub mod serve {
+    pub use crate::publish::{verify_dir, DEFAULT_CHUNK_PAYLOAD};
+    pub use cce_serve::*;
+}
 
 use cce_codec::CodecError;
 use cce_isa::Isa;

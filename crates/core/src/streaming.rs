@@ -10,7 +10,8 @@
 //! [`buffered_text`] reads the section once, the caller trains on it, and
 //! [`compress_text`] compresses the same buffer as one ordered parallel
 //! map over the codec's block ranges, each worker round-trip-verifying
-//! its own block.  Peak memory is the text plus its compressed image.
+//! its own block; the container's digests are hashed across the same
+//! workers.  Peak memory is the text plus its compressed image.
 
 use std::io::{Read, Seek, Write};
 
@@ -134,7 +135,8 @@ pub fn compress_elf<R: Read + Seek, W: Write>(
 /// caller that trained on [`buffered_text`] compresses that buffer
 /// without reading the section again.  Every worker round-trip-verifies
 /// the block it compressed, so a lying codec fails here rather than
-/// producing a bad artifact.
+/// producing a bad artifact.  The same `workers` hash the container's
+/// digest extents.
 ///
 /// # Errors
 ///
@@ -149,7 +151,7 @@ pub fn compress_text<W: Write>(
     workers: usize,
 ) -> Result<StreamReport, CodecError> {
     let image = compress_verified(codec, text, workers)?;
-    let summary = write_image(out, identity, &codec.to_bytes(), &image)?;
+    let summary = write_image(out, identity, &codec.to_bytes(), &image, workers)?;
     let stats = StreamStats { blocks: image.block_count() as u64, stalls: 0 };
     Ok(StreamReport { stats, summary })
 }

@@ -1,6 +1,6 @@
 //! The serving tier's failure taxonomy.
 //!
-//! Every fallible operation in this crate — publish, verify, protocol
+//! Every fallible operation in this crate — run verification, protocol
 //! parse, daemon request handling — surfaces a [`ServeError`].  The
 //! variants map one-to-one onto the wire protocol's typed error
 //! statuses (DESIGN.md §9), so a client sees exactly the class the
@@ -100,8 +100,8 @@ mod tests {
 
     #[test]
     fn display_names_the_failing_piece() {
-        let e = ServeError::corrupt("image.cce run 3", "sha-256 mismatch");
-        assert_eq!(e.to_string(), "corrupt image.cce run 3: sha-256 mismatch");
+        let e = ServeError::corrupt("run 3", "sha-256 mismatch");
+        assert_eq!(e.to_string(), "corrupt run 3: sha-256 mismatch");
         assert_eq!(e.class(), "corrupt");
     }
 

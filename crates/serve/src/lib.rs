@@ -2,20 +2,15 @@
 //!
 //! The paper's premise is that compressed code is *served* at runtime:
 //! blocks are fetched and decompressed on demand by the memory system.
-//! This crate is the scale-out version of that loop — a published image
-//! (the `cce compress` container, byte for byte) plus a digest record,
-//! and a long-lived daemon that answers block fetch/decode requests over
-//! a small length-prefixed binary protocol:
+//! This crate is the scale-out version of that loop — a long-lived
+//! daemon that answers block fetch/decode requests out of one `.cce`
+//! container over a small length-prefixed binary protocol:
 //!
-//! - [`publish()`] / [`verify_dir`] — write and re-verify an image
-//!   directory: the image file and a binary [`DigestRecord`] of
-//!   SHA-256 digests (in-tree [`sha256`]) over the extents that tile
-//!   it, with defensive caps on every length the record declares.
-//! - [`Artifact`] — the read side; the first fetch from a run reads
-//!   it with one positioned read and checks its SHA-256, and only
-//!   verified runs are cached (byte-bounded) for later fetches, so
-//!   corruption surfaces as a typed error naming the run, never as
-//!   garbage handed to a codec.
+//! - [`Artifact`] — the read side; the first fetch from a run of whole
+//!   blocks reads it with one positioned read and checks its SHA-256
+//!   (in-tree [`sha256`]), and only verified runs are cached
+//!   (byte-bounded) for later fetches, so corruption surfaces as a
+//!   typed error naming the run, never as garbage handed to a codec.
 //! - [`Server`] / [`Client`] — the daemon and its reference client:
 //!   one thread per connection (capped, answering `Busy` beyond the
 //!   cap) that answers every request itself, hits and misses alike,
@@ -26,10 +21,10 @@
 //!
 //! The crate depends only on `cce-codec` and `cce-obs`: it is
 //! codec-generic (any [`BlockCodec`](cce_codec::BlockCodec) serves)
-//! and container-agnostic — it checks byte extents against digests and
-//! serves blocks at the offsets it is given.  `cce-core` checks that
-//! the extents fall on the container's section and block boundaries,
-//! hands over the block table, and defines the `get-manifest` reply.
+//! and container-agnostic — it checks runs against the digests and
+//! serves blocks at the offsets it is given.  `cce-core`'s container
+//! reader parses and checks the digest section, hands over the runs
+//! and the block table, and defines the `get-manifest` reply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,20 +35,14 @@ pub mod error;
 pub mod fault;
 pub mod obs;
 pub mod proto;
-pub mod publish;
-pub mod record;
 pub mod server;
 pub mod sha256;
 pub mod store;
 
 pub use client::Client;
 pub use error::ServeError;
-pub use publish::{
-    pack_runs, publish, verify_dir, PublishSummary, VerifySummary, DEFAULT_CHUNK_PAYLOAD,
-};
-pub use record::DigestRecord;
 pub use server::{ServeConfig, Server};
-pub use store::{Artifact, BlockEntry};
+pub use store::{Artifact, BlockEntry, Run};
 
 #[cfg(test)]
 mod trait_assertions {

@@ -464,7 +464,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::fault::duplex;
-    use crate::store::{open_blocks, publish_blocks, BlockEntry};
+    use crate::store::{open_blocks, publish_blocks, TestImage};
     use std::fs;
     use std::path::{Path, PathBuf};
 
@@ -513,23 +513,18 @@ mod tests {
         dir
     }
 
-    /// Publishes `blocks` identity blocks of 40..60 bytes in 128-byte
-    /// runs, returning the blocks and their table.
-    fn publish_identity(dir: &Path, blocks: usize) -> (Vec<Vec<u8>>, Vec<BlockEntry>) {
+    /// Writes `blocks` identity blocks of 40..60 bytes in 128-byte
+    /// runs, returning the blocks and the image.
+    fn publish_identity(dir: &Path, blocks: usize) -> (Vec<Vec<u8>>, TestImage) {
         let data: Vec<Vec<u8>> =
             (0..blocks).map(|i| vec![(i * 17 % 251) as u8; 40 + i % 20]).collect();
-        let entries = publish_blocks(dir, &data, 128);
-        (data, entries)
+        let image = publish_blocks(dir, &data, 128);
+        (data, image)
     }
 
-    fn server_for(
-        dir: &Path,
-        entries: &[BlockEntry],
-        delay: Duration,
-        config: ServeConfig,
-    ) -> Server {
+    fn server_for(dir: &Path, image: &TestImage, delay: Duration, config: ServeConfig) -> Server {
         let codec = SlowIdentity { delay, only: None, panic: false };
-        Server::new(open_blocks(dir, entries.to_vec()).unwrap(), Box::new(codec), config)
+        Server::new(open_blocks(dir, image).unwrap(), Box::new(codec), config)
     }
 
     /// Spawns an in-memory connection to `server`, returning the
@@ -545,8 +540,8 @@ mod tests {
     #[test]
     fn serves_blocks_and_decodes_over_an_in_memory_connection() {
         let dir = temp_dir("basic");
-        let (blocks, entries) = publish_identity(&dir, 7);
-        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
+        let (blocks, image) = publish_identity(&dir, 7);
+        let server = server_for(&dir, &image, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
         assert_eq!(client.get_manifest().unwrap(), b"info");
         for (i, expect) in blocks.iter().enumerate() {
@@ -563,8 +558,8 @@ mod tests {
     #[test]
     fn out_of_range_block_is_not_found_and_connection_survives() {
         let dir = temp_dir("notfound");
-        let (blocks, entries) = publish_identity(&dir, 3);
-        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
+        let (blocks, image) = publish_identity(&dir, 3);
+        let server = server_for(&dir, &image, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
         assert!(matches!(client.get_block(99), Err(ServeError::NotFound(_))));
         // Same connection still answers afterwards.
@@ -575,8 +570,8 @@ mod tests {
     #[test]
     fn decode_cache_hits_on_repeat_requests() {
         let dir = temp_dir("cache");
-        let (_, entries) = publish_identity(&dir, 4);
-        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
+        let (_, image) = publish_identity(&dir, 4);
+        let server = server_for(&dir, &image, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
         for _ in 0..3 {
             client.decode_block(2).unwrap();
@@ -591,8 +586,8 @@ mod tests {
     #[test]
     fn two_decodes_in_one_chunk_load_it_once() {
         let dir = temp_dir("chunk-once");
-        let (blocks, entries) = publish_identity(&dir, 4);
-        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
+        let (blocks, image) = publish_identity(&dir, 4);
+        let server = server_for(&dir, &image, Duration::ZERO, ServeConfig::default());
         let artifact = &server.shared.artifact;
         assert_eq!(artifact.run_of(0), artifact.run_of(1));
         let mut client = connect(&server);
@@ -600,7 +595,7 @@ mod tests {
         assert_eq!(client.decode_block(1).unwrap(), blocks[1]);
         let stats = client.stats().unwrap();
         assert!(stats.contains("\"chunk_loads\":1,\"chunk_hits\":1,"), "{stats}");
-        let resident = artifact.record().runs()[0].len;
+        let resident = artifact.runs()[0].len;
         assert!(stats.contains(&format!("\"chunk_bytes\":{resident},")), "{stats}");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -618,9 +613,9 @@ mod tests {
     fn cached_block_answers_while_the_only_shard_is_stuck() {
         // One LRU stripe, so the hit and the stuck miss share its lock.
         let dir = temp_dir("inline-hit");
-        let (blocks, entries) = publish_identity(&dir, 3);
+        let (blocks, image) = publish_identity(&dir, 3);
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let server = server_for(&dir, &entries, Duration::from_millis(400), config);
+        let server = server_for(&dir, &image, Duration::from_millis(400), config);
         let mut first = connect(&server);
         assert_eq!(first.decode_block(0).unwrap(), blocks[0]);
         // Block 1 misses and decodes for 400 ms on `first`'s thread.
@@ -642,9 +637,9 @@ mod tests {
     #[test]
     fn a_miss_queued_behind_the_same_block_decodes_once() {
         let dir = temp_dir("racing-miss");
-        let (blocks, entries) = publish_identity(&dir, 2);
+        let (blocks, image) = publish_identity(&dir, 2);
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let server = server_for(&dir, &entries, Duration::from_millis(200), config);
+        let server = server_for(&dir, &image, Duration::from_millis(200), config);
         let mut first = connect(&server);
         let racing = std::thread::spawn(move || first.decode_block(0).unwrap());
         wait_for_misses(&server, 1);
@@ -662,12 +657,11 @@ mod tests {
     #[test]
     fn a_slow_decode_delays_no_other_connection() {
         let dir = temp_dir("slow-decode");
-        let (blocks, entries) = publish_identity(&dir, 3);
+        let (blocks, image) = publish_identity(&dir, 3);
         // One stripe for every block, and a 400 ms decode of block 0.
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
         let codec = SlowIdentity { delay: Duration::from_millis(400), only: Some(0), panic: false };
-        let server =
-            Server::new(open_blocks(&dir, entries.clone()).unwrap(), Box::new(codec), config);
+        let server = Server::new(open_blocks(&dir, &image).unwrap(), Box::new(codec), config);
         let mut second = connect(&server);
         assert_eq!(second.decode_block(2).unwrap(), blocks[2]);
         let mut first = connect(&server);
@@ -689,11 +683,10 @@ mod tests {
     #[test]
     fn a_panicking_decode_wakes_the_requests_waiting_on_it() {
         let dir = temp_dir("panic-wakes");
-        let (blocks, entries) = publish_identity(&dir, 2);
+        let (blocks, image) = publish_identity(&dir, 2);
         let config = ServeConfig { workers: 1, ..ServeConfig::default() };
         let codec = SlowIdentity { delay: Duration::from_millis(200), only: Some(0), panic: true };
-        let server =
-            Server::new(open_blocks(&dir, entries.clone()).unwrap(), Box::new(codec), config);
+        let server = Server::new(open_blocks(&dir, &image).unwrap(), Box::new(codec), config);
         let (tx, rx) = std::sync::mpsc::channel();
         let request = |tx: std::sync::mpsc::Sender<_>| {
             let mut client = connect(&server);
@@ -736,10 +729,10 @@ mod tests {
     #[test]
     fn stats_report_the_stripe_count_as_workers() {
         let dir = temp_dir("stripes");
-        let (_, entries) = publish_identity(&dir, 2);
+        let (_, image) = publish_identity(&dir, 2);
         for (workers, cache_blocks, stripes) in [(8, 4, 4), (2, 256, 2), (3, 0, 1)] {
             let config = ServeConfig { workers, cache_blocks };
-            let server = server_for(&dir, &entries, Duration::ZERO, config);
+            let server = server_for(&dir, &image, Duration::ZERO, config);
             assert_eq!(server.shared.stripes.len(), stripes);
             let stats = server.stats_json();
             assert!(stats.contains(&format!("\"workers\":{stripes}}}")), "{stats}");
@@ -750,8 +743,8 @@ mod tests {
     #[test]
     fn shutdown_request_is_acknowledged_and_sets_the_flag() {
         let dir = temp_dir("shutdown");
-        let (_, entries) = publish_identity(&dir, 2);
-        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
+        let (_, image) = publish_identity(&dir, 2);
+        let server = server_for(&dir, &image, Duration::ZERO, ServeConfig::default());
         let mut client = connect(&server);
         assert!(!server.shutdown_requested());
         client.shutdown().unwrap();
@@ -762,8 +755,8 @@ mod tests {
     #[test]
     fn end_to_end_over_a_unix_socket() {
         let dir = temp_dir("unix");
-        let (blocks, entries) = publish_identity(&dir, 5);
-        let server = server_for(&dir, &entries, Duration::ZERO, ServeConfig::default());
+        let (blocks, image) = publish_identity(&dir, 5);
+        let server = server_for(&dir, &image, Duration::ZERO, ServeConfig::default());
         let socket =
             std::env::temp_dir().join(format!("cce-serve-test-{}.sock", std::process::id()));
         let _ = fs::remove_file(&socket);

@@ -1,10 +1,10 @@
 //! In-tree SHA-256 (FIPS 180-4), incremental and allocation-free.
 //!
-//! The serving tier digests every extent of a published image and the
-//! digest record itself; the workspace is hermetic (no external crates), so the hash
+//! Every `.cce` container carries SHA-256 digests of its head, of each
+//! run of blocks and of its index, and the daemon checks each run it
+//! loads; the workspace is hermetic (no external crates), so the hash
 //! lives here.  The implementation is the textbook 64-round
-//! compression function — publishing is I/O-bound, so a portable
-//! scalar core is plenty.
+//! compression function in a portable scalar core.
 
 /// Digest width in bytes.
 pub const DIGEST_LEN: usize = 32;

@@ -1,39 +1,56 @@
-//! Read side of a published image: open, integrity-checked block
-//! fetch, and full-text decode.
+//! Read side of a served image: integrity-checked block fetch and
+//! full-text decode.
 //!
-//! [`Artifact::open`] checks the image's length against its digest
-//! record, verifies the head and tail extents, and places every block
-//! in the run that holds it (cheap).  A block read needs its *run*.
-//! The first read of a run pulls it from the image with one positioned
-//! read and checks its SHA-256 against the record; only bytes that pass
-//! enter a byte-bounded LRU of verified chunks ([`VERIFIED_CHUNK_BYTES`];
-//! a cached run is a *chunk*), and later reads slice their block out of
-//! that copy without touching the disk.  A run that fails its check is
-//! never cached, so it answers a typed [`ServeError::Corrupt`] naming
-//! the run on every read — never garbage handed to a codec.
+//! An [`Artifact`] serves blocks out of one image file.  It is handed
+//! the file, the digest-checked [`Run`]s that hold the blocks, and the
+//! block table; `cce-core` parses all three out of a CCE2 container
+//! (whose reader has already checked the container's head and index).
+//! A block read needs its *run*.  The first read of a run pulls it from
+//! the image with one positioned read and checks its SHA-256; only
+//! bytes that pass enter a byte-bounded LRU of verified chunks
+//! ([`VERIFIED_CHUNK_BYTES`]; a cached run is a *chunk*), and later
+//! reads slice their block out of that copy without touching the disk.
+//! A run that fails its check is never cached, so it answers a typed
+//! [`ServeError::Corrupt`] naming the run on every read — never garbage
+//! handed to a codec.
 //!
 //! The integrity contract is therefore *verified at load*: an artifact
-//! serves only bytes that matched the record when they were read.  A
+//! serves only bytes that matched their digest when they were read.  A
 //! run corrupted on disk after it was cached keeps being served from
-//! the verified copy, while [`verify_dir`](crate::verify_dir) reports
-//! the run on disk.
+//! the verified copy, while re-verifying the file reports the run.
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::obs;
-use crate::publish::{open_image, read_extent};
-use crate::record::{DigestRecord, MAX_RUN_LEN};
+use crate::sha256::{self, DIGEST_LEN};
 use cce_codec::BlockCodec;
 use std::fs::File;
-use std::path::Path;
+use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Byte budget of each artifact's verified-chunk cache.  It holds the
-/// longest run a digest record admits, so any valid run can be cached.
+/// Byte budget of each artifact's verified-chunk cache.  `cce-core`
+/// asserts that it holds the longest run a container admits, so any
+/// valid run can be cached.
 pub const VERIFIED_CHUNK_BYTES: usize = 32 << 20;
 
-const _: () = assert!(VERIFIED_CHUNK_BYTES as u64 >= MAX_RUN_LEN);
+/// One digest-checked byte range of the image: a run of whole blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Byte offset in the image file.
+    pub start: u64,
+    /// Byte length.
+    pub len: u64,
+    /// SHA-256 of the bytes.
+    pub sha256: [u8; DIGEST_LEN],
+}
+
+impl Run {
+    /// One past the run's last byte.
+    pub fn end(&self) -> u64 {
+        self.start + self.len
+    }
+}
 
 /// Where one compressed block lies in the image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +76,13 @@ pub(crate) struct ChunkStats {
     pub(crate) resident_bytes: usize,
 }
 
-/// An opened image directory.
+/// An opened image.
 pub struct Artifact {
     image: File,
-    record: DigestRecord,
+    runs: Vec<Run>,
     info: Vec<u8>,
     blocks: Vec<BlockEntry>,
-    /// The run holding each block (an index into `record.runs()`).
+    /// The run holding each block (an index into `runs`).
     block_runs: Vec<usize>,
     /// Verified run bytes by run index, each costing its length.
     chunks: Mutex<LruCache<Arc<[u8]>>>,
@@ -74,26 +91,20 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Opens the image in `<dir>` under its parsed digest `record`:
-    /// checks the image's length, verifies the head and tail extents,
-    /// and places each of `blocks` in the run that holds it.  `info` is
-    /// the `get-manifest` reply.
+    /// Serves `blocks` out of `image`, each checked against the digest
+    /// of the run in `runs` that holds it.  `info` is the
+    /// `get-manifest` reply.  Nothing is read here.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Corrupt`] when the image length differs from the
-    /// record's, the head or tail digest differs, or a block does not
+    /// [`ServeError::Corrupt`] naming the block when a block does not
     /// lie inside one run.
     pub fn open(
-        dir: &Path,
-        record: DigestRecord,
+        image: File,
+        runs: Vec<Run>,
         blocks: Vec<BlockEntry>,
         info: Vec<u8>,
     ) -> Result<Self, ServeError> {
-        let image = open_image(dir, &record)?;
-        read_extent(&image, &record, 0)?;
-        read_extent(&image, &record, record.extents().len() - 1)?;
-        let runs = record.runs();
         let block_runs = blocks
             .iter()
             .enumerate()
@@ -107,7 +118,7 @@ impl Artifact {
             .collect::<Result<_, _>>()?;
         Ok(Self {
             image,
-            record,
+            runs,
             info,
             blocks,
             block_runs,
@@ -117,10 +128,10 @@ impl Artifact {
         })
     }
 
-    /// The digest record the artifact was opened under.
+    /// The runs the artifact was opened with.
     #[cfg(test)]
-    pub(crate) fn record(&self) -> &DigestRecord {
-        &self.record
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
     /// The `get-manifest` reply.
@@ -156,7 +167,7 @@ impl Artifact {
             .ok_or_else(|| ServeError::NotFound(format!("block {block}")))?;
         let run = self.block_runs[block];
         let bytes = self.verified_run(run)?;
-        let local = (entry.offset - self.record.runs()[run].start) as usize;
+        let local = (entry.offset - self.runs[run].start) as usize;
         // In range: open checked that the block lies inside its run,
         // and the run's bytes matched its digest.
         Ok((bytes[local..local + entry.len as usize].to_vec(), entry.uncompressed_len as usize))
@@ -172,10 +183,24 @@ impl Artifact {
             obs::SERVE_CHUNK_HITS.incr();
             return Ok(bytes);
         }
-        let bytes: Arc<[u8]> = read_extent(&self.image, &self.record, run + 1)?.into();
+        let bytes: Arc<[u8]> = self.read_run(run)?.into();
         self.chunk_loads.fetch_add(1, Ordering::Relaxed);
         obs::SERVE_CHUNK_LOADS.incr();
         self.chunk_cache().insert(run, bytes.clone(), bytes.len());
+        Ok(bytes)
+    }
+
+    /// Reads run `run` with one positioned read and checks its SHA-256.
+    fn read_run(&self, run: usize) -> Result<Vec<u8>, ServeError> {
+        let Run { start, len, sha256 } = self.runs[run];
+        let what = || format!("run {run}");
+        let mut bytes = vec![0u8; len as usize];
+        self.image
+            .read_exact_at(&mut bytes, start)
+            .map_err(|e| ServeError::corrupt(what(), format!("cannot read: {e}")))?;
+        if sha256::digest(&bytes) != sha256 {
+            return Err(ServeError::corrupt(what(), "sha-256 mismatch"));
+        }
         Ok(bytes)
     }
 
@@ -215,52 +240,68 @@ impl Artifact {
     }
 }
 
-/// Test fixture shared by the unit tests: publishes `blocks` as an
-/// image (8-byte head, runs packed to `chunk_payload`, 8-byte tail)
-/// and returns the block table [`Artifact::open`] takes.
+/// A test image: where [`publish_blocks`] wrote each block and the
+/// digests of the runs holding them.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct TestImage {
+    pub(crate) runs: Vec<Run>,
+    pub(crate) blocks: Vec<BlockEntry>,
+}
+
+/// Test fixture shared by the unit tests: writes `blocks` to
+/// `<dir>/image` after an 8-byte head and before an 8-byte tail, in
+/// runs of whole blocks packed to at most `run_target` bytes (a lone
+/// longer block gets a run of its own), and returns the run digests and
+/// block table [`Artifact::open`] takes.
 #[cfg(test)]
 pub(crate) fn publish_blocks(
-    dir: &Path,
+    dir: &std::path::Path,
     blocks: &[Vec<u8>],
-    chunk_payload: u64,
-) -> Vec<BlockEntry> {
-    let runs =
-        crate::publish::pack_runs(blocks.iter().map(|b| b.len() as u64), chunk_payload).unwrap();
-    let mut extents = vec![b"headhead".to_vec()];
+    run_target: u64,
+) -> TestImage {
+    let mut image = b"headhead".to_vec();
+    let mut runs: Vec<Run> = Vec::new();
     let mut entries = Vec::new();
-    let mut next = blocks.iter();
-    let mut offset = 8u64;
-    for run in runs {
-        let mut bytes = Vec::new();
-        while (bytes.len() as u64) < run {
-            let block = next.next().unwrap();
-            entries.push(BlockEntry {
-                offset,
-                len: block.len() as u32,
-                uncompressed_len: block.len() as u32,
-            });
-            offset += block.len() as u64;
-            bytes.extend_from_slice(block);
+    for block in blocks {
+        let offset = image.len() as u64;
+        match runs.last_mut() {
+            Some(run) if run.len + block.len() as u64 <= run_target => {
+                run.len += block.len() as u64
+            }
+            _ => runs.push(Run { start: offset, len: block.len() as u64, sha256: [0; DIGEST_LEN] }),
         }
-        extents.push(bytes);
+        entries.push(BlockEntry {
+            offset,
+            len: block.len() as u32,
+            uncompressed_len: block.len() as u32,
+        });
+        image.extend_from_slice(block);
     }
-    extents.push(b"tailtail".to_vec());
-    crate::publish::publish(dir, extents.into_iter().map(Ok)).unwrap();
-    entries
+    for run in &mut runs {
+        run.sha256 = sha256::digest(&image[run.start as usize..run.end() as usize]);
+    }
+    image.extend_from_slice(b"tailtail");
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("image"), image).unwrap();
+    TestImage { runs, blocks: entries }
 }
 
 /// Opens what [`publish_blocks`] wrote.
 #[cfg(test)]
-pub(crate) fn open_blocks(dir: &Path, blocks: Vec<BlockEntry>) -> Result<Artifact, ServeError> {
-    Artifact::open(dir, DigestRecord::read(dir)?, blocks, b"info".to_vec())
+pub(crate) fn open_blocks(
+    dir: &std::path::Path,
+    image: &TestImage,
+) -> Result<Artifact, ServeError> {
+    let file = File::open(dir.join("image"))?;
+    Artifact::open(file, image.runs.clone(), image.blocks.clone(), b"info".to_vec())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::IMAGE_FILE;
     use std::fs;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -269,9 +310,9 @@ mod tests {
         dir
     }
 
-    /// Flips the byte at `offset` of the published image.
+    /// Flips the byte at `offset` of the written image.
     fn flip(dir: &Path, offset: u64) {
-        let path = dir.join(IMAGE_FILE);
+        let path = dir.join("image");
         let mut bytes = fs::read(&path).unwrap();
         bytes[offset as usize] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
@@ -281,7 +322,7 @@ mod tests {
     fn every_block_reads_back_byte_identical() {
         let dir = temp_dir("roundtrip");
         let blocks: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i ^ 0x5a; 10 + 7 * i as usize]).collect();
-        let artifact = open_blocks(&dir, publish_blocks(&dir, &blocks, 64)).unwrap();
+        let artifact = open_blocks(&dir, &publish_blocks(&dir, &blocks, 64)).unwrap();
         assert_eq!(artifact.block_count(), blocks.len());
         for (i, expect) in blocks.iter().enumerate() {
             let (data, ulen) = artifact.read_block(i).unwrap();
@@ -296,9 +337,9 @@ mod tests {
     fn corrupt_chunk_read_names_the_chunk() {
         let dir = temp_dir("corrupt");
         let blocks: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 30]).collect();
-        let artifact = open_blocks(&dir, publish_blocks(&dir, &blocks, 64)).unwrap();
+        let artifact = open_blocks(&dir, &publish_blocks(&dir, &blocks, 64)).unwrap();
         let run = artifact.run_of(4).unwrap();
-        flip(&dir, artifact.record().runs()[run].end() - 1);
+        flip(&dir, artifact.runs()[run].end() - 1);
         // A run that fails its check is not cached: every read of it
         // fails the same way.
         for _ in 0..2 {
@@ -318,8 +359,8 @@ mod tests {
     fn each_chunk_is_read_and_verified_once() {
         let dir = temp_dir("once");
         let blocks: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 20]).collect();
-        let artifact = open_blocks(&dir, publish_blocks(&dir, &blocks, 64)).unwrap();
-        let runs = artifact.record().runs().len();
+        let artifact = open_blocks(&dir, &publish_blocks(&dir, &blocks, 64)).unwrap();
+        let runs = artifact.runs().len();
         for _ in 0..3 {
             for (i, expect) in blocks.iter().enumerate() {
                 assert_eq!(&artifact.read_block(i).unwrap().0, expect, "block {i}");
@@ -336,40 +377,46 @@ mod tests {
     fn non_dense_index_entry_is_refused_at_open() {
         // Runs hold blocks 0..=2 (3 × 20 = 60 <= 64) and block 3.
         let dir = temp_dir("nondense");
-        let mut entries =
+        let mut image =
             publish_blocks(&dir, &(0..4u8).map(|i| vec![i; 20]).collect::<Vec<_>>(), 64);
         // Stretch block 2 across the boundary into the second run, and
         // point a block into the head.
-        entries[2].len = 30;
-        let err = open_blocks(&dir, entries.clone()).err().expect("a straddling block opened");
+        image.blocks[2].len = 30;
+        let err = open_blocks(&dir, &image).err().expect("a straddling block opened");
         assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("block 2"), "{err}");
-        entries[2].len = 20;
-        entries[0].offset = 0;
-        assert!(open_blocks(&dir, entries).is_err(), "a block in the head opened");
+        image.blocks[2].len = 20;
+        image.blocks[0].offset = 0;
+        assert!(open_blocks(&dir, &image).is_err(), "a block in the head opened");
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A run whose digest does not match the bytes it was opened with
+    /// (here the run that holds the first block, as a model change
+    /// would leave it) fails every read of its blocks, typed.
     #[test]
     fn model_digest_mismatch_is_typed() {
         let dir = temp_dir("model");
-        let entries = publish_blocks(&dir, &[vec![1; 8]], 64);
-        flip(&dir, 3);
-        let err = open_blocks(&dir, entries).err().expect("a corrupt head opened");
+        let mut image = publish_blocks(&dir, &[vec![1; 8]], 64);
+        image.runs[0].sha256[0] ^= 1;
+        let artifact = open_blocks(&dir, &image).unwrap();
+        let err = artifact.read_block(0).unwrap_err();
         assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("image.cce head"), "{err}");
+        assert!(err.to_string().contains("run 0: sha-256 mismatch"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A run table cut short leaves its last block in no run: refused at
+    /// open with a typed error.
     #[test]
     fn truncated_manifest_fails_open_with_typed_error() {
         let dir = temp_dir("truncrecord");
-        let entries = publish_blocks(&dir, &[vec![1; 8], vec![2; 8]], 64);
-        let path = dir.join(crate::record::RECORD_FILE);
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = open_blocks(&dir, entries).err().expect("a truncated record opened");
+        let mut image = publish_blocks(&dir, &[vec![1; 8], vec![2; 8]], 8);
+        assert_eq!(image.runs.len(), 2);
+        image.runs.pop();
+        let err = open_blocks(&dir, &image).err().expect("a truncated run table opened");
         assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("block 1"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,20 +4,25 @@
 //! Every scenario asserts two things — the failure surfaces as a
 //! *typed* error (never a panic, never a hang), and the daemon keeps
 //! serving fresh connections afterwards.  Scenarios covered: a
-//! corrupted run, a truncated image, a truncated or garbled digest
-//! record, an oversized request frame, a mid-request client
+//! corrupted run, a truncated container, a truncated or garbled digest
+//! section, an oversized request frame, a mid-request client
 //! disconnect, an I/O error mid-stream, a client limping along on
 //! 1-byte reads, a truncated response, a connection flood past the
 //! daemon's cap, a run corrupted after the daemon verified and cached
-//! it, and a decode job that panics.
+//! it, and a decode job that panics.  The storage scenarios (1, 2, 3
+//! and 10) serve a real CCE2 container opened through `cce-core`; the
+//! others serve a bare image of identity blocks.
 
 mod common;
 
+use cce_core::container::{ContainerIdentity, ContainerV2Reader};
+use cce_core::elf::{Class, Endianness};
+use cce_core::isa::Isa;
+use cce_core::{artifact, streaming, Algorithm};
 use cce_serve::fault::{duplex, DuplexStream, Fault, FaultReader, FaultStream};
 use cce_serve::proto::{read_frame, Request, Status, MAX_RESPONSE_PAYLOAD};
-use cce_serve::record::{DigestRecord, IMAGE_FILE, RECORD_FILE};
 use cce_serve::server::MAX_CONNECTIONS;
-use cce_serve::{verify_dir, Client, ServeConfig, ServeError, Server};
+use cce_serve::{Client, Run, ServeConfig, ServeError, Server};
 use common::{open_blocks, publish_blocks, Identity};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -38,12 +43,60 @@ fn fixture() -> Vec<Vec<u8>> {
     (0..6).map(|i| vec![(i * 41 % 249) as u8; 56]).collect()
 }
 
-/// Publishes [`fixture`] in 128-byte runs (two blocks each), so
+/// Writes [`fixture`] in 128-byte runs (two blocks each), so
 /// corrupting run 0 leaves the other runs healthy.
 fn publish_two_chunks(dir: &Path) -> Vec<Vec<u8>> {
     let blocks = fixture();
-    assert_eq!(publish_blocks(dir, &blocks, 128), 3, "fixture must span multiple runs");
+    assert_eq!(publish_blocks(dir, &blocks), 3, "fixture must span multiple runs");
     blocks
+}
+
+/// Huffman block size of [`write_container`].
+const BLOCK: usize = 32;
+
+/// Compresses 128 KiB of MIPS `go` text with huffman into
+/// `<dir>/prog.cce`: more than 64 KiB of payload, so two runs.  Returns
+/// the container's path and the text.
+fn write_container(dir: &Path) -> (PathBuf, Vec<u8>) {
+    use cce_core::workload::{generate_mips, Spec95};
+    let profile = Spec95::by_name("go").unwrap();
+    let text = cce_core::isa::mips::encode_text(&generate_mips(profile, 2.0));
+    let handle = Algorithm::ByteHuffman.build(Isa::Mips, BLOCK).train(&text).unwrap();
+    let codec = handle.as_block().unwrap();
+    let identity = ContainerIdentity {
+        algorithm: Algorithm::ByteHuffman,
+        isa: Isa::Mips,
+        class: Class::Elf32,
+        endianness: Endianness::Big,
+        entry: 0x40_0000,
+    };
+    std::fs::create_dir_all(dir).unwrap();
+    let path = dir.join("prog.cce");
+    let out = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    streaming::compress_text(identity, &text, codec, out, 2).unwrap();
+    assert_eq!(runs_of(&path).len(), 2, "the container must span two runs");
+    (path, text)
+}
+
+/// The container's reader.
+fn reader_of(path: &Path) -> Result<ContainerV2Reader<std::fs::File>, cce_codec::CodecError> {
+    ContainerV2Reader::open(std::fs::File::open(path).unwrap())
+}
+
+/// The container's digest runs.
+fn runs_of(path: &Path) -> Vec<Run> {
+    reader_of(path).unwrap().runs().collect()
+}
+
+/// A daemon serving the container at `path`.
+fn serve_container(path: &Path) -> Server {
+    let (artifact, codec) = artifact::open(path).unwrap();
+    Server::new(artifact, codec, ServeConfig::default())
+}
+
+/// What block `block` of `text` decodes to.
+fn text_block(text: &[u8], block: usize) -> Vec<u8> {
+    text[block * BLOCK..text.len().min((block + 1) * BLOCK)].to_vec()
 }
 
 fn server_for(dir: &Path) -> Server {
@@ -58,13 +111,12 @@ fn connect(server: &Server) -> Client<DuplexStream> {
     Client::new(client_end)
 }
 
-/// Flips one byte in the middle of run `index` of the image.
-fn corrupt_chunk(dir: &Path, index: usize) {
-    let run = DigestRecord::read(dir).unwrap().runs()[index];
-    let path = dir.join(IMAGE_FILE);
-    let mut bytes = std::fs::read(&path).unwrap();
+/// Flips one byte in the middle of run `index` of the container.
+fn corrupt_chunk(path: &Path, index: usize) {
+    let run = runs_of(path)[index];
+    let mut bytes = std::fs::read(path).unwrap();
     bytes[(run.start + run.len / 2) as usize] ^= 0x40;
-    std::fs::write(&path, bytes).unwrap();
+    std::fs::write(path, bytes).unwrap();
 }
 
 /// Decodes like [`Identity`] but panics on blocks whose bytes start
@@ -103,9 +155,9 @@ impl cce_codec::BlockCodec for PanicsOn {
 #[test]
 fn corrupt_chunk_is_a_typed_error_and_the_daemon_survives() {
     let dir = temp_dir("corrupt-chunk");
-    let blocks = publish_two_chunks(&dir);
-    let server = server_for(&dir);
-    corrupt_chunk(&dir, 0);
+    let (path, text) = write_container(&dir);
+    let server = serve_container(&path);
+    corrupt_chunk(&path, 0);
     let mut client = connect(&server);
     // Every block in the poisoned run answers Corrupt naming the run,
     // on both the raw and the decoded path, on every read.
@@ -119,66 +171,72 @@ fn corrupt_chunk_is_a_typed_error_and_the_daemon_survives() {
             assert!(err.to_string().contains("run 0:"), "{err}");
         }
     }
-    // The same connection still serves the healthy runs and metadata.
-    let last = blocks.len() as u64 - 1;
-    assert_eq!(client.decode_block(last).unwrap(), blocks[last as usize]);
+    // The same connection still serves the healthy run and metadata.
+    let last = text.len().div_ceil(BLOCK) - 1;
+    assert_eq!(client.decode_block(last as u64).unwrap(), text_block(&text, last));
     assert!(client.get_manifest().is_ok());
-    // And verify tells the truth about the directory.
-    let err = verify_dir(&dir).unwrap_err();
-    assert!(err.to_string().contains("image.cce run 0:"), "{err}");
+    // And verify tells the truth about the container.
+    let err = reader_of(&path).unwrap().verify().unwrap_err();
+    assert!(err.to_string().contains("run 0: sha-256 mismatch"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// Scenario 2: the image cut short on disk.  At open and from verify it
-// is a typed error naming the image; cut under a running daemon, the
-// runs it lost answer Corrupt naming them.
+// Scenario 2: the container cut short on disk.  At open and from verify
+// it is a typed error; cut under a running daemon, the run it lost
+// answers Corrupt naming it.
 #[test]
 fn truncated_chunk_file_is_a_typed_error_not_a_panic() {
     let dir = temp_dir("truncated-chunk");
-    let blocks = publish_two_chunks(&dir);
-    let server = server_for(&dir);
-    let path = dir.join(IMAGE_FILE);
+    let (path, text) = write_container(&dir);
+    let server = serve_container(&path);
     let bytes = std::fs::read(&path).unwrap();
-    // Keep the head and run 0 (blocks 0 and 1) and half of run 1.
-    let run = DigestRecord::read(&dir).unwrap().runs()[1];
+    // Keep the head, run 0 and half of run 1.
+    let run = runs_of(&path)[1];
     std::fs::write(&path, &bytes[..(run.start + run.len / 2) as usize]).unwrap();
     let mut client = connect(&server);
-    let err = client.get_block(2).unwrap_err();
+    let last = text.len().div_ceil(BLOCK) - 1;
+    let err = client.get_block(last as u64).unwrap_err();
     assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
     assert!(err.to_string().contains("run 1:"), "{err}");
     // Run 0 is untouched.
-    assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
-    for err in [open_blocks(&dir, &blocks).err().expect("opened"), verify_dir(&dir).unwrap_err()] {
-        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("corrupt image.cce:"), "{err}");
-    }
+    assert_eq!(client.decode_block(0).unwrap(), text_block(&text, 0));
+    let err = artifact::open(&path).err().expect("a truncated container opened");
+    assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("prog.cce: container: corrupt data"), "{err}");
+    assert!(reader_of(&path).is_err(), "verify opened a truncated container");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// Scenario 3: a truncated or garbled digest record is refused at open
-// (and by verify), with a typed error — a daemon can never start over
-// a half record.
+// Scenario 3: a truncated or garbled digest section is refused at open
+// (and by verify), with a typed error — a daemon can never start over a
+// half section.
 #[test]
 fn truncated_manifest_is_refused_with_a_typed_error() {
     let dir = temp_dir("truncated-record");
-    let blocks = publish_two_chunks(&dir);
-    let path = dir.join(RECORD_FILE);
+    let (path, _) = write_container(&dir);
     let bytes = std::fs::read(&path).unwrap();
+    let len = bytes.len();
+    // The footer's last field before its magic is the section offset.
+    let section = u64::from_be_bytes(bytes[len - 12..len - 4].try_into().unwrap()) as usize;
     let garbled = |at: usize| {
         let mut bad = bytes.clone();
-        bad[at] ^= 0x08;
+        bad[section + at] ^= 0x08;
         bad
     };
-    let cases = [0, 1, bytes.len() / 2, bytes.len() - 2]
+    // The count, a run length, a run digest, the closing digest.
+    let cases = [section, section + 1, len - 37, len - 2]
         .map(|keep| bytes[..keep].to_vec())
         .into_iter()
-        .chain([3, 9, 20, bytes.len() - 1].map(garbled));
+        .chain([3, 9 + 40, 20 + 40, len - 36 - section - 1].map(garbled));
     for (case, bad) in cases.enumerate() {
         std::fs::write(&path, &bad).unwrap();
-        let err = open_blocks(&dir, &blocks).err().expect("a damaged record opened");
+        let err = artifact::open(&path).err().expect("a damaged section opened");
         assert!(matches!(err, ServeError::Corrupt { .. }), "case {case}: {err}");
-        assert!(err.to_string().contains(RECORD_FILE), "case {case}: {err}");
-        assert!(verify_dir(&dir).is_err(), "case {case}");
+        assert!(err.to_string().contains("prog.cce"), "case {case}: {err}");
+        if case >= 4 {
+            assert!(err.to_string().contains("digest section"), "case {case}: {err}");
+        }
+        assert!(reader_of(&path).is_err(), "case {case}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -436,28 +494,29 @@ fn flood_past_the_cap<S: Read + Write>(
 }
 
 // Scenario 10: a run corrupted on disk *after* the daemon verified and
-// cached it.  The daemon keeps serving the bytes that matched the
-// record when it loaded them, and `verify` reports the run on disk.
+// cached it.  The daemon keeps serving the bytes that matched their
+// digest when it loaded them, and `verify` reports the run on disk.
 #[test]
 fn chunk_corrupted_after_caching_keeps_serving_the_verified_bytes() {
     let dir = temp_dir("corrupt-after-cache");
-    let blocks = publish_two_chunks(&dir);
-    let server = server_for(&dir);
+    let (path, text) = write_container(&dir);
+    let pristine = reader_of(&path).unwrap().read_block(1).unwrap();
+    let server = serve_container(&path);
     let mut client = connect(&server);
-    // Warm run 0 (blocks 0 and 1) through block 0.
-    assert_eq!(client.decode_block(0).unwrap(), blocks[0]);
-    corrupt_chunk(&dir, 0);
+    // Warm run 0 (blocks 0 and 1 among others) through block 0.
+    assert_eq!(client.decode_block(0).unwrap(), text_block(&text, 0));
+    corrupt_chunk(&path, 0);
     // Block 1 was never decoded, so both answers slice the verified
     // copy of run 0, on this connection and on a fresh one.
-    assert_eq!(client.decode_block(1).unwrap(), blocks[1]);
-    assert_eq!(client.get_block(1).unwrap(), (blocks[1].clone(), blocks[1].len()));
+    assert_eq!(client.decode_block(1).unwrap(), text_block(&text, 1));
+    assert_eq!(client.get_block(1).unwrap(), pristine);
     let mut fresh = connect(&server);
-    assert_eq!(fresh.get_block(0).unwrap(), (blocks[0].clone(), blocks[0].len()));
+    assert_eq!(fresh.get_block(1).unwrap(), pristine);
     let stats = fresh.stats().unwrap();
     assert!(stats.contains("\"chunk_loads\":1,"), "{stats}");
-    let err = verify_dir(&dir).unwrap_err();
-    assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
-    assert!(err.to_string().contains("image.cce run 0:"), "{err}");
+    let err = reader_of(&path).unwrap().verify().unwrap_err();
+    assert!(matches!(err, cce_codec::CodecError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("run 0: sha-256 mismatch"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -32,7 +32,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn publish_identity(dir: &Path, blocks: usize) -> Vec<Vec<u8>> {
     let data: Vec<Vec<u8>> = (0..blocks).map(|i| vec![(i * 31 % 253) as u8; 48 + i % 16]).collect();
-    publish_blocks(dir, &data, 128);
+    publish_blocks(dir, &data);
     data
 }
 

@@ -217,34 +217,33 @@ echo "$warm_out" | grep -q 'model cache: disk hit'
 echo "$warm_out" | grep -q 'division 49bc0a2a57dccd29'
 cmp target/ci-cache-cold.cce target/ci-cache-warm.cce
 
-echo "== serve smoke (publish, verify, daemon fetch, corruption) =="
-# `publish` must copy the container byte for byte, the published
-# directory must verify clean, a daemon on a Unix socket must serve a
-# fetch whose rebuilt ELF is byte-identical to `decompress`, and a single
-# flipped byte in a run must fail `verify` with a non-zero exit that
-# names the run.  `fetch` decodes every block once, in order, so a
-# daemon that verifies each run once reports one chunk load per run
-# (the count `verify` prints) in its `shutdown:` stats line, counts each
-# `decode-block` as exactly one cache hit or miss, and answers no
-# request with an error.
+echo "== serve smoke (verify, daemon fetch, corruption) =="
+# The container must verify clean, a daemon on a Unix socket serving it
+# must answer a fetch whose rebuilt ELF is byte-identical to
+# `decompress`, and a single flipped payload byte must fail both
+# `verify` and `decompress` with a non-zero exit that names the run.
+# `fetch` decodes every block once, in order, so a daemon that verifies
+# each run once reports one chunk load per run (the count `verify`
+# prints) in its `shutdown:` stats line, counts each `decode-block` as
+# exactly one cache hit or miss, and answers no request with an error.
+# `go` at scale 2 gives more than 64 KiB of huffman payload: two runs.
 serve_elf="target/ci-serve.elf"
 serve_cce="target/ci-serve.cce"
-serve_dir="target/ci-serve-artifact"
+serve_bad="target/ci-serve-corrupt.cce"
 serve_sock="target/ci-serve.sock"
 serve_direct="target/ci-serve-direct.elf"
 serve_fetched="target/ci-serve-fetched.elf"
+serve_bad_out="target/ci-serve-corrupt.elf"
 serve_log="target/ci-serve.log"
-rm -rf "$serve_dir" "$serve_sock"
-cargo run --release -q -p cce-core --bin cce -- gen ijpeg --scale 0.5 --seed 7 -o "$serve_elf"
+rm -f "$serve_sock" "$serve_bad_out"
+cargo run --release -q -p cce-core --bin cce -- gen go --scale 2 --seed 7 -o "$serve_elf"
 cargo run --release -q -p cce-core --bin cce -- compress "$serve_elf" -a huffman -o "$serve_cce"
-cargo run --release -q -p cce-core --bin cce -- publish "$serve_cce" -o "$serve_dir" --chunk-size 4096
-cmp "$serve_cce" "$serve_dir/image.cce"
-verify_out="$(cargo run --release -q -p cce-core --bin cce -- verify "$serve_dir")"
+verify_out="$(cargo run --release -q -p cce-core --bin cce -- verify "$serve_cce")"
 echo "$verify_out"
 runs="$(echo "$verify_out" | sed -n 's/.* blocks in \([0-9]*\) runs,.*/\1/p')"
 test "$runs" -gt 1
 cargo run --release -q -p cce-core --bin cce -- decompress "$serve_cce" -o "$serve_direct"
-cargo run --release -q -p cce-core --bin cce -- serve "$serve_dir" --socket "$serve_sock" >"$serve_log" &
+cargo run --release -q -p cce-core --bin cce -- serve "$serve_cce" --socket "$serve_sock" >"$serve_log" &
 serve_pid=$!
 for _ in $(seq 1 100); do [ -S "$serve_sock" ] && break; sleep 0.1; done
 test -S "$serve_sock"
@@ -262,24 +261,28 @@ assert stats["errors"] == 0, stats
 print("serve smoke:", runs, "runs, each loaded and verified once;",
       stats["blocks"], "decode-block requests, each counted once")
 EOF
-# Flip the middle byte of run 0.  The digest record's first two entries
-# (a u64 length and a 32-byte SHA-256 each, after an 8-byte preamble)
-# are the head and run 0.
-python3 - "$serve_dir" <<'EOF'
+# Flip the first payload byte, at data_start: the 28-byte header plus
+# the codec model length the header's last u32 gives.  It lies in run 0.
+python3 - "$serve_cce" "$serve_bad" <<'EOF'
 import struct, sys
-record = open(sys.argv[1] + "/image.digests", "rb").read()
-head, run0 = struct.unpack(">Q", record[8:16])[0], struct.unpack(">Q", record[48:56])[0]
-path = sys.argv[1] + "/image.cce"
-data = bytearray(open(path, "rb").read())
-data[head + run0 // 2] ^= 1
-open(path, "wb").write(bytes(data))
+data = bytearray(open(sys.argv[1], "rb").read())
+data_start = 28 + struct.unpack(">I", data[24:28])[0]
+data[data_start] ^= 1
+open(sys.argv[2], "wb").write(bytes(data))
 EOF
-if verify_out="$(cargo run --release -q -p cce-core --bin cce -- verify "$serve_dir" 2>&1)"; then
-    echo "verify must fail on a corrupted run" >&2
-    exit 1
-fi
-echo "$verify_out" | grep -q 'run 0:'
-echo "serve smoke: publish/verify/daemon/corruption all behaved"
+for command in "verify $serve_bad" "decompress $serve_bad -o $serve_bad_out"; do
+    # shellcheck disable=SC2086  # the command and its arguments split on purpose
+    if bad_out="$(cargo run --release -q -p cce-core --bin cce -- $command 2>&1)"; then
+        echo "cce $command must fail on a corrupted run" >&2
+        exit 1
+    fi
+    echo "$bad_out" | grep -q 'run 0:' || {
+        echo "cce $command did not name run 0: $bad_out" >&2
+        exit 1
+    }
+done
+test ! -e "$serve_bad_out"
+echo "serve smoke: verify/daemon/corruption all behaved"
 
 echo "== serve load smoke (daemon on a Unix socket, pipelined connections) =="
 # The benchmark's serve workloads start the daemon on a real Unix socket

@@ -207,6 +207,28 @@ fn corrupt_container_fails_cleanly() {
 }
 
 #[test]
+fn a_flipped_payload_byte_fails_decompress_naming_the_run() {
+    let dir = temp_dir("flipped-payload");
+    let (elf_path, _) = write_test_elf(&dir, Isa::Mips);
+    let cce_path = dir.join("out.cce");
+    let cce_path = cce_path.to_str().expect("utf8");
+    let output = cce(&["compress", elf_path.to_str().expect("utf8"), "-o", cce_path]);
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    // The first payload byte follows the 28-byte header and the model.
+    let mut bytes = std::fs::read(cce_path).expect("readable");
+    let codec_len = u32::from_be_bytes(bytes[24..28].try_into().unwrap()) as usize;
+    bytes[28 + codec_len] ^= 0x01;
+    std::fs::write(cce_path, &bytes).expect("written");
+    let rebuilt = dir.join("rebuilt.elf");
+    let output = cce(&["decompress", cce_path, "-o", rebuilt.to_str().expect("utf8")]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("container: corrupt data: run 0: sha-256 mismatch"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!rebuilt.exists(), "decompress wrote an ELF from a corrupt container");
+}
+
+#[test]
 fn bad_inputs_fail_cleanly() {
     let dir = temp_dir("bad");
     let junk = dir.join("junk.elf");
@@ -232,8 +254,13 @@ fn bad_inputs_fail_cleanly() {
     let elf = elf_path.to_str().expect("utf8");
     let out = dir.join("out.cce");
     let out = out.to_str().expect("utf8");
+    let missing = dir.join("missing.cce");
+    let missing = missing.to_str().expect("utf8");
+    let socket = dir.join("cce.sock");
+    let socket = socket.to_str().expect("utf8");
     // Each case exits 1 with a `cce:` error that names `needle`, never a
-    // panic: every ELF-reading command refuses the junk input the same way.
+    // panic: every ELF-reading command refuses the junk input the same way,
+    // and a file that cannot be opened or written is named.
     let cases: &[(&[&str], &str)] = &[
         (&["ratio", junk], "bad magic"),
         (&["compress", junk, "-o", out], "bad magic"),
@@ -246,6 +273,21 @@ fn bad_inputs_fail_cleanly() {
         (&["frobnicate"], "unknown command"),
         // The list of container codecs is built from the registry.
         (&["compress", elf, "--algo", "bogus", "-o", out], "samc-rans"),
+        // `publish` is retired: a container carries its own digests.
+        (&["publish", elf, "-o", out], "unknown command `publish`"),
+        (&["info", missing], missing),
+        (&["decompress", missing, "-o", out], missing),
+        (&["verify", missing], missing),
+        (&["serve", missing, "--socket", socket], missing),
+        (&["compress", missing, "-o", out], missing),
+        (&["ratio", missing], missing),
+        (&["compress", elf, "-a", "huffman", "-o", "/nonexistent/x.cce"], "/nonexistent/x.cce"),
+        (&["gen", "go", "-o", "/nonexistent/x.elf"], "/nonexistent/x.elf"),
+        (
+            &["sweep", "--scale", "0.05", "--fetches", "1000", "-o", "/nonexistent/x.json"],
+            "/nonexistent/x.json",
+        ),
+        (&["stats", "--metrics", "/nonexistent/m.json"], "/nonexistent/m.json"),
     ];
     for (args, needle) in cases {
         let output = cce(args);
@@ -436,7 +478,6 @@ fn flags_from_other_commands_are_usage_errors() {
         (&["disasm", elf, "-b", "3"], "-b"),
         (&["fuzz", "--socket", "x"], "--socket"),
         (&["sweep", "--count", "3"], "--count"),
-        (&["publish", out, "--tcp", "9", "-o", out], "--tcp"),
         (&["verify", out, "--cache", "3"], "--cache"),
         (&["serve", out, "--algos", "samc", "--socket", out], "--algos"),
         // A retired flag fails loudly rather than being ignored.

@@ -33,6 +33,19 @@ fn every_registered_codec_survives_the_mutation_budget() {
             // Trichotomy: every case is accounted for as a decode or a
             // typed rejection (violations/panics would be failures).
             assert_eq!(report.decoded + report.rejected, report.cases, "{}", report.target);
+            // Mutants are resealed, so tampered containers must get past
+            // the digests to the decoders: unsealed, only a handful of
+            // no-op mutants decode; resealed, every target decodes more
+            // than one case in eight.
+            if report.target.ends_with("/container-v2") {
+                assert!(
+                    report.decoded >= report.cases / 16,
+                    "{}: only {} of {} mutants reached a decoder",
+                    report.target,
+                    report.decoded,
+                    report.cases
+                );
+            }
         }
     }
 }

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 /// Version of the golden corpus.  Bump on *intentional* format changes,
 /// together with regenerating the fixtures.
-const GOLDEN_FORMAT_VERSION: u32 = 2;
+const GOLDEN_FORMAT_VERSION: u32 = 3;
 
 /// Workload profile and scale every vector compresses.
 const PROFILE: &str = "compress";

@@ -1,16 +1,14 @@
-//! End-to-end tests of the publish/verify/serve tier against the
-//! committed pipeline fixture: a published artifact round-trips
-//! byte-identically to `cce decompress`, a flipped byte is pinned to
-//! the exact run, the info record cross-checks the container for every
-//! registered algorithm on both ISAs, and a Unix-socket daemon serves a
-//! full fetch over the wire.
+//! End-to-end tests of the verify/serve tier against the committed
+//! pipeline fixture: `cce verify` checks every run of a container and a
+//! flipped byte is pinned to the exact run, the info record cross-checks
+//! the container for every registered algorithm on both ISAs, and a
+//! Unix-socket daemon serves a full fetch over the wire.
 
-use cce_core::artifact::{open_with_codec, publish_container, ArtifactInfo};
+use cce_core::artifact::{self, ArtifactInfo};
 use cce_core::container::ContainerV2Reader;
 use cce_core::elf::ElfImage;
 use cce_core::isa::Isa;
-use cce_core::serve::record::{DigestRecord, IMAGE_FILE};
-use cce_core::serve::{verify_dir, Client, ServeConfig, ServeError, Server};
+use cce_core::serve::{Client, ServeConfig, ServeError, Server};
 use cce_core::workload::spec95_suite;
 use cce_core::Algorithm;
 use std::path::{Path, PathBuf};
@@ -43,47 +41,51 @@ fn compress_fixture(dir: &Path, algo: &str) -> PathBuf {
     container
 }
 
-/// `cce publish` copies the container byte for byte and `cce verify`
-/// succeeds on it; flipping a single byte makes `verify` fail naming
-/// the exact run.
+/// `cce verify` succeeds on a container with two runs; flipping a
+/// single byte in run 1 makes `verify` and `decompress` fail naming
+/// that exact run, and `decompress` writes nothing.
 #[test]
 fn publish_verify_round_trip_and_flipped_byte_names_the_chunk() {
     let dir = temp_dir("verify");
-    let container = compress_fixture(&dir, "huffman");
-    let artifact_dir = dir.join("artifact");
+    // More than 64 KiB of huffman payload: two runs.
+    let elf = dir.join("go.elf");
+    let output = cce(&["gen", "go", "--scale", "2", "--seed", "7", "-o", utf8(&elf)]);
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let container = dir.join("go.cce");
+    let output = cce(&["compress", utf8(&elf), "-a", "huffman", "-o", utf8(&container)]);
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
 
-    let output =
-        cce(&["publish", utf8(&container), "-o", utf8(&artifact_dir), "--chunk-size", "2048"]);
+    let output = cce(&["verify", utf8(&container)]);
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("published"), "{stdout}");
-    let image = artifact_dir.join(IMAGE_FILE);
-    assert_eq!(std::fs::read(&image).unwrap(), std::fs::read(&container).unwrap());
+    assert!(stdout.contains("OK") && stdout.contains(" in 2 runs,"), "verify output: {stdout}");
 
-    let output = cce(&["verify", utf8(&artifact_dir)]);
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
-    assert!(String::from_utf8_lossy(&output.stdout).contains("OK"), "verify output");
-
-    // Flip one byte in the middle of run 1: verify must fail, exit
-    // non-zero, and name that exact run — not "something's wrong".
-    let run = DigestRecord::read(&artifact_dir).unwrap().runs()[1];
-    let mut bytes = std::fs::read(&image).expect("image readable");
+    // Flip one byte in the middle of run 1: verify and decompress must
+    // fail, exit non-zero, and name that exact run.
+    let file = std::fs::File::open(&container).unwrap();
+    let run =
+        ContainerV2Reader::open(std::io::BufReader::new(file)).unwrap().runs().nth(1).unwrap();
+    let mut bytes = std::fs::read(&container).expect("container readable");
     bytes[(run.start + run.len / 2) as usize] ^= 0x01;
-    std::fs::write(&image, bytes).expect("image writable");
+    std::fs::write(&container, bytes).expect("container writable");
 
-    let output = cce(&["verify", utf8(&artifact_dir)]);
-    assert!(!output.status.success(), "verify must fail on a flipped byte");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("image.cce run 1:"), "error must name the run: {stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    let rebuilt = dir.join("go.out.elf");
+    let decompress = cce(&["decompress", utf8(&container), "-o", utf8(&rebuilt)]);
+    for output in [cce(&["verify", utf8(&container)]), decompress] {
+        assert_eq!(output.status.code(), Some(1), "a flipped byte must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("run 1: sha-256 mismatch"), "error must name the run: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    assert!(!rebuilt.exists(), "decompress wrote an ELF from a corrupt container");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// For every registered algorithm on both ISAs: random-access codecs
-/// publish, verify, answer an info record that mirrors the container,
-/// and decode byte-identically to the program text; a container
-/// claiming a file-oriented codec is refused at open with a typed
-/// error (those cannot serve blocks).
+/// verify, answer an info record that mirrors the container, and decode
+/// byte-identically to the program text; a container claiming a
+/// file-oriented codec is refused at open with a typed error (those
+/// cannot serve blocks).
 #[test]
 fn manifest_cross_checks_the_container_for_every_algorithm_and_isa() {
     for isa in [Isa::Mips, Isa::X86] {
@@ -92,20 +94,14 @@ fn manifest_cross_checks_the_container_for_every_algorithm_and_isa() {
         for algorithm in Algorithm::ALL {
             let name = algorithm.to_string().to_ascii_lowercase();
             if !algorithm.random_access() {
-                // File-oriented algorithms never publish; a published
-                // container whose codec tag claims one is refused at
-                // open, before any block is served.
+                // A container whose codec tag claims a file-oriented
+                // codec is refused at open, before any block is served.
                 let dir = temp_dir(&format!("refuse-{isa}-{name}"));
                 let container = compress_fixture(&dir, "huffman");
-                let artifact_dir = dir.join("artifact");
-                let file = std::fs::File::open(&container).unwrap();
-                let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file)).unwrap();
-                publish_container(&mut reader, &artifact_dir, 4096).unwrap();
-                let image = artifact_dir.join(IMAGE_FILE);
-                let mut bytes = std::fs::read(&image).unwrap();
+                let mut bytes = std::fs::read(&container).unwrap();
                 bytes[4] = algorithm.tag();
-                std::fs::write(&image, bytes).unwrap();
-                let err = open_with_codec(&artifact_dir).err().expect("a file codec opened");
+                std::fs::write(&container, bytes).unwrap();
+                let err = artifact::open(&container).err().expect("a file codec opened");
                 assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
                 assert!(err.to_string().contains("file-oriented"), "{err}");
                 std::fs::remove_dir_all(&dir).unwrap();
@@ -124,17 +120,14 @@ fn manifest_cross_checks_the_container_for_every_algorithm_and_isa() {
                 String::from_utf8_lossy(&output.stderr)
             );
 
-            let artifact_dir = dir.join("artifact");
             let file = std::fs::File::open(&container).unwrap();
             let mut reader = ContainerV2Reader::open(std::io::BufReader::new(file)).unwrap();
             let summary = reader.summary();
-            let published = publish_container(&mut reader, &artifact_dir, 4096).unwrap();
-            assert_eq!(published.image_len, summary.total_len, "{algorithm}/{isa}");
-            let verified = verify_dir(&artifact_dir).unwrap();
-            assert_eq!(verified.runs, published.runs, "{algorithm}/{isa}");
+            assert_eq!(summary.total_len, std::fs::metadata(&container).unwrap().len());
+            assert_eq!(reader.verify().unwrap(), reader.runs().len(), "{algorithm}/{isa}");
 
             // The info record mirrors the container exactly.
-            let (artifact, codec) = open_with_codec(&artifact_dir).unwrap();
+            let (artifact, codec) = artifact::open(&container).unwrap();
             let info = ArtifactInfo::parse(artifact.info()).unwrap();
             assert_eq!(info.identity, reader.identity(), "{algorithm}/{isa}");
             assert_eq!(info.identity.algorithm, algorithm, "{isa}");
@@ -160,13 +153,10 @@ fn manifest_cross_checks_the_container_for_every_algorithm_and_isa() {
 fn unix_daemon_serves_the_fixture_end_to_end() {
     let dir = temp_dir("daemon");
     let container = compress_fixture(&dir, "samc");
-    let artifact_dir = dir.join("artifact");
-    let output = cce(&["publish", utf8(&container), "-o", utf8(&artifact_dir)]);
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
 
-    let (artifact, codec) = open_with_codec(&artifact_dir).unwrap();
+    let (artifact, codec) = artifact::open(&container).unwrap();
     let expected = artifact.decode_text(codec.as_ref()).unwrap();
-    let (artifact, codec) = open_with_codec(&artifact_dir).unwrap();
+    let (artifact, codec) = artifact::open(&container).unwrap();
     let server = Server::new(artifact, codec, ServeConfig::default());
     let socket = dir.join("cce.sock");
     let listener = {
@@ -197,22 +187,19 @@ fn unix_daemon_serves_the_fixture_end_to_end() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The full CLI loop: `publish` → in-process daemon → `cce fetch` as a
-/// subprocess → the fetched ELF is byte-identical to `cce decompress`
+/// The full CLI loop: the container → in-process daemon → `cce fetch` as
+/// a subprocess → the fetched ELF is byte-identical to `cce decompress`
 /// of the same container.
 #[test]
 fn cli_fetch_matches_cli_decompress_byte_for_byte() {
     let dir = temp_dir("fetch");
     let container = compress_fixture(&dir, "sadc");
-    let artifact_dir = dir.join("artifact");
-    let output = cce(&["publish", utf8(&container), "-o", utf8(&artifact_dir)]);
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
 
     let decompressed = dir.join("direct.elf");
     let output = cce(&["decompress", utf8(&container), "-o", utf8(&decompressed)]);
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
 
-    let (artifact, codec) = open_with_codec(&artifact_dir).unwrap();
+    let (artifact, codec) = artifact::open(&container).unwrap();
     let server = Server::new(artifact, codec, ServeConfig::default());
     let socket = dir.join("cce.sock");
     let listener = {

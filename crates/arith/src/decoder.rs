@@ -67,11 +67,6 @@ impl<'a> BitDecoder<'a> {
         bit
     }
 
-    /// Bits decoded so far.
-    pub fn bits_decoded(&self) -> u64 {
-        self.bits
-    }
-
     /// Bytes of real input consumed so far (zero-fill reads not counted).
     pub fn bytes_consumed(&self) -> usize {
         self.position.min(self.bytes.len())

@@ -75,22 +75,9 @@ impl BitEncoder {
         self.bits += 1;
     }
 
-    /// Bits encoded so far.
-    pub fn bits_encoded(&self) -> u64 {
-        self.bits
-    }
-
     /// Renormalization byte-shifts so far — a proxy for output traffic.
     pub fn renorms(&self) -> u64 {
         self.renorms
-    }
-
-    /// Number of bytes the stream would occupy if finished now.
-    ///
-    /// An upper bound used for progress accounting; the true finished length
-    /// may be up to five bytes longer before trailing-zero trimming.
-    pub fn pending_len(&self) -> usize {
-        self.out.len()
     }
 
     /// Terminates the stream and returns the encoded bytes.

@@ -7,6 +7,7 @@
 
 use crate::{figure_rows, means, render_table};
 use cce_core::arith::ProbMode;
+use cce_core::codec::BlockCodec;
 use cce_core::isa::{mips::Operation, Isa};
 use cce_core::lz::{ContextCoder, ContextCoderConfig, Gzip};
 use cce_core::memsim::{CacheConfig, CostModel, LineAddressTable, MemorySystem};
@@ -99,7 +100,7 @@ fn claim_blk(scale: f64) -> Section {
 /// SAMC's compressed bytes as (coded blocks only, with the stored trees).
 fn samc_sizes(text: &[u8], config: SamcConfig) -> Result<(usize, usize), Box<dyn Error>> {
     let codec = SamcCodec::train(text, config)?;
-    let total = codec.compress(text).compressed_len();
+    let total = codec.compress(text)?.compressed_len();
     Ok((total - codec.model().model_bytes(), total))
 }
 
@@ -212,7 +213,7 @@ fn claim_pow2(scale: f64) -> Section {
 /// candidate class toggled, on every fourth benchmark.
 fn claim_dict(scale: f64) -> Section {
     let ratio = |text: &[u8], config| -> Result<f64, Box<dyn Error>> {
-        Ok(MipsSadc::train(text, config)?.compress(text).ratio())
+        Ok(MipsSadc::train(text, config)?.compress(text)?.ratio())
     };
     let programs = spec95_suite(Isa::Mips, scale);
     let sample: Vec<_> = programs.iter().step_by(4).collect();

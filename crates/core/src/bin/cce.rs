@@ -748,7 +748,7 @@ fn sweep(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
-    use cce_core::obs::{MetricsSink, TableSink};
+    use cce_core::obs::TableSink;
 
     let block_size = args.number("--block-size", 32)?;
     match args.positional.as_slice() {

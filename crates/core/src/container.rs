@@ -682,7 +682,10 @@ impl<R: Read + Seek> ContainerV2Reader<R> {
     /// [`CodecError::Corrupt`] if a block decodes to a length other than
     /// the one the index claims.
     pub fn decode_text(&mut self, codec: &dyn BlockCodec) -> Result<Vec<u8>, CodecError> {
-        let mut text = Vec::with_capacity(self.original_len as usize);
+        // Grown from decoded blocks only: the claimed original length is
+        // bounded per block, not in total, so reserving it up front lets a
+        // small crafted file demand tens of GiB before any block decodes.
+        let mut text = Vec::new();
         for run in 0..self.runs.len() {
             let bytes = self.read_run(run)?;
             let (Run { start, .. }, blocks) = self.runs[run].clone();
@@ -1106,5 +1109,49 @@ mod tests {
                 assert!(err.to_string().contains("run 0: sha-256 mismatch"), "byte {at}: {err}");
             }
         }
+    }
+
+    /// A codec that refuses every block.
+    struct Refuses;
+
+    impl BlockCodec for Refuses {
+        fn name(&self) -> &'static str {
+            "refuses"
+        }
+
+        fn block_size(&self) -> usize {
+            BlockImage::MAX_BLOCK_SIZE
+        }
+
+        fn model_bytes(&self) -> usize {
+            0
+        }
+
+        fn to_bytes(&self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn compress_chunk(&self, _: &[u8]) -> Result<Vec<u8>, CodecError> {
+            Err(CodecError::train("refuses", "compresses nothing"))
+        }
+
+        fn decompress_block(&self, _: &[u8], _: usize) -> Result<Vec<u8>, CodecError> {
+            Err(CodecError::corrupt("refuses", "decodes nothing"))
+        }
+    }
+
+    /// A 1 MiB container of 65,536 empty blocks, each claiming 1 MiB,
+    /// claims 64 GiB of text; `decode_text` must reach the codec, not
+    /// reserve the claim and abort.
+    #[test]
+    fn decode_text_reserves_nothing_from_the_claimed_length() {
+        let (blocks, size) = (1 << 16, BlockImage::MAX_BLOCK_SIZE);
+        let image =
+            BlockImage::new(vec![Vec::new(); blocks], vec![size; blocks], size, blocks * size, 0);
+        let bytes = encode_image(sample_identity(), &[], &image).unwrap();
+        let mut reader = open(&bytes).unwrap();
+        assert_eq!(reader.original_len(), 1 << 36);
+        let err = reader.decode_text(&Refuses).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt { codec: "refuses", .. }), "{err}");
     }
 }

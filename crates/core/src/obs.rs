@@ -12,8 +12,7 @@
 //! documented there is registered.
 
 pub use cce_obs::{
-    Desc, HitMiss, JsonSink, JsonWriter, Kind, MetricsSink, Sample, SampleValue, Snapshot,
-    TableSink,
+    Desc, HitMiss, JsonSink, JsonWriter, Kind, Sample, SampleValue, Snapshot, TableSink,
 };
 
 /// Version stamp of the `--metrics` artifact schema.

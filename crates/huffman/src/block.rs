@@ -17,7 +17,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program: Vec<u8> = (0..4096).map(|i| (i % 7) as u8).collect();
 //! let codec = ByteBlockCodec::train(&program, 32)?;
-//! let image = codec.compress(&program);
+//! let image = codec.compress(&program)?;
 //! assert!(image.compressed_len() < program.len());
 //!
 //! let block1 = codec.decompress_block(image.block(1), 32)?;
@@ -28,7 +28,7 @@
 
 use crate::codebook::CodeBook;
 use cce_bitstream::{BitReader, BitWriter, ByteCursor};
-use cce_codec::{BlockCodec, BlockImage, CodecError};
+use cce_codec::{BlockCodec, CodecError};
 
 /// Longest codeword the byte codec will assign; 16 bits keeps the hardware
 /// table decoder's shift register small.
@@ -83,36 +83,7 @@ impl ByteBlockCodec {
         (256usize * LEN_BITS as usize).div_ceil(8)
     }
 
-    /// Compresses `program` into independently decodable blocks.
-    ///
-    /// Convenience wrapper over [`BlockCodec::compress`] for programs known
-    /// to be encodable with this codec's table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `program` contains a byte absent from the training
-    /// program; use [`BlockCodec::compress`] to handle that case.
-    pub fn compress(&self, program: &[u8]) -> BlockImage {
-        BlockCodec::compress(self, program).expect("program must match the trained byte alphabet")
-    }
-
-    /// Serializes the codec: magic, version, block size, then the 256
-    /// canonical code lengths at 5 bits each.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_be_bytes());
-        out.extend_from_slice(&(self.block_size as u32).to_be_bytes());
-        let mut w = BitWriter::new();
-        for symbol in 0..=255u16 {
-            w.write_bits(u32::from(self.book.length(symbol)), LEN_BITS);
-        }
-        w.align_to_byte();
-        out.extend_from_slice(w.as_bytes());
-        out
-    }
-
-    /// Reads a codec previously written by [`to_bytes`](Self::to_bytes).
+    /// Reads a codec previously written by [`BlockCodec::to_bytes`].
     ///
     /// # Errors
     ///
@@ -144,15 +115,6 @@ impl ByteBlockCodec {
         let table = book.decode_table();
         Ok(Self { book, table, block_size })
     }
-
-    /// Decompresses a whole [`BlockImage`] back into the original program.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] on any corrupt block.
-    pub fn decompress(&self, image: &BlockImage) -> Result<Vec<u8>, CodecError> {
-        BlockCodec::decompress(self, image)
-    }
 }
 
 impl BlockCodec for ByteBlockCodec {
@@ -168,8 +130,20 @@ impl BlockCodec for ByteBlockCodec {
         self.table_bytes()
     }
 
+    /// Serializes the codec: magic, version, block size, then the 256
+    /// canonical code lengths at 5 bits each.
     fn to_bytes(&self) -> Vec<u8> {
-        Self::to_bytes(self)
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_be_bytes());
+        out.extend_from_slice(&(self.block_size as u32).to_be_bytes());
+        let mut w = BitWriter::new();
+        for symbol in 0..=255u16 {
+            w.write_bits(u32::from(self.book.length(symbol)), LEN_BITS);
+        }
+        w.align_to_byte();
+        out.extend_from_slice(w.as_bytes());
+        out
     }
 
     fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
@@ -222,7 +196,7 @@ mod tests {
     fn whole_program_round_trips() {
         let program = sample_program(1000);
         let codec = ByteBlockCodec::train(&program, 32).unwrap();
-        let image = codec.compress(&program);
+        let image = codec.compress(&program).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), program);
     }
 
@@ -230,7 +204,7 @@ mod tests {
     fn every_block_is_independently_decodable() {
         let program = sample_program(512);
         let codec = ByteBlockCodec::train(&program, 32).unwrap();
-        let image = codec.compress(&program);
+        let image = codec.compress(&program).unwrap();
         for (i, chunk) in program.chunks(32).enumerate() {
             let decoded = codec.decompress_block(image.block(i), chunk.len()).unwrap();
             assert_eq!(decoded, chunk, "block {i}");
@@ -241,7 +215,7 @@ mod tests {
     fn short_final_block_is_handled() {
         let program = sample_program(100); // 3 full blocks + 4 bytes
         let codec = ByteBlockCodec::train(&program, 32).unwrap();
-        let image = codec.compress(&program);
+        let image = codec.compress(&program).unwrap();
         assert_eq!(image.block_count(), 4);
         assert_eq!(codec.decompress(&image).unwrap(), program);
     }
@@ -250,7 +224,7 @@ mod tests {
     fn skewed_source_compresses_below_unity() {
         let program = sample_program(8192);
         let codec = ByteBlockCodec::train(&program, 32).unwrap();
-        let image = codec.compress(&program);
+        let image = codec.compress(&program).unwrap();
         assert!(image.ratio() < 1.0, "ratio {}", image.ratio());
         assert_eq!(image.original_len(), 8192);
     }
@@ -260,7 +234,7 @@ mod tests {
         // A source using all 256 bytes uniformly: ratio ≈ 1 + table overhead.
         let program: Vec<u8> = (0..4096).map(|i| (i * 167 % 256) as u8).collect();
         let codec = ByteBlockCodec::train(&program, 32).unwrap();
-        let image = codec.compress(&program);
+        let image = codec.compress(&program).unwrap();
         assert!(image.ratio() > 0.95);
     }
 
@@ -277,7 +251,7 @@ mod tests {
     fn block_size_accounting() {
         let program = sample_program(256);
         let codec = ByteBlockCodec::train(&program, 64).unwrap();
-        let image = codec.compress(&program);
+        let image = codec.compress(&program).unwrap();
         assert_eq!(image.block_size(), 64);
         let block_total: usize = (0..image.block_count()).map(|i| image.block(i).len()).sum();
         assert_eq!(image.compressed_len(), block_total + codec.table_bytes());
@@ -294,19 +268,19 @@ mod tests {
     fn serialization_round_trips() {
         let program = sample_program(600);
         let codec = ByteBlockCodec::train(&program, 32).unwrap();
-        let bytes = ByteBlockCodec::to_bytes(&codec);
+        let bytes = codec.to_bytes();
         assert_eq!(bytes.len(), 4 + 2 + 4 + codec.table_bytes());
         let restored = ByteBlockCodec::from_bytes(&bytes).unwrap();
         assert_eq!(restored.block_size(), 32);
         assert_eq!(restored.code_book().lengths(), codec.code_book().lengths());
-        assert_eq!(restored.compress(&program), codec.compress(&program));
+        assert_eq!(restored.compress(&program).unwrap(), codec.compress(&program).unwrap());
     }
 
     #[test]
     fn corrupt_serialization_fails_cleanly() {
         let program = sample_program(600);
         let codec = ByteBlockCodec::train(&program, 32).unwrap();
-        let bytes = ByteBlockCodec::to_bytes(&codec);
+        let bytes = codec.to_bytes();
         for len in 0..bytes.len() {
             assert!(ByteBlockCodec::from_bytes(&bytes[..len]).is_err(), "prefix {len}");
         }

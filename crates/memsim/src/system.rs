@@ -304,10 +304,12 @@ impl MemorySystem {
 
     /// [`MemorySystem::run`] through the retained reference kernels
     /// ([`Cache::access_reference`], [`Clb::access_reference`], per-miss
-    /// cost recomputation) — the pre-PR-10 walk, kept so the bench kernel
-    /// leg and differential tests can require access-for-access identical
-    /// stats from the fast path.  Use a fresh `MemorySystem` per kernel;
-    /// the two walks keep separate cache storage.
+    /// cost recomputation) — the straightforward walk, kept so the
+    /// differential tests (`crates/memsim/tests/{differential,cycles}.rs`
+    /// and the workspace's `tests/memory_system.rs`) can require
+    /// access-for-access identical stats from the fast path.  Use a fresh
+    /// `MemorySystem` per kernel; the two walks keep separate cache
+    /// storage.
     pub fn run_reference(&mut self, trace: &[u64]) -> SimReport {
         self.run_inner_reference(trace, None, &[])
     }

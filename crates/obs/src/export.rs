@@ -3,12 +3,6 @@
 use crate::json::JsonWriter;
 use crate::registry::{Sample, SampleValue, Snapshot};
 
-/// Renders a [`Snapshot`] to a string.
-pub trait MetricsSink {
-    /// Produces the rendered form of `snapshot`.
-    fn render(&self, snapshot: &Snapshot) -> String;
-}
-
 /// JSON exporter: a `{"metrics": [...]}` object with one entry per
 /// sample, in registration order.  Output is deterministic — key order
 /// is fixed and all values are integers — so artifacts diff cleanly.
@@ -52,14 +46,6 @@ impl JsonSink {
     }
 }
 
-impl MetricsSink for JsonSink {
-    fn render(&self, snapshot: &Snapshot) -> String {
-        let mut w = JsonWriter::new();
-        w.object(|w| self.write_metrics(w, snapshot));
-        w.finish()
-    }
-}
-
 /// Human-readable exporter: one aligned `name  value  help` row per
 /// sample.  Span rows show count/mean/max; histogram rows count/sum.
 #[derive(Debug, Clone, Copy, Default)]
@@ -82,10 +68,9 @@ impl TableSink {
             }
         }
     }
-}
 
-impl MetricsSink for TableSink {
-    fn render(&self, snapshot: &Snapshot) -> String {
+    /// Renders `snapshot` as the aligned table, header row first.
+    pub fn render(&self, snapshot: &Snapshot) -> String {
         let rows: Vec<(&str, String, &str)> = snapshot
             .samples
             .iter()
@@ -140,7 +125,9 @@ mod tests {
     #[test]
     fn json_is_valid_and_ordered() {
         static METRICS: Metrics = Metrics::new();
-        let json = JsonSink.render(&METRICS.snapshot());
+        let mut w = JsonWriter::new();
+        w.object(|w| JsonSink.write_metrics(w, &METRICS.snapshot()));
+        let json = w.finish();
         assert!(json.starts_with("{\"metrics\":["));
         assert!(json.ends_with("]}"));
         let hits = json.find("t.hits").unwrap();

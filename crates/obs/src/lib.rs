@@ -21,15 +21,15 @@
 //!   they always count regardless of features.
 //!
 //! Metrics are exported by collecting [`Desc`] descriptors into a
-//! [`Snapshot`] and rendering it through a [`MetricsSink`] — [`JsonSink`]
-//! for machine-readable artifacts, [`TableSink`] for humans.
+//! [`Snapshot`] and rendering it through [`JsonSink`] for
+//! machine-readable artifacts or [`TableSink`] for humans.
 //! [`JsonWriter`] is the one JSON writer: `JsonSink` and every other JSON
 //! document the workspace emits go through it.
 //!
 //! # Examples
 //!
 //! ```
-//! use cce_obs::{Counter, Desc, MetricsSink, Snapshot, TableSink};
+//! use cce_obs::{Counter, Desc, Snapshot, TableSink};
 //!
 //! static BLOCKS: Counter = Counter::new();
 //!
@@ -50,7 +50,7 @@ mod metric;
 mod registry;
 mod span;
 
-pub use export::{JsonSink, MetricsSink, TableSink};
+pub use export::{JsonSink, TableSink};
 pub use hitmiss::HitMiss;
 pub use json::{json_string, JsonInt, JsonWriter};
 pub use metric::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};

@@ -200,7 +200,7 @@ impl BlockCodec for SamcRansCodec {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        Self::to_bytes(self)
+        crate::serialize::write_codec(self)
     }
 
     fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {

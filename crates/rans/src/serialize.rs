@@ -7,26 +7,27 @@
 
 use crate::codec::SamcRansCodec;
 use crate::coder::Lanes;
-use cce_codec::CodecError;
+use cce_codec::{BlockCodec, CodecError};
 use cce_samc::SamcCodec;
 
 const MAGIC: &[u8; 4] = b"RANS";
 const VERSION: u16 = 1;
 const NAME: &str = "samc-rans";
 
-impl SamcRansCodec {
-    /// Serializes the codec (lane width + wrapped SAMC model).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let inner = self.samc().to_bytes();
-        let mut out = Vec::with_capacity(7 + inner.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_be_bytes());
-        out.push(self.lanes().log2());
-        out.extend_from_slice(&inner);
-        out
-    }
+/// Serializes the codec (lane width + wrapped SAMC model): the body of
+/// its `BlockCodec::to_bytes`.
+pub(crate) fn write_codec(codec: &SamcRansCodec) -> Vec<u8> {
+    let inner = codec.samc().to_bytes();
+    let mut out = Vec::with_capacity(7 + inner.len());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_be_bytes());
+    out.push(codec.lanes().log2());
+    out.extend_from_slice(&inner);
+    out
+}
 
-    /// Deserializes a codec written by [`Self::to_bytes`].
+impl SamcRansCodec {
+    /// Deserializes a codec written by [`BlockCodec::to_bytes`].
     ///
     /// # Errors
     ///
@@ -53,7 +54,6 @@ impl SamcRansCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cce_codec::BlockCodec;
     use cce_samc::SamcConfig;
 
     fn trained() -> SamcRansCodec {
@@ -67,15 +67,15 @@ mod tests {
         let codec = trained();
         let text: Vec<u8> = (0..512u32).flat_map(u32::to_be_bytes).collect();
         let image = codec.compress(&text).unwrap();
-        let restored = SamcRansCodec::from_bytes(&SamcRansCodec::to_bytes(&codec)).unwrap();
+        let restored = SamcRansCodec::from_bytes(&codec.to_bytes()).unwrap();
         assert_eq!(restored.lanes(), Lanes::FOUR);
         assert_eq!(restored.decompress(&image).unwrap(), text);
-        assert_eq!(SamcRansCodec::to_bytes(&restored), SamcRansCodec::to_bytes(&codec));
+        assert_eq!(restored.to_bytes(), codec.to_bytes());
     }
 
     #[test]
     fn rejects_mangled_headers() {
-        let bytes = SamcRansCodec::to_bytes(&trained());
+        let bytes = trained().to_bytes();
         assert!(SamcRansCodec::from_bytes(&bytes[..5]).is_err());
         let mut bad = bytes.clone();
         bad[0] = b'X';

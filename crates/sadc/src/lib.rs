@@ -22,12 +22,14 @@
 //!
 //! Both codecs ship real decompressors; every compressed size reported
 //! includes the dictionary and the Huffman tables.  Compression produces a
-//! generic [`cce_codec::BlockImage`], and both codecs implement
-//! [`cce_codec::BlockCodec`], the workspace-wide codec trait.
+//! generic [`cce_codec::BlockImage`], and both codecs compress, decode and
+//! serialize through [`cce_codec::BlockCodec`], the workspace-wide codec
+//! trait.
 //!
 //! # Examples
 //!
 //! ```
+//! use cce_codec::BlockCodec;
 //! use cce_sadc::{MipsSadc, MipsSadcConfig};
 //! use cce_isa::mips::{encode_text, Instruction, Reg};
 //!
@@ -42,7 +44,7 @@
 //! let text = encode_text(&insns);
 //!
 //! let codec = MipsSadc::train(&text, MipsSadcConfig::default())?;
-//! let image = codec.compress(&text);
+//! let image = codec.compress(&text)?;
 //! assert!(image.ratio() < 0.6, "ratio {}", image.ratio());
 //! assert_eq!(codec.decompress(&image)?, text);
 //! # Ok(())

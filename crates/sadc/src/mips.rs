@@ -2,7 +2,7 @@
 
 use crate::tokens::{replace_in_blocks, TokenStats};
 use cce_bitstream::{BitReader, BitWriter};
-use cce_codec::{BlockCodec, BlockImage, CodecError};
+use cce_codec::{BlockCodec, CodecError};
 use cce_huffman::CodeBook;
 use cce_isa::mips::{decode_text, ImmKind, Instruction, Operation};
 use std::collections::BTreeMap;
@@ -384,20 +384,6 @@ impl MipsSadc {
         bits.div_ceil(8)
     }
 
-    /// Compresses `text` (must be the training text or statistically
-    /// identical — symbols absent at train time cannot be coded).
-    ///
-    /// Convenience wrapper over [`BlockCodec::compress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `text` is not valid MIPS code or contains symbols that
-    /// never occurred during training; use [`BlockCodec::compress`] to
-    /// handle those cases.
-    pub fn compress(&self, text: &[u8]) -> BlockImage {
-        BlockCodec::compress(self, text).expect("compress requires decodable, trained text")
-    }
-
     /// Parses one block by replaying the dictionary's build rules over the
     /// base-token stream — the same parse the dictionary was built with.
     fn parse_block(&self, block: &[Instruction]) -> Vec<usize> {
@@ -501,20 +487,52 @@ impl MipsSadc {
         w.align_to_byte();
         Ok(w.into_bytes())
     }
+}
 
-    /// Decompresses one block of `out_len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] when the block does not decode
-    /// against this codec's dictionary and Huffman books.
-    pub fn decompress_block(&self, bytes: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
+impl BlockCodec for MipsSadc {
+    fn name(&self) -> &'static str {
+        NAME
+    }
+
+    fn block_size(&self) -> usize {
+        self.config.block_size
+    }
+
+    fn model_bytes(&self) -> usize {
+        self.dict_bytes() + self.table_bytes()
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        crate::serialize::write_mips(self)
+    }
+
+    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let instructions = decode_text(chunk).map_err(|e| CodecError::train(NAME, e))?;
+        // The operand streams carry only the fields in each operation's
+        // spec, so a word with stray bits in an unused field would
+        // reassemble to a *different* word; refuse such non-canonical
+        // encodings instead of silently miscompressing them.
+        for insn in &instructions {
+            let rebuilt = Instruction::assemble(
+                insn.operation(),
+                &insn.register_fields(),
+                insn.imm16(),
+                insn.imm26(),
+            );
+            if rebuilt != *insn {
+                return Err(CodecError::train(NAME, "non-canonical instruction encoding"));
+            }
+        }
+        self.compress_block(&instructions)
+    }
+
+    fn decompress_block(&self, block: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
         let _span = crate::obs::DECOMPRESS_SPAN.time();
         if !out_len.is_multiple_of(4) {
             return Err(corrupt_block());
         }
         let insn_count = out_len / 4;
-        let mut r = BitReader::new(bytes);
+        let mut r = BitReader::new(block);
         // Opcode stream: tokens until the block's instructions are covered.
         let mut items: Vec<&TemplateItem> = Vec::with_capacity(insn_count);
         while items.len() < insn_count {
@@ -592,57 +610,6 @@ impl MipsSadc {
             out.extend_from_slice(&insn.encode().to_be_bytes());
         }
         Ok(out)
-    }
-
-    /// Decompresses a whole image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] when any block fails to decode.
-    pub fn decompress(&self, image: &BlockImage) -> Result<Vec<u8>, CodecError> {
-        BlockCodec::decompress(self, image)
-    }
-}
-
-impl BlockCodec for MipsSadc {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn block_size(&self) -> usize {
-        self.config.block_size
-    }
-
-    fn model_bytes(&self) -> usize {
-        self.dict_bytes() + self.table_bytes()
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        Self::to_bytes(self)
-    }
-
-    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let instructions = decode_text(chunk).map_err(|e| CodecError::train(NAME, e))?;
-        // The operand streams carry only the fields in each operation's
-        // spec, so a word with stray bits in an unused field would
-        // reassemble to a *different* word; refuse such non-canonical
-        // encodings instead of silently miscompressing them.
-        for insn in &instructions {
-            let rebuilt = Instruction::assemble(
-                insn.operation(),
-                &insn.register_fields(),
-                insn.imm16(),
-                insn.imm26(),
-            );
-            if rebuilt != *insn {
-                return Err(CodecError::train(NAME, "non-canonical instruction encoding"));
-            }
-        }
-        self.compress_block(&instructions)
-    }
-
-    fn decompress_block(&self, block: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
-        Self::decompress_block(self, block, out_len)
     }
 }
 
@@ -785,7 +752,7 @@ mod tests {
     fn round_trips_and_compresses_idiomatic_code() {
         let text = idiomatic_program(512);
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
         assert!(image.ratio() < 0.5, "ratio {}", image.ratio());
     }
@@ -815,7 +782,7 @@ mod tests {
     fn blocks_decode_independently() {
         let text = idiomatic_program(64);
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         for i in (0..image.block_count()).rev() {
             let start = i * 32;
             let len = image.block_uncompressed_len(i);
@@ -840,7 +807,7 @@ mod tests {
             .templates()
             .iter()
             .all(|t| t.items.iter().all(|i| i.fixed_regs.is_none() && i.fixed_imm.is_none())));
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
 
         let no_dict = MipsSadcConfig {
@@ -851,7 +818,7 @@ mod tests {
         };
         let plain = MipsSadc::train(&text, no_dict).unwrap();
         assert_eq!(plain.templates().len(), Operation::COUNT);
-        let plain_image = plain.compress(&text);
+        let plain_image = plain.compress(&text).unwrap();
         assert_eq!(plain.decompress(&plain_image).unwrap(), text);
         assert!(image.ratio() <= plain_image.ratio() * 1.001, "dictionary should help");
     }
@@ -874,7 +841,7 @@ mod tests {
         let mut text = idiomatic_program(4);
         text.extend_from_slice(&Instruction::nop().encode().to_be_bytes());
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 
@@ -882,7 +849,7 @@ mod tests {
     fn accounting_includes_dict_and_tables() {
         let text = idiomatic_program(128);
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         let blocks: usize = (0..image.block_count()).map(|i| image.block(i).len()).sum();
         assert_eq!(image.compressed_len(), blocks + codec.dict_bytes() + codec.table_bytes());
         assert!(codec.dict_bytes() > 0);
@@ -894,7 +861,7 @@ mod tests {
         for max_tokens in [Operation::COUNT + 8, 96, 128] {
             let config = MipsSadcConfig { max_tokens, ..Default::default() };
             let codec = MipsSadc::train(&text, config).unwrap();
-            let image = codec.compress(&text);
+            let image = codec.compress(&text).unwrap();
             assert_eq!(codec.decompress(&image).unwrap(), text, "max_tokens {max_tokens}");
         }
     }

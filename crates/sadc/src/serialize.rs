@@ -10,6 +10,7 @@
 //! # Examples
 //!
 //! ```
+//! use cce_codec::BlockCodec;
 //! use cce_isa::mips::{encode_text, Instruction, Reg};
 //! use cce_sadc::{MipsSadc, MipsSadcConfig};
 //!
@@ -18,7 +19,7 @@
 //!     (0..500).map(|i| Instruction::lw(Reg::T0, (i % 32) * 4, Reg::SP)).collect();
 //! let text = encode_text(&insns);
 //! let codec = MipsSadc::train(&text, MipsSadcConfig::default())?;
-//! let image = codec.compress(&text);
+//! let image = codec.compress(&text)?;
 //!
 //! // The decompressor side holds only the serialized model.
 //! let codec2 = MipsSadc::from_bytes(&codec.to_bytes())?;
@@ -76,60 +77,62 @@ fn read_book(r: &mut BitReader<'_>, symbols: usize) -> Result<Option<CodeBook>, 
     CodeBook::from_lengths(lengths).map(Some).map_err(|_| corrupt("invalid code lengths"))
 }
 
-impl MipsSadc {
-    /// Serializes the trained codec (config, build rules, code tables).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(MIPS_MAGIC, 32);
-        w.write_bits(u32::from(VERSION), 16);
-        let config = self.config();
-        w.write_bits(config.block_size as u32, 32);
-        w.write_bits(config.max_tokens as u32, 16);
-        w.write_bit(config.groups);
-        w.write_bit(config.reg_specialization);
-        w.write_bit(config.imm_specialization);
+/// Serializes the trained codec (config, build rules, code tables).
+pub(crate) fn write_mips(codec: &MipsSadc) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    w.write_bits(MIPS_MAGIC, 32);
+    w.write_bits(u32::from(VERSION), 16);
+    let config = codec.config();
+    w.write_bits(config.block_size as u32, 32);
+    w.write_bits(config.max_tokens as u32, 16);
+    w.write_bit(config.groups);
+    w.write_bit(config.reg_specialization);
+    w.write_bit(config.imm_specialization);
 
-        let rules = self.rules();
-        w.write_bits(rules.len() as u32, 16);
-        for rule in rules {
-            match rule {
-                Candidate::Pair(a, b) => {
-                    w.write_bits(0, 2);
-                    w.write_bits(*a as u32, 16);
-                    w.write_bits(*b as u32, 16);
-                }
-                Candidate::Triple(a, b, c) => {
-                    w.write_bits(1, 2);
-                    w.write_bits(*a as u32, 16);
-                    w.write_bits(*b as u32, 16);
-                    w.write_bits(*c as u32, 16);
-                }
-                Candidate::Regs(t, regs) => {
-                    w.write_bits(2, 2);
-                    w.write_bits(*t as u32, 16);
-                    w.write_bits(regs.len() as u32, 8);
-                    for &r in regs {
-                        w.write_bits(u32::from(r), 8);
-                    }
-                }
-                Candidate::Imm(t, imm) => {
-                    w.write_bits(3, 2);
-                    w.write_bits(*t as u32, 16);
-                    w.write_bits(u32::from(*imm), 16);
+    let rules = codec.rules();
+    w.write_bits(rules.len() as u32, 16);
+    for rule in rules {
+        match rule {
+            Candidate::Pair(a, b) => {
+                w.write_bits(0, 2);
+                w.write_bits(*a as u32, 16);
+                w.write_bits(*b as u32, 16);
+            }
+            Candidate::Triple(a, b, c) => {
+                w.write_bits(1, 2);
+                w.write_bits(*a as u32, 16);
+                w.write_bits(*b as u32, 16);
+                w.write_bits(*c as u32, 16);
+            }
+            Candidate::Regs(t, regs) => {
+                w.write_bits(2, 2);
+                w.write_bits(*t as u32, 16);
+                w.write_bits(regs.len() as u32, 8);
+                for &r in regs {
+                    w.write_bits(u32::from(r), 8);
                 }
             }
+            Candidate::Imm(t, imm) => {
+                w.write_bits(3, 2);
+                w.write_bits(*t as u32, 16);
+                w.write_bits(u32::from(*imm), 16);
+            }
         }
-
-        let (op_book, reg_book, imm_book, limm_book) = self.books();
-        write_book(&mut w, Some(op_book), op_book.lengths().len());
-        write_book(&mut w, reg_book, 256);
-        write_book(&mut w, imm_book, 256);
-        write_book(&mut w, limm_book, 256);
-        w.align_to_byte();
-        w.into_bytes()
     }
 
-    /// Deserializes a codec written by [`MipsSadc::to_bytes`].
+    let (op_book, reg_book, imm_book, limm_book) = codec.books();
+    write_book(&mut w, Some(op_book), op_book.lengths().len());
+    write_book(&mut w, reg_book, 256);
+    write_book(&mut w, imm_book, 256);
+    write_book(&mut w, limm_book, 256);
+    w.align_to_byte();
+    w.into_bytes()
+}
+
+impl MipsSadc {
+    /// Deserializes a codec written by [`BlockCodec::to_bytes`][to_bytes].
+    ///
+    /// [to_bytes]: cce_codec::BlockCodec::to_bytes
     ///
     /// # Errors
     ///
@@ -197,43 +200,45 @@ impl MipsSadc {
     }
 }
 
-impl X86Sadc {
-    /// Serializes the trained codec (config, base opcode strings, group
-    /// rules, code tables).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(X86_MAGIC, 32);
-        w.write_bits(u32::from(VERSION), 16);
-        let config = self.config();
-        w.write_bits(config.block_size as u32, 32);
-        w.write_bits(config.max_tokens as u32, 16);
-        w.write_bit(config.groups);
+/// Serializes the trained codec (config, base opcode strings, group
+/// rules, code tables).
+pub(crate) fn write_x86(codec: &X86Sadc) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    w.write_bits(X86_MAGIC, 32);
+    w.write_bits(u32::from(VERSION), 16);
+    let config = codec.config();
+    w.write_bits(config.block_size as u32, 32);
+    w.write_bits(config.max_tokens as u32, 16);
+    w.write_bit(config.groups);
 
-        let base = self.base_strings();
-        w.write_bits(base.len() as u32, 16);
-        for s in base {
-            w.write_bits(s.len() as u32, 8);
-            for &b in s {
-                w.write_bits(u32::from(b), 8);
-            }
+    let base = codec.base_strings();
+    w.write_bits(base.len() as u32, 16);
+    for s in base {
+        w.write_bits(s.len() as u32, 8);
+        for &b in s {
+            w.write_bits(u32::from(b), 8);
         }
-        let rules = self.rules();
-        w.write_bits(rules.len() as u32, 16);
-        for rule in rules {
-            w.write_bits(rule.len() as u32, 8);
-            for &t in rule {
-                w.write_bits(t as u32, 16);
-            }
-        }
-        let (token_book, modrm_book, imm_book) = self.books();
-        write_book(&mut w, Some(token_book), token_book.lengths().len());
-        write_book(&mut w, modrm_book, 256);
-        write_book(&mut w, imm_book, 256);
-        w.align_to_byte();
-        w.into_bytes()
     }
+    let rules = codec.rules();
+    w.write_bits(rules.len() as u32, 16);
+    for rule in rules {
+        w.write_bits(rule.len() as u32, 8);
+        for &t in rule {
+            w.write_bits(t as u32, 16);
+        }
+    }
+    let (token_book, modrm_book, imm_book) = codec.books();
+    write_book(&mut w, Some(token_book), token_book.lengths().len());
+    write_book(&mut w, modrm_book, 256);
+    write_book(&mut w, imm_book, 256);
+    w.align_to_byte();
+    w.into_bytes()
+}
 
-    /// Deserializes a codec written by [`X86Sadc::to_bytes`].
+impl X86Sadc {
+    /// Deserializes a codec written by [`BlockCodec::to_bytes`][to_bytes].
+    ///
+    /// [to_bytes]: cce_codec::BlockCodec::to_bytes
     ///
     /// # Errors
     ///
@@ -297,6 +302,7 @@ impl X86Sadc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cce_codec::BlockCodec;
     use cce_isa::mips::{encode_text, Instruction, Reg};
     use cce_isa::x86::asm::{self, reg, Alu};
 
@@ -332,8 +338,8 @@ mod tests {
         let text = mips_text();
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
         let restored = MipsSadc::from_bytes(&codec.to_bytes()).unwrap();
-        let image = codec.compress(&text);
-        assert_eq!(restored.compress(&text), image);
+        let image = codec.compress(&text).unwrap();
+        assert_eq!(restored.compress(&text).unwrap(), image);
         assert_eq!(restored.decompress(&image).unwrap(), text);
     }
 
@@ -342,8 +348,8 @@ mod tests {
         let text = x86_text();
         let codec = X86Sadc::train(&text, X86SadcConfig::default()).unwrap();
         let restored = X86Sadc::from_bytes(&codec.to_bytes()).unwrap();
-        let image = codec.compress(&text);
-        assert_eq!(restored.compress(&text), image);
+        let image = codec.compress(&text).unwrap();
+        assert_eq!(restored.compress(&text).unwrap(), image);
         assert_eq!(restored.decompress(&image).unwrap(), text);
     }
 

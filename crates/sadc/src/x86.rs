@@ -13,7 +13,7 @@
 use crate::mips::{code_error, corrupt_block};
 use crate::tokens::{replace_in_blocks, TokenStats};
 use cce_bitstream::{BitReader, BitWriter};
-use cce_codec::{BlockCodec, BlockImage, CodecError};
+use cce_codec::{BlockCodec, CodecError};
 use cce_huffman::CodeBook;
 use cce_isa::x86::{progressive_layout, split_streams, LayoutProgress};
 use std::collections::HashMap;
@@ -258,18 +258,6 @@ impl X86Sadc {
         Self { config, base_strings, templates, rules, token_book, modrm_book, imm_book }
     }
 
-    /// Compresses `text` (the training text or statistically identical).
-    ///
-    /// Convenience wrapper over [`BlockCodec::compress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `text` contains instructions or symbols absent at
-    /// training time; use [`BlockCodec::compress`] to handle those cases.
-    pub fn compress(&self, text: &[u8]) -> BlockImage {
-        BlockCodec::compress(self, text).expect("compress requires decodable, trained text")
-    }
-
     /// Encodes one instruction-aligned group of stream parts.
     fn compress_parts(&self, block_parts: &[InsnParts]) -> Result<Vec<u8>, CodecError> {
         let _span = crate::obs::COMPRESS_SPAN.time();
@@ -329,16 +317,52 @@ impl X86Sadc {
         w.align_to_byte();
         Ok(w.into_bytes())
     }
+}
 
-    /// Decompresses one block of `out_len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] when the block does not decode
-    /// against this codec's dictionary and Huffman books.
-    pub fn decompress_block(&self, bytes: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
+impl BlockCodec for X86Sadc {
+    fn name(&self) -> &'static str {
+        NAME
+    }
+
+    fn block_size(&self) -> usize {
+        self.config.block_size
+    }
+
+    fn model_bytes(&self) -> usize {
+        self.dict_bytes() + self.table_bytes()
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        crate::serialize::write_x86(self)
+    }
+
+    /// Blocks are instruction-aligned: a block closes once it reaches the
+    /// target size, so uncompressed blocks straddle `block_size` slightly.
+    fn block_ranges(&self, text: &[u8]) -> Result<Vec<Range<usize>>, CodecError> {
+        let parts = parse_instructions(text)?;
+        let mut offsets = Vec::with_capacity(parts.len() + 1);
+        let mut end = 0usize;
+        offsets.push(0);
+        for p in &parts {
+            end += p.total_len();
+            offsets.push(end);
+        }
+        Ok(group_blocks(&parts, self.config.block_size)
+            .into_iter()
+            .map(|r| offsets[r.start]..offsets[r.end])
+            .collect())
+    }
+
+    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
+        // Chunks from `block_ranges` are instruction-aligned, so each one
+        // re-parses standalone to exactly its instructions' stream parts.
+        let parts = parse_instructions(chunk)?;
+        self.compress_parts(&parts)
+    }
+
+    fn decompress_block(&self, block: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
         let _span = crate::obs::DECOMPRESS_SPAN.time();
-        let mut r = BitReader::new(bytes);
+        let mut r = BitReader::new(block);
         let mut out = Vec::with_capacity(out_len);
         while out.len() < out_len {
             let t = usize::from(self.token_book.decode(&mut r).map_err(code_error)?);
@@ -379,61 +403,6 @@ impl X86Sadc {
             return Err(corrupt_block());
         }
         Ok(out)
-    }
-
-    /// Decompresses a whole image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] when any block fails to decode.
-    pub fn decompress(&self, image: &BlockImage) -> Result<Vec<u8>, CodecError> {
-        BlockCodec::decompress(self, image)
-    }
-}
-
-impl BlockCodec for X86Sadc {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn block_size(&self) -> usize {
-        self.config.block_size
-    }
-
-    fn model_bytes(&self) -> usize {
-        self.dict_bytes() + self.table_bytes()
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        Self::to_bytes(self)
-    }
-
-    /// Blocks are instruction-aligned: a block closes once it reaches the
-    /// target size, so uncompressed blocks straddle `block_size` slightly.
-    fn block_ranges(&self, text: &[u8]) -> Result<Vec<Range<usize>>, CodecError> {
-        let parts = parse_instructions(text)?;
-        let mut offsets = Vec::with_capacity(parts.len() + 1);
-        let mut end = 0usize;
-        offsets.push(0);
-        for p in &parts {
-            end += p.total_len();
-            offsets.push(end);
-        }
-        Ok(group_blocks(&parts, self.config.block_size)
-            .into_iter()
-            .map(|r| offsets[r.start]..offsets[r.end])
-            .collect())
-    }
-
-    fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
-        // Chunks from `block_ranges` are instruction-aligned, so each one
-        // re-parses standalone to exactly its instructions' stream parts.
-        let parts = parse_instructions(chunk)?;
-        self.compress_parts(&parts)
-    }
-
-    fn decompress_block(&self, block: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
-        Self::decompress_block(self, block, out_len)
     }
 }
 
@@ -504,7 +473,7 @@ mod tests {
     fn round_trips_and_compresses() {
         let text = idiomatic_program(400);
         let codec = X86Sadc::train(&text, X86SadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
         assert!(image.ratio() < 0.7, "ratio {}", image.ratio());
     }
@@ -520,7 +489,7 @@ mod tests {
     fn blocks_decode_independently() {
         let text = idiomatic_program(100);
         let codec = X86Sadc::train(&text, X86SadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         let mut offset = 0usize;
         let mut slices = Vec::new();
         for i in 0..image.block_count() {
@@ -542,7 +511,7 @@ mod tests {
     fn block_sizes_straddle_the_target() {
         let text = idiomatic_program(100);
         let codec = X86Sadc::train(&text, X86SadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         let total: usize = (0..image.block_count()).map(|i| image.block_uncompressed_len(i)).sum();
         assert_eq!(total, text.len());
         for i in 0..image.block_count().saturating_sub(1) {
@@ -571,7 +540,7 @@ mod tests {
         let config = X86SadcConfig { groups: false, ..Default::default() };
         let codec = X86Sadc::train(&text, config).unwrap();
         assert_eq!(codec.token_count(), codec.base_strings.len());
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 

@@ -1,6 +1,7 @@
 //! Property and workload tests: SADC is lossless on realistic programs and
 //! on adversarial instruction sequences, and blocks stay independent.
 
+use cce_codec::BlockCodec;
 use cce_isa::mips::{encode_text, ImmKind, Instruction, Operation};
 use cce_isa::Isa;
 use cce_rng::prop::prelude::*;
@@ -28,7 +29,7 @@ proptest! {
     ) {
         let text = encode_text(&insns);
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         prop_assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 
@@ -38,7 +39,7 @@ proptest! {
     ) {
         let text = encode_text(&insns);
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         let n = image.block_count();
         for k in 0..n {
             let i = (k * 5 + 2) % n;
@@ -61,7 +62,7 @@ proptest! {
         let insn = Instruction::assemble(op, &regs, imm16, imm26);
         let text = encode_text(&vec![insn; reps]);
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         prop_assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 }
@@ -71,7 +72,7 @@ fn mips_sadc_round_trips_every_spec95_benchmark() {
     for program in spec95_suite(Isa::Mips, 0.05) {
         let codec = MipsSadc::train(&program.text, MipsSadcConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", program.name));
-        let image = codec.compress(&program.text);
+        let image = codec.compress(&program.text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), program.text, "{}", program.name);
     }
 }
@@ -81,7 +82,7 @@ fn x86_sadc_round_trips_every_spec95_benchmark() {
     for program in spec95_suite(Isa::X86, 0.05) {
         let codec = X86Sadc::train(&program.text, X86SadcConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", program.name));
-        let image = codec.compress(&program.text);
+        let image = codec.compress(&program.text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), program.text, "{}", program.name);
     }
 }
@@ -101,8 +102,8 @@ fn sadc_beats_no_dictionary_on_real_workloads() {
         },
     )
     .unwrap();
-    let r_dict = with_dict.compress(&text).ratio();
-    let r_plain = without.compress(&text).ratio();
+    let r_dict = with_dict.compress(&text).unwrap().ratio();
+    let r_plain = without.compress(&text).unwrap().ratio();
     assert!(r_dict < r_plain, "dict {r_dict:.3} vs plain {r_plain:.3}");
 }
 
@@ -154,7 +155,7 @@ mod corruption {
         #[test]
         fn mips_decoder_survives_bit_flips(flip_byte in 0usize..64, flip_bit in 0u8..8) {
             let (codec, text) = trained_mips();
-            let image = codec.compress(&text);
+            let image = codec.compress(&text).unwrap();
             let mut block = image.block(1).to_vec();
             if block.is_empty() {
                 return Ok(());

@@ -4,7 +4,7 @@ use crate::model::{MarkovConfig, MarkovModel};
 use crate::streams::StreamDivision;
 use cce_arith::nibble::{EngineStats, NibbleDecoder, NibbleProbTree};
 use cce_arith::{BitDecoder, BitEncoder, Prob};
-use cce_codec::{BlockCodec, BlockImage, CodecError};
+use cce_codec::{BlockCodec, CodecError};
 
 /// Display name used in errors and tables.
 const NAME: &str = "SAMC";
@@ -151,57 +151,10 @@ impl SamcCodec {
         &self.config
     }
 
-    /// Pass 2: compresses `text` block by block.
-    ///
-    /// Convenience wrapper over [`BlockCodec::compress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `text` is not unit-aligned (train with the same framing);
-    /// use [`BlockCodec::compress`] to handle that case.
-    pub fn compress(&self, text: &[u8]) -> BlockImage {
-        BlockCodec::compress(self, text).expect("text must be unit-aligned")
-    }
-
-    fn compress_block(&self, chunk: &[u8]) -> Vec<u8> {
-        let _span = crate::obs::COMPRESS_SPAN.time();
-        let unit = self.config.unit_bytes();
-        crate::obs::COMPRESSED_UNITS.add((chunk.len() / unit) as u64);
-        let model = &self.model;
-        let mask = self.config.markov.context_mask();
-        let mut encoder = BitEncoder::new();
-        let mut ctx = 0usize;
-        for unit_bytes in chunk.chunks(unit) {
-            let word = unit_to_word(unit_bytes);
-            for s in 0..self.config.division.stream_count() {
-                let tree = model.tree(s, ctx);
-                let mut node = 1usize;
-                for &shift in model.shifts(s) {
-                    let bit = word >> shift & 1;
-                    encoder.encode_bit(bit == 1, tree[node]);
-                    node = 2 * node + bit as usize;
-                }
-                // The stream's last bit is the low bit of the leaf reached.
-                ctx = (ctx << 1 | (node & 1)) & mask;
-            }
-        }
-        encoder.finish()
-    }
-
-    /// Decompresses one block into `out_len` bytes — what the cache refill
-    /// engine does on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] if `out_len` is not unit-aligned.
-    pub fn decompress_block(&self, bytes: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
-        BlockCodec::decompress_block(self, bytes, out_len)
-    }
-
     /// Decompresses one block with the nibble-parallel engine model
     /// (paper Fig. 5), returning the bytes and the modelled cycle counts.
     ///
-    /// Bit-exact with [`SamcCodec::decompress_block`]; requires every
+    /// Bit-exact with [`BlockCodec::decompress_block`]; requires every
     /// stream's width to be a multiple of 4 bits.
     ///
     /// # Errors
@@ -255,16 +208,6 @@ impl SamcCodec {
         }
         Ok((out, engine.stats()))
     }
-
-    /// Decompresses a whole image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CodecError`] (impossible for images produced by
-    /// [`SamcCodec::compress`] with this codec).
-    pub fn decompress(&self, image: &BlockImage) -> Result<Vec<u8>, CodecError> {
-        BlockCodec::decompress(self, image)
-    }
 }
 
 impl BlockCodec for SamcCodec {
@@ -281,7 +224,7 @@ impl BlockCodec for SamcCodec {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        Self::to_bytes(self)
+        crate::serialize::write_codec(self)
     }
 
     fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
@@ -292,7 +235,27 @@ impl BlockCodec for SamcCodec {
                 format!("chunk of {} bytes is not a multiple of the {unit}-byte unit", chunk.len()),
             ));
         }
-        Ok(self.compress_block(chunk))
+        let _span = crate::obs::COMPRESS_SPAN.time();
+        crate::obs::COMPRESSED_UNITS.add((chunk.len() / unit) as u64);
+        let model = &self.model;
+        let mask = self.config.markov.context_mask();
+        let mut encoder = BitEncoder::new();
+        let mut ctx = 0usize;
+        for unit_bytes in chunk.chunks(unit) {
+            let word = unit_to_word(unit_bytes);
+            for s in 0..self.config.division.stream_count() {
+                let tree = model.tree(s, ctx);
+                let mut node = 1usize;
+                for &shift in model.shifts(s) {
+                    let bit = word >> shift & 1;
+                    encoder.encode_bit(bit == 1, tree[node]);
+                    node = 2 * node + bit as usize;
+                }
+                // The stream's last bit is the low bit of the leaf reached.
+                ctx = (ctx << 1 | (node & 1)) & mask;
+            }
+        }
+        Ok(encoder.finish())
     }
 
     fn decompress_block(&self, block: &[u8], out_len: usize) -> Result<Vec<u8>, CodecError> {
@@ -399,7 +362,7 @@ mod tests {
     fn round_trips_mips_config() {
         let text = mips_like_text(512);
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 
@@ -409,7 +372,7 @@ mod tests {
         // (the paper's benchmarks are 100 KiB+); 8192 words = 32 KiB.
         let text = mips_like_text(8192);
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
         assert!(image.ratio() < 0.5, "ratio {}", image.ratio());
     }
@@ -418,7 +381,7 @@ mod tests {
     fn round_trips_byte_config() {
         let text: Vec<u8> = (0..3000).map(|i| [0x55u8, 0x89, 0xE5, 0x8B, 0x45][i % 5]).collect();
         let codec = SamcCodec::train(&text, SamcConfig::x86()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 
@@ -426,7 +389,7 @@ mod tests {
     fn blocks_decompress_independently() {
         let text = mips_like_text(256);
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         // Decode block 3 alone and compare against the matching slice.
         let expected = &text[3 * 32..4 * 32];
         let got = codec.decompress_block(image.block(3), 32).unwrap();
@@ -447,7 +410,7 @@ mod tests {
     fn engine_path_is_bit_exact_with_serial() {
         let text = mips_like_text(256);
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         for i in 0..image.block_count() {
             let len = (text.len() - i * 32).min(32);
             let serial = codec.decompress_block(image.block(i), len).unwrap();
@@ -464,7 +427,7 @@ mod tests {
         let config = SamcConfig { block_size: 32, division, markov: MarkovConfig::default() };
         let text = vec![0xA5u8; 64];
         let codec = SamcCodec::train(&text, config).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert!(matches!(
             codec.decompress_block_engine(image.block(0), 32).unwrap_err(),
             CodecError::Unsupported { .. }
@@ -494,7 +457,7 @@ mod tests {
     fn short_final_block_round_trips() {
         let text = mips_like_text(9); // 36 bytes: one full block + 4
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(image.block_count(), 2);
         assert_eq!(codec.decompress(&image).unwrap(), text);
     }
@@ -503,7 +466,7 @@ mod tests {
     fn image_accounting_is_consistent() {
         let text = mips_like_text(512);
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         let blocks_total: usize = (0..image.block_count()).map(|i| image.block(i).len()).sum();
         assert_eq!(image.compressed_len(), blocks_total + codec.model().model_bytes());
         assert!(image.ratio_with_lat() > image.ratio());
@@ -515,7 +478,7 @@ mod tests {
         let text: Vec<u8> =
             (0..8192u32).flat_map(|i| i.wrapping_mul(0x9E37_79B9).to_be_bytes()).collect();
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert_eq!(codec.decompress(&image).unwrap(), text);
         assert!(image.ratio() < 1.15, "ratio {}", image.ratio());
     }
@@ -526,7 +489,7 @@ mod tests {
         for block_size in [16, 32, 64, 128] {
             let codec =
                 SamcCodec::train(&text, SamcConfig::mips().with_block_size(block_size)).unwrap();
-            let image = codec.compress(&text);
+            let image = codec.compress(&text).unwrap();
             assert_eq!(codec.decompress(&image).unwrap(), text, "block {block_size}");
         }
     }

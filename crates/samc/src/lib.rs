@@ -18,12 +18,14 @@
 //!
 //! The result (a generic [`cce_codec::BlockImage`]) carries the compressed
 //! blocks, the serialized model size, and a line-address table, so
-//! compression ratios include all real storage costs.  [`SamcCodec`] also
-//! implements [`cce_codec::BlockCodec`], the workspace-wide codec trait.
+//! compression ratios include all real storage costs.  [`SamcCodec`]
+//! compresses, decodes and serializes through [`cce_codec::BlockCodec`],
+//! the workspace-wide codec trait.
 //!
 //! # Examples
 //!
 //! ```
+//! use cce_codec::BlockCodec;
 //! use cce_samc::{SamcCodec, SamcConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +33,7 @@
 //! // enough to amortize the stored Markov tables, as real programs are).
 //! let text: Vec<u8> = (0..8192u32).flat_map(|i| (i % 7 << 2).to_be_bytes()).collect();
 //! let codec = SamcCodec::train(&text, SamcConfig::mips())?;
-//! let image = codec.compress(&text);
+//! let image = codec.compress(&text)?;
 //! assert!(image.ratio() < 1.0);
 //! assert_eq!(codec.decompress(&image)?, text);
 //! # Ok(())

@@ -236,11 +236,8 @@ fn correlation_grouping(sample: &[u32], width: u8, streams: usize) -> Vec<Vec<u8
 /// stream count, or unequal grouping) silently falls back to cold.
 fn warm_seed(config: &OptimizeConfig, width: u8) -> Option<Vec<Vec<u8>>> {
     let division = config.warm_start.as_ref()?;
-    let per_stream = usize::from(width) / config.streams;
-    let compatible = division.width() == width
-        && division.stream_count() == config.streams
-        && (0..division.stream_count()).all(|s| division.stream_bits(s).len() == per_stream);
-    compatible
+    division
+        .splits_evenly(width, config.streams)
         .then(|| (0..division.stream_count()).map(|s| division.stream_bits(s).to_vec()).collect())
 }
 

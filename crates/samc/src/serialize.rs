@@ -12,12 +12,13 @@
 //! # Examples
 //!
 //! ```
+//! use cce_codec::BlockCodec;
 //! use cce_samc::{SamcCodec, SamcConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let text: Vec<u8> = (0..4096u32).flat_map(|i| ((i % 9) << 3).to_be_bytes()).collect();
 //! let codec = SamcCodec::train(&text, SamcConfig::mips())?;
-//! let image = codec.compress(&text);
+//! let image = codec.compress(&text)?;
 //!
 //! // The decompressor side holds only the serialized model.
 //! let codec2 = SamcCodec::from_bytes(&codec.to_bytes())?;
@@ -41,46 +42,49 @@ fn corrupt(what: &'static str) -> CodecError {
     CodecError::corrupt(NAME, what)
 }
 
-impl SamcCodec {
-    /// Serializes the trained codec (configuration + Markov tables).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(CODEC_MAGIC, 32);
-        w.write_bits(u32::from(VERSION), 16);
-        let config = self.config();
-        w.write_bits(config.block_size as u32, 32);
-        let division = &config.division;
-        w.write_bits(u32::from(division.width()), 8);
-        w.write_bits(division.stream_count() as u32, 8);
-        for s in 0..division.stream_count() {
-            let bits = division.stream_bits(s);
-            w.write_bits(bits.len() as u32, 8);
-            for &b in bits {
-                w.write_bits(u32::from(b), 8);
-            }
+/// Serializes a trained codec (configuration + Markov tables): the body
+/// of its `BlockCodec::to_bytes`.
+pub(crate) fn write_codec(codec: &SamcCodec) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    w.write_bits(CODEC_MAGIC, 32);
+    w.write_bits(u32::from(VERSION), 16);
+    let config = codec.config();
+    w.write_bits(config.block_size as u32, 32);
+    let division = &config.division;
+    w.write_bits(u32::from(division.width()), 8);
+    w.write_bits(division.stream_count() as u32, 8);
+    for s in 0..division.stream_count() {
+        let bits = division.stream_bits(s);
+        w.write_bits(bits.len() as u32, 8);
+        for &b in bits {
+            w.write_bits(u32::from(b), 8);
         }
-        w.write_bits(u32::from(config.markov.context_bits), 2);
-        w.write_bit(config.markov.prob_mode == ProbMode::Pow2);
-        w.align_to_byte();
+    }
+    w.write_bits(u32::from(config.markov.context_bits), 2);
+    w.write_bit(config.markov.prob_mode == ProbMode::Pow2);
+    w.align_to_byte();
 
-        // Markov tables, packed at the charged widths.
-        let model = self.model();
-        let contexts = config.markov.contexts();
-        for s in 0..division.stream_count() {
-            for ctx in 0..contexts {
-                for &p in &model.tree(s, ctx)[1..] {
-                    match config.markov.prob_mode {
-                        ProbMode::Exact => w.write_bits(p.raw(), 12),
-                        ProbMode::Pow2 => w.write_bits(pow2_nibble(p), 4),
-                    }
+    // Markov tables, packed at the charged widths.
+    let model = codec.model();
+    let contexts = config.markov.contexts();
+    for s in 0..division.stream_count() {
+        for ctx in 0..contexts {
+            for &p in &model.tree(s, ctx)[1..] {
+                match config.markov.prob_mode {
+                    ProbMode::Exact => w.write_bits(p.raw(), 12),
+                    ProbMode::Pow2 => w.write_bits(pow2_nibble(p), 4),
                 }
             }
         }
-        w.align_to_byte();
-        w.into_bytes()
     }
+    w.align_to_byte();
+    w.into_bytes()
+}
 
-    /// Deserializes a codec written by [`SamcCodec::to_bytes`].
+impl SamcCodec {
+    /// Deserializes a codec written by [`BlockCodec::to_bytes`][to_bytes].
+    ///
+    /// [to_bytes]: cce_codec::BlockCodec::to_bytes
     ///
     /// Every field is validated before use, so arbitrary (corrupt or
     /// hostile) input yields [`CodecError::Corrupt`], never a panic.
@@ -169,6 +173,7 @@ fn nibble_pow2(nibble: u8) -> Prob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cce_codec::BlockCodec;
 
     fn training_text() -> Vec<u8> {
         (0..2048u32).flat_map(|i| ((i % 11) << 2 | 0x8000_0000).to_be_bytes()).collect()
@@ -181,8 +186,8 @@ mod tests {
         let bytes = codec.to_bytes();
         let restored = SamcCodec::from_bytes(&bytes).unwrap();
         // The restored codec must produce byte-identical compression.
-        let a = codec.compress(&text);
-        let b = restored.compress(&text);
+        let a = codec.compress(&text).unwrap();
+        let b = restored.compress(&text).unwrap();
         assert_eq!(a, b);
         assert_eq!(restored.decompress(&a).unwrap(), text);
     }
@@ -196,8 +201,8 @@ mod tests {
         };
         let codec = SamcCodec::train(&text, config).unwrap();
         let restored = SamcCodec::from_bytes(&codec.to_bytes()).unwrap();
-        let image = codec.compress(&text);
-        assert_eq!(restored.compress(&text), image);
+        let image = codec.compress(&text).unwrap();
+        assert_eq!(restored.compress(&text).unwrap(), image);
         assert_eq!(restored.decompress(&image).unwrap(), text);
     }
 
@@ -241,7 +246,7 @@ mod tests {
         let text = training_text();
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
         // A compressed block is not a codec.
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         assert!(matches!(
             SamcCodec::from_bytes(image.block(0)),
             Err(CodecError::Corrupt { codec: "SAMC", .. })

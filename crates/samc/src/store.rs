@@ -7,7 +7,7 @@
 //!
 //! * [`ModelRecord`] — a versioned, checksummed on-disk record holding a
 //!   trained codec (stream division + Markov tables via
-//!   [`SamcCodec::to_bytes`]) under a [`ModelKey`] derived from the
+//!   [`BlockCodec::to_bytes`]) under a [`ModelKey`] derived from the
 //!   program text and every training parameter.
 //! * [`ModelStore`] — a directory of records, written atomically
 //!   (temp file + rename) and loaded back with the same typed-`Corrupt`
@@ -32,13 +32,14 @@
 //!      6     8  model key (FNV-1a 64 of text + training parameters)
 //!     14     8  search cost in bits (f64 bit pattern)
 //!     22     4  codec payload length N (≤ 16 MiB)
-//!     26     N  serialized codec (SamcCodec::to_bytes)
+//!     26     N  serialized codec (BlockCodec::to_bytes)
 //!   26+N     8  FNV-1a 64 checksum of bytes [0, 26+N)
 //! ```
 //!
 //! # Examples
 //!
 //! ```
+//! use cce_codec::BlockCodec;
 //! use cce_samc::store::{CachedTrainer, CacheSource, ModelStore};
 //! use cce_samc::{OptimizeConfig, SamcConfig};
 //!
@@ -62,7 +63,7 @@ use crate::codec::{SamcCodec, SamcConfig};
 use crate::obs;
 use crate::optimize::OptimizeConfig;
 use crate::streams::StreamDivision;
-use cce_codec::CodecError;
+use cce_codec::{BlockCodec, CodecError};
 use cce_obs::HitMiss;
 use std::error::Error;
 use std::fmt;
@@ -445,15 +446,10 @@ impl ModelCache {
     /// for `width`-bit instructions in `streams` equal streams — the
     /// warm-start seed for a miss on a similar program.
     pub fn warm_division(&self, width: u8, streams: usize) -> Option<&StreamDivision> {
-        if streams == 0 || !usize::from(width).is_multiple_of(streams) {
-            return None;
-        }
-        let per_stream = usize::from(width) / streams;
-        self.entries.iter().map(|r| &r.codec.config().division).find(|d| {
-            d.width() == width
-                && d.stream_count() == streams
-                && (0..streams).all(|s| d.stream_bits(s).len() == per_stream)
-        })
+        self.entries
+            .iter()
+            .map(|r| &r.codec.config().division)
+            .find(|d| d.splits_evenly(width, streams))
     }
 }
 
@@ -590,17 +586,10 @@ impl CachedTrainer {
         optimize: &OptimizeConfig,
     ) -> Option<StreamDivision> {
         let width = config.division.width();
-        if optimize.streams == 0 || !usize::from(width).is_multiple_of(optimize.streams) {
-            return None;
-        }
-        let per_stream = usize::from(width) / optimize.streams;
         for key in self.store.keys().ok()? {
             let Ok(Some(record)) = self.store.load(key) else { continue };
             let division = &record.codec.config().division;
-            let fits = division.width() == width
-                && division.stream_count() == optimize.streams
-                && (0..optimize.streams).all(|s| division.stream_bits(s).len() == per_stream);
-            if fits {
+            if division.splits_evenly(width, optimize.streams) {
                 return Some(division.clone());
             }
         }
@@ -748,13 +737,36 @@ mod tests {
 
     #[test]
     fn warm_division_respects_shape() {
-        let mut cache = ModelCache::new(4);
-        cache.insert(sample_record(1.0)); // 32-bit, 4 streams of 8
-        assert!(cache.warm_division(32, 4).is_some());
-        assert!(cache.warm_division(32, 8).is_none());
-        assert!(cache.warm_division(8, 4).is_none());
-        assert!(cache.warm_division(32, 0).is_none());
-        assert!(cache.warm_division(32, 5).is_none());
+        let unequal = StreamDivision::new(
+            vec![(0..8).collect(), (8..16).collect(), (16..20).collect(), (20..32).collect()],
+            32,
+        )
+        .unwrap();
+        // (cached division, requested width, requested streams, fits)
+        let rows = [
+            (StreamDivision::bytes(32), 32, 4, true),
+            (StreamDivision::bytes(32), 32, 8, false),
+            (StreamDivision::bytes(32), 8, 4, false),
+            (StreamDivision::bytes(32), 32, 0, false),
+            (StreamDivision::bytes(32), 32, 5, false),
+            // The optimizer's warm-start cases: wrong width, wrong stream
+            // count, unequal streams.
+            (StreamDivision::bytes(8), 32, 4, false),
+            (StreamDivision::contiguous(32, 8), 32, 4, false),
+            (unequal, 32, 4, false),
+        ];
+        for (division, width, streams, fits) in rows {
+            let config = SamcConfig::mips().with_division(division.clone());
+            let codec = SamcCodec::train(&training_text(), config).unwrap();
+            let key = ModelKey::for_request(&training_text(), codec.config(), &quick_opt());
+            let mut cache = ModelCache::new(4);
+            cache.insert(ModelRecord::new(key, 1.0, codec));
+            assert_eq!(
+                cache.warm_division(width, streams),
+                fits.then_some(&division),
+                "{division:?} for {streams} streams of {width} bits"
+            );
+        }
     }
 
     #[test]

@@ -156,6 +156,16 @@ impl StreamDivision {
         word >> (self.width - 1 - bit) & 1 == 1
     }
 
+    /// Whether this division splits `width` bits into `streams` streams
+    /// of `width / streams` bits each — the shape the division search
+    /// works in.  `false` when `streams` is zero or does not divide
+    /// `width`: no division has that shape.
+    pub(crate) fn splits_evenly(&self, width: u8, streams: usize) -> bool {
+        self.width == width
+            && self.streams.len() == streams
+            && self.streams.iter().all(|s| s.len() * streams == usize::from(width))
+    }
+
     /// Total bits (equals `width`).
     pub fn total_bits(&self) -> usize {
         self.streams.iter().map(Vec::len).sum()

@@ -2,6 +2,7 @@
 //! independent, and the parallel engine matches the serial decoder.
 
 use cce_arith::ProbMode;
+use cce_codec::BlockCodec;
 use cce_rng::prop::prelude::*;
 use cce_samc::{MarkovConfig, SamcCodec, SamcConfig, StreamDivision};
 
@@ -56,7 +57,7 @@ proptest! {
     fn whole_program_round_trips(config in configs(), seed_text in program(4)) {
         let text = pad(seed_text, config.unit_bytes() * 2); // also block-unit safe
         let codec = SamcCodec::train(&text, config).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         prop_assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 
@@ -64,7 +65,7 @@ proptest! {
     fn any_block_decodes_in_isolation(text in program(4)) {
         let config = SamcConfig::mips();
         let codec = SamcCodec::train(&text, config).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         // Pick each block in a scrambled order and decode it standalone.
         let n = image.block_count();
         for k in 0..n {
@@ -79,7 +80,7 @@ proptest! {
     #[test]
     fn engine_matches_serial(text in program(4)) {
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         for i in 0..image.block_count() {
             let start = i * image.block_size();
             let len = (text.len() - start).min(image.block_size());
@@ -97,7 +98,7 @@ proptest! {
             markov: MarkovConfig { context_bits: 1, prob_mode: ProbMode::Pow2 },
         };
         let codec = SamcCodec::train(&text, config).unwrap();
-        let image = codec.compress(&text);
+        let image = codec.compress(&text).unwrap();
         prop_assert_eq!(codec.decompress(&image).unwrap(), text);
     }
 }

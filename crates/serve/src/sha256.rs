@@ -135,34 +135,14 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-/// Lowercase hex rendering of a digest.
-pub fn to_hex(digest: &[u8; DIGEST_LEN]) -> String {
-    let mut s = String::with_capacity(DIGEST_LEN * 2);
-    for b in digest {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-    }
-    s
-}
-
-/// Parses a 64-character lowercase/uppercase hex digest.
-pub fn from_hex(hex: &str) -> Option<[u8; DIGEST_LEN]> {
-    if hex.len() != DIGEST_LEN * 2 || !hex.is_ascii() {
-        return None;
-    }
-    let bytes = hex.as_bytes();
-    let mut out = [0u8; DIGEST_LEN];
-    for (i, pair) in bytes.chunks_exact(2).enumerate() {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out[i] = ((hi << 4) | lo) as u8;
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lowercase hex rendering of a digest, as the FIPS vectors print.
+    fn to_hex(digest: &[u8; DIGEST_LEN]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     #[test]
     fn empty_input_matches_fips_vector() {
@@ -215,13 +195,5 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), digest(&data), "split at {split}");
         }
-    }
-
-    #[test]
-    fn hex_round_trips() {
-        let d = digest(b"round trip");
-        assert_eq!(from_hex(&to_hex(&d)), Some(d));
-        assert_eq!(from_hex("short"), None);
-        assert_eq!(from_hex(&"zz".repeat(32)), None);
     }
 }

@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --example persistence`
 
+use cce_core::codec::BlockCodec;
 use cce_core::container::{self, ContainerIdentity, ContainerV2Reader};
 use cce_core::elf::{Class, Endianness};
 use cce_core::isa::Isa;
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let programs = spec95_suite(Isa::Mips, 0.5);
     let program = programs.iter().find(|p| p.name == "wave5").expect("in suite");
     let codec = SamcCodec::train(&program.text, SamcConfig::mips())?;
-    let image = codec.compress(&program.text);
+    let image = codec.compress(&program.text)?;
 
     let identity = ContainerIdentity {
         algorithm: Algorithm::Samc,

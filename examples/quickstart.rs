@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use cce_core::codec::BlockCodec;
 use cce_core::isa::mips::encode_text;
 use cce_core::samc::{SamcCodec, SamcConfig};
 use cce_core::workload::{generate_mips, Spec95};
@@ -18,7 +19,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Train SAMC (pass 1: Markov statistics over the whole program)
     //    and compress (pass 2: arithmetic-code each 32-byte cache block).
     let codec = SamcCodec::train(&text, SamcConfig::mips())?;
-    let image = codec.compress(&text);
+    let image = codec.compress(&text)?;
     println!(
         "compressed: {} bytes in {} blocks (model {} bytes, LAT {} bytes)",
         image.compressed_len(),

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example stream_tuning`
 
+use cce_core::codec::BlockCodec;
 use cce_core::isa::Isa;
 use cce_core::samc::{optimize_division, OptimizeConfig, SamcCodec, SamcConfig, StreamDivision};
 use cce_core::workload::spec95_suite;
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let ratio_with = |division: StreamDivision| -> Result<f64, Box<dyn Error>> {
         let config = SamcConfig::mips().with_division(division);
         let codec = SamcCodec::train(&program.text, config)?;
-        Ok(codec.compress(&program.text).ratio())
+        Ok(codec.compress(&program.text)?.ratio())
     };
 
     // The paper's default: four contiguous 8-bit streams.

@@ -16,6 +16,14 @@ cargo build --release --workspace
 echo "== tests (offline) =="
 cargo test -q --workspace
 
+echo "== examples (release; each asserts its own round trip) =="
+for example in compress_firmware memory_system persistence quickstart stream_tuning; do
+    cargo run --release -q -p cce-core --example "$example" > /dev/null || {
+        echo "example \`$example\` failed" >&2
+        exit 1
+    }
+done
+
 echo "== fuzz smoke (fixed seed) =="
 cargo run --release -q -p cce-core --bin cce -- fuzz --algo all --cases 512 --seed 7
 

@@ -4,7 +4,10 @@
 //! codec serialization, and clean failures on degenerate inputs.
 
 use cce_core::codec::{BlockCodec, CodecError, FileCodec};
+use cce_core::huffman::block::ByteBlockCodec;
 use cce_core::isa::Isa;
+use cce_core::sadc::{MipsSadc, MipsSadcConfig, X86Sadc, X86SadcConfig};
+use cce_core::samc::{SamcCodec, SamcConfig};
 use cce_core::workload::spec95_suite;
 use cce_core::{Algorithm, CodecHandle};
 
@@ -108,6 +111,44 @@ fn empty_input_fails_to_train_cleanly() {
                 "{algorithm} on {isa} should fail to train on empty input"
             );
         }
+    }
+}
+
+#[test]
+fn text_the_model_cannot_encode_is_a_train_error_for_every_codec() {
+    let mips = text_for(Isa::Mips);
+    let x86 = text_for(Isa::X86);
+    let sixteen_symbols: Vec<u8> = (0..1024).map(|i| (i % 16) as u8).collect();
+    // `jr $ra` with a stray bit in the unused rt field: decodable MIPS
+    // that SADC's register stream cannot represent.
+    let non_canonical = (0x03E0_0008u32 | 1 << 16).to_be_bytes();
+    let mut trailing_garbage = x86.clone();
+    trailing_garbage.push(0x67); // address-size prefix: rejected by the decoder
+    let cases: [(&str, Box<dyn BlockCodec>, &[u8]); 4] = [
+        (
+            "SamcCodec, length not a multiple of 4",
+            Box::new(SamcCodec::train(&mips, SamcConfig::mips()).expect("trains")),
+            &mips[..mips.len() - 1],
+        ),
+        (
+            "ByteBlockCodec, byte absent from training",
+            Box::new(ByteBlockCodec::train(&sixteen_symbols, BLOCK).expect("trains")),
+            &[0xFF],
+        ),
+        (
+            "MipsSadc, non-canonical word",
+            Box::new(MipsSadc::train(&mips, MipsSadcConfig::default()).expect("trains")),
+            &non_canonical,
+        ),
+        (
+            "X86Sadc, trailing garbage",
+            Box::new(X86Sadc::train(&x86, X86SadcConfig::default()).expect("trains")),
+            &trailing_garbage,
+        ),
+    ];
+    for (case, codec, text) in cases {
+        let result = codec.compress(text);
+        assert!(matches!(result, Err(CodecError::Train { .. })), "{case}: {result:?}");
     }
 }
 

@@ -197,7 +197,7 @@ mod functional {
         let programs = spec95_suite(Isa::Mips, 0.1);
         let program = programs.iter().find(|p| p.name == "xlisp").expect("in suite");
         let codec = SamcCodec::train(&program.text, SamcConfig::mips()).expect("trainable");
-        let image = codec.compress(&program.text);
+        let image = codec.compress(&program.text).unwrap();
 
         let lat = LineAddressTable::from_image(&image);
         let mut system =
@@ -220,7 +220,7 @@ mod functional {
         let programs = spec95_suite(Isa::Mips, 0.05);
         let program = programs.iter().find(|p| p.name == "go").expect("in suite");
         let codec = SamcCodec::train(&program.text, SamcConfig::mips()).expect("trainable");
-        let image = codec.compress(&program.text);
+        let image = codec.compress(&program.text).unwrap();
         let trace = instruction_trace(
             program.text.len(),
             &TraceConfig { fetches: 15_000, ..TraceConfig::default() },
@@ -242,7 +242,7 @@ mod functional {
         let programs = spec95_suite(Isa::Mips, 0.1);
         let program = programs.iter().find(|p| p.name == "compress").expect("in suite");
         let codec = MipsSadc::train(&program.text, MipsSadcConfig::default()).expect("trainable");
-        let image = codec.compress(&program.text);
+        let image = codec.compress(&program.text).unwrap();
         let lat = LineAddressTable::from_image(&image);
         let mut system =
             MemorySystem::compressed(cache_config(1024), CostModel::default(), lat, 16);

@@ -1,7 +1,7 @@
 //! Integration tests for the SAMC model cache: warm-start economics,
 //! worker invariance, store round-trips, and the hardened record parser.
 
-use cce_core::codec::compress_parallel;
+use cce_core::codec::{compress_parallel, BlockCodec};
 use cce_core::fuzz::Outcome;
 use cce_core::samc::store::{CacheSource, CachedTrainer, ModelRecord, ModelStore};
 use cce_core::samc::{optimize_division_with_workers, OptimizeConfig, SamcCodec, SamcConfig};

@@ -1,6 +1,7 @@
 //! Full-pipeline integration: ELF in → compress → decompress → identical
 //! text out, for both ISAs and both of the paper's codecs.
 
+use cce_core::codec::BlockCodec;
 use cce_core::elf::ElfImage;
 use cce_core::isa::Isa;
 use cce_core::sadc::{MipsSadc, MipsSadcConfig, X86Sadc, X86SadcConfig};
@@ -18,7 +19,7 @@ fn elf_to_samc_and_back_mips() {
     let text = parsed.text().expect("has .text");
 
     let codec = SamcCodec::train(text, SamcConfig::mips()).expect("trainable");
-    let image = codec.compress(text);
+    let image = codec.compress(text).unwrap();
     assert_eq!(codec.decompress(&image).expect("decompressible"), text);
 }
 
@@ -30,7 +31,7 @@ fn elf_to_samc_and_back_x86() {
     let text = parsed.text().expect("has .text");
 
     let codec = SamcCodec::train(text, SamcConfig::x86()).expect("trainable");
-    let image = codec.compress(text);
+    let image = codec.compress(text).unwrap();
     assert_eq!(codec.decompress(&image).expect("decompressible"), text);
 }
 
@@ -42,7 +43,7 @@ fn elf_to_sadc_and_back_mips() {
     let text = parsed.text().expect("has .text");
 
     let codec = MipsSadc::train(text, MipsSadcConfig::default()).expect("trainable");
-    let image = codec.compress(text);
+    let image = codec.compress(text).unwrap();
     assert_eq!(codec.decompress(&image).expect("decompressible"), text);
     // The compressed image plus tables must be smaller than the original.
     assert!(image.ratio() < 1.0, "ratio {}", image.ratio());
@@ -56,7 +57,7 @@ fn elf_to_sadc_and_back_x86() {
     let text = parsed.text().expect("has .text");
 
     let codec = X86Sadc::train(text, X86SadcConfig::default()).expect("trainable");
-    let image = codec.compress(text);
+    let image = codec.compress(text).unwrap();
     assert_eq!(codec.decompress(&image).expect("decompressible"), text);
 }
 
@@ -67,7 +68,7 @@ fn random_access_refill_pattern() {
     let program = &spec95_suite(Isa::Mips, 0.05)[13]; // tomcatv
     let text = &program.text;
     let codec = SamcCodec::train(text, SamcConfig::mips()).expect("trainable");
-    let image = codec.compress(text);
+    let image = codec.compress(text).unwrap();
 
     // Visit blocks in a scrambled order, as cache misses would.
     let n = image.block_count();
